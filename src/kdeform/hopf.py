@@ -1,11 +1,13 @@
 """Tensor products over a presented algebra and Hopf-structure verification.
 
 A :class:`TensorElement` of rank r stores terms as dicts mapping r-tuples of
-normal words to Scalar coefficients.  Products act legwise through the
-presentation's normalize cache.  :class:`HopfData` holds coproduct, antipode
-and counit values on generators and extends them to arbitrary elements
+normal words to Scalar coefficients, summed with ``ncalg.accumulate`` like
+the element layer's.  Products act legwise through the presentation's
+normalize cache.  :class:`HopfData` holds coproduct, antipode and counit
+values on generators and extends them to arbitrary elements
 (multiplicatively, anti-multiplicatively, multiplicatively respectively),
-with memoized word-level caches.
+with memoized word-level caches; the three leg maps share one helper that
+replaces a single tensor leg by a word's image.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
@@ -19,8 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import KdeformError, PresentationError
-from .ncalg import AlgElement, EMPTY_WORD, Presentation
-from .scalar import GR_ONE, GaussianRational, Scalar, merge_trunc
+from .ncalg import EMPTY_WORD, AlgElement, accumulate
+from .report import Report
+from .scalar import GaussianRational, Scalar, merge_trunc
 
 
 class TensorElement:
@@ -86,14 +89,7 @@ class TensorElement:
             return NotImplemented
         self._require_like(other)
         trunc = merge_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+        out = accumulate(dict(self.terms), other.terms.items())
         return TensorElement(self.pres, self.rank, out, trunc)
 
     def __sub__(self, other):
@@ -128,35 +124,20 @@ class TensorElement:
                 c12 = c1 * c2
                 if not c12:
                     continue
-                # legwise products, each through the shared normalize cache
-                partial = {(): c12}
-                dead = False
+                # legwise products through the shared normalize cache; the
+                # keys of one term pair never repeat, so zeros are only dropped
+                partial = [((), c12)]
                 for leg in range(self.rank):
-                    legterms = norm(k1[leg] + k2[leg])
-                    new = {}
-                    for key, c in partial.items():
-                        for w, cw in legterms.items():
-                            cc = c * cw
-                            if cc:
-                                acc = new.get(key + (w,))
-                                acc = cc if acc is None else acc + cc
-                                if acc:
-                                    new[key + (w,)] = acc
-                                else:
-                                    del new[key + (w,)]
-                    partial = new
+                    legterms = norm(k1[leg] + k2[leg]).items()
+                    partial = [
+                        (key + (w,), cc)
+                        for key, c in partial
+                        for w, cw in legterms
+                        for cc in (c * cw,) if cc
+                    ]
                     if not partial:
-                        dead = True
                         break
-                if dead:
-                    continue
-                for key, c in partial.items():
-                    acc = out.get(key)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+                accumulate(out, partial)
         return TensorElement(self.pres, self.rank, out, trunc)
 
     def __rmul__(self, other):
@@ -201,12 +182,9 @@ class TensorElement:
         """Reorder legs: new key[j] = old key[perm[j]]."""
         if sorted(perm) != list(range(self.rank)):
             raise PresentationError("bad leg permutation %r" % (perm,))
-        out = {}
-        for key, c in self.terms.items():
-            nk = tuple(key[p] for p in perm)
-            acc = out.get(nk)
-            acc = c if acc is None else acc + c
-            out[nk] = acc
+        out = accumulate({}, (
+            (tuple(key[p] for p in perm), c) for key, c in self.terms.items()
+        ))
         return TensorElement(self.pres, self.rank, out, self.trunc)
 
     def swap(self):
@@ -218,21 +196,12 @@ class TensorElement:
     def merge_legs(self):
         """Multiply all legs together: a (x) b (x) ... -> a*b*...; returns an
         AlgElement."""
-        out = {}
-        for key, c in self.terms.items():
-            word = ()
-            for w in key:
-                word = word + w
-            for nw, nc in self.pres.normalize_word(word).items():
-                cc = c * nc
-                if not cc:
-                    continue
-                acc = out.get(nw)
-                acc = cc if acc is None else acc + cc
-                if acc:
-                    out[nw] = acc
-                else:
-                    del out[nw]
+        norm = self.pres.normalize_word
+        out = accumulate({}, (
+            (nw, c * nc)
+            for key, c in self.terms.items()
+            for nw, nc in norm(sum(key, ())).items()
+        ))
         return AlgElement(self.pres, out, self.trunc)
 
     def star(self, h_sign=1):
@@ -269,6 +238,11 @@ class TensorElement:
             legs = " (x) ".join(self.pres._word_str(w) for w in key)
             bits.append("(%r)*[%s]" % (self.terms[key], legs))
         return " + ".join(bits)
+
+
+def otimes(a, b):
+    """The rank-2 tensor a (x) b of two AlgElements."""
+    return TensorElement.from_legs(a, b)
 
 
 def promote(elt, rank=2, leg=0):
@@ -349,34 +323,20 @@ class HopfData:
 
     def cop(self, elt):
         trunc = merge_trunc(self.trunc, elt.trunc)
-        out = {}
-        for w, c in elt.terms.items():
-            for key, ci in self.cop_word(w).terms.items():
-                cc = c * ci
-                if not cc:
-                    continue
-                acc = out.get(key)
-                acc = cc if acc is None else acc + cc
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+        out = accumulate({}, (
+            (key, c * ci)
+            for w, c in elt.terms.items()
+            for key, ci in self.cop_word(w).terms.items()
+        ))
         return TensorElement(self.pres, 2, out, trunc)
 
     def antipode_of(self, elt):
         trunc = merge_trunc(self.trunc, elt.trunc)
-        out = {}
-        for w, c in elt.terms.items():
-            for nw, ci in self.antipode_word(w).terms.items():
-                cc = c * ci
-                if not cc:
-                    continue
-                acc = out.get(nw)
-                acc = cc if acc is None else acc + cc
-                if acc:
-                    out[nw] = acc
-                else:
-                    del out[nw]
+        out = accumulate({}, (
+            (nw, c * ci)
+            for w, c in elt.terms.items()
+            for nw, ci in self.antipode_word(w).terms.items()
+        ))
         return AlgElement(self.pres, out, trunc)
 
     def counit_of(self, elt):
@@ -387,22 +347,24 @@ class HopfData:
 
     # --- tensor-leg applications --------------------------------------------
 
+    @staticmethod
+    def _leg_map(tensor, leg, image):
+        """Terms of ``tensor`` with leg ``leg`` replaced by its image.
+
+        ``image(word)`` yields (legs, coeff) pairs, where ``legs`` is a tuple
+        of 0, 1 or 2 words that takes the place of the one word.
+        """
+        return accumulate({}, (
+            (key[:leg] + legs + key[leg + 1:], c * ci)
+            for key, c in tensor.terms.items()
+            for legs, ci in image(key[leg])
+        ))
+
     def apply_cop_leg(self, tensor, leg):
         """(.. (x) Delta (x) ..): rank grows by one at position ``leg``."""
-        out = {}
-        for key, c in tensor.terms.items():
-            img = self.cop_word(key[leg])
-            for (w1, w2), ci in img.terms.items():
-                cc = c * ci
-                if not cc:
-                    continue
-                nk = key[:leg] + (w1, w2) + key[leg + 1:]
-                acc = out.get(nk)
-                acc = cc if acc is None else acc + cc
-                if acc:
-                    out[nk] = acc
-                else:
-                    del out[nk]
+        out = self._leg_map(
+            tensor, leg, lambda w: self.cop_word(w).terms.items()
+        )
         return TensorElement(
             self.pres,
             tensor.rank + 1,
@@ -411,20 +373,9 @@ class HopfData:
         )
 
     def apply_antipode_leg(self, tensor, leg):
-        out = {}
-        for key, c in tensor.terms.items():
-            img = self.antipode_word(key[leg])
-            for w, ci in img.terms.items():
-                cc = c * ci
-                if not cc:
-                    continue
-                nk = key[:leg] + (w,) + key[leg + 1:]
-                acc = out.get(nk)
-                acc = cc if acc is None else acc + cc
-                if acc:
-                    out[nk] = acc
-                else:
-                    del out[nk]
+        out = self._leg_map(tensor, leg, lambda w: (
+            ((nw,), ci) for nw, ci in self.antipode_word(w).terms.items()
+        ))
         return TensorElement(
             self.pres,
             tensor.rank,
@@ -435,30 +386,14 @@ class HopfData:
     def apply_counit_leg(self, tensor, leg):
         """Contract one leg with epsilon; rank drops by one.  A rank-1 result
         is returned as an AlgElement."""
-        new_rank = tensor.rank - 1
-        acc_terms = {}
-        for key, c in tensor.terms.items():
-            eps = self.counit_word(key[leg])
-            cc = c * eps
-            if not cc:
-                continue
-            nk = key[:leg] + key[leg + 1:]
-            acc = acc_terms.get(nk)
-            acc = cc if acc is None else acc + cc
-            if acc:
-                acc_terms[nk] = acc
-            else:
-                acc_terms.pop(nk, None)
-        if new_rank == 1:
+        out = self._leg_map(
+            tensor, leg, lambda w: (((), self.counit_word(w)),)
+        )
+        if tensor.rank == 2:
             return AlgElement(
-                self.pres, {k[0]: v for k, v in acc_terms.items()}, tensor.trunc
+                self.pres, {k[0]: v for k, v in out.items()}, tensor.trunc
             )
-        return TensorElement(self.pres, new_rank, acc_terms, tensor.trunc)
-
-
-def _residual_note(obj, limit=160):
-    s = repr(obj)
-    return s if len(s) <= limit else s[:limit] + "..."
+        return TensorElement(self.pres, tensor.rank - 1, out, tensor.trunc)
 
 
 def verify_axioms(hopf, degree2=True, coassoc_pairs=False):
@@ -470,35 +405,27 @@ def verify_axioms(hopf, degree2=True, coassoc_pairs=False):
     antipode axioms also run on all ordered degree-2 words; with
     ``coassoc_pairs`` coassociativity does too (slower).
     """
-    from .report import Check
-
     pres = hopf.pres
-    checks = []
+    rep = Report("hopf axioms")
     n = len(pres.generators)
     one = AlgElement.one(pres, hopf.trunc)
-
-    def record(name, residual):
-        ok = residual.is_zero()
-        checks.append(
-            Check(name, ok, "" if ok else _residual_note(residual))
-        )
 
     for i in range(n):
         g = AlgElement.gen(pres, i, hopf.trunc)
         lab = pres.label(i)
         cop = hopf.cop(g)
-        record(
+        rep.zero(
             "coassoc[%s]" % lab,
             hopf.apply_cop_leg(cop, 0) - hopf.apply_cop_leg(cop, 1),
         )
-        record("counit_left[%s]" % lab, hopf.apply_counit_leg(cop, 0) - g)
-        record("counit_right[%s]" % lab, hopf.apply_counit_leg(cop, 1) - g)
+        rep.zero("counit_left[%s]" % lab, hopf.apply_counit_leg(cop, 0) - g)
+        rep.zero("counit_right[%s]" % lab, hopf.apply_counit_leg(cop, 1) - g)
         eps_g = one * hopf.counit_of(g)
-        record(
+        rep.zero(
             "antipode_left[%s]" % lab,
             hopf.apply_antipode_leg(cop, 0).merge_legs() - eps_g,
         )
-        record(
+        rep.zero(
             "antipode_right[%s]" % lab,
             hopf.apply_antipode_leg(cop, 1).merge_legs() - eps_g,
         )
@@ -532,9 +459,9 @@ def verify_axioms(hopf, degree2=True, coassoc_pairs=False):
                 hopf.counit_of(gi) * hopf.counit_of(gj)
                 - hopf.counit_of(rhs_elt)
             )
-        record("cop_respects_%s" % tag, drec)
-        record("antipode_respects_%s" % tag, srec)
-        record("counit_respects_%s" % tag, erec)
+        rep.zero("cop_respects_%s" % tag, drec)
+        rep.zero("antipode_respects_%s" % tag, srec)
+        rep.zero("counit_respects_%s" % tag, erec)
 
     if degree2:
         bad_counit = []
@@ -559,29 +486,23 @@ def verify_axioms(hopf, degree2=True, coassoc_pairs=False):
                     c3 = hopf.apply_cop_leg(cop, 0) - hopf.apply_cop_leg(cop, 1)
                     if not c3.is_zero():
                         bad_coassoc.append((pres.label(i), pres.label(j)))
-        checks.append(
-            Check(
-                "counit_axiom_degree2_all_pairs",
-                not bad_counit,
-                "" if not bad_counit else repr(bad_counit[:4]),
-            )
+        rep.add(
+            "counit_axiom_degree2_all_pairs",
+            not bad_counit,
+            "" if not bad_counit else repr(bad_counit[:4]),
         )
-        checks.append(
-            Check(
-                "antipode_axiom_degree2_all_pairs",
-                not bad_antipode,
-                "" if not bad_antipode else repr(bad_antipode[:4]),
-            )
+        rep.add(
+            "antipode_axiom_degree2_all_pairs",
+            not bad_antipode,
+            "" if not bad_antipode else repr(bad_antipode[:4]),
         )
         if coassoc_pairs:
-            checks.append(
-                Check(
-                    "coassoc_degree2_all_pairs",
-                    not bad_coassoc,
-                    "" if not bad_coassoc else repr(bad_coassoc[:4]),
-                )
+            rep.add(
+                "coassoc_degree2_all_pairs",
+                not bad_coassoc,
+                "" if not bad_coassoc else repr(bad_coassoc[:4]),
             )
-    return checks
+    return rep.checks
 
 
 def verify_reality(hopf, h_sign=1, conjugator=None):
@@ -592,34 +513,27 @@ def verify_reality(hopf, h_sign=1, conjugator=None):
       * S((S(g*))*) == g
     With ``conjugator=(A, A_inv)`` also checks S(S(g)) == A g A_inv.
     """
-    from .report import Check
-
     pres = hopf.pres
-    checks = []
-
-    def record(name, residual):
-        ok = residual.is_zero()
-        checks.append(Check(name, ok, "" if ok else _residual_note(residual)))
-
+    rep = Report("reality conditions")
     for i in range(len(pres.generators)):
         g = AlgElement.gen(pres, i, hopf.trunc)
         lab = pres.label(i)
-        record(
+        rep.zero(
             "cop_star_compatible[%s]" % lab,
             hopf.cop(g.star(h_sign=h_sign)) - hopf.cop(g).star(h_sign=h_sign),
         )
-        record(
+        rep.zero(
             "antipode_star_involutive[%s]" % lab,
             hopf.antipode_of(hopf.antipode_of(g.star(h_sign=h_sign)).star(h_sign=h_sign))
             - g,
         )
         if conjugator is not None:
             a, a_inv = conjugator
-            record(
+            rep.zero(
                 "antipode_square_conjugation[%s]" % lab,
                 hopf.antipode_of(hopf.antipode_of(g)) - a * g * a_inv,
             )
-    return checks
+    return rep.checks
 
 
 def check_rmatrix_intertwiner(hopf, hopf_universal, rmat):
@@ -630,7 +544,6 @@ def check_rmatrix_intertwiner(hopf, hopf_universal, rmat):
     ``rmat`` must be a unital perturbation in the tensor square (1 (x) 1
     plus positive-bigrade terms); anything else raises.
     """
-    from .report import Report
     from .series import perturbation_part, unital_inverse
 
     try:
@@ -643,20 +556,16 @@ def check_rmatrix_intertwiner(hopf, hopf_universal, rmat):
         {"rank": str(rmat.rank), "trunc": str(rmat.trunc)},
     )
 
-    def record(name, residual):
-        ok = residual.is_zero()
-        rep.add(name, ok, "" if ok else _residual_note(residual))
-
     pres = hopf.pres
     one2 = TensorElement.one(pres, rmat.trunc)
-    record("invertible", rmat * unital_inverse(rmat) - one2)
-    record("triangular", rmat.swap() * rmat - one2)
+    rep.zero("invertible", rmat * unital_inverse(rmat) - one2)
+    rep.zero("triangular", rmat.swap() * rmat - one2)
     one1 = AlgElement.one(pres, rmat.trunc)
-    record("counit_left", hopf.apply_counit_leg(rmat, 0) - one1)
-    record("counit_right", hopf.apply_counit_leg(rmat, 1) - one1)
+    rep.zero("counit_left", hopf.apply_counit_leg(rmat, 0) - one1)
+    rep.zero("counit_right", hopf.apply_counit_leg(rmat, 1) - one1)
     for i in range(len(pres.generators)):
         g = AlgElement.gen(pres, i, rmat.trunc)
-        record(
+        rep.zero(
             "intertwines[%s]" % pres.label(i),
             rmat * hopf.cop(g) - hopf_universal.cop(g) * rmat,
         )

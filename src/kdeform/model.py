@@ -25,11 +25,14 @@ certifies that all nonzero specializations give isomorphic Hopf algebras
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import ClassicalLimitError, PresentationError
-from .hopf import HopfData, TensorElement, verify_axioms, verify_reality
+from .hopf import (
+    HopfData, TensorElement, otimes, verify_axioms, verify_reality,
+)
 from .metric import Metric, null_pair_split, orthogonal_split
-from .ncalg import EMPTY_WORD, AlgElement, Presentation
+from .ncalg import EMPTY_WORD, AlgElement, Presentation, accumulate
 from .report import Report
 from .scalar import Scalar, gr
 from .series import unital_inverse, unital_log, unital_power, unital_sqrt
@@ -125,32 +128,39 @@ def build_iso(metric, p_labels=None, m_labels=None, name=None):
     for a in range(dim):
         for b in range(a + 1, dim):
             midx[(a, b)] = pres.add_generator(m_labels[(a, b)], kind="rotation")
-    _install_orthogonal_rules(pres, metric, pidx, midx)
+    _install_orthogonal_rules(pres, metric.g, dict(enumerate(pidx)), midx)
     pres.iso_data = {"metric": metric, "p": pidx, "m": midx}
     return pres
 
 
-def _install_orthogonal_rules(pres, metric, pidx, midx):
-    g = metric.g
-    dim = metric.dim
-    I = Scalar.i()
+def _rotation(pres, midx, a, b, trunc=None):
+    """The rotation generator M_ab as an element: M_ba = -M_ab, M_aa = 0."""
+    if a == b:
+        return AlgElement.zero(pres, trunc)
+    if a < b:
+        return AlgElement.gen(pres, midx[(a, b)], trunc)
+    return -AlgElement.gen(pres, midx[(b, a)], trunc)
 
-    def m_el(a, b):
-        if a == b:
-            return AlgElement.zero(pres)
-        if a < b:
-            return AlgElement.gen(pres, midx[(a, b)])
-        return -AlgElement.gen(pres, midx[(b, a)])
+
+def _install_orthogonal_rules(pres, g, pidx, midx):
+    """The [M, P] and [M, M] rules of iso(g) on the given slots.
+
+    ``pidx`` maps momentum slots and ``midx`` slot pairs a < b to generator
+    indices; rules are installed in slot order, which fixes the order of
+    every later check.
+    """
+    I = Scalar.i()
+    m_el = partial(_rotation, pres, midx)
 
     def p_el(mu):
         return AlgElement.gen(pres, pidx[mu])
 
     # [M_ab, P_c] = i(g_bc P_a - g_ac P_b)
     for (a, b), im in midx.items():
-        for c in range(dim):
+        for c, ic in pidx.items():
             rhs = (p_el(a) * g[b][c] - p_el(b) * g[a][c]) * I
             if rhs:
-                pres.set_commutator(im, pidx[c], rhs.terms)
+                pres.set_commutator(im, ic, rhs.terms)
     # [M_ab, M_cd] = i(g_ad M_bc - g_bd M_ac + g_bc M_ad - g_ac M_bd)
     pairs = sorted(midx)
     for x, (a, b) in enumerate(pairs):
@@ -213,15 +223,10 @@ def basis_change_check(pres, rows):
     gt = [[metric.pair(u, v) for v in rows] for u in rows]
     I = Scalar.i()
 
+    m_el = partial(_rotation, pres, midx)
+
     def p_el(mu):
         return AlgElement.gen(pres, pidx[mu])
-
-    def m_el(a, b):
-        if a == b:
-            return AlgElement.zero(pres)
-        if a < b:
-            return AlgElement.gen(pres, midx[(a, b)])
-        return -AlgElement.gen(pres, midx[(b, a)])
 
     pt = []
     for a in range(dim):
@@ -248,7 +253,7 @@ def basis_change_check(pres, rows):
             for c in range(dim):
                 want = (pt[a] * gt[b][c] - pt[b] * gt[a][c]) * I
                 got = mt[(a, b)].commutator(pt[c])
-                rep.add("comm[M~_%d%d,P~_%d]" % (a, b, c), (got - want).is_zero())
+                rep.zero("comm[M~_%d%d,P~_%d]" % (a, b, c), got - want)
     mpairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
     for x, (a, b) in enumerate(mpairs):
         for (c, d) in mpairs[x:]:
@@ -259,9 +264,7 @@ def basis_change_check(pres, rows):
                 - mt[(b, d)] * gt[a][c]
             ) * I
             got = mt[(a, b)].commutator(mt[(c, d)])
-            rep.add(
-                "comm[M~_%d%d,M~_%d%d]" % (a, b, c, d), (got - want).is_zero()
-            )
+            rep.zero("comm[M~_%d%d,M~_%d%d]" % (a, b, c, d), got - want)
     # C~ = C: the Casimir does not see the basis
     ginv = metric.inverse()
     gtinv = Metric(gt).inverse()
@@ -275,7 +278,7 @@ def basis_change_check(pres, rows):
         for b in range(dim):
             if gtinv[a][b]:
                 c_new = c_new + pt[a] * pt[b] * gtinv[a][b]
-    rep.add("casimir_basis_independent", (c_old - c_new).is_zero())
+    rep.zero("casimir_basis_independent", c_old - c_new)
     return rep
 
 
@@ -370,12 +373,7 @@ def _covariant_hopf(pres, metric, tau, trunc):
     one = AlgElement.one(pres, trunc)
     p = [AlgElement.gen(pres, pidx[mu], trunc) for mu in range(dim)]
 
-    def m_el(a, b):
-        if a == b:
-            return AlgElement.zero(pres, trunc)
-        if a < b:
-            return AlgElement.gen(pres, midx[(a, b)], trunc)
-        return -AlgElement.gen(pres, midx[(b, a)], trunc)
+    m_el = partial(_rotation, pres, midx, trunc=trunc)
 
     pu = []
     for mu in range(dim):
@@ -399,17 +397,14 @@ def _covariant_hopf(pres, metric, tau, trunc):
     pu_piinv = [pu[al] * PiInv for al in range(dim)]
     ct_piinv = C_tau * PiInv
 
-    def pair(a, b):
-        return TensorElement.from_legs(a, b)
-
     cop, antip, counit = {}, {}, {}
     for mu in range(dim):
-        d = pair(p[mu], Pi) + pair(one, p[mu])
+        d = otimes(p[mu], Pi) + otimes(one, p[mu])
         s_el = p[mu]
         if tau_low[mu]:
             for al in range(dim):
-                d = d - pair(pu_piinv[al], p[al]) * (h1 * tau_low[mu])
-            d = d - pair(ct_piinv, p_tau) * (half_h2 * tau_low[mu])
+                d = d - otimes(pu_piinv[al], p[al]) * (h1 * tau_low[mu])
+            d = d - otimes(ct_piinv, p_tau) * (half_h2 * tau_low[mu])
             s_el = s_el + (C + p_tau * C_tau * half_h1) * (h1 * tau_low[mu])
         cop[pidx[mu]] = d
         antip[pidx[mu]] = -(s_el * PiInv)
@@ -417,16 +412,16 @@ def _covariant_hopf(pres, metric, tau, trunc):
 
     for (a, b), im in midx.items():
         mel = AlgElement.gen(pres, im, trunc)
-        d = pair(mel, one) + pair(one, mel)
+        d = otimes(mel, one) + otimes(one, mel)
         s_el = -mel
         for al in range(dim):
             w1 = m_el(al, a) * tau_low[b] - m_el(al, b) * tau_low[a]
             if w1:
-                d = d + pair(pu_piinv[al], w1) * h1
+                d = d + otimes(pu_piinv[al], w1) * h1
                 s_el = s_el + pu[al] * w1 * h1
         w2 = m_tau[b] * tau_low[a] - m_tau[a] * tau_low[b]
         if w2:
-            d = d - pair(ct_piinv, w2) * half_h2
+            d = d - otimes(ct_piinv, w2) * half_h2
             s_el = s_el - C_tau * w2 * half_h2
         cop[im] = d
         antip[im] = s_el
@@ -491,15 +486,8 @@ def _build_q_timelike(config):
         for j in range(i + 1, dim):
             midx[(i, j)] = pres.add_generator("M_%d%d" % (i, j), kind="rotation")
 
-    def el(idx):
-        return AlgElement.gen(pres, idx)
-
-    def m_sp(a, b):
-        if a == b:
-            return AlgElement.zero(pres)
-        if a < b:
-            return AlgElement.gen(pres, midx[(a, b)])
-        return -AlgElement.gen(pres, midx[(b, a)])
+    el = partial(AlgElement.gen, pres)
+    m_sp = partial(_rotation, pres, midx)
 
     one_terms = {EMPTY_WORD: Scalar.one()}
     pres.set_product(pi, piv, dict(one_terms))
@@ -507,22 +495,8 @@ def _build_q_timelike(config):
     I = Scalar.i()
 
     # standard (M_ij, P_i) sector over the spatial block
-    for (a, b), im in midx.items():
-        for c in range(1, dim):
-            rhs = (el(pidx[a]) * g[b][c] - el(pidx[b]) * g[a][c]) * I
-            if rhs:
-                pres.set_commutator(im, pidx[c], rhs.terms)
+    _install_orthogonal_rules(pres, g, pidx, midx)
     spairs = sorted(midx)
-    for x, (a, b) in enumerate(spairs):
-        for (c, d) in spairs[x + 1:]:
-            rhs = (
-                m_sp(b, c) * g[a][d]
-                - m_sp(a, c) * g[b][d]
-                + m_sp(a, d) * g[b][c]
-                - m_sp(b, d) * g[a][c]
-            ) * I
-            if rhs:
-                pres.set_commutator(midx[(a, b)], midx[(c, d)], rhs.terms)
     # [M_tau_i, M_cd] = i(g_ic M_tau_d - g_id M_tau_c)
     for i in range(1, dim):
         for (c, d) in spairs:
@@ -575,9 +549,6 @@ def _build_q_timelike(config):
 
     one = AlgElement.one(pres)
 
-    def pair(a, b):
-        return TensorElement.from_legs(a, b)
-
     pu = {}
     for j in range(1, dim):
         acc = AlgElement.zero(pres)
@@ -587,25 +558,25 @@ def _build_q_timelike(config):
         pu[j] = acc
 
     cop, antip, counit = {}, {}, {}
-    cop[pi] = pair(el(pi), el(pi))
-    cop[piv] = pair(el(piv), el(piv))
+    cop[pi] = otimes(el(pi), el(pi))
+    cop[piv] = otimes(el(piv), el(piv))
     antip[pi], antip[piv] = el(piv), el(pi)
     counit[pi] = Scalar.one()
     counit[piv] = Scalar.one()
     for i in range(1, dim):
-        cop[pidx[i]] = pair(el(pidx[i]), el(pi)) + pair(one, el(pidx[i]))
+        cop[pidx[i]] = otimes(el(pidx[i]), el(pi)) + otimes(one, el(pidx[i]))
         antip[pidx[i]] = -(el(pidx[i]) * el(piv))
         counit[pidx[i]] = Scalar.zero()
     for (a, b), im in midx.items():
-        cop[im] = pair(el(im), one) + pair(one, el(im))
+        cop[im] = otimes(el(im), one) + otimes(one, el(im))
         antip[im] = -el(im)
         counit[im] = Scalar.zero()
     for i in range(1, dim):
-        d = pair(el(mt[i]), one) + pair(el(piv), el(mt[i]))
+        d = otimes(el(mt[i]), one) + otimes(el(piv), el(mt[i]))
         s_el = -el(mt[i]) - bracket * el(mt[i]) * Scalar.monomial(gr(_HALF))
         for j in range(1, dim):
             if pu[j]:
-                d = d + pair(pu[j] * el(piv), m_sp(i, j)) * Scalar.monomial(
+                d = d + otimes(pu[j] * el(piv), m_sp(i, j)) * Scalar.monomial(
                     gr(t2), 1, 0
                 )
             s_el = s_el - pu[j] * m_sp(j, i) * Scalar.monomial(gr(t2), 1, 0)
@@ -652,16 +623,8 @@ def _build_q_lightlike(config):
                 "M_%s%s" % (names[a], names[b]), kind="rotation"
             )
 
-    def el(idx):
-        return AlgElement.gen(pres, idx)
-
-    def m_tr(a, b):
-        # signed transverse rotation, slots a, b >= 2
-        if a == b:
-            return AlgElement.zero(pres)
-        if a < b:
-            return AlgElement.gen(pres, midx[(a, b)])
-        return -AlgElement.gen(pres, midx[(b, a)])
+    el = partial(AlgElement.gen, pres)
+    m_tr = partial(_rotation, pres, midx)
 
     one_terms = {EMPTY_WORD: Scalar.one()}
     pres.set_product(pi, piv, dict(one_terms))
@@ -671,21 +634,12 @@ def _build_q_lightlike(config):
 
     # transverse (M_ab, P_a) sector, standard
     tpairs = [(a, b) for a in range(2, dim) for b in range(a + 1, dim)]
-    for (a, b) in tpairs:
-        for c in range(2, dim):
-            rhs = (el(pidx[a]) * g[b][c] - el(pidx[b]) * g[a][c]) * I
-            if rhs:
-                pres.set_commutator(midx[(a, b)], pidx[c], rhs.terms)
-    for x, (a, b) in enumerate(tpairs):
-        for (c, d) in tpairs[x + 1:]:
-            rhs = (
-                m_tr(b, c) * g[a][d]
-                - m_tr(a, c) * g[b][d]
-                + m_tr(a, d) * g[b][c]
-                - m_tr(b, d) * g[a][c]
-            ) * I
-            if rhs:
-                pres.set_commutator(midx[(a, b)], midx[(c, d)], rhs.terms)
+    _install_orthogonal_rules(
+        pres,
+        g,
+        {c: pidx[c] for c in range(2, dim)},
+        {ab: midx[ab] for ab in tpairs},
+    )
     # [M_+a, M_-b] = -i(M_ab + g_ab M_+-)
     for a in range(2, dim):
         for b in range(2, dim):
@@ -758,40 +712,37 @@ def _build_q_lightlike(config):
                 acc = acc + el(pidx[n]) * gtinv[j - 2][n - 2]
         pu[j] = acc
 
-    def pair(a, b):
-        return TensorElement.from_legs(a, b)
-
     h1 = Scalar.h(1)
     cop, antip, counit = {}, {}, {}
-    cop[pi] = pair(el(pi), el(pi))
-    cop[piv] = pair(el(piv), el(piv))
+    cop[pi] = otimes(el(pi), el(pi))
+    cop[piv] = otimes(el(piv), el(piv))
     antip[pi], antip[piv] = el(piv), el(pi)
     counit[pi] = Scalar.one()
     counit[piv] = Scalar.one()
     for a in range(2, dim):
         ia = pidx[a]
-        cop[ia] = pair(el(ia), el(pi)) + pair(one, el(ia))
+        cop[ia] = otimes(el(ia), el(pi)) + otimes(one, el(ia))
         antip[ia] = -(el(ia) * el(piv))
         counit[ia] = Scalar.zero()
     pm = pidx[1]
     pmc = el(pm) + c_full * Scalar.monomial(gr(_HALF), 1, 0)
     d = (
-        pair(el(pm), el(pi))
-        + pair(el(piv), el(pm))
-        - pair(pmc * el(piv), el(pi) - one)
+        otimes(el(pm), el(pi))
+        + otimes(el(piv), el(pm))
+        - otimes(pmc * el(piv), el(pi) - one)
     )
     for a in range(2, dim):
-        d = d - pair(pu[a] * el(piv), el(pidx[a])) * h1
+        d = d - otimes(pu[a] * el(piv), el(pidx[a])) * h1
     cop[pm] = d
     antip[pm] = -(el(pm) * el(pi)) - (one + el(pi)) * pp * el(
         piv
     ) * Scalar.monomial(gr(_HALF), 1, 0)
     counit[pm] = Scalar.zero()
 
-    d = pair(el(mpm), one) + pair(el(piv), el(mpm))
+    d = otimes(el(mpm), one) + otimes(el(piv), el(mpm))
     s_el = -(el(pi) * el(mpm))
     for a in range(2, dim):
-        d = d - pair(pu[a] * el(piv), el(midx[(0, a)])) * h1
+        d = d - otimes(pu[a] * el(piv), el(midx[(0, a)])) * h1
         s_el = s_el - pu[a] * el(midx[(0, a)]) * h1
     cop[mpm] = d
     antip[mpm] = s_el
@@ -800,25 +751,25 @@ def _build_q_lightlike(config):
     for a in range(2, dim):
         im = midx[(1, a)]
         d = (
-            pair(el(im), one)
-            + pair(el(piv), el(im))
-            - pair(pmc * el(piv), el(midx[(0, a)])) * h1
+            otimes(el(im), one)
+            + otimes(el(piv), el(im))
+            - otimes(pmc * el(piv), el(midx[(0, a)])) * h1
         )
         s_el = -(el(pi) * el(im)) - pmc * el(midx[(0, a)]) * h1
         for b in range(2, dim):
             if pu[b]:
-                d = d - pair(pu[b] * el(piv), m_tr(b, a)) * h1
+                d = d - otimes(pu[b] * el(piv), m_tr(b, a)) * h1
                 s_el = s_el - pu[b] * m_tr(b, a) * h1
         cop[im] = d
         antip[im] = s_el
         counit[im] = Scalar.zero()
         ip = midx[(0, a)]
-        cop[ip] = pair(el(ip), one) + pair(one, el(ip))
+        cop[ip] = otimes(el(ip), one) + otimes(one, el(ip))
         antip[ip] = -el(ip)
         counit[ip] = Scalar.zero()
     for (a, b) in tpairs:
         im = midx[(a, b)]
-        cop[im] = pair(el(im), one) + pair(one, el(im))
+        cop[im] = otimes(el(im), one) + otimes(one, el(im))
         antip[im] = -el(im)
         counit[im] = Scalar.zero()
 
@@ -924,11 +875,7 @@ class Model:
         return out
 
     def m(self, a, b):
-        if a == b:
-            return AlgElement.zero(self.pres, self.trunc)
-        if a > b:
-            return -self.m(b, a)
-        return AlgElement.gen(self.pres, self.m_index[(a, b)], self.trunc)
+        return _rotation(self.pres, self.m_index, a, b, self.trunc)
 
     def pi_power(self, k):
         """Pi^k as an element, for any integer k."""
@@ -952,45 +899,27 @@ class Model:
         substitution (nothing in the catalog does).
         """
         strip = set(self.grouplike)
-        if isinstance(obj, TensorElement):
-            out = {}
-            for key, c in obj.terms.items():
-                new_key = tuple(
-                    tuple(x for x in word if x not in strip) for word in key
-                )
-                acc = out.get(new_key)
-                out[new_key] = c if acc is None else acc + c
-            cleaned = {}
-            for key, c in out.items():
-                if c.has_negative_h():
-                    raise ClassicalLimitError(
-                        "negative h power survives at %r" % (key,)
-                    )
-                c0 = c.h_zero_part()
-                if c0:
-                    cleaned[key] = c0
-            return TensorElement(self.pres, obj.rank, cleaned, obj.trunc)
-        out = {}
-        for word, c in obj.terms.items():
-            new_word = tuple(x for x in word if x not in strip)
-            acc = out.get(new_word)
-            out[new_word] = c if acc is None else acc + c
+        is_tensor = isinstance(obj, TensorElement)
+
+        def drop(word):
+            return tuple(x for x in word if x not in strip)
+
+        out = accumulate({}, (
+            (tuple(map(drop, key)) if is_tensor else drop(key), c)
+            for key, c in obj.terms.items()
+        ))
         cleaned = {}
-        for word, c in out.items():
+        for key, c in out.items():
             if c.has_negative_h():
                 raise ClassicalLimitError(
-                    "negative h power survives at %r" % (word,)
+                    "negative h power survives at %r" % (key,)
                 )
             c0 = c.h_zero_part()
             if c0:
-                cleaned[word] = c0
+                cleaned[key] = c0
+        if is_tensor:
+            return TensorElement(self.pres, obj.rank, cleaned, obj.trunc)
         return AlgElement(self.pres, cleaned, obj.trunc)
-
-
-def build_kappa_hopf(config):
-    """(Presentation, HopfData, CasimirSet) for the configured flavor."""
-    model = Model(config)
-    return model.pres, model.hopf, model.cas
 
 
 def _as_model(obj):
@@ -1016,10 +945,6 @@ def presentation_check(pres, triples=None):
     else:
         rep.add("confluence", True)
     return rep
-
-
-def _zero(name, rep, residual):
-    rep.add(name, residual.is_zero(), "" if residual.is_zero() else repr(residual))
 
 
 def decomposition_display_check(model):
@@ -1051,17 +976,16 @@ def decomposition_display_check(model):
     for j in range(1, dim):
         for k in range(1, dim):
             got = model.m(0, j).commutator(model.p(k))
-            _zero("comm[M_tau_%d,P_%d]" % (j, k), rep, got - p_tau * (I * g[j][k]))
-        _zero(
+            rep.zero("comm[M_tau_%d,P_%d]" % (j, k), got - p_tau * (I * g[j][k]))
+        rep.zero(
             "comm[M_tau_%d,P_tau]" % j,
-            rep,
             model.m(0, j).commutator(p_tau) + model.p(j) * (I * t2),
         )
     for j in range(1, dim):
         for l in range(j + 1, dim):
             got = model.m(0, j).commutator(model.m(0, l))
             derived = -model.m(j, l) * (I * t2)
-            _zero("comm[M_tau_%d,M_tau_%d]_derived" % (j, l), rep, got - derived)
+            rep.zero("comm[M_tau_%d,M_tau_%d]_derived" % (j, l), got - derived)
             # the printed table shows 0 here; record the exact deviation
             rep.add(
                 "comm[M_tau_%d,M_tau_%d]_printed_zero_deviation" % (j, l),
@@ -1086,7 +1010,7 @@ def decomposition_display_check(model):
                 )
     denom = denom + pp_b * Scalar.monomial(gr(t2), 2, 0, bump)
     closed = (sqrt_el - atoms["P_tau"] * Scalar.h(1, bump)) * unital_inverse(denom)
-    _zero("pi_inv_closed_form", rep, closed.retrunc(model.trunc) - cas.PiInv)
+    rep.zero("pi_inv_closed_form", closed.retrunc(model.trunc) - cas.PiInv)
 
     # C_tau = (kappa^2/tau^2)(Pi + Pi_inv - 2 + tau^2 P^m P_m Pi_inv/kappa^2)
     comb = (
@@ -1096,7 +1020,7 @@ def decomposition_display_check(model):
         + pp_b * atoms["PiInv"] * Scalar.monomial(gr(t2), 2, 0, bump)
     )
     ct = comb.map_scalars(lambda sc: sc.shift(-2)) * (Fraction(1) / t2)
-    _zero("casimir_ctau_grouplike_form", rep, ct.retrunc(model.trunc) - cas.C_tau)
+    rep.zero("casimir_ctau_grouplike_form", ct.retrunc(model.trunc) - cas.C_tau)
 
     # (P_tau, Pi, Pi_inv) are not independent:
     # P_tau = (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2))
@@ -1105,49 +1029,40 @@ def decomposition_display_check(model):
         + pp_b * Scalar.monomial(gr(t2), 2, 0, bump)
     )
     recon = recon.map_scalars(lambda sc: sc.shift(-1)) * _HALF
-    _zero("p_tau_reconstruction", rep, recon.retrunc(model.trunc) - atoms["P_tau"].retrunc(model.trunc))
+    rep.zero("p_tau_reconstruction", recon.retrunc(model.trunc) - atoms["P_tau"].retrunc(model.trunc))
 
     # split Casimir: C = P_tau^2/tau^2 + g^{ij} P_i P_j
-    _zero(
-        "casimir_split",
-        rep,
-        p_tau * p_tau * (Fraction(1) / t2) + pp - cas.C,
-    )
+    rep.zero("casimir_split", p_tau * p_tau * (Fraction(1) / t2) + pp - cas.C)
 
     # coproducts
-    def pair(a, b):
-        return TensorElement.from_legs(a, b)
 
     h1 = Scalar.h(1, model.trunc)
-    disp = pair(p_tau, cas.Pi) + pair(cas.PiInv, p_tau)
+    disp = otimes(p_tau, cas.Pi) + otimes(cas.PiInv, p_tau)
     for j in range(1, dim):
-        disp = disp - pair(cas.PiInv * model.p_up(j), model.p(j)) * (h1 * t2)
-    _zero("cop[P_tau]_display", rep, disp - model.hopf.coproduct[model.p_index[0]])
+        disp = disp - otimes(cas.PiInv * model.p_up(j), model.p(j)) * (h1 * t2)
+    rep.zero("cop[P_tau]_display", disp - model.hopf.coproduct[model.p_index[0]])
     for i in range(1, dim):
-        disp = pair(model.p(i), cas.Pi) + pair(one, model.p(i))
-        _zero(
+        disp = otimes(model.p(i), cas.Pi) + otimes(one, model.p(i))
+        rep.zero(
             "cop[P_%d]_display" % i,
-            rep,
             disp - model.hopf.coproduct[model.p_index[i]],
         )
-        disp = pair(model.m(0, i), one) + pair(cas.PiInv, model.m(0, i))
+        disp = otimes(model.m(0, i), one) + otimes(cas.PiInv, model.m(0, i))
         for j in range(1, dim):
-            disp = disp + pair(cas.PiInv * model.p_up(j), model.m(i, j)) * (
+            disp = disp + otimes(cas.PiInv * model.p_up(j), model.m(i, j)) * (
                 h1 * t2
             )
-        _zero(
+        rep.zero(
             "cop[M_tau_%d]_display" % i,
-            rep,
             disp - model.hopf.coproduct[model.m_index[(0, i)]],
         )
     for (a, b) in sorted(model.m_index):
         if a == 0:
             continue
         mel = model.m(a, b)
-        disp = pair(mel, one) + pair(one, mel)
-        _zero(
+        disp = otimes(mel, one) + otimes(one, mel)
+        rep.zero(
             "cop[M_%d%d]_primitive" % (a, b),
-            rep,
             disp - model.hopf.coproduct[model.m_index[(a, b)]],
         )
 
@@ -1156,11 +1071,10 @@ def decomposition_display_check(model):
     disp = -(
         p_tau + (cas.C + p_tau * cas.C_tau * half_h1) * (h1 * t2)
     ) * cas.PiInv
-    _zero("antipode[P_tau]_display", rep, disp - model.hopf.antipode[model.p_index[0]])
+    rep.zero("antipode[P_tau]_display", disp - model.hopf.antipode[model.p_index[0]])
     for i in range(1, dim):
-        _zero(
+        rep.zero(
             "antipode[P_%d]_display" % i,
-            rep,
             -(model.p(i) * cas.PiInv) - model.hopf.antipode[model.p_index[i]],
         )
         disp = -model.m(0, i)
@@ -1169,14 +1083,12 @@ def decomposition_display_check(model):
         disp = disp - cas.C_tau * model.m(0, i) * Scalar.monomial(
             gr(t2 * _HALF), 2, 0, model.trunc
         )
-        _zero(
+        rep.zero(
             "antipode[M_tau_%d]_display" % i,
-            rep,
             disp - model.hopf.antipode[model.m_index[(0, i)]],
         )
-    _zero(
+    rep.zero(
         "antipode_sends_pi_to_pi_inv",
-        rep,
         model.hopf.antipode_of(cas.Pi) - cas.PiInv,
     )
     return rep
@@ -1195,121 +1107,105 @@ def nullplane_display_check(model):
     one = AlgElement.one(model.pres, model.trunc)
     p_p, p_m = model.p(0), model.p(1)
 
-    _zero("pi_plus_is_affine", rep, cas.Pi - (one + p_p * h1))
+    rep.zero("pi_plus_is_affine", cas.Pi - (one + p_p * h1))
     pp = AlgElement.zero(model.pres, model.trunc)
     for a in range(2, dim):
         pp = pp + model.p_up(a) * model.p(a)
-    _zero("casimir_split", rep, p_p * p_m * 2 + pp - cas.C)
-    _zero("ctau_equals_c", rep, cas.C_tau - cas.C)
+    rep.zero("casimir_split", p_p * p_m * 2 + pp - cas.C)
+    rep.zero("ctau_equals_c", cas.C_tau - cas.C)
 
     # algebra table
     for a in range(2, dim):
         for b in range(2, dim):
             got = model.m(0, a).commutator(model.m(1, b))
             want = -(model.m(a, b) + model.m(0, 1) * g[a][b]) * I
-            _zero("comm[M_+%d,M_-%d]" % (a - 1, b - 1), rep, got - want)
-            _zero(
+            rep.zero("comm[M_+%d,M_-%d]" % (a - 1, b - 1), got - want)
+            rep.zero(
                 "comm[M_-%d,P_%d]" % (a - 1, b - 1),
-                rep,
                 model.m(1, a).commutator(model.p(b)) - p_m * (I * g[a][b]),
             )
-    _zero("comm[M_+-,P_+]", rep, model.m(0, 1).commutator(p_p) - p_p * I)
-    _zero("comm[M_+-,P_-]", rep, model.m(0, 1).commutator(p_m) + p_m * I)
+    rep.zero("comm[M_+-,P_+]", model.m(0, 1).commutator(p_p) - p_p * I)
+    rep.zero("comm[M_+-,P_-]", model.m(0, 1).commutator(p_m) + p_m * I)
     for a in range(2, dim):
-        _zero(
+        rep.zero(
             "comm[M_+%d,P_-]" % (a - 1),
-            rep,
             model.m(0, a).commutator(p_m) + model.p(a) * I,
         )
-        _zero(
+        rep.zero(
             "comm[M_-%d,P_+]" % (a - 1),
-            rep,
             model.m(1, a).commutator(p_p) + model.p(a) * I,
         )
-        _zero(
-            "comm[M_+%d,P_+]" % (a - 1),
-            rep,
-            model.m(0, a).commutator(p_p),
-        )
-        _zero(
+        rep.zero("comm[M_+%d,P_+]" % (a - 1), model.m(0, a).commutator(p_p))
+        rep.zero(
             "comm[M_+-,P_%d]" % (a - 1),
-            rep,
             model.m(0, 1).commutator(model.p(a)),
         )
 
-    def pair(a, b):
-        return TensorElement.from_legs(a, b)
 
     # coproducts
     for slot in [0] + list(range(2, dim)):
-        disp = pair(model.p(slot), cas.Pi) + pair(one, model.p(slot))
-        _zero(
+        disp = otimes(model.p(slot), cas.Pi) + otimes(one, model.p(slot))
+        rep.zero(
             "cop[%s]_display" % model.pres.label(model.p_index[slot]),
-            rep,
             disp - model.hopf.coproduct[model.p_index[slot]],
         )
     pmc = p_m + cas.C * Scalar.monomial(gr(_HALF), 1, 0, model.trunc)
     disp = (
-        pair(p_m, cas.Pi)
-        + pair(cas.PiInv, p_m)
-        - pair(pmc * cas.PiInv, p_p) * h1
+        otimes(p_m, cas.Pi)
+        + otimes(cas.PiInv, p_m)
+        - otimes(pmc * cas.PiInv, p_p) * h1
     )
     for a in range(2, dim):
-        disp = disp - pair(model.p_up(a) * cas.PiInv, model.p(a)) * h1
-    _zero("cop[P_-]_display", rep, disp - model.hopf.coproduct[model.p_index[1]])
-    disp = pair(model.m(0, 1), one) + pair(cas.PiInv, model.m(0, 1))
+        disp = disp - otimes(model.p_up(a) * cas.PiInv, model.p(a)) * h1
+    rep.zero("cop[P_-]_display", disp - model.hopf.coproduct[model.p_index[1]])
+    disp = otimes(model.m(0, 1), one) + otimes(cas.PiInv, model.m(0, 1))
     for a in range(2, dim):
-        disp = disp - pair(model.p_up(a) * cas.PiInv, model.m(0, a)) * h1
-    _zero(
-        "cop[M_+-]_display", rep, disp - model.hopf.coproduct[model.m_index[(0, 1)]]
+        disp = disp - otimes(model.p_up(a) * cas.PiInv, model.m(0, a)) * h1
+    rep.zero(
+        "cop[M_+-]_display", disp - model.hopf.coproduct[model.m_index[(0, 1)]]
     )
     for a in range(2, dim):
         disp = (
-            pair(model.m(1, a), one)
-            + pair(cas.PiInv, model.m(1, a))
-            - pair(pmc * cas.PiInv, model.m(0, a)) * h1
+            otimes(model.m(1, a), one)
+            + otimes(cas.PiInv, model.m(1, a))
+            - otimes(pmc * cas.PiInv, model.m(0, a)) * h1
         )
         for b in range(2, dim):
-            disp = disp - pair(model.p_up(b) * cas.PiInv, model.m(b, a)) * h1
-        _zero(
+            disp = disp - otimes(model.p_up(b) * cas.PiInv, model.m(b, a)) * h1
+        rep.zero(
             "cop[M_-%d]_display" % (a - 1),
-            rep,
             disp - model.hopf.coproduct[model.m_index[(1, a)]],
         )
-        disp = pair(model.m(0, a), one) + pair(one, model.m(0, a))
-        _zero(
+        disp = otimes(model.m(0, a), one) + otimes(one, model.m(0, a))
+        rep.zero(
             "cop[M_+%d]_primitive" % (a - 1),
-            rep,
             disp - model.hopf.coproduct[model.m_index[(0, a)]],
         )
 
     # antipodes
     for slot in [0] + list(range(2, dim)):
-        _zero(
+        rep.zero(
             "antipode[%s]_display" % model.pres.label(model.p_index[slot]),
-            rep,
             -(model.p(slot) * cas.PiInv)
             - model.hopf.antipode[model.p_index[slot]],
         )
     disp = -(p_m * cas.Pi) - (one + cas.Pi) * pp * cas.PiInv * Scalar.monomial(
         gr(_HALF), 1, 0, model.trunc
     )
-    _zero("antipode[P_-]_display", rep, disp - model.hopf.antipode[model.p_index[1]])
+    rep.zero("antipode[P_-]_display", disp - model.hopf.antipode[model.p_index[1]])
     disp = -(cas.Pi * model.m(0, 1))
     for a in range(2, dim):
         disp = disp - model.p_up(a) * model.m(0, a) * h1
-    _zero(
+    rep.zero(
         "antipode[M_+-]_display",
-        rep,
         disp - model.hopf.antipode[model.m_index[(0, 1)]],
     )
     for a in range(2, dim):
         disp = -(cas.Pi * model.m(1, a)) - pmc * model.m(0, a) * h1
         for b in range(2, dim):
             disp = disp - model.p_up(b) * model.m(b, a) * h1
-        _zero(
+        rep.zero(
             "antipode[M_-%d]_display" % (a - 1),
-            rep,
             disp - model.hopf.antipode[model.m_index[(1, a)]],
         )
     return rep
@@ -1368,13 +1264,13 @@ def q_hadic_correspondence_check(q_model, trunc=(3, 3)):
     for i, gen in enumerate(q_model.pres.generators):
         got = _subst_tensor(q_model.hopf.coproduct[i], images, pres_h, trunc)
         want = h_model.hopf.cop(images[i])
-        _zero("cop_corr[%s]" % gen.label, rep, got - want)
+        rep.zero("cop_corr[%s]" % gen.label, got - want)
         got = _subst_element(q_model.hopf.antipode[i], images, pres_h, trunc)
         want = h_model.hopf.antipode_of(images[i])
-        _zero("antipode_corr[%s]" % gen.label, rep, got - want)
+        rep.zero("antipode_corr[%s]" % gen.label, got - want)
         eps_q = q_model.hopf.counit[i]
         eps_h = h_model.hopf.counit_of(images[i])
-        rep.add("counit_corr[%s]" % gen.label, (eps_h - eps_q).is_zero())
+        rep.zero("counit_corr[%s]" % gen.label, eps_h - eps_q)
     return rep
 
 
@@ -1398,8 +1294,8 @@ def q_display_check(model):
     one = AlgElement.one(pres)
     I = Scalar.i()
 
-    _zero("pi_pi_inv", rep, el_pi * el_piv - one)
-    _zero("pi_inv_pi", rep, el_piv * el_pi - one)
+    rep.zero("pi_pi_inv", el_pi * el_piv - one)
+    rep.zero("pi_inv_pi", el_piv * el_pi - one)
 
     if model.flavor == "qanalog_timelike":
         t2 = model.tau2
@@ -1407,61 +1303,53 @@ def q_display_check(model):
         for m in range(1, dim):
             pp = pp + model.p_up(m) * model.p(m)
         for i in range(1, dim):
-            _zero("comm[P_%d,Pi]" % i, rep, model.p(i).commutator(el_pi))
+            rep.zero("comm[P_%d,Pi]" % i, model.p(i).commutator(el_pi))
             mt = model.m(0, i)
             derived = -model.p(i) * Scalar.monomial(gr(0, t2), 1, 0)
-            _zero("comm[M_tau_%d,Pi]_derived" % i, rep, mt.commutator(el_pi) - derived)
+            rep.zero("comm[M_tau_%d,Pi]_derived" % i, mt.commutator(el_pi) - derived)
             printed = -model.p(i) * Scalar.monomial(gr(0, 1), 1, 0)
-            _zero(
+            rep.zero(
                 "comm[M_tau_%d,Pi]_printed_deviation" % i,
-                rep,
                 (printed - derived)
                 - model.p(i) * Scalar.monomial(gr(0, t2 - 1), 1, 0),
             )
             derived = (el_piv * el_piv * model.p(i)) * Scalar.monomial(
                 gr(0, t2), 1, 0
             )
-            _zero(
+            rep.zero(
                 "comm[M_tau_%d,Pi_inv]_derived" % i,
-                rep,
                 mt.commutator(el_piv) - derived,
             )
             # (q2)
             bracket = el_pi - el_piv - el_piv * pp * Scalar.monomial(gr(t2), 2, 0)
             for j in range(1, dim):
                 want = bracket * Scalar.monomial(gr(0, _HALF * g[i][j]), -1, 0)
-                _zero(
+                rep.zero(
                     "comm[M_tau_%d,P_%d]_display" % (i, j),
-                    rep,
                     mt.commutator(model.p(j)) - want,
                 )
         for (a, b) in sorted(model.m_index):
             if a == 0:
                 continue
-            _zero(
+            rep.zero(
                 "comm[M_%d%d,Pi]" % (a, b),
-                rep,
                 model.m(a, b).commutator(el_pi),
             )
         # coproduct displays
-        def pair(x, y):
-            return TensorElement.from_legs(x, y)
 
         for i in range(1, dim):
-            disp = pair(model.p(i), el_pi) + pair(one, model.p(i))
-            _zero(
+            disp = otimes(model.p(i), el_pi) + otimes(one, model.p(i))
+            rep.zero(
                 "cop[P_%d]_display" % i,
-                rep,
                 disp - model.hopf.coproduct[model.p_index[i]],
             )
-            disp = pair(model.m(0, i), one) + pair(el_piv, model.m(0, i))
+            disp = otimes(model.m(0, i), one) + otimes(el_piv, model.m(0, i))
             for j in range(1, dim):
-                disp = disp + pair(
+                disp = disp + otimes(
                     model.p_up(j) * el_piv, model.m(i, j)
                 ) * Scalar.monomial(gr(t2), 1, 0)
-            _zero(
+            rep.zero(
                 "cop[M_tau_%d]_display" % i,
-                rep,
                 disp - model.hopf.coproduct[model.m_index[(0, i)]],
             )
         # antipode: collapsed polynomial form and the printed deviation
@@ -1473,7 +1361,7 @@ def q_display_check(model):
                     Scalar.monomial(gr(t2), 1, 0)
                 )
             engine = model.hopf.antipode[model.m_index[(0, i)]]
-            _zero("antipode[M_tau_%d]_polynomial_form" % i, rep, engine - collapsed)
+            rep.zero("antipode[M_tau_%d]_polynomial_form" % i, engine - collapsed)
             bracket_printed = (
                 el_pi - el_piv - el_piv * pp * Scalar.monomial(gr(1), 2, 0)
             )
@@ -1490,22 +1378,19 @@ def q_display_check(model):
             expected_dev = (el_pi - el_piv) * mt * Scalar.monomial(
                 gr((1 - t2) * _HALF)
             )
-            _zero(
+            rep.zero(
                 "antipode[M_tau_%d]_printed_deviation" % i,
-                rep,
                 (printed - engine) - expected_dev,
             )
         # the reconstructed P_tau behaves like the decomposed P_tau
         for i in range(1, dim):
-            _zero(
+            rep.zero(
                 "comm[M_tau_%d,P_tau_expr]" % i,
-                rep,
                 model.m(0, i).commutator(model.p_tau_expr)
                 + model.p(i) * (I * t2),
             )
-            _zero(
+            rep.zero(
                 "comm[P_%d,P_tau_expr]" % i,
-                rep,
                 model.p(i).commutator(model.p_tau_expr),
             )
     else:
@@ -1513,62 +1398,50 @@ def q_display_check(model):
         # that mix generators with the group-likes
         h1 = Scalar.h(1)
         pm = model.p(1)
-        _zero(
+        rep.zero(
             "comm[M_+-,Pi_+]",
-            rep,
             model.m(0, 1).commutator(el_pi) - (el_pi - one) * I,
         )
-        _zero(
+        rep.zero(
             "comm[M_+-,Pi_+_inv]",
-            rep,
             model.m(0, 1).commutator(el_piv)
             - (el_piv * el_piv - el_piv) * I,
         )
         for a in range(2, dim):
-            _zero(
+            rep.zero(
                 "comm[M_-%d,Pi_+]" % (a - 1),
-                rep,
                 model.m(1, a).commutator(el_pi) + model.p(a) * (I * h1),
             )
-            _zero(
+            rep.zero(
                 "comm[M_-%d,Pi_+_inv]" % (a - 1),
-                rep,
                 model.m(1, a).commutator(el_piv)
                 - el_piv * el_piv * model.p(a) * (I * h1),
             )
             for b in range(2, dim):
                 want = (el_pi - one) * Scalar.monomial(gr(0, g[a][b]), -1, 0)
-                _zero(
+                rep.zero(
                     "comm[M_+%d,P_%d]_display" % (a - 1, b - 1),
-                    rep,
                     model.m(0, a).commutator(model.p(b)) - want,
                 )
-            _zero(
+            rep.zero(
                 "comm[M_+%d,P_-]" % (a - 1),
-                rep,
                 model.m(0, a).commutator(pm) + model.p(a) * I,
             )
         # P_+ reconstruction: kappa(Pi_+ - 1) plays the momentum role
         pplus = model.p_tau_expr
-        _zero(
+        rep.zero(
             "comm[M_+-,P_plus_expr]",
-            rep,
             model.m(0, 1).commutator(pplus) - pplus * I,
         )
         for a in range(2, dim):
-            _zero(
+            rep.zero(
                 "comm[M_-%d,P_plus_expr]" % (a - 1),
-                rep,
                 model.m(1, a).commutator(pplus) + model.p(a) * I,
             )
         pp = AlgElement.zero(pres)
         for a in range(2, dim):
             pp = pp + model.p_up(a) * model.p(a)
-        _zero(
-            "casimir_via_p_plus",
-            rep,
-            pplus * pm * 2 + pp - model.cas.C,
-        )
+        rep.zero("casimir_via_p_plus", pplus * pm * 2 + pp - model.cas.C)
     return rep
 
 
@@ -1582,14 +1455,14 @@ def casimir_check(model_or_config):
     one = AlgElement.one(model.pres, model.trunc)
     for i, gen in enumerate(model.pres.generators):
         el = AlgElement.gen(model.pres, i, model.trunc)
-        _zero("central[C,%s]" % gen.label, rep, cas.C.commutator(el))
-        _zero("central[C_tau,%s]" % gen.label, rep, cas.C_tau.commutator(el))
-    _zero("pi_times_pi_inv", rep, cas.Pi * cas.PiInv - one)
-    _zero("pi_inv_times_pi", rep, cas.PiInv * cas.Pi - one)
+        rep.zero("central[C,%s]" % gen.label, cas.C.commutator(el))
+        rep.zero("central[C_tau,%s]" % gen.label, cas.C_tau.commutator(el))
+    rep.zero("pi_times_pi_inv", cas.Pi * cas.PiInv - one)
+    rep.zero("pi_inv_times_pi", cas.PiInv * cas.Pi - one)
     rhs = cas.C_tau * (
         one + cas.C_tau * Scalar.monomial(gr(model.tau2 * Fraction(1, 4)), 2, 0, model.trunc)
     )
-    _zero("c_from_c_tau", rep, cas.C - rhs)
+    rep.zero("c_from_c_tau", cas.C - rhs)
     return rep
 
 
@@ -1628,27 +1501,21 @@ def classical_hopf_check(model_or_config):
         el = AlgElement.gen(pres, i, model.trunc)
         if i in strip:
             lim = model.classical_limit(model.hopf.coproduct[i])
-            _zero(
+            rep.zero(
                 "limit_cop[%s]_is_unit" % gen.label,
-                rep,
                 lim - TensorElement.one(pres, model.trunc),
             )
-            _zero(
+            rep.zero(
                 "limit_antipode[%s]_is_unit" % gen.label,
-                rep,
                 model.classical_limit(model.hopf.antipode[i]) - one,
             )
             continue
         lim = model.classical_limit(model.hopf.coproduct[i])
         prim = TensorElement.from_legs(el, one) + TensorElement.from_legs(one, el)
-        _zero("limit_cop[%s]_primitive" % gen.label, rep, lim - prim)
+        rep.zero("limit_cop[%s]_primitive" % gen.label, lim - prim)
         lim = model.classical_limit(model.hopf.antipode[i])
-        _zero("limit_antipode[%s]_negation" % gen.label, rep, lim + el)
+        rep.zero("limit_antipode[%s]_negation" % gen.label, lim + el)
     return rep
-
-
-def classical_limit(model, obj):
-    return model.classical_limit(obj)
 
 
 # --- rescaling / specialization -------------------------------------------------
@@ -1873,22 +1740,21 @@ def hopf_covariance_check(model_or_config, rows):
     for i, gen in enumerate(other.pres.generators):
         phi_x = images[i]
         got = _subst_tensor(other.hopf.coproduct[i], images, model.pres, trunc)
-        _zero("cop_cov[%s]" % gen.label, rep, got - model.hopf.cop(phi_x))
+        rep.zero("cop_cov[%s]" % gen.label, got - model.hopf.cop(phi_x))
         got = _subst_element(other.hopf.antipode[i], images, model.pres, trunc)
-        _zero(
+        rep.zero(
             "antipode_cov[%s]" % gen.label,
-            rep,
             got - model.hopf.antipode_of(phi_x),
         )
-        rep.add(
+        rep.zero(
             "counit_cov[%s]" % gen.label,
-            (model.hopf.counit_of(phi_x) - other.hopf.counit[i]).is_zero(),
+            model.hopf.counit_of(phi_x) - other.hopf.counit[i],
         )
     for attr in ("C", "C_tau", "Pi", "PiInv"):
         got = _subst_element(
             getattr(other.cas, attr), images, model.pres, trunc
         )
-        _zero("invariant[%s]" % attr, rep, got - getattr(model.cas, attr))
+        rep.zero("invariant[%s]" % attr, got - getattr(model.cas, attr))
     return rep
 
 

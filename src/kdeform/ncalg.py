@@ -13,6 +13,10 @@ pair triggers a rule.  ``normalize_word`` rewrites the leftmost violation
 first and memoizes whole-word results; rule coefficients are stored exact
 (``trunc=None``) so one cache serves every working truncation.
 
+Sparse combinations, here and in the tensor and wedge layers, are dicts from
+keys to nonzero Scalars; :func:`accumulate` is the one place where terms are
+summed into such a dict and cancelled terms dropped.
+
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all
 generator triples by resolving each word two ways.
@@ -20,16 +24,34 @@ generator triples by resolving each word two ways.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from .errors import PresentationError, RewriteError
 from .scalar import GaussianRational, Scalar, merge_trunc
 
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
-
 EMPTY_WORD = ()
+
+
+def accumulate(out, pairs):
+    """Add each ``(key, coeff)`` pair into the dict ``out`` in place.
+
+    Zero coefficients are skipped and keys whose coefficients cancel are
+    deleted, so ``out`` keeps only nonzero coefficients.  Returns ``out``.
+    """
+    get = out.get
+    for key, c in pairs:
+        if not c:
+            continue
+        acc = get(key)
+        if acc is None:
+            out[key] = c
+        else:
+            c = acc + c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
 
 
 class Generator:
@@ -110,6 +132,10 @@ class Presentation:
     def set_product(self, i, j, terms):
         """Install the replacement g_i g_j -> terms."""
         terms = _validate_terms(terms)
+        if (i, j) in self.comm_rules or (i, j) in self.product_rules:
+            raise PresentationError(
+                "duplicate rule for pair (%s, %s)" % (self.label(i), self.label(j))
+            )
         for w in terms:
             if not self.is_normal_word(w):
                 raise PresentationError(
@@ -147,14 +173,7 @@ class Presentation:
             out = {pre + (b, a) + post: Scalar.one()}
             rhs = self.comm_rules.get((a, b))
             if rhs:
-                for w, c in rhs.items():
-                    key = pre + w + post
-                    acc = out.get(key)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+                accumulate(out, ((pre + w + post, c) for w, c in rhs.items()))
             return out
         return {word: Scalar.one()}
 
@@ -185,35 +204,18 @@ class Presentation:
             return result
         self._in_progress.add(word)
         try:
-            out = {}
-            for w, c in self.step_at(word, violation).items():
-                for nw, nc in self.normalize_word(w).items():
-                    acc = out.get(nw)
-                    term = c * nc
-                    acc = term if acc is None else acc + term
-                    if acc:
-                        out[nw] = acc
-                    else:
-                        del out[nw]
+            out = self.normalize_terms(self.step_at(word, violation))
         finally:
             self._in_progress.discard(word)
         self._norm_cache[word] = out
         return out
 
     def normalize_terms(self, terms):
-        out = {}
-        for word, coeff in terms.items():
-            if not coeff:
-                continue
-            for nw, nc in self.normalize_word(word).items():
-                acc = out.get(nw)
-                term = coeff * nc
-                acc = term if acc is None else acc + term
-                if acc:
-                    out[nw] = acc
-                else:
-                    del out[nw]
-        return out
+        return accumulate({}, (
+            (nw, coeff * nc)
+            for word, coeff in terms.items() if coeff
+            for nw, nc in self.normalize_word(word).items()
+        ))
 
     # --- consistency ------------------------------------------------------
 
@@ -240,14 +242,7 @@ class Presentation:
         for t in triples:
             left = self.normalize_terms(self.step_at(t, 0))
             right = self.normalize_terms(self.step_at(t, 1))
-            residual = dict(left)
-            for w, c in right.items():
-                acc = residual.get(w)
-                acc = -c if acc is None else acc - c
-                if acc:
-                    residual[w] = acc
-                else:
-                    residual.pop(w, None)
+            residual = accumulate(left, ((w, -c) for w, c in right.items()))
             if residual:
                 failures.append((t, residual))
         return failures
@@ -310,14 +305,7 @@ class AlgElement:
             return NotImplemented
         self._require_same(other)
         trunc = merge_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+        out = accumulate(dict(self.terms), other.terms.items())
         return AlgElement(self.pres, out, trunc)
 
     def __sub__(self, other):
@@ -346,22 +334,14 @@ class AlgElement:
             return NotImplemented
         self._require_same(other)
         trunc = merge_trunc(self.trunc, other.trunc)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c12 = c1 * c2
-                if not c12:
-                    continue
-                for nw, nc in self.pres.normalize_word(w1 + w2).items():
-                    term = c12 * nc
-                    if not term:
-                        continue
-                    acc = out.get(nw)
-                    acc = term if acc is None else acc + term
-                    if acc:
-                        out[nw] = acc
-                    else:
-                        del out[nw]
+        norm = self.pres.normalize_word
+        out = accumulate({}, (
+            (nw, c12 * nc)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+            for c12 in (c1 * c2,) if c12
+            for nw, nc in norm(w1 + w2).items()
+        ))
         return AlgElement(self.pres, out, trunc)
 
     def __rmul__(self, other):

@@ -38,6 +38,18 @@ class Report:
         self.checks.append(c)
         return c
 
+    def zero(self, name, residual):
+        """Add a check that passes when ``residual`` is zero.
+
+        The detail of a failing check is the residual's repr, cut to 160
+        characters.
+        """
+        ok = residual.is_zero()
+        detail = "" if ok else repr(residual)
+        if len(detail) > 160:
+            detail = detail[:160] + "..."
+        return self.add(name, ok, detail)
+
     def extend(self, checks):
         self.checks.extend(checks)
 

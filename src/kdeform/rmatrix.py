@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import PresentationError
 from .metric import Metric
 from .model import build_iso
+from .ncalg import accumulate
 from .report import Report
 from .scalar import GR_ONE, GaussianRational, Scalar, gr
 
@@ -52,6 +53,15 @@ def _canonical(key):
     return tuple(key), sign
 
 
+def _wedge_pairs(pairs):
+    """(canonical key, signed coefficient) for each (key, coefficient) pair;
+    keys with a repeated index are dropped."""
+    for key, c in pairs:
+        skey, sign = _canonical(key)
+        if sign:
+            yield skey, (c if sign > 0 else -c)
+
+
 class WedgeTensor:
     """Antisymmetric rank-2 or rank-3 tensor over a Lie presentation."""
 
@@ -60,23 +70,13 @@ class WedgeTensor:
             raise PresentationError("wedge rank must be 2 or 3")
         self.pres = pres
         self.rank = rank
-        store = {}
-        for key, c in (terms or {}).items():
+        terms = terms or {}
+        for key in terms:
             if len(key) != rank:
                 raise PresentationError("wedge key %r has wrong rank" % (key,))
-            skey, sign = _canonical(key)
-            if sign == 0:
-                continue
-            c = _as_scalar(c)
-            if sign < 0:
-                c = -c
-            acc = store.get(skey)
-            c = c if acc is None else acc + c
-            if c:
-                store[skey] = c
-            else:
-                store.pop(skey, None)
-        self.terms = store
+        self.terms = accumulate({}, _wedge_pairs(
+            (key, _as_scalar(c)) for key, c in terms.items()
+        ))
 
     @classmethod
     def zero(cls, pres, rank=2):
@@ -85,17 +85,10 @@ class WedgeTensor:
     @classmethod
     def from_labels(cls, pres, rank, entries):
         """entries: iterable of (label, ..., coefficient) tuples."""
-        terms = {}
-        for entry in entries:
-            *labels, c = entry
-            key = tuple(pres.gen_index(lab) for lab in labels)
-            skey, sign = _canonical(key)
-            if sign == 0:
-                continue
-            c = _as_scalar(c)
-            if sign < 0:
-                c = -c
-            terms[skey] = terms.get(skey, Scalar.zero()) + c
+        terms = accumulate({}, _wedge_pairs(
+            (tuple(pres.gen_index(lab) for lab in labels), _as_scalar(c))
+            for *labels, c in entries
+        ))
         return cls(pres, rank, terms)
 
     def coeff(self, key):
@@ -112,16 +105,8 @@ class WedgeTensor:
             return NotImplemented
         if other.pres is not self.pres or other.rank != self.rank:
             raise PresentationError("wedge mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            c = c if acc is None else acc + c
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
         w = WedgeTensor(self.pres, self.rank)
-        w.terms = out
+        w.terms = accumulate(dict(self.terms), other.terms.items())
         return w
 
     def __neg__(self):
@@ -185,20 +170,13 @@ def build_r(metric, tau, pres=None):
     dim = metric.dim
     ginv = metric.inverse()
     pidx, midx = data["p"], data["m"]
-    terms = {}
-    for al in range(dim):
-        if not tau[al]:
-            continue
-        for be in range(dim):
-            im, sgn = _m_signed(midx, al, be)
-            if sgn == 0:
-                continue
-            for sg in range(dim):
-                c = tau[al] * ginv[be][sg] * sgn
-                if not c:
-                    continue
-                key = (im, pidx[sg])
-                terms[key] = terms.get(key, Scalar.zero()) + Scalar.rational(c)
+    terms = accumulate({}, (
+        ((im, pidx[sg]), Scalar.rational(tau[al] * ginv[be][sg] * sgn))
+        for al in range(dim) if tau[al]
+        for be in range(dim)
+        for im, sgn in (_m_signed(midx, al, be),) if sgn
+        for sg in range(dim) if ginv[be][sg]
+    ))
     return WedgeTensor(pres, 2, terms)
 
 
@@ -209,28 +187,18 @@ def build_omega(pres):
     dim = metric.dim
     ginv = metric.inverse()
     pidx, midx = data["p"], data["m"]
-    terms = {}
-    for mu in range(dim):
-        for nu in range(dim):
-            im, sgn = _m_signed(midx, mu, nu)
-            if sgn == 0:
-                continue
-            for al in range(dim):
-                if not ginv[mu][al]:
-                    continue
-                for be in range(dim):
-                    c = ginv[mu][al] * ginv[nu][be] * sgn
-                    if not c:
-                        continue
-                    key = (im, pidx[al], pidx[be])
-                    skey, s2 = _canonical(key)
-                    if s2 == 0:
-                        continue
-                    terms[skey] = terms.get(skey, Scalar.zero()) + Scalar.rational(
-                        c * s2
-                    )
     t = WedgeTensor(pres, 3)
-    t.terms = {k: v for k, v in terms.items() if v}
+    t.terms = accumulate({}, _wedge_pairs(
+        (
+            (im, pidx[al], pidx[be]),
+            Scalar.rational(ginv[mu][al] * ginv[nu][be] * sgn),
+        )
+        for mu in range(dim)
+        for nu in range(dim)
+        for im, sgn in (_m_signed(midx, mu, nu),) if sgn
+        for al in range(dim) if ginv[mu][al]
+        for be in range(dim) if ginv[nu][be]
+    ))
     return t
 
 
@@ -273,37 +241,27 @@ def schouten(r):
         raise PresentationError("schouten bracket needs a rank-2 wedge")
     tbl = _lie_table(r.pres)
     # expand to the tensor square: c2[(A, B)] with both orders present
-    c2 = {}
-    for (a, b), c in r.terms.items():
-        c2[(a, b)] = c2.get((a, b), Scalar.zero()) + c
-        c2[(b, a)] = c2.get((b, a), Scalar.zero()) - c
-    acc = {}
-
-    def put(key, c):
-        skey, sign = _canonical(key)
-        if sign == 0 or not c:
-            return
-        if sign < 0:
-            c = -c
-        prev = acc.get(skey)
-        c = c if prev is None else prev + c
-        if c:
-            acc[skey] = c
-        else:
-            acc.pop(skey, None)
-
+    c2 = accumulate({}, (
+        term
+        for (a, b), c in r.terms.items()
+        for term in (((a, b), c), ((b, a), -c))
+    ))
     items = list(c2.items())
-    for (a, b), cab in items:
-        for (c, d), ccd in items:
-            coef = cab * ccd
-            if not coef:
-                continue
-            for e, f in _bracket(tbl, a, c).items():
-                put((e, b, d), coef * f)
-            for e, f in _bracket(tbl, b, c).items():
-                put((a, e, d), coef * f)
-            for e, f in _bracket(tbl, b, d).items():
-                put((a, c, e), coef * f)
+
+    def expansion():
+        for (a, b), cab in items:
+            for (c, d), ccd in items:
+                coef = cab * ccd
+                if not coef:
+                    continue
+                for e, f in _bracket(tbl, a, c).items():
+                    yield (e, b, d), coef * f
+                for e, f in _bracket(tbl, b, c).items():
+                    yield (a, e, d), coef * f
+                for e, f in _bracket(tbl, b, d).items():
+                    yield (a, c, e), coef * f
+
+    acc = accumulate({}, _wedge_pairs(expansion()))
     third = Fraction(1, 3)
     out = WedgeTensor(r.pres, 3)
     out.terms = {k: v * third for k, v in acc.items()}
@@ -340,23 +298,13 @@ def ybe_classify(r):
 def ad_action(pres, x, w):
     """ad_x acting as a derivation on a wedge tensor (real brackets)."""
     tbl = _lie_table(pres)
-    terms = {}
-    for key, c in w.terms.items():
-        for slot in range(w.rank):
-            for e, f in _bracket(tbl, x, key[slot]).items():
-                nk = key[:slot] + (e,) + key[slot + 1:]
-                skey, sign = _canonical(nk)
-                if sign == 0:
-                    continue
-                val = c * (f if sign > 0 else -f)
-                prev = terms.get(skey)
-                val = val if prev is None else prev + val
-                if val:
-                    terms[skey] = val
-                else:
-                    terms.pop(skey, None)
     out = WedgeTensor(pres, w.rank)
-    out.terms = terms
+    out.terms = accumulate({}, _wedge_pairs(
+        (key[:slot] + (e,) + key[slot + 1:], c * f)
+        for key, c in w.terms.items()
+        for slot in range(w.rank)
+        for e, f in _bracket(tbl, x, key[slot]).items()
+    ))
     return out
 
 
@@ -369,12 +317,7 @@ def omega_invariance_check(metric, pres=None):
         "omega invariance", {"dim": _iso_data(pres)["metric"].dim}
     )
     for i, gen in enumerate(pres.generators):
-        img = ad_action(pres, i, omega)
-        rep.add(
-            "ad[%s](omega)" % gen.label,
-            img.is_zero(),
-            "" if img.is_zero() else repr(img),
-        )
+        rep.zero("ad[%s](omega)" % gen.label, ad_action(pres, i, omega))
     return rep
 
 
@@ -387,12 +330,7 @@ def schouten_identity_check(metric, tau, pres=None):
     t2 = metric.square(tuple(Fraction(x) for x in tau))
     want = build_omega(r.pres) * Scalar.rational(-t2)
     rep = Report("schouten identity", {"tau2": str(t2)})
-    residual = s - want
-    rep.add(
-        "schouten_equals_minus_tau2_omega",
-        residual.is_zero(),
-        "" if residual.is_zero() else repr(residual),
-    )
+    rep.zero("schouten_equals_minus_tau2_omega", s - want)
     verdict = ybe_classify(r)
     if t2 == 0:
         rep.add("null_tau_cybe", verdict["type"] == "CYBE", verdict["type"])

@@ -20,7 +20,7 @@ display checks below.
 from fractions import Fraction
 
 from .errors import KdeformError, PresentationError
-from .hopf import HopfData, TensorElement, check_rmatrix_intertwiner
+from .hopf import HopfData, TensorElement, otimes
 from .ncalg import AlgElement
 from .report import Report
 from .scalar import Scalar, gr
@@ -31,22 +31,8 @@ TWIST_LABELS = ("LC", "L1", "L2", "S1", "S2", "S3", "T1", "T3", "T4")
 _HALF = Fraction(1, 2)
 
 
-def _zero(name, rep, residual):
-    ok = residual.is_zero()
-    note = ""
-    if not ok:
-        note = repr(residual)
-        if len(note) > 160:
-            note = note[:160] + "..."
-    rep.add(name, ok, note)
-
-
-def _pair(a, b):
-    return TensorElement.from_legs(a, b)
-
-
 def _wedge(a, b):
-    return _pair(a, b) - _pair(b, a)
+    return otimes(a, b) - otimes(b, a)
 
 
 def primitive_hopf(pres, trunc):
@@ -59,20 +45,10 @@ def primitive_hopf(pres, trunc):
     for i in range(len(pres.generators)):
         g = AlgElement.gen(pres, i, trunc)
         one = AlgElement.one(pres, trunc)
-        cop[i] = _pair(g, one) + _pair(one, g)
+        cop[i] = otimes(g, one) + otimes(one, g)
         antip[i] = -g
         counit[i] = Scalar.zero(trunc)
     return HopfData(pres, cop, antip, counit, trunc=trunc)
-
-
-def opposite_coalgebra(hopf):
-    """Same algebra with flipped coproducts; the antipode becomes S^{-1},
-    realized here only when S is involutive on generators is *not* assumed:
-    callers that need the antipode should twist instead.  Used for display
-    comparisons of Delta^op."""
-    cop = {i: t.swap() for i, t in hopf.coproduct.items()}
-    return HopfData(hopf.pres, cop, dict(hopf.antipode), dict(hopf.counit),
-                    trunc=hopf.trunc)
 
 
 class TwistElement:
@@ -128,10 +104,10 @@ def build_twist(label, model):
         _require_flavor(model, label, ("null_plane",))
         ln_pi = unital_log(model.cas.Pi)
         piv = model.cas.PiInv
-        x1 = _pair(model.m(0, 1), ln_pi) * minus_i
+        x1 = otimes(model.m(0, 1), ln_pi) * minus_i
         x2 = TensorElement.zero(model.pres, trunc)
         for a in _transverse_slots(model):
-            x2 = x2 + _pair(model.m(0, a), model.p_up(a) * piv)
+            x2 = x2 + otimes(model.m(0, a), model.p_up(a) * piv)
         x2 = x2 * (minus_i * Scalar.h(1, trunc))
         return TwistElement(model, [x1, x2], label=label,
                             notes=["factor order: Jordanian then extension"])
@@ -164,7 +140,7 @@ def build_twist(label, model):
         m1 = model.m(2, 3)   # rotation about axis 1
         n3 = model.m(0, 3)   # boost along axis 3
         cell = {"S1": m1, "S2": m1 + n3, "S3": n3}[label]
-        x = _pair(model.p(1), cell) * i_xi
+        x = otimes(model.p(1), cell) * i_xi
         return TwistElement(
             model, [x], label=label,
             notes=["table cell uses a plain tensor, kept as displayed"],
@@ -189,17 +165,17 @@ def build_twist(label, model):
     m3 = model.m(1, 2)
     ln_pi = unital_log(model.cas.Pi)
     if label == "T3":
-        x1 = _pair(p_t * unital_sqrt(model.cas.Pi), m_t) * Scalar.xi(1, trunc)
-        x2 = _pair(ln_pi, m3) * (i_s * _HALF)
+        x1 = otimes(p_t * unital_sqrt(model.cas.Pi), m_t) * Scalar.xi(1, trunc)
+        x2 = otimes(ln_pi, m3) * (i_s * _HALF)
         return TwistElement(model, [x1, x2], label=label,
                             notes=["+ branch; complex, no star structure"])
     # T4
     one = AlgElement.one(model.pres, trunc)
     sigma = unital_log(one + p_t * Scalar.xi(1, trunc))
     damp = unital_inverse(one + p_t * Scalar.xi(1, trunc)) * model.cas.PiInv
-    x1 = _pair(m_t * damp, model.p(3)) * Scalar.xi(1, trunc)
-    x2 = _pair(sigma, m3)
-    x3 = _pair(ln_pi, m3) * i_s
+    x1 = otimes(m_t * damp, model.p(3)) * Scalar.xi(1, trunc)
+    x2 = otimes(sigma, m3)
+    x3 = otimes(ln_pi, m3) * i_s
     return TwistElement(model, [x1, x2, x3], label=label,
                         notes=["+ branch; complex, no star structure"])
 
@@ -227,12 +203,12 @@ def cocycle_check(twist, hopf):
     t = twist.tensor
     one2 = TensorElement.one(twist.pres, twist.trunc)
     one1 = AlgElement.one(twist.pres, twist.trunc)
-    _zero("invertible", rep, t * twist.inverse - one2)
+    rep.zero("invertible", t * twist.inverse - one2)
     lhs = _pad3(t, (0, 1)) * hopf.apply_cop_leg(t, 0)
     rhs = _pad3(t, (1, 2)) * hopf.apply_cop_leg(t, 1)
-    _zero("two_cocycle", rep, lhs - rhs)
-    _zero("counit_left", rep, hopf.apply_counit_leg(t, 0) - one1)
-    _zero("counit_right", rep, hopf.apply_counit_leg(t, 1) - one1)
+    rep.zero("two_cocycle", lhs - rhs)
+    rep.zero("counit_left", hopf.apply_counit_leg(t, 0) - one1)
+    rep.zero("counit_right", hopf.apply_counit_leg(t, 1) - one1)
     return rep
 
 
@@ -273,12 +249,12 @@ def factor_order_check(twist):
     ln_pi = unital_log(model.cas.Pi)
     y1 = TensorElement.zero(model.pres, trunc)
     for a in _transverse_slots(model):
-        y1 = y1 + _pair(model.m(0, a), model.p_up(a))
+        y1 = y1 + otimes(model.m(0, a), model.p_up(a))
     y1 = y1 * (minus_i * Scalar.h(1, trunc))
-    y2 = _pair(model.m(0, 1), ln_pi) * minus_i
+    y2 = otimes(model.m(0, 1), ln_pi) * minus_i
     alt = TwistElement(model, [y1, y2], label="LC-alt")
     rep = Report("extended Jordanian factorizations", {"trunc": str(trunc)})
-    _zero("orders_agree", rep, twist.tensor - alt.tensor)
+    rep.zero("orders_agree", twist.tensor - alt.tensor)
     return rep
 
 

@@ -12,7 +12,6 @@ from kdeform.model import (
     ModelConfig,
     basis_change_check,
     build_iso,
-    build_kappa_hopf,
     casimir_check,
     change_basis,
     classical_hopf_check,
@@ -189,14 +188,6 @@ def test_config_validation():
         ModelConfig(EUCL2, (1, 1), "null_plane", (2, 2))  # no Euclidean nulls
     with pytest.raises(PresentationError):
         ModelConfig(MINK2, (1, 0), "no_such_flavor")
-
-
-def test_build_kappa_hopf_returns_triple():
-    pres, hopf, cas = build_kappa_hopf(ModelConfig(MINK2, (1, 0), trunc=(2, 2)))
-    assert hopf.pres is pres
-    one = AlgElement.one(pres, (2, 2))
-    assert (cas.Pi * cas.PiInv - one).is_zero()
-    assert (cas.PiInv * cas.Pi - one).is_zero()
 
 
 # --- covariant flavor -----------------------------------------------------------

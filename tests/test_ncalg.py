@@ -1,7 +1,13 @@
 """Tests for the PBW rewriting engine and the element algebra."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kdeform
 from kdeform.errors import PresentationError, RewriteError
 from kdeform.ncalg import AlgElement, Presentation
 from kdeform.scalar import GR_ONE, Scalar, gr
@@ -76,6 +82,37 @@ def test_product_rules_inverse_pair():
     assert pres.normalize_word((p, p, q)) == {(p,): Scalar.one()}
     assert pres.normalize_word((m, p)) == {(p, m): Scalar.one()}
     assert pres.associativity_check() == []
+
+
+def test_set_product_refuses_a_second_rule_for_the_pair():
+    pres, a, b = weyl_pair()
+    # a product rule on (b, a) would shadow the commutator [b, a]
+    with pytest.raises(PresentationError):
+        pres.set_product(b, a, {(): Scalar.one()})
+    one = Scalar.one()
+    assert pres.normalize_word((b, a)) == {(a, b): one, (): one}
+    pres.set_product(a, b, {(): Scalar.one()})
+    with pytest.raises(PresentationError):
+        pres.set_product(a, b, {(): Scalar.rational(2)})
+    assert pres.product_rules[(a, b)] == {(): Scalar.one()}
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    # a fresh interpreter: this one has imported the package already
+    code = (
+        "import sys; before = sys.getrecursionlimit(); "
+        "import kdeform.model, kdeform.twist, kdeform.rmatrix; "
+        "print(before, sys.getrecursionlimit())"
+    )
+    src = str(Path(kdeform.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after
 
 
 def test_rule_rhs_must_be_normal():
