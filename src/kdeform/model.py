@@ -940,8 +940,8 @@ def presentation_check(pres, triples=None):
     )
     if failures:
         for t, residual in failures[:8]:
-            words = "*".join(pres.label(i) for i in t)
-            rep.add("confluence[%s]" % words, False, repr(residual))
+            rep.zero("confluence[%s]" % pres._word_str(t),
+                     AlgElement(pres, residual))
     else:
         rep.add("confluence", True)
     return rep

@@ -1,10 +1,18 @@
 """Exact coefficient arithmetic for the deformation engine.
 
-Coefficients live in the Gaussian rationals Q(i), represented as pairs of
-``fractions.Fraction``.  Deformation scalars are Laurent polynomials in the
-deformation parameter h (so expressions carrying kappa = h^(-1) stay exact)
-and ordinary polynomials in the twist parameter xi.  They are stored sparsely
-as dicts keyed by the bigrade (deg_h, deg_xi).
+Coefficients live in the Gaussian rationals Q(i).  A Gaussian rational is
+stored as an integer triple ``(a, b, d)`` meaning ``(a + b*i) / d``, with
+``d > 0`` and ``gcd(a, b, d) == 1``; zero is ``(0, 0, 1)``.  The form is
+canonical, so equality compares the three ints, and every ring operation
+reduces its result with at most one ``math.gcd`` (none when ``d == 1``).
+``fractions.Fraction`` appears only at the boundary: the constructor accepts
+Fractions, ``.re``/``.im`` return them, and ``repr`` prints each part in the
+``Fraction`` format.
+
+Deformation scalars are Laurent polynomials in the deformation parameter h
+(so expressions carrying kappa = h^(-1) stay exact) and ordinary polynomials
+in the twist parameter xi.  They are stored sparsely as dicts keyed by the
+bigrade (deg_h, deg_xi).
 
 A scalar either carries a finite truncation order ``trunc = (N_h, N_xi)``,
 meaning every bigrade with deg_h > N_h or deg_xi > N_xi has been dropped, or
@@ -21,66 +29,129 @@ multiplication associative.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import TruncationMismatch
 
-_FRAC_ZERO = Fraction(0)
+_new = object.__new__
+
+
+def _gr(a, b, d):
+    # internal constructor: caller guarantees the canonical invariant
+    z = _new(GaussianRational)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
+
+
+def _reduced(a, b, d):
+    # d > 0; divide out gcd(a, b, d) once, skipped when d == 1
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _gr(a, b, d)
 
 
 class GaussianRational:
-    """A complex number with rational real and imaginary parts."""
+    """A complex number ``(a + b*i) / d`` with integers a, b and d > 0.
 
-    __slots__ = ("re", "im")
+    The triple is kept canonical: ``gcd(a, b, d) == 1``, so zero is
+    ``(0, 0, 1)`` and two equal values have equal triples.  ``re`` and
+    ``im`` give the parts as ``Fraction``.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        q, s = re.denominator, im.denominator
+        # with both parts in lowest terms, lcm(q, s) is already canonical
+        d = q // gcd(q, s) * s
+        self.a = re.numerator * (d // q)
+        self.b = im.numerator * (d // s)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = _as_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _as_gr(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1 = self.d
+        d2 = other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(self.a * d2 + other.a * d1,
+                        self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _as_gr(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1 = self.d
+        d2 = other.d
+        if d1 == d2:
+            return _reduced(self.a - other.a, self.b - other.b, d1)
+        return _reduced(self.a * d2 - other.a * d1,
+                        self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = _as_gr(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = _as_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _as_gr(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1 = self.a
+        b1 = self.b
+        a2 = other.a
+        b2 = other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                        self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not GaussianRational:
+            other = _as_gr(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a2 = other.a
+        b2 = other.b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # x / y = x * conj(y) * d2 / (a2^2 + b2^2)
+        a1 = self.a
+        b1 = self.b
+        d2 = other.d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        self.d * n)
 
     def __rtruediv__(self, other):
         other = _as_gr(other)
@@ -89,30 +160,35 @@ class GaussianRational:
         return other / self
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        other = _as_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _as_gr(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        # equal to the hash of the equal int or Fraction
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def is_real(self):
-        return self.im == 0
+        return self.b == 0
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return "%s*i" % self.im
-        sign = "+" if self.im > 0 else "-"
-        return "(%s %s %s*i)" % (self.re, sign, abs(self.im))
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return "%s*i" % im
+        sign = "+" if im > 0 else "-"
+        return "(%s %s %s*i)" % (re, sign, abs(im))
 
 
 def _as_gr(v):
@@ -130,10 +206,6 @@ GR_I = GaussianRational(0, 1)
 
 def gr(re, im=0):
     """Shorthand constructor, accepts ints, Fractions or 'p/q' strings."""
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
     return GaussianRational(re, im)
 
 
@@ -239,22 +311,30 @@ class Scalar:
     # --- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Scalar):
+        if type(other) is not Scalar and not isinstance(other, Scalar):
             return NotImplemented
-        trunc = merge_trunc(self.trunc, other.trunc)
+        t1 = self.trunc
+        t2 = other.trunc
+        trunc = t1 if t1 == t2 else merge_trunc(t1, t2)
         out = dict(self.terms)
         for key, val in other.terms.items():
             acc = out.get(key)
-            acc = val if acc is None else acc + val
-            if acc:
-                out[key] = acc
+            if acc is None:
+                out[key] = val
             else:
-                out.pop(key, None)
-        if trunc is not self.trunc:
+                acc = acc + val
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        if trunc is not None and (t1 is None or t2 is None):
+            # either operand may be the exact one
             out = {k: v for k, v in out.items() if _keep(k, trunc)}
-        if self.trunc is None or other.trunc is None:
             _check_laurent(out, trunc)
-        return Scalar._make(out, trunc)
+        s = _new(Scalar)
+        s.terms = out
+        s.trunc = trunc
+        return s
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -265,32 +345,45 @@ class Scalar:
         return Scalar._make({k: -v for k, v in self.terms.items()}, self.trunc)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _as_gr(other)
-            if not c:
-                return Scalar._make({}, self.trunc)
-            return Scalar._make(
-                {k: v * c for k, v in self.terms.items()}, self.trunc
-            )
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        trunc = merge_trunc(self.trunc, other.trunc)
+        if type(other) is not Scalar:
+            if type(other) is GaussianRational or isinstance(
+                    other, (int, Fraction)):
+                c = _as_gr(other)
+                if not c:
+                    return Scalar._make({}, self.trunc)
+                return Scalar._make(
+                    {k: v * c for k, v in self.terms.items()}, self.trunc
+                )
+            if not isinstance(other, Scalar):
+                return NotImplemented
+        t1 = self.trunc
+        t2 = other.trunc
+        trunc = t1 if t1 == t2 else merge_trunc(t1, t2)
         out = {}
+        get = out.get
+        right = other.terms.items()
         for (a1, b1), v1 in self.terms.items():
-            for (a2, b2), v2 in other.terms.items():
+            for (a2, b2), v2 in right:
                 key = (a1 + a2, b1 + b2)
-                if not _keep(key, trunc):
+                if trunc is not None and not _keep(key, trunc):
                     continue
-                acc = out.get(key)
+                acc = get(key)
                 prod = v1 * v2
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[key] = acc
+                # nonzero coefficients have a nonzero product
+                if acc is None:
+                    out[key] = prod
                 else:
-                    del out[key]
-        if self.trunc is None or other.trunc is None:
+                    acc = acc + prod
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        if trunc is not None and (t1 is None or t2 is None):
             _check_laurent(out, trunc)
-        return Scalar._make(out, trunc)
+        s = _new(Scalar)
+        s.terms = out
+        s.trunc = trunc
+        return s
 
     __rmul__ = __mul__
 

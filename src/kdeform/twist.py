@@ -10,11 +10,10 @@ complex coefficients and carry no star structure.
 
 Conventions.  Wedge exponents A ^ B are expanded as A (x) B - B (x) A and
 every catalog row keeps the order printed in its own twist cell: M ^ ln Pi
-for L1 and L2, ln Pi ^ M_3 for T1, plain tensors for the S rows.  The light-
-like orders are anchored by the star-commutator tables they induce on the
-coordinate algebra; the transverse-doublet coproduct lines quoted for L2 and
-T1 carry sign slips relative to these orders, recorded term by term in the
-display checks below.
+for L1 and L2, ln Pi ^ M_3 for T1, plain tensors for the S rows.  These
+orders are taken as printed; no twisted coproduct is compared with a printed
+display.  Which rows are 2-cocycles over the primitive and over the deformed
+structure is established by ``cocycle_check``, not assumed here.
 """
 
 from fractions import Fraction

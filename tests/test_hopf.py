@@ -1,8 +1,19 @@
-"""Tests for tensor calculus and Hopf-axiom verification on toy algebras."""
+"""Tests for tensor calculus and Hopf-axiom verification on toy algebras,
+and for the R-matrix intertwiner check on a small model."""
 
 import pytest
 
-from kdeform.hopf import HopfData, TensorElement, promote, verify_axioms, verify_reality
+from kdeform import twist
+from kdeform.errors import KdeformError
+from kdeform.hopf import (
+    HopfData,
+    TensorElement,
+    check_rmatrix_intertwiner,
+    promote,
+    verify_axioms,
+    verify_reality,
+)
+from kdeform.model import Model, ModelConfig
 from kdeform.ncalg import AlgElement, Presentation
 from kdeform.scalar import Scalar
 
@@ -143,3 +154,20 @@ def test_tensor_star_legwise():
     t = TensorElement.from_legs(ex, ey) * Scalar.i()
     st = t.star()
     assert st == TensorElement.from_legs(ex, ey) * (-Scalar.i())
+
+
+def test_rmatrix_intertwiner_on_covariant_d2():
+    m = Model(ModelConfig([[1, 0], [0, -1]], (1, 0), "covariant_hadic", (2, 0)))
+    one2 = TensorElement.one(m.pres, m.trunc)
+    # the unit intertwines a coproduct with itself
+    assert check_rmatrix_intertwiner(m.hopf, m.hopf, one2).ok
+    # but not the primitive coproduct with the deformed one
+    rep = check_rmatrix_intertwiner(twist.primitive_hopf(m.pres, m.trunc), m.hopf, one2)
+    assert [c.name for c in rep.checks if not c.passed] == [
+        "intertwines[P_0]", "intertwines[P_1]", "intertwines[M_01]"
+    ]
+    assert [c.name for c in rep.checks if c.passed] == [
+        "invertible", "triangular", "counit_left", "counit_right"
+    ]
+    with pytest.raises(KdeformError):
+        check_rmatrix_intertwiner(m.hopf, m.hopf, one2 * 2)

@@ -75,7 +75,14 @@ def test_presentation_check_passes_and_catches_sign_flip():
         w: -c for w, c in bad.comm_rules[key].items()
     }
     bad._norm_cache = {(): {(): Scalar.one()}}
-    assert not presentation_check(bad).ok
+    rep = presentation_check(bad)
+    assert not rep.ok
+    labels = [g.label for g in bad.generators]
+    for c in rep.checks:
+        if not c.passed:
+            # the residual is printed as an element over labelled words
+            assert any(label in c.detail for label in labels), c.detail
+            assert len(c.detail) <= 163
 
 
 def test_presentation_check_dims_2_3_4_all_signatures():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -164,3 +165,160 @@ def test_h_zero_part_and_shift():
     shifted = Scalar.one((2, 2)).shift(2)
     assert shifted.coeff(2, 0) == GR_ONE
     assert shifted.shift(1).is_zero()  # pushed past the truncation
+
+
+# --- the ring against a reference built from Fraction pairs --------------------
+
+
+def rand_big_fraction(rng):
+    """A rational with a numerator up to 10^30 and a denominator up to 10^12;
+    zero about a quarter of the time."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**12))
+
+
+def rand_big_pair(rng):
+    return rand_big_fraction(rng), rand_big_fraction(rng)
+
+
+def ref_repr(re, im):
+    if not im:
+        return str(re)
+    if not re:
+        return "%s*i" % im
+    sign = "+" if im > 0 else "-"
+    return "(%s %s %s*i)" % (re, sign, abs(im))
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+REF_OPS = {
+    "+": (lambda z, w: z + w, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (lambda z, w: z - w, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "*": (lambda z, w: z * w,
+          lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])),
+    "/": (lambda z, w: z / w, ref_div),
+}
+
+
+def assert_matches(z, pair):
+    assert isinstance(z, GaussianRational)
+    assert (z.re, z.im) == pair
+    assert z == GaussianRational(*pair)
+    assert bool(z) == (pair != (0, 0))
+    assert z.is_real() == (pair[1] == 0)
+    assert repr(z) == ref_repr(*pair)
+
+
+def test_ring_matches_fraction_pair_reference():
+    rng = random.Random(1404)
+    for _ in range(300):
+        x, y = rand_big_pair(rng), rand_big_pair(rng)
+        z, w = GaussianRational(*x), GaussianRational(*y)
+        assert_matches(z, x)
+        assert_matches(-z, (-x[0], -x[1]))
+        assert_matches(z.conjugate(), (x[0], -x[1]))
+        assert (z == w) == (x == y)
+        k = rng.choice([0, 1, -1, rng.randint(-10**20, 10**20)])
+        f = rand_big_fraction(rng)
+        # Q(i) operands on both sides, then int and Fraction on either side
+        operands = [(w, y), (k, (Fraction(k), Fraction(0))),
+                    (f, (f, Fraction(0)))]
+        for name, (op, ref) in REF_OPS.items():
+            for other, other_pair in operands:
+                for left, right, lp, rp in ((z, other, x, other_pair),
+                                            (other, z, other_pair, x)):
+                    if name == "/" and rp == (0, 0):
+                        with pytest.raises(ZeroDivisionError):
+                            op(left, right)
+                    else:
+                        assert_matches(op(left, right), ref(lp, rp))
+
+
+def test_equality_with_ints_and_fractions():
+    assert GaussianRational(3) == 3 and 3 == GaussianRational(3)
+    assert gr("3/4") == Fraction(3, 4) and Fraction(3, 4) == gr("3/4")
+    assert gr(3, 1) != 3
+    assert gr("6/8", "-2/4") == GaussianRational(Fraction(3, 4), Fraction(-1, 2))
+
+
+def test_division_by_zero_raises():
+    for zero in (0, Fraction(0), GaussianRational(0), gr("0/5", 0)):
+        with pytest.raises(ZeroDivisionError):
+            gr(1, 2) / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / GaussianRational(0)
+
+
+def test_hash_agrees_with_equality():
+    assert hash(GaussianRational(1)) == hash(1)
+    assert {1: "x"}.get(GaussianRational(1)) == "x"
+    assert hash(gr("-7/3")) == hash(Fraction(-7, 3))
+    assert {Fraction(-7, 3): "y"}.get(gr("-7/3")) == "y"
+    assert hash(gr(1, 2) * gr(1, -2)) == hash(5)
+    assert hash(gr("1/2", "3/4")) == hash(gr(Fraction(2, 4), Fraction(6, 8)))
+    assert len({gr(2, 1), gr(4, 2) / 2, gr("2", "1")}) == 1
+
+
+def test_canonical_integer_triple():
+    rng = random.Random(2916)
+    values = [GaussianRational(*rand_big_pair(rng)) for _ in range(60)]
+    values += [GaussianRational(0), gr("0/7", 0), gr(3) - gr(3),
+               gr("1/2", "1/2") * 0, gr(5, 5) / 5, gr("4/6", "-2/6")]
+    for z in values:
+        for w in values[:12]:
+            for r in (z, -z, z.conjugate(), z + w, z - w, z * w):
+                assert r.d > 0
+                assert gcd(r.a, r.b, r.d) == 1
+                if not r:
+                    assert (r.a, r.b, r.d) == (0, 0, 1)
+            if w:
+                r = z / w
+                assert r.d > 0 and gcd(r.a, r.b, r.d) == 1
+    assert (gr(5, 5) / 5).a == 1 and (gr(5, 5) / 5).d == 1
+    z = gr("4/6", "-2/6")
+    assert (z.a, z.b, z.d) == (2, -1, 3)
+    assert (GaussianRational(0).a, GaussianRational(0).d) == (0, 1)
+
+
+# --- Scalar products: cancellation order and mixed truncations ---------------
+
+
+def test_product_cancels_a_key_and_appends_it_on_re_add():
+    # (1 + h + h^2)(h - 1 + h^-1) = h^-1 + h + h^3: the h-term cancels after
+    # its second pair and comes back on the last one, so it is listed last
+    a = Scalar({(0, 0): 1, (1, 0): 1, (2, 0): 1})
+    b = Scalar({(1, 0): 1, (0, 0): -1, (-1, 0): 1})
+    p = a * b
+    assert list(p.terms) == [(-1, 0), (3, 0), (1, 0)]
+    assert all(v == GR_ONE for v in p.terms.values())
+    assert p == Scalar.h(-1) + Scalar.h(1) + Scalar.h(3)
+    # a product that cancels entirely is the zero scalar
+    assert (Scalar.one() + Scalar.h()) * (Scalar.one() - Scalar.h()) \
+        == Scalar.one() - Scalar.h(2)
+    assert not (Scalar.i() * Scalar.i() + Scalar.one())
+
+
+def test_truncated_times_exact_product():
+    t = (2, 0)
+    trunc = Scalar.one(t) + Scalar.h(1, t)
+    exact = Scalar.rational(3) + Scalar.h(2) + Scalar.xi()
+    for p in (trunc * exact, exact * trunc):
+        assert p.trunc == t
+        assert p == Scalar({(0, 0): 3, (1, 0): 3, (2, 0): 1}, t)
+    # h^-1 re-enters the kept range, so the Laurent check still fires
+    with pytest.raises(ValueError):
+        trunc * Scalar.h(-1)
+
+
+def test_truncated_plus_exact_drops_terms_past_the_truncation():
+    t = (1, 1)
+    trunc = Scalar.h(1, t)
+    exact = Scalar.h(5) + Scalar.xi(2) + Scalar.one()
+    expected = Scalar({(1, 0): 1, (0, 0): 1}, t)
+    assert trunc + exact == expected
+    assert exact + trunc == expected
