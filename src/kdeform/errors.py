@@ -9,6 +9,12 @@ class TruncationMismatch(KdeformError):
     """Raised when combining scalars carrying different finite truncations."""
 
 
+class ScalarDomainError(KdeformError, ValueError):
+    """Raised for a scalar outside its domain: a negative xi-degree, a
+    negative h-degree under a finite truncation, or the constant value of a
+    non-constant scalar."""
+
+
 class PresentationError(KdeformError):
     """Raised for malformed generator/relation data."""
 

@@ -3,11 +3,16 @@
 A :class:`TensorElement` of rank r stores terms as dicts mapping r-tuples of
 normal words to Scalar coefficients, summed with ``ncalg.accumulate`` like
 the element layer's.  Products act legwise through the presentation's
-normalize cache.  :class:`HopfData` holds coproduct, antipode and counit
-values on generators and extends them to arbitrary elements
-(multiplicatively, anti-multiplicatively, multiplicatively respectively),
-with memoized word-level caches; the three leg maps share one helper that
-replaces a single tensor leg by a word's image.
+normalize cache, and pair terms through ``ncalg.FloorIndex``, which skips
+every pair whose coefficient product the truncation already makes zero (the
+floor rule of :mod:`kdeform.scalar`).  :class:`HopfData` holds
+coproduct, antipode and counit values on generators and extends them to
+arbitrary elements (multiplicatively, anti-multiplicatively,
+multiplicatively respectively), with memoized word-level caches; the three
+leg maps share one helper that replaces a single tensor leg by a word's
+image.  The coproduct and antipode leg maps skip the image terms that vanish
+against the tensor term's coefficient; those images are indexed by floor
+once per word, alongside their memoized values.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
@@ -21,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import KdeformError, PresentationError
-from .ncalg import EMPTY_WORD, AlgElement, accumulate
+from .ncalg import EMPTY_WORD, AlgElement, FloorIndex, accumulate
 from .report import Report
 from .scalar import GaussianRational, Scalar, merge_trunc
 
@@ -118,9 +123,10 @@ class TensorElement:
         self._require_like(other)
         trunc = merge_trunc(self.trunc, other.trunc)
         norm = self.pres.normalize_word
+        right = FloorIndex(other.terms)
         out = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+            for k2, c2 in right.live(c1):
                 c12 = c1 * c2
                 if not c12:
                     continue
@@ -286,6 +292,9 @@ class HopfData:
             EMPTY_WORD: TensorElement.one(pres, trunc, rank=2)
         }
         self._antipode_cache = {EMPTY_WORD: AlgElement.one(pres, trunc)}
+        # word -> FloorIndex of its image's terms, keyed by legs
+        self._cop_index = {}
+        self._antipode_index = {}
 
     # --- word-level extensions ---------------------------------------------
 
@@ -351,20 +360,33 @@ class HopfData:
     def _leg_map(tensor, leg, image):
         """Terms of ``tensor`` with leg ``leg`` replaced by its image.
 
-        ``image(word)`` yields (legs, coeff) pairs, where ``legs`` is a tuple
-        of 0, 1 or 2 words that takes the place of the one word.
+        ``image(word, c)`` yields the (legs, coeff) terms of the word's image
+        to pair with a tensor term of coefficient ``c``, where ``legs`` is a
+        tuple of 0, 1 or 2 words that takes the place of the one word.
         """
         return accumulate({}, (
             (key[:leg] + legs + key[leg + 1:], c * ci)
             for key, c in tensor.terms.items()
-            for legs, ci in image(key[leg])
+            for legs, ci in image(key[leg], c)
         ))
+
+    @staticmethod
+    def _live(memo, word, terms, c, one_leg=False):
+        # the terms of a memoized word image whose product with c the floor
+        # rule does not rule out; the image's FloorIndex is built once per
+        # word, and the words keying a one-leg image become 1-tuples of legs
+        index = memo.get(word)
+        if index is None:
+            if one_leg:
+                terms = {(nw,): ci for nw, ci in terms.items()}
+            index = memo[word] = FloorIndex(terms)
+        return index.live(c)
 
     def apply_cop_leg(self, tensor, leg):
         """(.. (x) Delta (x) ..): rank grows by one at position ``leg``."""
-        out = self._leg_map(
-            tensor, leg, lambda w: self.cop_word(w).terms.items()
-        )
+        out = self._leg_map(tensor, leg, lambda w, c: self._live(
+            self._cop_index, w, self.cop_word(w).terms, c
+        ))
         return TensorElement(
             self.pres,
             tensor.rank + 1,
@@ -373,8 +395,9 @@ class HopfData:
         )
 
     def apply_antipode_leg(self, tensor, leg):
-        out = self._leg_map(tensor, leg, lambda w: (
-            ((nw,), ci) for nw, ci in self.antipode_word(w).terms.items()
+        out = self._leg_map(tensor, leg, lambda w, c: self._live(
+            self._antipode_index, w, self.antipode_word(w).terms, c,
+            one_leg=True,
         ))
         return TensorElement(
             self.pres,
@@ -386,14 +409,17 @@ class HopfData:
     def apply_counit_leg(self, tensor, leg):
         """Contract one leg with epsilon; rank drops by one.  A rank-1 result
         is returned as an AlgElement."""
+        # a word's counit is one scalar, computed afresh for each term: its
+        # floor test would cost more than the one product it could skip
         out = self._leg_map(
-            tensor, leg, lambda w: (((), self.counit_word(w)),)
+            tensor, leg, lambda w, c: (((), self.counit_word(w)),)
         )
+        trunc = merge_trunc(self.trunc, tensor.trunc)
         if tensor.rank == 2:
             return AlgElement(
-                self.pres, {k[0]: v for k, v in out.items()}, tensor.trunc
+                self.pres, {k[0]: v for k, v in out.items()}, trunc
             )
-        return TensorElement(self.pres, tensor.rank - 1, out, tensor.trunc)
+        return TensorElement(self.pres, tensor.rank - 1, out, trunc)
 
 
 def verify_axioms(hopf, degree2=True, coassoc_pairs=False):

@@ -15,7 +15,12 @@ first and memoizes whole-word results; rule coefficients are stored exact
 
 Sparse combinations, here and in the tensor and wedge layers, are dicts from
 keys to nonzero Scalars; :func:`accumulate` is the one place where terms are
-summed into such a dict and cancelled terms dropped.
+summed into such a dict and cancelled terms dropped.  Products of two sparse
+combinations, here and in the tensor layer, index the right operand's terms
+once by the floor and truncation of their coefficients (:class:`FloorIndex`)
+and pair each left term only with the groups whose coefficient products the
+truncation does not already make zero (the floor rule of
+:mod:`kdeform.scalar`); the pairs skipped are never multiplied.
 
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all
@@ -27,7 +32,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PresentationError, RewriteError
-from .scalar import GaussianRational, Scalar, merge_trunc
+from .scalar import (
+    GaussianRational,
+    Scalar,
+    floor,
+    merge_trunc,
+    product_vanishes,
+)
 
 EMPTY_WORD = ()
 
@@ -52,6 +63,53 @@ def accumulate(out, pairs):
             else:
                 del out[key]
     return out
+
+
+class FloorIndex:
+    """The terms of a sparse combination (a dict from keys to nonzero
+    Scalars), indexed by the floor and truncation of each coefficient, as
+    the right operand of a product.
+
+    ``live(c)`` returns the ``(key, coeff)`` terms whose coefficient product
+    with ``c`` the floor rule of :mod:`kdeform.scalar` does not rule out, in
+    dict order, so a product visits the surviving pairs in the order an
+    all-pairs loop would.  Each group of terms sharing a floor and truncation
+    is tested once per left floor and truncation, and the surviving terms
+    are cached.  Exact operands never prune, so they are not indexed.  The
+    dict must not change while the index is in use.
+    """
+
+    __slots__ = ("terms", "exact", "tags", "sigs", "rows")
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.exact = all(c.trunc is None for c in terms.values())
+        self.sigs = None
+        self.rows = {}
+
+    def live(self, c):
+        t1 = c.trunc
+        if t1 is None and self.exact:
+            return self.terms.items()
+        sig = (floor(c), t1)
+        row = self.rows.get(sig)
+        if row is None:
+            row = self.rows[sig] = self._survivors(*sig)
+        return row
+
+    def _survivors(self, f1, t1):
+        if self.sigs is None:
+            index = {}
+            self.tags = [
+                index.setdefault((floor(c), c.trunc), len(index))
+                for c in self.terms.values()
+            ]
+            self.sigs = list(index)
+        keep = [not product_vanishes(f1, t1, f2, t2) for f2, t2 in self.sigs]
+        items = self.terms.items()
+        if all(keep):
+            return items
+        return [item for item, j in zip(items, self.tags) if keep[j]]
 
 
 class Generator:
@@ -335,10 +393,11 @@ class AlgElement:
         self._require_same(other)
         trunc = merge_trunc(self.trunc, other.trunc)
         norm = self.pres.normalize_word
+        right = FloorIndex(other.terms)
         out = accumulate({}, (
             (nw, c12 * nc)
             for w1, c1 in self.terms.items()
-            for w2, c2 in other.terms.items()
+            for w2, c2 in right.live(c1)
             for c12 in (c1 * c2,) if c12
             for nw, nc in norm(w1 + w2).items()
         ))

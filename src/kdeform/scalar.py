@@ -24,6 +24,16 @@ Negative h-degrees are allowed only in exact mode.  Truncating a Laurent
 series is not a ring quotient (multiplying by h^(-1) re-enters the kept
 range), so finite-truncation scalars enforce deg_h >= 0; this keeps truncated
 multiplication associative.
+
+The *floor* of a nonzero scalar is the pair (lowest deg_h, lowest deg_xi),
+each minimum taken separately.  Every term of a product c1*c2 has bigrade at
+least floor(c1) + floor(c2), so when the merged truncation T of the two
+operands is finite (one is exact, or both carry the same T) and that sum
+exceeds T in either parameter, the product is exactly the zero scalar.  :func:`product_vanishes` states this rule; the
+sparse products of the element and tensor layers and the coproduct and
+antipode leg maps use it to skip such pairs without multiplying them.  It
+never skips a pair of two different finite truncations, whose product
+raises ``TruncationMismatch``.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import TruncationMismatch
+from .errors import ScalarDomainError, TruncationMismatch
 
 _new = object.__new__
 
@@ -230,11 +240,37 @@ def _keep(key, trunc):
     return trunc is None or (key[0] <= trunc[0] and key[1] <= trunc[1])
 
 
+def floor(s):
+    """The lowest h-degree and the lowest xi-degree of a nonzero Scalar,
+    each taken over all its terms."""
+    terms = s.terms
+    if len(terms) == 1:
+        return next(iter(terms))
+    return min(a for a, _ in terms), min(b for _, b in terms)
+
+
+def product_vanishes(f1, t1, f2, t2):
+    """True when the product of two Scalars with floors ``f1``, ``f2`` and
+    truncations ``t1``, ``t2`` is certainly the zero Scalar.
+
+    That holds when the merged truncation is finite and ``f1 + f2`` exceeds
+    it in either parameter.  Two different finite truncations give False:
+    their product must still raise ``TruncationMismatch``.
+    """
+    if t1 is None:
+        t = t2
+    elif t2 is None or t1 == t2:
+        t = t1
+    else:
+        return False
+    return t is not None and (f1[0] + f2[0] > t[0] or f1[1] + f2[1] > t[1])
+
+
 def _check_laurent(terms, trunc):
     if trunc is not None:
         for key in terms:
             if key[0] < 0:
-                raise ValueError(
+                raise ScalarDomainError(
                     "negative h-degree %r under finite truncation; "
                     "Laurent coefficients require exact mode" % (key,)
                 )
@@ -257,7 +293,9 @@ class Scalar:
                     val = GaussianRational(val)
                 if val and _keep(key, trunc):
                     if key[1] < 0:
-                        raise ValueError("negative xi-degree %r" % (key,))
+                        raise ScalarDomainError(
+                            "negative xi-degree %r" % (key,)
+                        )
                     clean[key] = val
         _check_laurent(clean, trunc)
         self.terms = clean
@@ -301,7 +339,7 @@ class Scalar:
     def monomial(cls, coeff, deg_h=0, deg_xi=0, trunc=None):
         coeff = _as_gr(coeff)
         if deg_xi < 0:
-            raise ValueError("negative xi-degree")
+            raise ScalarDomainError("negative xi-degree")
         if not coeff or not _keep((deg_h, deg_xi), trunc):
             return cls._make({}, trunc)
         terms = {(deg_h, deg_xi): coeff}
@@ -408,7 +446,7 @@ class Scalar:
     def shift(self, deg_h, deg_xi=0):
         """Multiply by the monomial h^deg_h * xi^deg_xi."""
         if deg_xi < 0:
-            raise ValueError("negative xi-degree")
+            raise ScalarDomainError("negative xi-degree")
         out = {}
         for (a, b), v in self.terms.items():
             key = (a + deg_h, b + deg_xi)
@@ -481,7 +519,7 @@ class Scalar:
 
     def constant_value(self):
         if not self.is_constant():
-            raise ValueError("scalar is not constant: %r" % self)
+            raise ScalarDomainError("scalar is not constant: %r" % self)
         return self.terms.get((0, 0), GR_ZERO)
 
     def __repr__(self):

@@ -1,10 +1,13 @@
 """Tests for tensor calculus and Hopf-axiom verification on toy algebras,
-and for the R-matrix intertwiner check on a small model."""
+for the R-matrix intertwiner check on a small model, and for the pruned
+products and leg maps against all-pairs reference loops."""
+
+import random
 
 import pytest
 
 from kdeform import twist
-from kdeform.errors import KdeformError
+from kdeform.errors import KdeformError, TruncationMismatch
 from kdeform.hopf import (
     HopfData,
     TensorElement,
@@ -15,7 +18,7 @@ from kdeform.hopf import (
 )
 from kdeform.model import Model, ModelConfig
 from kdeform.ncalg import AlgElement, Presentation
-from kdeform.scalar import Scalar
+from kdeform.scalar import GaussianRational, Scalar
 
 
 def heisenberg():
@@ -171,3 +174,182 @@ def test_rmatrix_intertwiner_on_covariant_d2():
     ]
     with pytest.raises(KdeformError):
         check_rmatrix_intertwiner(m.hopf, m.hopf, one2 * 2)
+
+
+# --- pruned products against all-pairs reference loops ----------------------
+
+T = (2, 1)
+
+
+def deformed_heisenberg():
+    """[y, x] = h*x - z with z central: a Lie algebra, so the rules are
+    confluent; the exact h in the rule feeds the legwise normalization."""
+    pres = Presentation("heis_h")
+    x = pres.add_generator("x")
+    y = pres.add_generator("y")
+    z = pres.add_generator("z")
+    pres.set_commutator(y, x, {(x,): Scalar.h(1), (z,): Scalar.rational(-1)})
+    return pres
+
+
+def rand_coeff(rng, min_h=0):
+    """A nonzero coefficient: truncated at T over bigrades up to and past T,
+    or (one time in three) exact up to h^4 xi^3."""
+    exact = rng.random() < 1 / 3
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            key = (rng.randint(min_h, 4 if exact else 3),
+                   rng.randint(0, 3 if exact else 2))
+            terms[key] = GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+        s = Scalar(terms, None if exact else T)
+        if s:
+            return s
+
+
+def rand_word(rng):
+    return tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(0, 2))))
+
+
+def rand_terms(rng, rank, nterms=7, min_h=0):
+    return {
+        tuple(rand_word(rng) for _ in range(rank)): rand_coeff(rng, min_h)
+        for _ in range(nterms)
+    }
+
+
+def rand_element(pres, rng, rank, **kw):
+    if rank == 1:
+        terms = {k[0]: c for k, c in rand_terms(rng, 1, **kw).items()}
+        return AlgElement(pres, terms, T)
+    return TensorElement(pres, rank, rand_terms(rng, rank, **kw), T)
+
+
+def keyed(elt):
+    # AlgElement terms keyed like rank-1 tensor terms
+    if isinstance(elt, AlgElement):
+        return {(w,): c for w, c in elt.terms.items()}
+    return elt.terms
+
+
+def add_into(out, key, c):
+    acc = out.get(key)
+    c = c if acc is None else acc + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
+def reference_product(a, b):
+    """Every term pair multiplied, legwise, with no floor test; also counts
+    the pairs whose coefficient product truncates to zero."""
+    norm = a.pres.normalize_word
+    out = {}
+    vanished = 0
+    for k1, c1 in keyed(a).items():
+        for k2, c2 in keyed(b).items():
+            c12 = c1 * c2
+            if not c12:
+                vanished += 1
+                continue
+            partial = {(): c12}
+            for leg in range(len(k1)):
+                partial = {
+                    key + (w,): c * cw
+                    for key, c in partial.items()
+                    for w, cw in norm(k1[leg] + k2[leg]).items()
+                }
+            for key, c in partial.items():
+                add_into(out, key, c)
+    if isinstance(a, AlgElement):
+        out = {k[0]: c for k, c in out.items()}
+    return out, vanished
+
+
+def reference_leg_map(tensor, leg, image):
+    out = {}
+    for key, c in tensor.terms.items():
+        for legs, ci in image(key[leg]):
+            add_into(out, key[:leg] + legs + key[leg + 1:], c * ci)
+    return out
+
+
+def rand_hopf(pres, rng):
+    """Arbitrary images on generators (no axioms needed: the leg maps are
+    linear), with truncated and exact coefficients and some zero counits."""
+    n = len(pres.generators)
+    cop = {i: rand_element(pres, rng, 2, nterms=4) for i in range(n)}
+    antipode = {i: rand_element(pres, rng, 1, nterms=3) for i in range(n)}
+    counit = {i: rand_coeff(rng) if i else Scalar.zero(T) for i in range(n)}
+    return HopfData(pres, cop, antipode, counit, T)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_pruned_product_matches_all_pairs_reference(rank):
+    pres = deformed_heisenberg()
+    rng = random.Random(1000 + rank)
+    vanished = 0
+    for _ in range(6):
+        a = rand_element(pres, rng, rank)
+        b = rand_element(pres, rng, rank)
+        ref, v = reference_product(a, b)
+        assert (a * b).terms == ref
+        vanished += v
+    # exact h^-1 terms against truncated coefficients of h-degree >= 1
+    laurent = rand_element(pres, rng, rank, min_h=1)
+    w = next(iter(keyed(laurent)))
+    laurent.terms[w if rank > 1 else w[0]] = Scalar({(-1, 1): 2, (3, 0): 1})
+    other = rand_element(pres, rng, rank, min_h=1)
+    for a, b in ((laurent, other), (other, laurent), (laurent, laurent)):
+        ref, v = reference_product(a, b)
+        assert (a * b).terms == ref
+        vanished += v
+    # the floor rule has pairs to skip
+    assert vanished > 0
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_pruned_leg_maps_match_all_pairs_reference(rank):
+    pres = deformed_heisenberg()
+    rng = random.Random(2000 + rank)
+    hopf = rand_hopf(pres, rng)
+    maps = {
+        "cop": (hopf.apply_cop_leg, lambda w: hopf.cop_word(w).terms.items()),
+        "antipode": (hopf.apply_antipode_leg, lambda w: [
+            ((nw,), c) for nw, c in hopf.antipode_word(w).terms.items()
+        ]),
+        "counit": (hopf.apply_counit_leg, lambda w: [
+            ((), hopf.counit_word(w))
+        ]),
+    }
+    for _ in range(4):
+        t = rand_element(pres, rng, rank)
+        for leg in range(rank):
+            for name, (apply, image) in maps.items():
+                ref = reference_leg_map(t, leg, image)
+                got = apply(t, leg).terms
+                if name == "counit" and rank == 2:
+                    ref = {k[0]: c for k, c in ref.items()}
+                assert got == ref, (name, leg)
+
+
+def test_pruned_product_still_raises_on_mismatched_truncations():
+    pres = deformed_heisenberg()
+    # floors 2 + 2 exceed both (2, 0) and (3, 0), yet the truncations differ
+    a = AlgElement(pres, {(0,): Scalar.h(2, (2, 0))})
+    b = AlgElement(pres, {(1,): Scalar.h(2, (3, 0))})
+    with pytest.raises(TruncationMismatch):
+        a * b
+    one = AlgElement.one(pres)
+    with pytest.raises(TruncationMismatch):
+        TensorElement.from_legs(a, one) * TensorElement.from_legs(one, b)
+
+
+def test_every_leg_map_merges_the_hopf_truncation():
+    m = Model(ModelConfig([[1, 0], [0, -1]], (1, 0), "covariant_hadic", (2, 0)))
+    for rank in (2, 3):
+        one = TensorElement.one(m.pres, None, rank=rank)
+        for apply in (m.hopf.apply_cop_leg, m.hopf.apply_antipode_leg,
+                      m.hopf.apply_counit_leg):
+            assert apply(one, 0).trunc == (2, 0)

@@ -6,17 +6,24 @@ changes a digest.  Each text is the coproduct and antipode of every
 generator, then the normal-ordered product x_i * x_j of every generator pair
 i > j.  The q-analog model uses a non-diagonal metric, so its products carry
 Laurent terms (h^-1), imaginary units and non-trivial denominators.
+
+The two model cases truncate h only.  The twisted case covers the xi side:
+the twisted coproduct Delta_F and antipode S_F of every generator for the T1
+twist of the d=4 ``orthog_1_plus`` model at (2, 1), whose coefficients are
+two-parameter scalars.
 """
 
 import hashlib
 
 import pytest
 
+from kdeform import twist
 from kdeform.model import Model, ModelConfig
 from kdeform.ncalg import AlgElement
 
 MINK2 = [[1, 0], [0, -1]]
 SKEW3 = [[3, 1, 0], [1, -2, 0], [0, 0, -5]]
+MINK4 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 CASES = {
     "covariant_hadic_d2": (
@@ -28,6 +35,15 @@ CASES = {
         "8e6c5835a56840bb56c86b5f34579095340cc49f57594d980e170baf888f265a",
     ),
 }
+
+
+T1_TWISTED_D4 = (
+    "18185b1ac229638a3d6b53f44944f4f0489cc4add4eb80ba359800e66f5a32af"
+)
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def rendered(config):
@@ -46,8 +62,17 @@ def rendered(config):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_reprs_match_pinned_digest(name):
     config, expected = CASES[name]
-    text = rendered(config)
-    assert hashlib.sha256(text.encode()).hexdigest() == expected
+    assert digest(rendered(config)) == expected
+
+
+def test_t1_twisted_reprs_match_pinned_digest():
+    m = Model(ModelConfig(MINK4, (1, 0, 0, 0), "orthog_1_plus", (2, 1)))
+    tw = twist.twist_hopf(m.hopf, twist.build_twist("T1", m), check=False)
+    n = len(m.pres.generators)
+    objs = [tw.coproduct[i] for i in range(n)] + [tw.antipode[i] for i in range(n)]
+    text = "\n".join(repr(x) for x in objs)
+    assert "xi" in text
+    assert digest(text) == T1_TWISTED_D4
 
 
 def test_qanalog_text_covers_laurent_terms_and_fractions():

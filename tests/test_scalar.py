@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from kdeform.errors import TruncationMismatch
+from kdeform.errors import KdeformError, ScalarDomainError, TruncationMismatch
 from kdeform.scalar import GR_I, GR_ONE, GaussianRational, Scalar, gr
 
 
@@ -149,6 +149,19 @@ def test_laurent_requires_exact_mode():
     # nonnegative results of mixed products are fine: kappa * h^2 = h
     mixed = Scalar.h(-1) * Scalar.h(2, (3, 3))
     assert mixed == Scalar.h(1, (3, 3))
+    # every scalar domain error is an engine error and still a ValueError
+    for bad in (
+        lambda: Scalar.h(-1, (3, 3)),
+        lambda: Scalar.h(-1) * Scalar.one((3, 3)),
+        lambda: Scalar.xi(-1),
+        lambda: Scalar({(0, -1): 1}),
+        lambda: Scalar.one().shift(0, -1),
+        lambda: Scalar.h(1).constant_value(),
+    ):
+        with pytest.raises(ScalarDomainError) as info:
+            bad()
+        assert isinstance(info.value, KdeformError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_table_cell_evaluation():
