@@ -292,6 +292,7 @@ class HopfData:
             EMPTY_WORD: TensorElement.one(pres, trunc, rank=2)
         }
         self._antipode_cache = {EMPTY_WORD: AlgElement.one(pres, trunc)}
+        self._counit_cache = {EMPTY_WORD: Scalar.one(trunc)}
         # word -> FloorIndex of its image's terms, keyed by legs
         self._cop_index = {}
         self._antipode_index = {}
@@ -321,12 +322,16 @@ class HopfData:
         return out
 
     def counit_word(self, word):
-        total = Scalar.one(self.trunc)
-        for letter in word:
-            total = total * self.counit[letter]
-            if not total:
-                break
-        return total
+        """epsilon on a word, extended multiplicatively; memoized."""
+        word = tuple(word)
+        cached = self._counit_cache.get(word)
+        if cached is not None:
+            return cached
+        out = self.counit_word(word[:-1])
+        if out:
+            out = out * self.counit[word[-1]]
+        self._counit_cache[word] = out
+        return out
 
     # --- element-level maps -------------------------------------------------
 
@@ -409,8 +414,8 @@ class HopfData:
     def apply_counit_leg(self, tensor, leg):
         """Contract one leg with epsilon; rank drops by one.  A rank-1 result
         is returned as an AlgElement."""
-        # a word's counit is one scalar, computed afresh for each term: its
-        # floor test would cost more than the one product it could skip
+        # a word's counit is one memoized scalar, so the leg map takes no
+        # floor index: its test would cost more than the product it skips
         out = self._leg_map(
             tensor, leg, lambda w, c: (((), self.counit_word(w)),)
         )

@@ -10,11 +10,12 @@ Conventions.  Wedge tensors are stored on strictly increasing generator-index
 tuples with the sorting sign absorbed.  Brackets are taken in the real form:
 the presentations store [x, y] = i f(x, y) with rational f, and polyvector
 identities hold for f.  The Schouten bracket is normalized as
-[[a^b, c^d]] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c; the
-leg-insertion expansion [r12,r13]+[r12,r23]+[r13,r23] computes half of that
-for skew r, and reading the tensor cube back through canonical insertion
-over-counts each wedge component 3! times, hence the single factor 1/3
-below.
+[[a^b, c^d]] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.  It is
+symmetric on bivectors, [[t, u]] = [[u, t]], so with r = sum_t r_t t over
+its canonical terms, [[r, r]] = sum_t r_t^2 [[t, t]] + 2 sum_{t<u} r_t r_u
+[[t, u]]: ``schouten`` visits each unordered pair of terms once and weights
+the pairs t < u by 2.  The brackets come from one signed table that lists
+both orientations of every commutator rule.
 """
 
 from fractions import Fraction
@@ -121,7 +122,7 @@ class WedgeTensor:
         c = _as_scalar(other)
         w = WedgeTensor(self.pres, self.rank)
         if c:
-            w.terms = {k: v * c for k, v in self.terms.items() if v * c}
+            w.terms = accumulate({}, ((k, v * c) for k, v in self.terms.items()))
         return w
 
     __rmul__ = __mul__
@@ -202,69 +203,60 @@ def build_omega(pres):
     return t
 
 
-def _lie_table(pres):
-    """Real structure constants: [x_i, x_j] = i * sum f^k x_k."""
+def _bracket_table(pres):
+    """Signed real brackets: (i, j) -> [(k, f)] with [x_i, x_j] = i sum f x_k.
+
+    Both orientations of every commutator rule are listed, so a lookup never
+    negates; commuting pairs and i == j are absent.
+    """
     minus_i = gr(0, -1)
-    tbl = {}
+    table = {}
     for (i, j), terms in pres.comm_rules.items():
-        row = {}
+        row = []
         for w, c in terms.items():
             if len(w) != 1:
                 raise PresentationError(
                     "presentation is not linear; r-matrix calculus needs a Lie algebra"
                 )
-            row[w[0]] = c * minus_i
+            row.append((w[0], c * minus_i))
         if row:
-            tbl[(i, j)] = row
+            table[(i, j)] = row
+            table[(j, i)] = [(k, -f) for k, f in row]
     if pres.product_rules:
         raise PresentationError(
             "presentation has product rules; r-matrix calculus needs a Lie algebra"
         )
-    return tbl
-
-
-def _bracket(tbl, i, j):
-    if i == j:
-        return {}
-    row = tbl.get((i, j))
-    if row is not None:
-        return row
-    row = tbl.get((j, i))
-    if row is not None:
-        return {k: -c for k, c in row.items()}
-    return {}
+    return table
 
 
 def schouten(r):
     """[[r, r]] as a rank-3 wedge (see the module docstring for signs)."""
     if r.rank != 2:
         raise PresentationError("schouten bracket needs a rank-2 wedge")
-    tbl = _lie_table(r.pres)
-    # expand to the tensor square: c2[(A, B)] with both orders present
-    c2 = accumulate({}, (
-        term
-        for (a, b), c in r.terms.items()
-        for term in (((a, b), c), ((b, a), -c))
-    ))
-    items = list(c2.items())
+    table = _bracket_table(r.pres)
+    items = list(r.terms.items())
 
     def expansion():
-        for (a, b), cab in items:
-            for (c, d), ccd in items:
-                coef = cab * ccd
+        # unordered pairs t <= u of canonical terms a^b, c^d; t < u twice
+        for n, ((a, b), ct) in enumerate(items):
+            twice = ct + ct
+            for m in range(n, len(items)):
+                (c, d), cu = items[m]
+                coef = (ct if m == n else twice) * cu
                 if not coef:
                     continue
-                for e, f in _bracket(tbl, a, c).items():
+                neg = -coef
+                for e, f in table.get((a, c), ()):
                     yield (e, b, d), coef * f
-                for e, f in _bracket(tbl, b, c).items():
-                    yield (a, e, d), coef * f
-                for e, f in _bracket(tbl, b, d).items():
-                    yield (a, c, e), coef * f
+                for e, f in table.get((a, d), ()):
+                    yield (e, b, c), neg * f
+                for e, f in table.get((b, c), ()):
+                    yield (e, a, d), neg * f
+                for e, f in table.get((b, d), ()):
+                    yield (e, a, c), coef * f
 
-    acc = accumulate({}, _wedge_pairs(expansion()))
-    third = Fraction(1, 3)
     out = WedgeTensor(r.pres, 3)
-    out.terms = {k: v * third for k, v in acc.items()}
+    out.terms = accumulate({}, _wedge_pairs(expansion()))
     return out
 
 
@@ -297,13 +289,13 @@ def ybe_classify(r):
 
 def ad_action(pres, x, w):
     """ad_x acting as a derivation on a wedge tensor (real brackets)."""
-    tbl = _lie_table(pres)
+    table = _bracket_table(pres)
     out = WedgeTensor(pres, w.rank)
     out.terms = accumulate({}, _wedge_pairs(
         (key[:slot] + (e,) + key[slot + 1:], c * f)
         for key, c in w.terms.items()
         for slot in range(w.rank)
-        for e, f in _bracket(tbl, x, key[slot]).items()
+        for e, f in table.get((x, key[slot]), ())
     ))
     return out
 

@@ -11,17 +11,28 @@ The two model cases truncate h only.  The twisted case covers the xi side:
 the twisted coproduct Delta_F and antipode S_F of every generator for the T1
 twist of the d=4 ``orthog_1_plus`` model at (2, 1), whose coefficients are
 two-parameter scalars.
+
+The Schouten cases pin the exact bracket [[w, w]]: ``repr(schouten(w))`` for
+the r-matrix on two d=3 and one d=4 random basis image of Minkowski space,
+and for one random wedge with h, xi and i coefficients whose bracket is not
+a multiple of Omega.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
 from kdeform import twist
-from kdeform.model import Model, ModelConfig
+from kdeform.errors import PresentationError
+from kdeform.model import Model, ModelConfig, build_iso, change_basis
 from kdeform.ncalg import AlgElement
+from kdeform.rmatrix import WedgeTensor, build_r, schouten, ybe_classify
+from kdeform.scalar import Scalar, gr
 
 MINK2 = [[1, 0], [0, -1]]
+MINK3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
 SKEW3 = [[3, 1, 0], [1, -2, 0], [0, 0, -5]]
 MINK4 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
@@ -40,6 +51,22 @@ CASES = {
 T1_TWISTED_D4 = (
     "18185b1ac229638a3d6b53f44944f4f0489cc4add4eb80ba359800e66f5a32af"
 )
+
+
+SCHOUTEN_DIGESTS = {
+    "r_d3_a": (
+        "4de8f22e5916131970aba9f86bc764b411da6d2667d0a476af62a8753b7f79a7"
+    ),
+    "r_d3_b": (
+        "84eb486ab7caff162bf5f3a899c10e8f2b280b26866b2529f0549ba00382c6cb"
+    ),
+    "r_d4": (
+        "da97bea0938c199e18d842a0121f30a5b0db583e567cc4b03833346b9ac8f25d"
+    ),
+    "h_xi_wedge_d4": (
+        "354776c3a791eccedd35126d3c8b2787698eaf5a994feb104a0a852211f66931"
+    ),
+}
 
 
 def digest(text):
@@ -78,3 +105,46 @@ def test_t1_twisted_reprs_match_pinned_digest():
 def test_qanalog_text_covers_laurent_terms_and_fractions():
     text = rendered(CASES["qanalog_timelike_d3"][0])
     assert "h^-1" in text and "/" in text and "*i" in text
+
+
+def schouten_inputs():
+    """The rank-2 wedges whose brackets are pinned, from one seeded RNG."""
+    rng = random.Random(1404)
+    out = {}
+    for name, base in (("r_d3_a", MINK3), ("r_d3_b", MINK3), ("r_d4", MINK4)):
+        dim = len(base)
+        while True:
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(dim)] for _ in range(dim)]
+            try:
+                pres = change_basis(build_iso(base), rows)
+                break
+            except PresentationError:
+                continue
+        tau = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]
+        tau[0] = tau[0] or Fraction(1)
+        out[name] = build_r(pres.iso_data["metric"], tau, pres)
+    pres = build_iso(MINK4)
+    n = len(pres.generators)
+    out["h_xi_wedge_d4"] = WedgeTensor(pres, 2, {
+        tuple(rng.sample(range(n), 2)): Scalar({
+            (rng.randint(0, 2), rng.randint(0, 2)):
+                gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                   rng.randint(-2, 2))
+            for _ in range(2)
+        })
+        for _ in range(6)
+    })
+    return out
+
+
+def test_schouten_reprs_match_pinned_digest():
+    for name, w in schouten_inputs().items():
+        assert digest(repr(schouten(w))) == SCHOUTEN_DIGESTS[name], name
+
+
+def test_schouten_h_xi_case_is_not_a_multiple_of_omega():
+    w = schouten_inputs()["h_xi_wedge_d4"]
+    text = repr(schouten(w))
+    assert "*h" in text and "*xi" in text and "*i" in text
+    assert ybe_classify(w)["type"] == "other"

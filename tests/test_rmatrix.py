@@ -8,6 +8,7 @@ import pytest
 from kdeform.errors import PresentationError
 from kdeform.metric import Metric
 from kdeform.model import Model, ModelConfig, build_iso, change_basis, transform_tau
+from kdeform.ncalg import accumulate
 from kdeform.rmatrix import (
     WedgeTensor,
     ad_action,
@@ -18,7 +19,7 @@ from kdeform.rmatrix import (
     schouten_identity_check,
     ybe_classify,
 )
-from kdeform.scalar import Scalar
+from kdeform.scalar import Scalar, gr
 
 MINK4 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 MINK3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
@@ -198,6 +199,110 @@ def test_schouten_term_order_independent():
     )
     assert (fwd - rev).is_zero()
     assert (schouten(fwd) - schouten(rev)).is_zero()
+
+
+# --- the bracket against a leg-insertion reference -----------------------------
+
+
+def reference_schouten(w):
+    """[[w, w]] by leg insertion into the tensor square.
+
+    Every ordered pair of terms of the tensor square, which holds both orders
+    of each wedge term, contributes [r12, r13] + [r12, r23] + [r13, r23]:
+    three brackets each.  For skew w that is half the normalized bracket, and
+    reading the tensor cube back through the wedge counts each component 3!
+    times, hence the factor 1/3.
+    """
+    pres = w.pres
+    minus_i = gr(0, -1)
+
+    def bracket(i, j):
+        if (i, j) in pres.comm_rules:
+            key, sign = (i, j), 1
+        elif (j, i) in pres.comm_rules:
+            key, sign = (j, i), -1
+        else:
+            return []
+        return [(word[0], c * minus_i * sign)
+                for word, c in pres.comm_rules[key].items()]
+
+    square = [term for (a, b), c in w.terms.items()
+              for term in (((a, b), c), ((b, a), -c))]
+    raw = accumulate({}, (
+        (key, cab * ccd * f)
+        for (a, b), cab in square
+        for (c, d), ccd in square
+        for key, f in (
+            [((e, b, d), f) for e, f in bracket(a, c)]
+            + [((a, e, d), f) for e, f in bracket(b, c)]
+            + [((a, c, e), f) for e, f in bracket(b, d)]
+        )
+    ))
+    return WedgeTensor(pres, 3, raw) * Fraction(1, 3)
+
+
+def _random_scalar(rng, trunc=None, laurent=False):
+    """1-3 terms in h and xi with Gaussian-rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        key = (rng.randint(-1 if laurent else 0, 2), rng.randint(0, 2))
+        terms[key] = gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return Scalar(terms, trunc)
+
+
+def _random_wedge(rng, pres, n_terms, trunc=None, laurent=False):
+    n = len(pres.generators)
+    return WedgeTensor(pres, 2, {
+        tuple(rng.sample(range(n), 2)): _random_scalar(rng, trunc, laurent)
+        for _ in range(n_terms)
+    })
+
+
+@pytest.mark.parametrize("name, seed",
+                         [("mink3", 31), ("mink4", 41), ("mink3_image", 59)])
+def test_schouten_matches_leg_insertion_reference(name, seed):
+    rng = random.Random(seed)
+    pres = build_iso(MINK4 if name == "mink4" else MINK3)
+    if name == "mink3_image":
+        pres = change_basis(pres, _random_rows(rng, 3))
+    nonzero = 0
+    for n_terms in (0, 1, 2, 3, 5, 8):
+        w = _random_wedge(rng, pres, n_terms)
+        got = schouten(w)
+        assert got.terms == reference_schouten(w).terms, (name, w)
+        nonzero += not got.is_zero()
+    assert nonzero >= 4
+
+
+def test_schouten_matches_reference_on_build_r_images():
+    rng = random.Random(2916)
+    for dim, base in ((3, MINK3), (4, MINK4)):
+        pres = change_basis(build_iso(base), _random_rows(rng, dim))
+        tau = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]
+        tau[0] = tau[0] or Fraction(1)
+        r = build_r(pres.iso_data["metric"], tau, pres)
+        assert schouten(r).terms == reference_schouten(r).terms
+
+
+def test_schouten_matches_reference_with_laurent_terms():
+    pres = build_iso(MINK4)
+    w = _random_wedge(random.Random(86), pres, 6, laurent=True)
+    assert any(c.has_negative_h() for c in w.terms.values())
+    got = schouten(w)
+    assert not got.is_zero()
+    assert got.terms == reference_schouten(w).terms
+
+
+def test_schouten_matches_reference_when_pair_products_truncate():
+    pres = build_iso(MINK4)
+    w = _random_wedge(random.Random(21), pres, 7, trunc=(2, 1))
+    coeffs = list(w.terms.values())
+    assert any(not c1 * c2 for c1 in coeffs for c2 in coeffs)
+    got = schouten(w)
+    assert not got.is_zero()
+    assert all(c.trunc == (2, 1) for c in got.terms.values())
+    assert got.terms == reference_schouten(w).terms
 
 
 # --- Omega ---------------------------------------------------------------------
