@@ -397,6 +397,24 @@ def test_q_rescaling_specialization():
 
 
 @pytest.mark.parametrize(
+    "flavor,trunc,want",
+    [
+        ("qanalog_timelike", None,
+         ["grading_certificate", "specialize[kappa=2]", "specialize[kappa=10]"]),
+        ("covariant_hadic", (2, 0),
+         ["grading_certificate", "scaled_antipode[P_1]"]),
+    ],
+    ids=["qanalog", "hadic"],
+)
+def test_rescaling_catches_an_off_grade_antipode(flavor, trunc, want):
+    # S(P_1) * h breaks the grading; both certificates must see it
+    m = Model(ModelConfig(MINK3, (1, 0, 0), flavor, trunc))
+    i = m.p_index[1]
+    m.hopf.antipode[i] = m.hopf.antipode[i] * Scalar.h(1, m.trunc)
+    assert failed(rescaling_isomorphism_check(m)) == want
+
+
+@pytest.mark.parametrize(
     "tau,flavor",
     [((1, 0, 0), "qanalog_timelike"), ((1, 1, 0), "qanalog_lightlike")],
     ids=["timelike", "lightlike"],
