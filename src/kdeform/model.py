@@ -79,8 +79,15 @@ class ModelConfig:
                 raise PresentationError(
                     "q-analog flavors are exact; use trunc=None"
                 )
-        elif trunc is None:
-            raise PresentationError("h-adic flavors need finite trunc orders")
+        elif not (
+            type(trunc) is tuple
+            and len(trunc) == 2
+            and all(type(n) is int and n >= 0 for n in trunc)
+        ):
+            raise PresentationError(
+                "h-adic flavors need trunc = (h-order, xi-order), two "
+                "non-negative ints; got %r" % (trunc,)
+            )
         self.trunc = trunc
 
 
@@ -92,6 +99,41 @@ class CasimirSet:
         self.C_tau = C_tau
         self.Pi = Pi
         self.PiInv = PiInv
+
+
+# --- sums over index slots ----------------------------------------------------
+
+
+def _lincomb(start, coeffs, x):
+    """start + sum of x(k) * c over the (k, c) pairs of ``coeffs``.
+
+    A zero c is skipped before x(k) is built, so x need only be defined
+    where the coefficient is nonzero.
+    """
+    for k, c in coeffs:
+        if c:
+            start = start + x(k) * c
+    return start
+
+
+def _quadratic(start, mat, x, slots):
+    """start + sum of x(m) * x(n) * mat[m][n] over the slots m, n with a
+    nonzero entry (C = g^{mu nu} P_mu P_nu and its partial sums)."""
+    return _lincomb(
+        start,
+        (((m, n), mat[m][n]) for m in slots for n in slots),
+        lambda k: x(k[0]) * x(k[1]),
+    )
+
+
+def _momentum_square(model, first):
+    """P^m P_m = g^{mn} P_m P_n over the momentum slots m, n >= first."""
+    return _quadratic(
+        AlgElement.zero(model.pres, model.trunc),
+        model.metric.inverse(),
+        model.p,
+        range(first, model.metric.dim),
+    )
 
 
 # --- undeformed presentation -------------------------------------------------
@@ -106,7 +148,7 @@ def _default_labels(dim):
     return ps, ms
 
 
-def build_iso(metric, p_labels=None, m_labels=None, name=None):
+def build_iso(metric, p_labels=None, m_labels=None):
     """Presentation of iso(g): D momenta and D(D-1)/2 rotation generators.
 
     Index maps are attached as ``pres.iso_data`` = {"metric", "p", "m"} so
@@ -116,18 +158,14 @@ def build_iso(metric, p_labels=None, m_labels=None, name=None):
         metric = Metric(metric)
     metric.inverse()  # validates non-degeneracy up front
     dim = metric.dim
-    if p_labels is None or m_labels is None:
-        dps, dms = _default_labels(dim)
-        p_labels = p_labels or dps
-        m_labels = m_labels or dms
-    pres = Presentation(name or "iso(%d)" % dim)
-    pidx = [
-        pres.add_generator(lab, kind="momentum", weight=1) for lab in p_labels
-    ]
+    if p_labels is None:
+        p_labels, m_labels = _default_labels(dim)
+    pres = Presentation("iso(%d)" % dim)
+    pidx = [pres.add_generator(lab, weight=1) for lab in p_labels]
     midx = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            midx[(a, b)] = pres.add_generator(m_labels[(a, b)], kind="rotation")
+            midx[(a, b)] = pres.add_generator(m_labels[(a, b)])
     _install_orthogonal_rules(pres, metric.g, dict(enumerate(pidx)), midx)
     pres.iso_data = {"metric": metric, "p": pidx, "m": midx}
     return pres
@@ -189,7 +227,7 @@ def transform_tau(metric, rows, tau):
     return Metric(blocks).raise_index(new_low)
 
 
-def change_basis(pres, rows, p_labels=None, m_labels=None, name=None):
+def change_basis(pres, rows):
     """New iso presentation in the basis e~_alpha = rows[alpha] (old coords).
 
     The transformed metric is g~_ab = g(rows[a], rows[b]); structure
@@ -204,9 +242,30 @@ def change_basis(pres, rows, p_labels=None, m_labels=None, name=None):
     if len(rows) != metric.dim:
         raise PresentationError("basis has wrong size")
     blocks = [[metric.pair(u, v) for v in rows] for u in rows]
-    new_pres = build_iso(Metric(blocks), p_labels, m_labels, name)
+    new_pres = build_iso(Metric(blocks))
     new_pres.iso_data["basis"] = rows
     return new_pres
+
+
+def _basis_images(p, m, rows, zero):
+    """P~_a = A_a^mu P_mu and M~_ab = A_a^mu A_b^nu M_mu_nu (a < b) for the
+    basis rows A_a = rows[a]; p(mu) and m(mu, nu) give the old generators."""
+    dim = len(rows)
+    pt = [_lincomb(zero, enumerate(row), p) for row in rows]
+    mt = {
+        (a, b): _lincomb(
+            zero,
+            (
+                ((mu, nu), rows[a][mu] * rows[b][nu])
+                for mu in range(dim)
+                for nu in range(dim)
+            ),
+            lambda k: m(*k),
+        )
+        for a in range(dim)
+        for b in range(a + 1, dim)
+    }
+    return pt, mt
 
 
 def basis_change_check(pres, rows):
@@ -222,30 +281,16 @@ def basis_change_check(pres, rows):
     rows = [tuple(Fraction(x) for x in row) for row in rows]
     gt = [[metric.pair(u, v) for v in rows] for u in rows]
     I = Scalar.i()
-
-    m_el = partial(_rotation, pres, midx)
+    zero = AlgElement.zero(pres)
 
     def p_el(mu):
         return AlgElement.gen(pres, pidx[mu])
 
-    pt = []
+    pt, mt = _basis_images(p_el, partial(_rotation, pres, midx), rows, zero)
+    for (a, b), x in list(mt.items()):
+        mt[(b, a)] = -x
     for a in range(dim):
-        acc = AlgElement.zero(pres)
-        for mu in range(dim):
-            if rows[a][mu]:
-                acc = acc + p_el(mu) * rows[a][mu]
-        pt.append(acc)
-    mt = {}
-    for a in range(dim):
-        for b in range(dim):
-            acc = AlgElement.zero(pres)
-            for mu in range(dim):
-                if not rows[a][mu]:
-                    continue
-                for nu in range(dim):
-                    if rows[b][nu]:
-                        acc = acc + m_el(mu, nu) * (rows[a][mu] * rows[b][nu])
-            mt[(a, b)] = acc
+        mt[(a, a)] = zero
 
     rep = Report("basis change covariance", {"dim": dim})
     for a in range(dim):
@@ -266,18 +311,8 @@ def basis_change_check(pres, rows):
             got = mt[(a, b)].commutator(mt[(c, d)])
             rep.zero("comm[M~_%d%d,M~_%d%d]" % (a, b, c, d), got - want)
     # C~ = C: the Casimir does not see the basis
-    ginv = metric.inverse()
-    gtinv = Metric(gt).inverse()
-    c_old = AlgElement.zero(pres)
-    for mu in range(dim):
-        for nu in range(dim):
-            if ginv[mu][nu]:
-                c_old = c_old + p_el(mu) * p_el(nu) * ginv[mu][nu]
-    c_new = AlgElement.zero(pres)
-    for a in range(dim):
-        for b in range(dim):
-            if gtinv[a][b]:
-                c_new = c_new + pt[a] * pt[b] * gtinv[a][b]
+    c_old = _quadratic(zero, metric.inverse(), p_el, range(dim))
+    c_new = _quadratic(zero, Metric(gt).inverse(), pt.__getitem__, range(dim))
     rep.zero("casimir_basis_independent", c_old - c_new)
     return rep
 
@@ -327,15 +362,9 @@ def _covariant_atoms(pres, metric, tau, trunc):
 
     p = [AlgElement.gen(pres, pidx[mu], bump) for mu in range(dim)]
     one = AlgElement.one(pres, bump)
-    C = AlgElement.zero(pres, bump)
-    for mu in range(dim):
-        for nu in range(dim):
-            if ginv[mu][nu]:
-                C = C + p[mu] * p[nu] * ginv[mu][nu]
-    p_tau = AlgElement.zero(pres, bump)
-    for mu in range(dim):
-        if tau[mu]:
-            p_tau = p_tau + p[mu] * tau[mu]
+    zero = AlgElement.zero(pres, bump)
+    C = _quadratic(zero, ginv, p.__getitem__, range(dim))
+    p_tau = _lincomb(zero, enumerate(tau), p.__getitem__)
 
     s = unital_sqrt(one + C * Scalar.monomial(gr(t2), 2, 0, bump))
     Pi = p_tau * Scalar.h(1, bump) + s
@@ -358,38 +387,30 @@ def _covariant_atoms(pres, metric, tau, trunc):
     }
 
 
-def _covariant_hopf(pres, metric, tau, trunc):
-    """HopfData with the deformed coalgebra written through the atoms."""
-    data = pres.iso_data
-    pidx, midx = data["p"], data["m"]
+def _build_hadic(model):
+    """iso(g) in the flavor's basis, with the deformed coalgebra written
+    through the atoms."""
+    metric, tau, trunc = model.metric, model.tau, model.trunc
     dim = metric.dim
+    pres = model.pres = build_iso(metric, *_HADIC_LABELS[model.flavor](dim))
+    pidx, midx = pres.iso_data["p"], pres.iso_data["m"]
+    model.p_index, model.m_index = dict(enumerate(pidx)), dict(midx)
     tau_low = metric.lower(tau)
-    ginv = metric.inverse()
 
     atoms = _covariant_atoms(pres, metric, tau, trunc)
     Pi, PiInv = atoms["Pi"], atoms["PiInv"]
     C, C_tau = atoms["C"], atoms["C_tau"]
 
     one = AlgElement.one(pres, trunc)
-    p = [AlgElement.gen(pres, pidx[mu], trunc) for mu in range(dim)]
-
-    m_el = partial(_rotation, pres, midx, trunc=trunc)
-
-    pu = []
-    for mu in range(dim):
-        acc = AlgElement.zero(pres, trunc)
-        for nu in range(dim):
-            if ginv[mu][nu]:
-                acc = acc + p[nu] * ginv[mu][nu]
-        pu.append(acc)
+    p = [model.p(mu) for mu in range(dim)]
+    m_el = model.m
+    pu = [model.p_up(mu) for mu in range(dim)]
     p_tau = atoms["P_tau"]
-    m_tau = []
-    for lam in range(dim):
-        acc = AlgElement.zero(pres, trunc)
-        for al in range(dim):
-            if tau[al]:
-                acc = acc + m_el(al, lam) * tau[al]
-        m_tau.append(acc)
+    zero = AlgElement.zero(pres, trunc)
+    m_tau = [
+        _lincomb(zero, enumerate(tau), lambda al: m_el(al, lam))
+        for lam in range(dim)
+    ]
 
     h1 = Scalar.h(1, trunc)
     half_h1 = Scalar.monomial(gr(_HALF), 1, 0, trunc)
@@ -427,9 +448,9 @@ def _covariant_hopf(pres, metric, tau, trunc):
         antip[im] = s_el
         counit[im] = Scalar.zero()
 
-    hopf = HopfData(pres, cop, antip, counit, trunc=trunc)
-    cas = CasimirSet(C, C_tau, Pi, PiInv)
-    return hopf, cas, atoms["klog"]
+    model.hopf = HopfData(pres, cop, antip, counit, trunc=trunc)
+    model.cas = CasimirSet(C, C_tau, Pi, PiInv)
+    model.klog = atoms["klog"]
 
 
 def _orthog_labels(dim):
@@ -453,56 +474,92 @@ def _null_labels(dim):
     return ps, ms
 
 
+_HADIC_LABELS = {
+    "covariant_hadic": _default_labels,
+    "orthog_1_plus": _orthog_labels,
+    "null_plane": _null_labels,
+}
+
+
 # --- q-analog constructions ---------------------------------------------------
 
 
-def _spatial_inverse(metric, start):
-    """Inverse of the block metric restricted to slots >= start."""
-    block = [
-        [metric.g[i][j] for j in range(start, metric.dim)]
-        for i in range(start, metric.dim)
-    ]
-    return Metric(block).inverse()
+def _q_skeleton(model, labels, pi_label, s):
+    """The start both q-analogs share; returns the Hopf tables to complete.
 
+    Generators Pi, Pi_inv, then the momenta and rotations of the h-adic
+    flavor in the same basis (``labels``) except the momentum of slot 0,
+    whose role Pi takes.  Pi Pi_inv = Pi_inv Pi = 1, and the iso(g) rules
+    on the slots after ``s``.  Pi^{+-1} are group-like, every momentum off
+    slot ``s`` is Pi-dressed, every rotation off slot ``s`` is primitive,
+    and every counit but those of Pi^{+-1} vanishes.
+    """
+    dim = model.metric.dim
+    ps, ms = labels(dim)
+    pres = Presentation("U_q(iso(%d)) tau^2=%s" % (dim, model.tau2))
+    model.pres = pres
+    pi = pres.add_generator(pi_label)
+    piv = pres.add_generator(pi_label + "_inv")
+    model.grouplike = (pi, piv)
+    model.p_index = {
+        k: pres.add_generator(ps[k], weight=1) for k in range(1, dim)
+    }
+    model.m_index = {ab: pres.add_generator(lab) for ab, lab in ms.items()}
 
-def _build_q_timelike(config):
-    basis, gdec, _ = orthogonal_decompose(config.metric, config.tau)
-    dim = gdec.dim
-    g = gdec.g
-    t2 = g[0][0]
-    gsinv = _spatial_inverse(gdec, 1)
-
-    pres = Presentation("U_q(iso(%d)) tau^2=%s" % (dim, t2))
-    pi = pres.add_generator("Pi", kind="grouplike")
-    piv = pres.add_generator("Pi_inv", kind="grouplike")
-    pidx = {}
-    for i in range(1, dim):
-        pidx[i] = pres.add_generator("P_%d" % i, kind="momentum", weight=1)
-    mt = {}
-    for i in range(1, dim):
-        mt[i] = pres.add_generator("M_tau_%d" % i, kind="rotation")
-    midx = {}
-    for i in range(1, dim):
-        for j in range(i + 1, dim):
-            midx[(i, j)] = pres.add_generator("M_%d%d" % (i, j), kind="rotation")
+    pres.set_product(pi, piv, {EMPTY_WORD: Scalar.one()})
+    pres.set_product(piv, pi, {EMPTY_WORD: Scalar.one()})
+    _install_orthogonal_rules(
+        pres,
+        model.metric.g,
+        {k: i for k, i in model.p_index.items() if k > s},
+        {ab: i for ab, i in model.m_index.items() if ab[0] > s},
+    )
 
     el = partial(AlgElement.gen, pres)
-    m_sp = partial(_rotation, pres, midx)
+    one = AlgElement.one(pres)
+    cop = {pi: otimes(el(pi), el(pi)), piv: otimes(el(piv), el(piv))}
+    antip = {pi: el(piv), piv: el(pi)}
+    counit = {i: Scalar.zero() for i in range(len(pres.generators))}
+    counit[pi] = counit[piv] = Scalar.one()
+    for k, i in model.p_index.items():
+        if k != s:
+            cop[i] = otimes(el(i), el(pi)) + otimes(one, el(i))
+            antip[i] = -(el(i) * el(piv))
+    for ab, i in model.m_index.items():
+        if s not in ab:
+            cop[i] = otimes(el(i), one) + otimes(one, el(i))
+            antip[i] = -el(i)
+    return cop, antip, counit
 
-    one_terms = {EMPTY_WORD: Scalar.one()}
-    pres.set_product(pi, piv, dict(one_terms))
-    pres.set_product(piv, pi, dict(one_terms))
+
+def _pi_boost_rules(model, boost, p, c):
+    """[Pi, M] = i c P/kappa and [Pi_inv, M] = -i c Pi_inv^2 P/kappa."""
+    pi, piv = model.grouplike
+    model.pres.set_commutator(
+        pi, boost, {(p,): Scalar.monomial(gr(0, c), 1, 0)}
+    )
+    model.pres.set_commutator(
+        piv, boost, {(piv, piv, p): Scalar.monomial(gr(0, -c), 1, 0)}
+    )
+
+
+def _build_q_timelike(model):
+    cop, antip, counit = _q_skeleton(model, _orthog_labels, "Pi", 0)
+    pres, dim, g, t2 = model.pres, model.metric.dim, model.metric.g, model.tau2
+    pi, piv = model.grouplike
+    pidx = model.p_index
+    mt = {i: model.m_index[(0, i)] for i in range(1, dim)}
+    el = partial(AlgElement.gen, pres)
+    m_sp = model.m
     I = Scalar.i()
 
-    # standard (M_ij, P_i) sector over the spatial block
-    _install_orthogonal_rules(pres, g, pidx, midx)
-    spairs = sorted(midx)
     # [M_tau_i, M_cd] = i(g_ic M_tau_d - g_id M_tau_c)
+    spairs = sorted(ab for ab in model.m_index if ab[0] > 0)
     for i in range(1, dim):
         for (c, d) in spairs:
             rhs = (el(mt[d]) * g[i][c] - el(mt[c]) * g[i][d]) * I
             if rhs:
-                pres.set_commutator(mt[i], midx[(c, d)], rhs.terms)
+                pres.set_commutator(mt[i], model.m_index[(c, d)], rhs.terms)
     # [M_tau_i, M_tau_j] = -i tau^2 M_ij
     for i in range(1, dim):
         for j in range(i + 1, dim):
@@ -512,18 +569,9 @@ def _build_q_timelike(config):
     # [M_tau_i, Pi^{+-1}]; Pi = 1 + P_tau/kappa + tau^2 C_tau/(2 kappa^2)
     # forces the tau^2 factor on the right-hand side
     for i in range(1, dim):
-        pres.set_commutator(
-            pi, mt[i], {(pidx[i],): Scalar.monomial(gr(0, t2), 1, 0)}
-        )
-        pres.set_commutator(
-            piv, mt[i], {(piv, piv, pidx[i]): Scalar.monomial(gr(0, -t2), 1, 0)}
-        )
+        _pi_boost_rules(model, mt[i], pidx[i], t2)
     # [M_tau_i, P_j] = i g_ij (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2))
-    pp = AlgElement.zero(pres)
-    for m in range(1, dim):
-        for n in range(1, dim):
-            if gsinv[m - 1][n - 1]:
-                pp = pp + el(pidx[m]) * el(pidx[n]) * gsinv[m - 1][n - 1]
+    pp = _momentum_square(model, 1)
     bracket = (
         el(pi)
         - el(piv)
@@ -535,42 +583,19 @@ def _build_q_timelike(config):
                 rhs = bracket * Scalar.monomial(gr(0, _HALF * g[i][j]), -1, 0)
                 pres.set_commutator(mt[i], pidx[j], rhs.terms)
 
-    pres.iso_data = {"metric": gdec, "p": pidx, "m": midx}
-
     # Casimirs, via the reconstruction of P_tau from the group-likes
-    p_tau_expr = bracket * Scalar.monomial(gr(_HALF), -1, 0)
+    model.p_tau_expr = bracket * Scalar.monomial(gr(_HALF), -1, 0)
     c_tau = (
         el(pi)
         + el(piv)
         - AlgElement.one(pres) * 2
         + el(piv) * pp * Scalar.monomial(gr(t2), 2, 0)
     ) * Scalar.monomial(gr(Fraction(1) / t2), -2, 0)
-    c_full = p_tau_expr * p_tau_expr * (Fraction(1) / t2) + pp
+    c_full = model.p_tau_expr * model.p_tau_expr * (Fraction(1) / t2) + pp
+    model.cas = CasimirSet(c_full, c_tau, el(pi), el(piv))
 
     one = AlgElement.one(pres)
-
-    pu = {}
-    for j in range(1, dim):
-        acc = AlgElement.zero(pres)
-        for n in range(1, dim):
-            if gsinv[j - 1][n - 1]:
-                acc = acc + el(pidx[n]) * gsinv[j - 1][n - 1]
-        pu[j] = acc
-
-    cop, antip, counit = {}, {}, {}
-    cop[pi] = otimes(el(pi), el(pi))
-    cop[piv] = otimes(el(piv), el(piv))
-    antip[pi], antip[piv] = el(piv), el(pi)
-    counit[pi] = Scalar.one()
-    counit[piv] = Scalar.one()
-    for i in range(1, dim):
-        cop[pidx[i]] = otimes(el(pidx[i]), el(pi)) + otimes(one, el(pidx[i]))
-        antip[pidx[i]] = -(el(pidx[i]) * el(piv))
-        counit[pidx[i]] = Scalar.zero()
-    for (a, b), im in midx.items():
-        cop[im] = otimes(el(im), one) + otimes(one, el(im))
-        antip[im] = -el(im)
-        counit[im] = Scalar.zero()
+    pu = {j: model.p_up(j) for j in range(1, dim)}
     for i in range(1, dim):
         d = otimes(el(mt[i]), one) + otimes(el(piv), el(mt[i]))
         s_el = -el(mt[i]) - bracket * el(mt[i]) * Scalar.monomial(gr(_HALF))
@@ -583,63 +608,20 @@ def _build_q_timelike(config):
         s_el = s_el - c_tau * el(mt[i]) * Scalar.monomial(gr(t2 * _HALF), 2, 0)
         cop[mt[i]] = d
         antip[mt[i]] = s_el
-        counit[mt[i]] = Scalar.zero()
-
-    hopf = HopfData(pres, cop, antip, counit, trunc=None)
-    cas = CasimirSet(c_full, c_tau, el(pi), el(piv))
-    parts = {
-        "pres": pres,
-        "hopf": hopf,
-        "cas": cas,
-        "metric": gdec,
-        "basis": basis,
-        "p_index": pidx,
-        "m_index": {**midx, **{(0, i): mt[i] for i in range(1, dim)}},
-        "grouplike": (pi, piv),
-        "p_tau_expr": p_tau_expr,
-    }
-    return parts
+    model.hopf = HopfData(pres, cop, antip, counit)
 
 
-def _build_q_lightlike(config):
-    basis, gdec, _ = orthogonal_decompose(config.metric, config.tau)
-    dim = gdec.dim
-    g = gdec.g
-    gtinv = _spatial_inverse(gdec, 2)
-    names = ["+", "-"] + ["%d" % (k - 1) for k in range(2, dim)]
-
-    pres = Presentation("U_q(iso(%d)) tau^2=0" % dim)
-    pi = pres.add_generator("Pi_+", kind="grouplike")
-    piv = pres.add_generator("Pi_+_inv", kind="grouplike")
-    pidx = {1: pres.add_generator("P_-", kind="momentum", weight=1)}
-    for k in range(2, dim):
-        pidx[k] = pres.add_generator(
-            "P_%s" % names[k], kind="momentum", weight=1
-        )
-    midx = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            midx[(a, b)] = pres.add_generator(
-                "M_%s%s" % (names[a], names[b]), kind="rotation"
-            )
-
+def _build_q_lightlike(model):
+    cop, antip, counit = _q_skeleton(model, _null_labels, "Pi_+", 1)
+    pres, dim, g = model.pres, model.metric.dim, model.metric.g
+    pi, piv = model.grouplike
+    pidx, midx = model.p_index, model.m_index
     el = partial(AlgElement.gen, pres)
-    m_tr = partial(_rotation, pres, midx)
-
-    one_terms = {EMPTY_WORD: Scalar.one()}
-    pres.set_product(pi, piv, dict(one_terms))
-    pres.set_product(piv, pi, dict(one_terms))
+    m_tr = model.m
     I = Scalar.i()
     mpm = midx[(0, 1)]
+    tpairs = [ab for ab in midx if ab[0] > 1]
 
-    # transverse (M_ab, P_a) sector, standard
-    tpairs = [(a, b) for a in range(2, dim) for b in range(a + 1, dim)]
-    _install_orthogonal_rules(
-        pres,
-        g,
-        {c: pidx[c] for c in range(2, dim)},
-        {ab: midx[ab] for ab in tpairs},
-    )
     # [M_+a, M_-b] = -i(M_ab + g_ab M_+-)
     for a in range(2, dim):
         for b in range(2, dim):
@@ -677,14 +659,7 @@ def _build_q_lightlike(config):
                     },
                 )
         # [M_-a, Pi_+^{+-1}] and [M_-a, P_b] = i g_ab P_-
-        pres.set_commutator(
-            pi, midx[(1, a)], {(pidx[a],): Scalar.monomial(gr(0, 1), 1, 0)}
-        )
-        pres.set_commutator(
-            piv,
-            midx[(1, a)],
-            {(piv, piv, pidx[a]): Scalar.monomial(gr(0, -1), 1, 0)},
-        )
+        _pi_boost_rules(model, midx[(1, a)], pidx[a], 1)
         for b in range(2, dim):
             if g[a][b]:
                 pres.set_commutator(
@@ -693,37 +668,15 @@ def _build_q_lightlike(config):
                     {(pidx[1],): Scalar.monomial(gr(0, g[a][b]))},
                 )
 
-    pres.iso_data = {"metric": gdec, "p": pidx, "m": midx}
-
     one = AlgElement.one(pres)
-    pp = AlgElement.zero(pres)
-    for m in range(2, dim):
-        for n in range(2, dim):
-            if gtinv[m - 2][n - 2]:
-                pp = pp + el(pidx[m]) * el(pidx[n]) * gtinv[m - 2][n - 2]
+    pp = _momentum_square(model, 2)
     # C = 2 kappa (Pi_+ - 1) P_- + P^a P_a
     c_full = (el(pi) - one) * el(pidx[1]) * Scalar.monomial(gr(2), -1, 0) + pp
+    model.cas = CasimirSet(c_full, c_full, el(pi), el(piv))
+    model.p_tau_expr = (el(pi) - one) * Scalar.monomial(gr(1), -1, 0)
 
-    pu = {}
-    for j in range(2, dim):
-        acc = AlgElement.zero(pres)
-        for n in range(2, dim):
-            if gtinv[j - 2][n - 2]:
-                acc = acc + el(pidx[n]) * gtinv[j - 2][n - 2]
-        pu[j] = acc
-
+    pu = {a: model.p_up(a) for a in range(2, dim)}
     h1 = Scalar.h(1)
-    cop, antip, counit = {}, {}, {}
-    cop[pi] = otimes(el(pi), el(pi))
-    cop[piv] = otimes(el(piv), el(piv))
-    antip[pi], antip[piv] = el(piv), el(pi)
-    counit[pi] = Scalar.one()
-    counit[piv] = Scalar.one()
-    for a in range(2, dim):
-        ia = pidx[a]
-        cop[ia] = otimes(el(ia), el(pi)) + otimes(one, el(ia))
-        antip[ia] = -(el(ia) * el(piv))
-        counit[ia] = Scalar.zero()
     pm = pidx[1]
     pmc = el(pm) + c_full * Scalar.monomial(gr(_HALF), 1, 0)
     d = (
@@ -737,7 +690,6 @@ def _build_q_lightlike(config):
     antip[pm] = -(el(pm) * el(pi)) - (one + el(pi)) * pp * el(
         piv
     ) * Scalar.monomial(gr(_HALF), 1, 0)
-    counit[pm] = Scalar.zero()
 
     d = otimes(el(mpm), one) + otimes(el(piv), el(mpm))
     s_el = -(el(pi) * el(mpm))
@@ -746,7 +698,6 @@ def _build_q_lightlike(config):
         s_el = s_el - pu[a] * el(midx[(0, a)]) * h1
     cop[mpm] = d
     antip[mpm] = s_el
-    counit[mpm] = Scalar.zero()
 
     for a in range(2, dim):
         im = midx[(1, a)]
@@ -762,31 +713,7 @@ def _build_q_lightlike(config):
                 s_el = s_el - pu[b] * m_tr(b, a) * h1
         cop[im] = d
         antip[im] = s_el
-        counit[im] = Scalar.zero()
-        ip = midx[(0, a)]
-        cop[ip] = otimes(el(ip), one) + otimes(one, el(ip))
-        antip[ip] = -el(ip)
-        counit[ip] = Scalar.zero()
-    for (a, b) in tpairs:
-        im = midx[(a, b)]
-        cop[im] = otimes(el(im), one) + otimes(one, el(im))
-        antip[im] = -el(im)
-        counit[im] = Scalar.zero()
-
-    hopf = HopfData(pres, cop, antip, counit, trunc=None)
-    cas = CasimirSet(c_full, c_full, el(pi), el(piv))
-    parts = {
-        "pres": pres,
-        "hopf": hopf,
-        "cas": cas,
-        "metric": gdec,
-        "basis": basis,
-        "p_index": pidx,
-        "m_index": dict(midx),
-        "grouplike": (pi, piv),
-        "p_tau_expr": (el(pi) - one) * Scalar.monomial(gr(1), -1, 0),
-    }
-    return parts
+    model.hopf = HopfData(pres, cop, antip, counit)
 
 
 # --- the model object ---------------------------------------------------------
@@ -813,46 +740,17 @@ class Model:
 
         if config.flavor == "covariant_hadic":
             self.metric, self.tau, self.basis = config.metric, config.tau, None
-            self.pres = build_iso(self.metric)
-            self._finish_hadic()
-        elif config.flavor == "orthog_1_plus":
-            self.basis, self.metric, self.tau = orthogonal_decompose(
-                config.metric, config.tau
-            )
-            ps, ms = _orthog_labels(self.metric.dim)
-            self.pres = build_iso(self.metric, ps, ms)
-            self._finish_hadic()
-        elif config.flavor == "null_plane":
-            self.basis, self.metric, self.tau = orthogonal_decompose(
-                config.metric, config.tau
-            )
-            ps, ms = _null_labels(self.metric.dim)
-            self.pres = build_iso(self.metric, ps, ms)
-            self._finish_hadic()
         else:
-            if config.flavor == "qanalog_timelike":
-                parts = _build_q_timelike(config)
-            else:
-                parts = _build_q_lightlike(config)
-            self.pres = parts["pres"]
-            self.hopf = parts["hopf"]
-            self.cas = parts["cas"]
-            self.metric = parts["metric"]
-            self.basis = parts["basis"]
-            self.tau = (Fraction(1),) + (Fraction(0),) * (self.metric.dim - 1)
-            self.p_index = parts["p_index"]
-            self.m_index = parts["m_index"]
-            self.grouplike = parts["grouplike"]
-            self.p_tau_expr = parts["p_tau_expr"]
+            self.basis, self.metric, self.tau = orthogonal_decompose(
+                config.metric, config.tau
+            )
         self.tau2 = self.metric.square(self.tau)
-
-    def _finish_hadic(self):
-        data = self.pres.iso_data
-        self.p_index = {mu: data["p"][mu] for mu in range(self.metric.dim)}
-        self.m_index = dict(data["m"])
-        self.hopf, self.cas, self.klog = _covariant_hopf(
-            self.pres, self.metric, self.tau, self.trunc
-        )
+        if config.flavor == "qanalog_timelike":
+            _build_q_timelike(self)
+        elif config.flavor == "qanalog_lightlike":
+            _build_q_lightlike(self)
+        else:
+            _build_hadic(self)
 
     # --- element helpers ---------------------------------------------------
 
@@ -866,13 +764,11 @@ class Model:
 
     def p_up(self, slot):
         """Raised-index momentum P^slot using the working metric."""
-        ginv = self.metric.inverse()
-        out = AlgElement.zero(self.pres, self.trunc)
-        for nu in range(self.metric.dim):
-            c = ginv[slot][nu]
-            if c:
-                out = out + self.p(nu) * c
-        return out
+        return _lincomb(
+            AlgElement.zero(self.pres, self.trunc),
+            enumerate(self.metric.inverse()[slot]),
+            self.p,
+        )
 
     def m(self, a, b):
         return _rotation(self.pres, self.m_index, a, b, self.trunc)
@@ -886,9 +782,6 @@ class Model:
                 self.pres, {(idx,) * abs(k): Scalar.one()}, self.trunc
             )
         return unital_power(self.cas.Pi, k)
-
-    def momentum_slots(self):
-        return sorted(self.p_index)
 
     # --- classical limit ---------------------------------------------------
 
@@ -920,12 +813,6 @@ class Model:
         if is_tensor:
             return TensorElement(self.pres, obj.rank, cleaned, obj.trunc)
         return AlgElement(self.pres, cleaned, obj.trunc)
-
-
-def _as_model(obj):
-    if isinstance(obj, Model):
-        return obj
-    return Model(obj)
 
 
 # --- checks --------------------------------------------------------------------
@@ -968,9 +855,7 @@ def decomposition_display_check(model):
     cas = model.cas
 
     p_tau = model.p(0)
-    pp = AlgElement.zero(model.pres, model.trunc)
-    for m in range(1, dim):
-        pp = pp + model.p_up(m) * model.p(m)
+    pp = _momentum_square(model, 1)
 
     # algebra sector in the adapted basis
     for j in range(1, dim):
@@ -997,18 +882,15 @@ def decomposition_display_check(model):
     bump = (nh + 2, nxi)
     atoms = _covariant_atoms(model.pres, model.metric, model.tau, bump)
     sqrt_el = atoms["Pi"] - atoms["P_tau"] * Scalar.h(1, bump)
-    denom = AlgElement.one(model.pres, bump)
-    ginv = model.metric.inverse()
-    pp_b = AlgElement.zero(model.pres, bump)
-    for m in range(1, dim):
-        for n in range(1, dim):
-            if ginv[m][n]:
-                pp_b = pp_b + (
-                    AlgElement.gen(model.pres, model.p_index[m], bump)
-                    * AlgElement.gen(model.pres, model.p_index[n], bump)
-                    * ginv[m][n]
-                )
-    denom = denom + pp_b * Scalar.monomial(gr(t2), 2, 0, bump)
+    pp_b = _quadratic(
+        AlgElement.zero(model.pres, bump),
+        model.metric.inverse(),
+        lambda m: AlgElement.gen(model.pres, model.p_index[m], bump),
+        range(1, dim),
+    )
+    denom = AlgElement.one(model.pres, bump) + pp_b * Scalar.monomial(
+        gr(t2), 2, 0, bump
+    )
     closed = (sqrt_el - atoms["P_tau"] * Scalar.h(1, bump)) * unital_inverse(denom)
     rep.zero("pi_inv_closed_form", closed.retrunc(model.trunc) - cas.PiInv)
 
@@ -1108,9 +990,7 @@ def nullplane_display_check(model):
     p_p, p_m = model.p(0), model.p(1)
 
     rep.zero("pi_plus_is_affine", cas.Pi - (one + p_p * h1))
-    pp = AlgElement.zero(model.pres, model.trunc)
-    for a in range(2, dim):
-        pp = pp + model.p_up(a) * model.p(a)
+    pp = _momentum_square(model, 2)
     rep.zero("casimir_split", p_p * p_m * 2 + pp - cas.C)
     rep.zero("ctau_equals_c", cas.C_tau - cas.C)
 
@@ -1293,15 +1173,15 @@ def q_display_check(model):
     el_piv = model.pi_power(-1)
     one = AlgElement.one(pres)
     I = Scalar.i()
+    # P^m P_m over the slots g-orthogonal to tau (and to its null partner)
+    timelike = model.flavor == "qanalog_timelike"
+    pp = _momentum_square(model, 1 if timelike else 2)
 
     rep.zero("pi_pi_inv", el_pi * el_piv - one)
     rep.zero("pi_inv_pi", el_piv * el_pi - one)
 
-    if model.flavor == "qanalog_timelike":
+    if timelike:
         t2 = model.tau2
-        pp = AlgElement.zero(pres)
-        for m in range(1, dim):
-            pp = pp + model.p_up(m) * model.p(m)
         for i in range(1, dim):
             rep.zero("comm[P_%d,Pi]" % i, model.p(i).commutator(el_pi))
             mt = model.m(0, i)
@@ -1438,16 +1318,12 @@ def q_display_check(model):
                 "comm[M_-%d,P_plus_expr]" % (a - 1),
                 model.m(1, a).commutator(pplus) + model.p(a) * I,
             )
-        pp = AlgElement.zero(pres)
-        for a in range(2, dim):
-            pp = pp + model.p_up(a) * model.p(a)
         rep.zero("casimir_via_p_plus", pplus * pm * 2 + pp - model.cas.C)
     return rep
 
 
-def casimir_check(model_or_config):
+def casimir_check(model):
     """Centrality of C and C_tau plus the relation tying them together."""
-    model = _as_model(model_or_config)
     rep = Report(
         "casimir elements", {"flavor": model.flavor, "tau2": str(model.tau2)}
     )
@@ -1466,9 +1342,8 @@ def casimir_check(model_or_config):
     return rep
 
 
-def hopf_axiom_check(model_or_config, degree2=True):
+def hopf_axiom_check(model, degree2=True):
     """verify_axioms wrapped with the model header."""
-    model = _as_model(model_or_config)
     rep = Report(
         "hopf axioms",
         {"flavor": model.flavor, "trunc": str(model.trunc)},
@@ -1477,9 +1352,8 @@ def hopf_axiom_check(model_or_config, degree2=True):
     return rep
 
 
-def reality_check(model_or_config):
+def reality_check(model):
     """(RC2) plus the squared-antipode conjugation identity."""
-    model = _as_model(model_or_config)
     dim = model.metric.dim
     conj = (model.pi_power(dim - 1), model.pi_power(1 - dim))
     rep = Report(
@@ -1490,9 +1364,8 @@ def reality_check(model_or_config):
     return rep
 
 
-def classical_hopf_check(model_or_config):
+def classical_hopf_check(model):
     """kappa -> infinity: primitive coproducts, S = -id, eps = 0."""
-    model = _as_model(model_or_config)
     rep = Report("classical limit", {"flavor": model.flavor})
     pres = model.pres
     strip = set(model.grouplike)
@@ -1526,7 +1399,8 @@ def _weight(pres, word):
 
 
 def _grading_offsets(model):
-    """Iterate (name, scalar, required h-degree offset) over stored tables.
+    """Iterate (name, key, scalar, required h-degree offset) over every entry
+    of the stored tables.
 
     The offset is w(rhs word) - w(lhs); the rescaling isomorphism
     P -> P/kappa removes every power of h exactly when each coefficient
@@ -1538,6 +1412,7 @@ def _grading_offsets(model):
         for word, c in terms.items():
             yield (
                 "comm[%s,%s]" % (pres.label(i), pres.label(j)),
+                word,
                 c,
                 _weight(pres, word) - w_lhs,
             )
@@ -1546,6 +1421,7 @@ def _grading_offsets(model):
         for word, c in terms.items():
             yield (
                 "product[%s,%s]" % (pres.label(i), pres.label(j)),
+                word,
                 c,
                 _weight(pres, word) - w_lhs,
             )
@@ -1554,15 +1430,22 @@ def _grading_offsets(model):
         for key, c in tens.terms.items():
             yield (
                 "cop[%s]" % pres.label(i),
+                key,
                 c,
                 sum(_weight(pres, w) for w in key) - w_lhs,
             )
     for i, elt in model.hopf.antipode.items():
         w_lhs = pres.generators[i].weight
         for word, c in elt.terms.items():
-            yield ("antipode[%s]" % pres.label(i), c, _weight(pres, word) - w_lhs)
+            yield (
+                "antipode[%s]" % pres.label(i),
+                word,
+                c,
+                _weight(pres, word) - w_lhs,
+            )
     for i, sc in model.hopf.counit.items():
-        yield ("counit[%s]" % pres.label(i), sc, -pres.generators[i].weight)
+        w_lhs = pres.generators[i].weight
+        yield ("counit[%s]" % pres.label(i), None, sc, -w_lhs)
 
 
 def _slot_exponents(model):
@@ -1591,7 +1474,7 @@ def _slot_exponents(model):
     return e
 
 
-def rescaling_isomorphism_check(model_or_config, lam=2, kappas=(1, 2, 10)):
+def rescaling_isomorphism_check(model, lam=2, kappas=(1, 2, 10)):
     """Certifies U_{kappa,tau} ~= U_{lambda kappa, lambda tau}.
 
     Two independent certificates: (a) the grading identity, every stored
@@ -1602,7 +1485,6 @@ def rescaling_isomorphism_check(model_or_config, lam=2, kappas=(1, 2, 10)):
     degree offset), and for q-analogs by specializing h = 1/kappa_0 and
     normalizing with the momentum rescale.
     """
-    model = _as_model(model_or_config)
     lam = Fraction(lam)
     if lam == 0:
         raise PresentationError("rescaling needs lambda != 0")
@@ -1611,8 +1493,9 @@ def rescaling_isomorphism_check(model_or_config, lam=2, kappas=(1, 2, 10)):
         {"flavor": model.flavor, "lambda": str(lam)},
     )
 
+    entries = list(_grading_offsets(model))
     bad = []
-    for name, scalar, offset in _grading_offsets(model):
+    for name, _key, scalar, offset in entries:
         for (dh, dxi), _v in scalar.terms.items():
             if dxi != 0 or dh != offset:
                 bad.append("%s@(%d,%d)!=%d" % (name, dh, dxi, offset))
@@ -1627,26 +1510,10 @@ def rescaling_isomorphism_check(model_or_config, lam=2, kappas=(1, 2, 10)):
         base = None
         for k0 in kappas:
             k0 = Fraction(k0)
-            tables = {}
-            for (i, j), terms in pres.comm_rules.items():
-                w_lhs = pres.generators[i].weight + pres.generators[j].weight
-                tables[("c", i, j)] = {
-                    w: c.specialize(1 / k0) * (k0 ** (_weight(pres, w) - w_lhs))
-                    for w, c in terms.items()
-                }
-            for i, elt in model.hopf.antipode.items():
-                w_lhs = pres.generators[i].weight
-                tables[("s", i)] = {
-                    w: c.specialize(1 / k0) * (k0 ** (_weight(pres, w) - w_lhs))
-                    for w, c in elt.terms.items()
-                }
-            for i, tens in model.hopf.coproduct.items():
-                w_lhs = pres.generators[i].weight
-                tables[("d", i)] = {
-                    key: c.specialize(1 / k0)
-                    * (k0 ** (sum(_weight(pres, w) for w in key) - w_lhs))
-                    for key, c in tens.terms.items()
-                }
+            tables = {
+                (name, key): c.specialize(1 / k0) * (k0 ** offset)
+                for name, key, c, offset in entries
+            }
             if base is None:
                 base = tables
             else:
@@ -1697,14 +1564,13 @@ def rescaling_isomorphism_check(model_or_config, lam=2, kappas=(1, 2, 10)):
     return rep
 
 
-def hopf_covariance_check(model_or_config, rows):
+def hopf_covariance_check(model, rows):
     """Basis covariance of the whole covariant-flavor Hopf structure.
 
     phi maps the tilde-basis generators (built on the transformed metric
     and tau) to the matching linear combinations of the original ones; it
     must intertwine coproducts and antipodes and fix Pi, Pi_inv, C, C_tau.
     """
-    model = _as_model(model_or_config)
     if model.flavor != "covariant_hadic":
         raise PresentationError("hopf_covariance_check needs covariant_hadic")
     metric = model.metric
@@ -1716,22 +1582,11 @@ def hopf_covariance_check(model_or_config, rows):
         ModelConfig(blocks, tau_t, "covariant_hadic", model.trunc)
     )
     trunc = model.trunc
-    images = {}
-    for a in range(dim):
-        acc = AlgElement.zero(model.pres, trunc)
-        for mu in range(dim):
-            if rows[a][mu]:
-                acc = acc + model.p(mu) * rows[a][mu]
-        images[other.p_index[a]] = acc
-    for (a, b), idx in other.m_index.items():
-        acc = AlgElement.zero(model.pres, trunc)
-        for mu in range(dim):
-            if not rows[a][mu]:
-                continue
-            for nu in range(dim):
-                if rows[b][nu]:
-                    acc = acc + model.m(mu, nu) * (rows[a][mu] * rows[b][nu])
-        images[idx] = acc
+    pt, mt = _basis_images(
+        model.p, model.m, rows, AlgElement.zero(model.pres, trunc)
+    )
+    images = {other.p_index[a]: x for a, x in enumerate(pt)}
+    images.update((other.m_index[ab], x) for ab, x in mt.items())
 
     rep = Report(
         "hopf covariance under basis change",
@@ -1758,11 +1613,10 @@ def hopf_covariance_check(model_or_config, rows):
     return rep
 
 
-def h_polynomial_check(model_or_config):
+def h_polynomial_check(model):
     """The q-analog stores finitely many terms over Q(i)[h, 1/h], with all
     coalgebra maps polynomial in h; together with the grading certificate
     this justifies specializing kappa to a number."""
-    model = _as_model(model_or_config)
     if not model.flavor.startswith("qanalog"):
         raise PresentationError("h_polynomial_check needs a q-analog flavor")
     rep = Report("h-polynomiality", {"flavor": model.flavor})

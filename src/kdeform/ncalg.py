@@ -115,11 +115,10 @@ class FloorIndex:
 class Generator:
     """A named generator; ``weight`` feeds the termination bookkeeping."""
 
-    __slots__ = ("label", "kind", "weight")
+    __slots__ = ("label", "weight")
 
-    def __init__(self, label, kind="", weight=0):
+    def __init__(self, label, weight=0):
         self.label = label
-        self.kind = kind
         self.weight = weight
 
     def __repr__(self):
@@ -154,8 +153,8 @@ class Presentation:
 
     # --- construction -----------------------------------------------------
 
-    def add_generator(self, label, kind="", weight=0):
-        self.generators.append(Generator(label, kind, weight))
+    def add_generator(self, label, weight=0):
+        self.generators.append(Generator(label, weight))
         return len(self.generators) - 1
 
     def gen_index(self, label):
@@ -346,11 +345,6 @@ class AlgElement:
     @classmethod
     def gen(cls, pres, i, trunc=None):
         return cls(pres, {(i,): Scalar.one(trunc)}, trunc)
-
-    @classmethod
-    def from_scalar(cls, pres, s, trunc=None):
-        trunc = merge_trunc(trunc, s.trunc)
-        return cls(pres, {EMPTY_WORD: s}, trunc)
 
     # --- arithmetic -------------------------------------------------------
 

@@ -501,11 +501,6 @@ class Scalar:
             return 0
         return min(k[0] for k in self.terms)
 
-    def max_h_degree(self):
-        if not self.terms:
-            return 0
-        return max(k[0] for k in self.terms)
-
     def h_zero_part(self):
         """Keep only deg_h == 0 terms (any xi-degree)."""
         out = {k: v for k, v in self.terms.items() if k[0] == 0}

@@ -53,13 +53,12 @@ def primitive_hopf(pres, trunc):
 class TwistElement:
     """Ordered exponential product F = exp(X_1) exp(X_2) ... in U (x) U."""
 
-    def __init__(self, model, factors, label=None, notes=()):
+    def __init__(self, model, factors, label=None):
         self.model = model
         self.pres = model.pres
         self.trunc = model.trunc
         self.factors = list(factors)
         self.label = label
-        self.notes = list(notes)
         one = TensorElement.one(self.pres, self.trunc)
         t = one
         for x in self.factors:
@@ -108,8 +107,8 @@ def build_twist(label, model):
         for a in _transverse_slots(model):
             x2 = x2 + otimes(model.m(0, a), model.p_up(a) * piv)
         x2 = x2 * (minus_i * Scalar.h(1, trunc))
-        return TwistElement(model, [x1, x2], label=label,
-                            notes=["factor order: Jordanian then extension"])
+        # factor order: Jordanian then extension
+        return TwistElement(model, [x1, x2], label=label)
 
     if label in ("L1", "L2"):
         _require_flavor(model, label, ("null_plane",))
@@ -122,11 +121,9 @@ def build_twist(label, model):
             if model.metric.dim < 4:
                 raise PresentationError("L2 needs two transverse directions")
             cell = model.m(2, 3)  # M_3, the transverse rotation
+        # wedge resolved as A(x)B - B(x)A
         x = _wedge(cell, k) * i_xi
-        return TwistElement(
-            model, [x], label=label,
-            notes=["wedge resolved as A(x)B - B(x)A"],
-        )
+        return TwistElement(model, [x], label=label)
 
     if label in ("S1", "S2", "S3"):
         _require_flavor(model, label, ("covariant_hadic",))
@@ -139,11 +136,9 @@ def build_twist(label, model):
         m1 = model.m(2, 3)   # rotation about axis 1
         n3 = model.m(0, 3)   # boost along axis 3
         cell = {"S1": m1, "S2": m1 + n3, "S3": n3}[label]
+        # the table cell uses a plain tensor, kept as displayed
         x = otimes(model.p(1), cell) * i_xi
-        return TwistElement(
-            model, [x], label=label,
-            notes=["table cell uses a plain tensor, kept as displayed"],
-        )
+        return TwistElement(model, [x], label=label)
 
     _require_flavor(model, label, ("orthog_1_plus",))
     if model.metric.dim != 4:
@@ -151,13 +146,12 @@ def build_twist(label, model):
 
     if label == "T1":
         m3 = model.m(1, 2)
+        # exponent i xi (B ^ M_3) with B = kappa ln Pi, in cell order
         x = _wedge(model.klog, m3) * i_xi
-        return TwistElement(
-            model, [x], label=label,
-            notes=["exponent i xi (B ^ M_3) with B = kappa ln Pi, cell order"],
-        )
+        return TwistElement(model, [x], label=label)
 
-    # complexified transverse combinations, + branch
+    # complexified transverse combinations, + branch; complex, so T3 and T4
+    # have no star structure
     i_s = Scalar.i(trunc)
     p_t = model.p(1) + model.p(2) * i_s          # P~_+
     m_t = model.m(2, 3) - model.m(1, 3) * i_s    # M~_+ = M_1 + i M_2
@@ -166,8 +160,7 @@ def build_twist(label, model):
     if label == "T3":
         x1 = otimes(p_t * unital_sqrt(model.cas.Pi), m_t) * Scalar.xi(1, trunc)
         x2 = otimes(ln_pi, m3) * (i_s * _HALF)
-        return TwistElement(model, [x1, x2], label=label,
-                            notes=["+ branch; complex, no star structure"])
+        return TwistElement(model, [x1, x2], label=label)
     # T4
     one = AlgElement.one(model.pres, trunc)
     sigma = unital_log(one + p_t * Scalar.xi(1, trunc))
@@ -175,8 +168,7 @@ def build_twist(label, model):
     x1 = otimes(m_t * damp, model.p(3)) * Scalar.xi(1, trunc)
     x2 = otimes(sigma, m3)
     x3 = otimes(ln_pi, m3) * i_s
-    return TwistElement(model, [x1, x2, x3], label=label,
-                        notes=["+ branch; complex, no star structure"])
+    return TwistElement(model, [x1, x2, x3], label=label)
 
 
 # --- verification --------------------------------------------------------------

@@ -197,6 +197,17 @@ def test_config_validation():
         ModelConfig(MINK2, (1, 0), "no_such_flavor")
 
 
+@pytest.mark.parametrize(
+    "trunc", [(-1, 0), (2, -1), (3,), 3, (1.5, 0), [2, 0]],
+    ids=["negative_h", "negative_xi", "one_order", "int", "float", "list"],
+)
+def test_config_rejects_malformed_trunc(trunc):
+    # h-adic truncations are a tuple of two non-negative ints; anything else
+    # used to build an all-zero model or fail deep inside the builder
+    with pytest.raises(PresentationError):
+        ModelConfig(MINK2, (1, 0), "covariant_hadic", trunc)
+
+
 # --- covariant flavor -----------------------------------------------------------
 
 
