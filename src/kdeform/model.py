@@ -485,14 +485,12 @@ _HADIC_LABELS = {
 
 
 def _q_skeleton(model, labels, pi_label, s):
-    """The start both q-analogs share; returns the Hopf tables to complete.
+    """The presentation both q-analogs start from.
 
     Generators Pi, Pi_inv, then the momenta and rotations of the h-adic
     flavor in the same basis (``labels``) except the momentum of slot 0,
-    whose role Pi takes.  Pi Pi_inv = Pi_inv Pi = 1, and the iso(g) rules
-    on the slots after ``s``.  Pi^{+-1} are group-like, every momentum off
-    slot ``s`` is Pi-dressed, every rotation off slot ``s`` is primitive,
-    and every counit but those of Pi^{+-1} vanishes.
+    whose role Pi takes; Pi Pi_inv = Pi_inv Pi = 1, and the iso(g) rules
+    on the slots after ``s``.
     """
     dim = model.metric.dim
     ps, ms = labels(dim)
@@ -515,6 +513,16 @@ def _q_skeleton(model, labels, pi_label, s):
         {ab: i for ab, i in model.m_index.items() if ab[0] > s},
     )
 
+
+def _q_tables(model, s):
+    """The Hopf entries both q-analogs share, once every rule is set.
+
+    Pi^{+-1} are group-like, every momentum off slot ``s`` is Pi-dressed,
+    every rotation off slot ``s`` is primitive, and every counit but those
+    of Pi^{+-1} vanishes.  Returns the tables for the builder to complete.
+    """
+    pres = model.pres
+    pi, piv = model.grouplike
     el = partial(AlgElement.gen, pres)
     one = AlgElement.one(pres)
     cop = {pi: otimes(el(pi), el(pi)), piv: otimes(el(piv), el(piv))}
@@ -544,7 +552,7 @@ def _pi_boost_rules(model, boost, p, c):
 
 
 def _build_q_timelike(model):
-    cop, antip, counit = _q_skeleton(model, _orthog_labels, "Pi", 0)
+    _q_skeleton(model, _orthog_labels, "Pi", 0)
     pres, dim, g, t2 = model.pres, model.metric.dim, model.metric.g, model.tau2
     pi, piv = model.grouplike
     pidx = model.p_index
@@ -594,6 +602,7 @@ def _build_q_timelike(model):
     c_full = model.p_tau_expr * model.p_tau_expr * (Fraction(1) / t2) + pp
     model.cas = CasimirSet(c_full, c_tau, el(pi), el(piv))
 
+    cop, antip, counit = _q_tables(model, 0)
     one = AlgElement.one(pres)
     pu = {j: model.p_up(j) for j in range(1, dim)}
     for i in range(1, dim):
@@ -612,7 +621,7 @@ def _build_q_timelike(model):
 
 
 def _build_q_lightlike(model):
-    cop, antip, counit = _q_skeleton(model, _null_labels, "Pi_+", 1)
+    _q_skeleton(model, _null_labels, "Pi_+", 1)
     pres, dim, g = model.pres, model.metric.dim, model.metric.g
     pi, piv = model.grouplike
     pidx, midx = model.p_index, model.m_index
@@ -675,6 +684,7 @@ def _build_q_lightlike(model):
     model.cas = CasimirSet(c_full, c_full, el(pi), el(piv))
     model.p_tau_expr = (el(pi) - one) * Scalar.monomial(gr(1), -1, 0)
 
+    cop, antip, counit = _q_tables(model, 1)
     pu = {a: model.p_up(a) for a in range(2, dim)}
     h1 = Scalar.h(1)
     pm = pidx[1]
