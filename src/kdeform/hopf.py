@@ -52,6 +52,17 @@ class TensorElement:
         self.terms = clean
         self.trunc = trunc
 
+    @staticmethod
+    def _make(pres, rank, terms, trunc):
+        # internal fast path: caller guarantees rank-long tuple keys of word
+        # tuples and nonzero coefficients, as ``accumulate`` leaves them
+        t = TensorElement.__new__(TensorElement)
+        t.pres = pres
+        t.rank = rank
+        t.terms = terms
+        t.trunc = trunc
+        return t
+
     # --- constructors -----------------------------------------------------
 
     @classmethod
@@ -95,7 +106,7 @@ class TensorElement:
         self._require_like(other)
         trunc = merge_trunc(self.trunc, other.trunc)
         out = accumulate(dict(self.terms), other.terms.items())
-        return TensorElement(self.pres, self.rank, out, trunc)
+        return TensorElement._make(self.pres, self.rank, out, trunc)
 
     def __sub__(self, other):
         if not isinstance(other, TensorElement):
@@ -144,7 +155,7 @@ class TensorElement:
                     if not partial:
                         break
                 accumulate(out, partial)
-        return TensorElement(self.pres, self.rank, out, trunc)
+        return TensorElement._make(self.pres, self.rank, out, trunc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
@@ -191,7 +202,7 @@ class TensorElement:
         out = accumulate({}, (
             (tuple(key[p] for p in perm), c) for key, c in self.terms.items()
         ))
-        return TensorElement(self.pres, self.rank, out, self.trunc)
+        return TensorElement._make(self.pres, self.rank, out, self.trunc)
 
     def swap(self):
         """The flip a (x) b -> b (x) a on rank-2 tensors."""
@@ -342,7 +353,7 @@ class HopfData:
             for w, c in elt.terms.items()
             for key, ci in self.cop_word(w).terms.items()
         ))
-        return TensorElement(self.pres, 2, out, trunc)
+        return TensorElement._make(self.pres, 2, out, trunc)
 
     def antipode_of(self, elt):
         trunc = merge_trunc(self.trunc, elt.trunc)
@@ -392,11 +403,8 @@ class HopfData:
         out = self._leg_map(tensor, leg, lambda w, c: self._live(
             self._cop_index, w, self.cop_word(w).terms, c
         ))
-        return TensorElement(
-            self.pres,
-            tensor.rank + 1,
-            out,
-            merge_trunc(self.trunc, tensor.trunc),
+        return TensorElement._make(
+            self.pres, tensor.rank + 1, out, merge_trunc(self.trunc, tensor.trunc)
         )
 
     def apply_antipode_leg(self, tensor, leg):
@@ -404,11 +412,8 @@ class HopfData:
             self._antipode_index, w, self.antipode_word(w).terms, c,
             one_leg=True,
         ))
-        return TensorElement(
-            self.pres,
-            tensor.rank,
-            out,
-            merge_trunc(self.trunc, tensor.trunc),
+        return TensorElement._make(
+            self.pres, tensor.rank, out, merge_trunc(self.trunc, tensor.trunc)
         )
 
     def apply_counit_leg(self, tensor, leg):
@@ -424,7 +429,7 @@ class HopfData:
             return AlgElement(
                 self.pres, {k[0]: v for k, v in out.items()}, trunc
             )
-        return TensorElement(self.pres, tensor.rank - 1, out, trunc)
+        return TensorElement._make(self.pres, tensor.rank - 1, out, trunc)
 
 
 def verify_axioms(hopf, degree2=True, coassoc_pairs=False):

@@ -171,13 +171,23 @@ def build_iso(metric, p_labels=None, m_labels=None):
     return pres
 
 
-def _rotation(pres, midx, a, b, trunc=None):
-    """The rotation generator M_ab as an element: M_ba = -M_ab, M_aa = 0."""
+def _m_signed(midx, a, b):
+    """(index, sign) of the rotation generator M_ab, by M_ba = -M_ab and
+    M_aa = 0; (None, 0) when a == b."""
     if a == b:
-        return AlgElement.zero(pres, trunc)
+        return None, 0
     if a < b:
-        return AlgElement.gen(pres, midx[(a, b)], trunc)
-    return -AlgElement.gen(pres, midx[(b, a)], trunc)
+        return midx[(a, b)], 1
+    return midx[(b, a)], -1
+
+
+def _rotation(pres, midx, a, b, trunc=None):
+    """The rotation generator M_ab as an element."""
+    im, sgn = _m_signed(midx, a, b)
+    if not sgn:
+        return AlgElement.zero(pres, trunc)
+    m = AlgElement.gen(pres, im, trunc)
+    return m if sgn > 0 else -m
 
 
 def _install_orthogonal_rules(pres, g, pidx, midx):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import PresentationError
 from .metric import Metric
-from .model import build_iso
+from .model import _m_signed, build_iso
 from .ncalg import accumulate
 from .report import Report
 from .scalar import GR_ONE, GaussianRational, Scalar, gr
@@ -145,15 +145,6 @@ def _iso_data(pres):
     if data is None:
         raise PresentationError("needs a presentation built by build_iso")
     return data
-
-
-def _m_signed(midx, a, b):
-    """(index, sign) for M_ab; (None, 0) when a == b."""
-    if a == b:
-        return None, 0
-    if a < b:
-        return midx[(a, b)], 1
-    return midx[(b, a)], -1
 
 
 def build_r(metric, tau, pres=None):

@@ -25,6 +25,12 @@ series is not a ring quotient (multiplying by h^(-1) re-enters the kept
 range), so finite-truncation scalars enforce deg_h >= 0; this keeps truncated
 multiplication associative.
 
+The exact unit is one shared object, :data:`ONE`: ``Scalar.one()`` returns it,
+and a product by it returns the other operand itself.  That needs no
+truncation decision, since the other operand already satisfies its own
+truncation and the Laurent rule.  No ring operation mutates a scalar, so
+results may share their operands.
+
 The *floor* of a nonzero scalar is the pair (lowest deg_h, lowest deg_xi),
 each minimum taken separately.  Every term of a product c1*c2 has bigrade at
 least floor(c1) + floor(c2), so when the merged truncation T of the two
@@ -317,6 +323,8 @@ class Scalar:
 
     @classmethod
     def one(cls, trunc=None):
+        if trunc is None:
+            return ONE
         return cls.monomial(GR_ONE, 0, 0, trunc)
 
     @classmethod
@@ -394,6 +402,12 @@ class Scalar:
                 )
             if not isinstance(other, Scalar):
                 return NotImplemented
+        # the exact unit needs no truncation decision: the other operand
+        # already satisfies its own truncation and the Laurent rule
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         t1 = self.trunc
         t2 = other.trunc
         trunc = t1 if t1 == t2 else merge_trunc(t1, t2)
@@ -531,3 +545,7 @@ class Scalar:
             head = repr(v)
             bits.append("*".join([head] + mono) if mono else head)
         return "Scalar(%s)" % " + ".join(bits)
+
+
+# the one exact unit; it is shared, so no code may write to its terms
+ONE = Scalar._make({(0, 0): GR_ONE}, None)

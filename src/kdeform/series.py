@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import KdeformError
-from .ncalg import AlgElement
 
 
 def _nilpotency_bound(x):

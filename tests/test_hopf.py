@@ -285,28 +285,67 @@ def rand_hopf(pres, rng):
     return HopfData(pres, cop, antipode, counit, T)
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_pruned_product_matches_all_pairs_reference(rank):
-    pres = deformed_heisenberg()
+def product_operands(pres, rank):
+    """Seeded random operand pairs of the given rank: six random pairs, then
+    exact h^-1 terms against truncated coefficients of h-degree >= 1."""
     rng = random.Random(1000 + rank)
-    vanished = 0
-    for _ in range(6):
-        a = rand_element(pres, rng, rank)
-        b = rand_element(pres, rng, rank)
-        ref, v = reference_product(a, b)
-        assert (a * b).terms == ref
-        vanished += v
-    # exact h^-1 terms against truncated coefficients of h-degree >= 1
+    pairs = [
+        (rand_element(pres, rng, rank), rand_element(pres, rng, rank))
+        for _ in range(6)
+    ]
     laurent = rand_element(pres, rng, rank, min_h=1)
     w = next(iter(keyed(laurent)))
     laurent.terms[w if rank > 1 else w[0]] = Scalar({(-1, 1): 2, (3, 0): 1})
     other = rand_element(pres, rng, rank, min_h=1)
-    for a, b in ((laurent, other), (other, laurent), (laurent, laurent)):
+    return pairs + [(laurent, other), (other, laurent), (laurent, laurent)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_pruned_product_matches_all_pairs_reference(rank):
+    pres = deformed_heisenberg()
+    vanished = 0
+    for a, b in product_operands(pres, rank):
         ref, v = reference_product(a, b)
         assert (a * b).terms == ref
         vanished += v
     # the floor rule has pairs to skip
     assert vanished > 0
+
+
+def assert_as_constructed(t, rank):
+    """``t`` holds exactly what the checking constructor builds from it:
+    rank-long tuple keys of word tuples, nonzero coefficients, same order."""
+    assert type(t) is TensorElement and t.rank == rank
+    for key in t.terms:
+        assert type(key) is tuple and len(key) == rank
+        assert all(type(w) is tuple for w in key)
+    rebuilt = TensorElement(t.pres, t.rank, t.terms, t.trunc)
+    assert rebuilt == t and list(rebuilt.terms) == list(t.terms)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_tensor_kernels_build_what_the_constructor_builds(rank):
+    pres = deformed_heisenberg()
+    hopf = rand_hopf(pres, random.Random(3000 + rank))
+    for a, b in product_operands(pres, rank):
+        # the Hopf images hold truncated h^0 coefficients, and their product
+        # with an h^-1 term would be a Laurent term under a finite truncation
+        on_hopf = [x for x in (a, b)
+                   if not any(c.has_negative_h() for c in x.terms.values())]
+        if rank == 1:
+            for x in on_hopf:
+                assert_as_constructed(hopf.cop(x), 2)
+            continue
+        assert_as_constructed(a * b, rank)
+        assert_as_constructed(a + b, rank)
+        assert_as_constructed(a.permute_legs(range(rank)[::-1]), rank)
+        for x in on_hopf:
+            for leg in range(rank):
+                assert_as_constructed(hopf.apply_cop_leg(x, leg), rank + 1)
+                assert_as_constructed(hopf.apply_antipode_leg(x, leg), rank)
+                if rank > 2:
+                    assert_as_constructed(
+                        hopf.apply_counit_leg(x, leg), rank - 1)
 
 
 @pytest.mark.parametrize("rank", [2, 3])

@@ -445,3 +445,33 @@ def test_q_counit_values():
         if i in (pi, piv):
             continue
         assert m.hopf.counit[i].is_zero(), gen.label
+
+
+@pytest.mark.parametrize(
+    "tau,flavor,trunc",
+    [
+        ((1, 0, 0), "covariant_hadic", (2, 1)),
+        ((1, 0, 0), "orthog_1_plus", (2, 1)),
+        ((1, 1, 0), "null_plane", (2, 1)),
+        ((1, 0, 0), "qanalog_timelike", None),
+        ((1, 1, 0), "qanalog_lightlike", None),
+    ],
+    ids=["covariant", "orthog", "null_plane", "q_timelike", "q_lightlike"],
+)
+def test_stored_entries_are_normal_under_the_final_rules(tau, flavor, trunc):
+    # the builders normalize between rule installs; every stored entry must
+    # still be normal once the last rule is set
+    m = Model(ModelConfig(MINK3, tau, flavor, trunc))
+    pres = m.pres
+    rules = list(pres.comm_rules.items()) + list(pres.product_rules.items())
+    assert rules
+    for pair, rhs in rules:
+        for w in rhs:
+            assert pres.is_normal_word(w), (pair, w)
+    for i, cop in m.hopf.coproduct.items():
+        for key in cop.terms:
+            for w in key:
+                assert pres.is_normal_word(w), (pres.label(i), key)
+    for i, s in m.hopf.antipode.items():
+        for w in s.terms:
+            assert pres.is_normal_word(w), (pres.label(i), w)

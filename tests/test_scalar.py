@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 
 from kdeform.errors import KdeformError, ScalarDomainError, TruncationMismatch
-from kdeform.scalar import GR_I, GR_ONE, GaussianRational, Scalar, gr
+from kdeform.model import Model, ModelConfig, hopf_axiom_check
+from kdeform.scalar import GR_I, GR_ONE, ONE, GaussianRational, Scalar, gr
 
 
 def rand_gr(rng):
@@ -335,3 +336,74 @@ def test_truncated_plus_exact_drops_terms_past_the_truncation():
     expected = Scalar({(1, 0): 1, (0, 0): 1}, t)
     assert trunc + exact == expected
     assert exact + trunc == expected
+
+
+# --- the shared exact unit ----------------------------------------------------
+
+
+def test_exact_unit_is_one_shared_object():
+    assert Scalar.one() is ONE
+    assert Scalar.one(None) is ONE
+    assert ONE.terms == {(0, 0): GR_ONE} and ONE.trunc is None
+    assert Scalar.one((2, 1)) is not ONE
+
+
+def test_product_by_the_exact_unit_returns_the_operand():
+    exact = Scalar({(0, 0): 3, (2, 1): gr(1, -2)})
+    truncated = Scalar({(1, 0): gr("1/3"), (2, 1): 5}, (2, 1))
+    laurent = Scalar({(-2, 0): 1, (1, 3): gr(0, 7)})
+    for x in (exact, truncated, laurent, Scalar.zero((2, 1)), ONE):
+        assert x * ONE is x
+        assert ONE * x is x
+
+
+def test_truncated_unit_takes_the_general_path():
+    t = (2, 1)
+    with pytest.raises(ScalarDomainError):
+        Scalar.one(t) * Scalar.h(-1)
+    p = Scalar.one(t) * Scalar.h(5)
+    assert p == Scalar.zero(t) and repr(p) == "Scalar(0)"
+
+
+def snapshot(s):
+    # the term dict's identity, order and every coefficient's triple
+    return (id(s.terms), s.trunc,
+            [(k, v.a, v.b, v.d) for k, v in s.terms.items()])
+
+
+def test_ring_operations_never_mutate_an_operand():
+    rng = random.Random(77)
+    xs = [ONE]
+    while len(xs) < 200:
+        trunc = rng.choice([None, None, (2, 1), (3, 2)])
+        xs.append(rand_scalar(rng, trunc, min_h=-2))
+    before = [snapshot(x) for x in xs]
+    refused = (TruncationMismatch, ScalarDomainError)
+    for x in xs:
+        for op in (
+            lambda: -x,
+            lambda: x.shift(1, 1),
+            lambda: x.shift(-1),
+            lambda: x.retrunc((1, 1)),
+            lambda: x.conjugate(),
+            lambda: x.conjugate(h_sign=-1),
+        ):
+            try:
+                op()
+            except refused:
+                pass
+        for y in xs:
+            for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+                try:
+                    op()
+                except refused:
+                    pass
+    assert [snapshot(x) for x in xs] == before
+
+
+def test_hopf_axiom_check_leaves_the_exact_unit_unchanged():
+    before = snapshot(ONE)
+    m = Model(ModelConfig([[1, 0], [0, -1]], (1, 0), "covariant_hadic", (2, 0)))
+    assert hopf_axiom_check(m).ok
+    assert snapshot(ONE) == before
+    assert ONE.terms == {(0, 0): GR_ONE} and ONE.trunc is None
