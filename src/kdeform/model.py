@@ -28,11 +28,9 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import ClassicalLimitError, PresentationError
-from .hopf import (
-    HopfData, TensorElement, otimes, verify_axioms, verify_reality,
-)
+from .hopf import HopfData, otimes, verify_axioms, verify_reality
 from .metric import Metric, null_pair_split, orthogonal_split
-from .ncalg import EMPTY_WORD, AlgElement, Presentation, accumulate
+from .ncalg import EMPTY_WORD, Presentation, TensorElement, accumulate
 from .report import Report
 from .scalar import Scalar, gr
 from .series import unital_inverse, unital_log, unital_power, unital_sqrt
@@ -129,7 +127,7 @@ def _quadratic(start, mat, x, slots):
 def _momentum_square(model, first):
     """P^m P_m = g^{mn} P_m P_n over the momentum slots m, n >= first."""
     return _quadratic(
-        AlgElement.zero(model.pres, model.trunc),
+        TensorElement.zero(model.pres, 1, model.trunc),
         model.metric.inverse(),
         model.p,
         range(first, model.metric.dim),
@@ -137,6 +135,11 @@ def _momentum_square(model, first):
 
 
 # --- undeformed presentation -------------------------------------------------
+
+
+def _rule(elt):
+    """A rank-1 element's terms keyed by words, the rule tables' format."""
+    return {w: c for (w,), c in elt.terms.items()}
 
 
 def _default_labels(dim):
@@ -185,8 +188,8 @@ def _rotation(pres, midx, a, b, trunc=None):
     """The rotation generator M_ab as an element."""
     im, sgn = _m_signed(midx, a, b)
     if not sgn:
-        return AlgElement.zero(pres, trunc)
-    m = AlgElement.gen(pres, im, trunc)
+        return TensorElement.zero(pres, 1, trunc)
+    m = TensorElement.gen(pres, im, trunc)
     return m if sgn > 0 else -m
 
 
@@ -201,14 +204,14 @@ def _install_orthogonal_rules(pres, g, pidx, midx):
     m_el = partial(_rotation, pres, midx)
 
     def p_el(mu):
-        return AlgElement.gen(pres, pidx[mu])
+        return TensorElement.gen(pres, pidx[mu])
 
     # [M_ab, P_c] = i(g_bc P_a - g_ac P_b)
     for (a, b), im in midx.items():
         for c, ic in pidx.items():
             rhs = (p_el(a) * g[b][c] - p_el(b) * g[a][c]) * I
             if rhs:
-                pres.set_commutator(im, ic, rhs.terms)
+                pres.set_commutator(im, ic, _rule(rhs))
     # [M_ab, M_cd] = i(g_ad M_bc - g_bd M_ac + g_bc M_ad - g_ac M_bd)
     pairs = sorted(midx)
     for x, (a, b) in enumerate(pairs):
@@ -220,7 +223,7 @@ def _install_orthogonal_rules(pres, g, pidx, midx):
                 - m_el(b, d) * g[a][c]
             ) * I
             if rhs:
-                pres.set_commutator(midx[(a, b)], midx[(c, d)], rhs.terms)
+                pres.set_commutator(midx[(a, b)], midx[(c, d)], _rule(rhs))
 
 
 def transform_tau(metric, rows, tau):
@@ -291,10 +294,10 @@ def basis_change_check(pres, rows):
     rows = [tuple(Fraction(x) for x in row) for row in rows]
     gt = [[metric.pair(u, v) for v in rows] for u in rows]
     I = Scalar.i()
-    zero = AlgElement.zero(pres)
+    zero = TensorElement.zero(pres, 1)
 
     def p_el(mu):
-        return AlgElement.gen(pres, pidx[mu])
+        return TensorElement.gen(pres, pidx[mu])
 
     pt, mt = _basis_images(p_el, partial(_rotation, pres, midx), rows, zero)
     for (a, b), x in list(mt.items()):
@@ -370,9 +373,9 @@ def _covariant_atoms(pres, metric, tau, trunc):
     ginv = metric.inverse()
     t2 = metric.square(tau)
 
-    p = [AlgElement.gen(pres, pidx[mu], bump) for mu in range(dim)]
-    one = AlgElement.one(pres, bump)
-    zero = AlgElement.zero(pres, bump)
+    p = [TensorElement.gen(pres, pidx[mu], bump) for mu in range(dim)]
+    one = TensorElement.one(pres, 1, bump)
+    zero = TensorElement.zero(pres, 1, bump)
     C = _quadratic(zero, ginv, p.__getitem__, range(dim))
     p_tau = _lincomb(zero, enumerate(tau), p.__getitem__)
 
@@ -411,12 +414,12 @@ def _build_hadic(model):
     Pi, PiInv = atoms["Pi"], atoms["PiInv"]
     C, C_tau = atoms["C"], atoms["C_tau"]
 
-    one = AlgElement.one(pres, trunc)
+    one = TensorElement.one(pres, 1, trunc)
     p = [model.p(mu) for mu in range(dim)]
     m_el = model.m
     pu = [model.p_up(mu) for mu in range(dim)]
     p_tau = atoms["P_tau"]
-    zero = AlgElement.zero(pres, trunc)
+    zero = TensorElement.zero(pres, 1, trunc)
     m_tau = [
         _lincomb(zero, enumerate(tau), lambda al: m_el(al, lam))
         for lam in range(dim)
@@ -442,7 +445,7 @@ def _build_hadic(model):
         counit[pidx[mu]] = Scalar.zero()
 
     for (a, b), im in midx.items():
-        mel = AlgElement.gen(pres, im, trunc)
+        mel = TensorElement.gen(pres, im, trunc)
         d = otimes(mel, one) + otimes(one, mel)
         s_el = -mel
         for al in range(dim):
@@ -533,8 +536,8 @@ def _q_tables(model, s):
     """
     pres = model.pres
     pi, piv = model.grouplike
-    el = partial(AlgElement.gen, pres)
-    one = AlgElement.one(pres)
+    el = partial(TensorElement.gen, pres)
+    one = TensorElement.one(pres, 1)
     cop = {pi: otimes(el(pi), el(pi)), piv: otimes(el(piv), el(piv))}
     antip = {pi: el(piv), piv: el(pi)}
     counit = {i: Scalar.zero() for i in range(len(pres.generators))}
@@ -567,7 +570,7 @@ def _build_q_timelike(model):
     pi, piv = model.grouplike
     pidx = model.p_index
     mt = {i: model.m_index[(0, i)] for i in range(1, dim)}
-    el = partial(AlgElement.gen, pres)
+    el = partial(TensorElement.gen, pres)
     m_sp = model.m
     I = Scalar.i()
 
@@ -577,13 +580,13 @@ def _build_q_timelike(model):
         for (c, d) in spairs:
             rhs = (el(mt[d]) * g[i][c] - el(mt[c]) * g[i][d]) * I
             if rhs:
-                pres.set_commutator(mt[i], model.m_index[(c, d)], rhs.terms)
+                pres.set_commutator(mt[i], model.m_index[(c, d)], _rule(rhs))
     # [M_tau_i, M_tau_j] = -i tau^2 M_ij
     for i in range(1, dim):
         for j in range(i + 1, dim):
             rhs = m_sp(i, j) * Scalar.monomial(gr(0, -t2))
             if rhs:
-                pres.set_commutator(mt[i], mt[j], rhs.terms)
+                pres.set_commutator(mt[i], mt[j], _rule(rhs))
     # [M_tau_i, Pi^{+-1}]; Pi = 1 + P_tau/kappa + tau^2 C_tau/(2 kappa^2)
     # forces the tau^2 factor on the right-hand side
     for i in range(1, dim):
@@ -599,21 +602,21 @@ def _build_q_timelike(model):
         for j in range(1, dim):
             if g[i][j]:
                 rhs = bracket * Scalar.monomial(gr(0, _HALF * g[i][j]), -1, 0)
-                pres.set_commutator(mt[i], pidx[j], rhs.terms)
+                pres.set_commutator(mt[i], pidx[j], _rule(rhs))
 
     # Casimirs, via the reconstruction of P_tau from the group-likes
     model.p_tau_expr = bracket * Scalar.monomial(gr(_HALF), -1, 0)
     c_tau = (
         el(pi)
         + el(piv)
-        - AlgElement.one(pres) * 2
+        - TensorElement.one(pres, 1) * 2
         + el(piv) * pp * Scalar.monomial(gr(t2), 2, 0)
     ) * Scalar.monomial(gr(Fraction(1) / t2), -2, 0)
     c_full = model.p_tau_expr * model.p_tau_expr * (Fraction(1) / t2) + pp
     model.cas = CasimirSet(c_full, c_tau, el(pi), el(piv))
 
     cop, antip, counit = _q_tables(model, 0)
-    one = AlgElement.one(pres)
+    one = TensorElement.one(pres, 1)
     pu = {j: model.p_up(j) for j in range(1, dim)}
     for i in range(1, dim):
         d = otimes(el(mt[i]), one) + otimes(el(piv), el(mt[i]))
@@ -635,7 +638,7 @@ def _build_q_lightlike(model):
     pres, dim, g = model.pres, model.metric.dim, model.metric.g
     pi, piv = model.grouplike
     pidx, midx = model.p_index, model.m_index
-    el = partial(AlgElement.gen, pres)
+    el = partial(TensorElement.gen, pres)
     m_tr = model.m
     I = Scalar.i()
     mpm = midx[(0, 1)]
@@ -646,14 +649,14 @@ def _build_q_lightlike(model):
         for b in range(2, dim):
             rhs = (m_tr(a, b) + el(mpm) * g[a][b]) * (-I)
             if rhs:
-                pres.set_commutator(midx[(0, a)], midx[(1, b)], rhs.terms)
+                pres.set_commutator(midx[(0, a)], midx[(1, b)], _rule(rhs))
     # [M_{+-a}, M_bc] = i(g_ab M_{+-c} - g_ac M_{+-b})
     for s in (0, 1):
         for a in range(2, dim):
             for (b, c) in tpairs:
                 rhs = (el(midx[(s, c)]) * g[a][b] - el(midx[(s, b)]) * g[a][c]) * I
                 if rhs:
-                    pres.set_commutator(midx[(s, a)], midx[(b, c)], rhs.terms)
+                    pres.set_commutator(midx[(s, a)], midx[(b, c)], _rule(rhs))
     # [M_+-, M_{+-a}] = +-i M_{+-a}
     for a in range(2, dim):
         pres.set_commutator(mpm, midx[(0, a)], {(midx[(0, a)],): Scalar.i()})
@@ -687,7 +690,7 @@ def _build_q_lightlike(model):
                     {(pidx[1],): Scalar.monomial(gr(0, g[a][b]))},
                 )
 
-    one = AlgElement.one(pres)
+    one = TensorElement.one(pres, 1)
     pp = _momentum_square(model, 2)
     # C = 2 kappa (Pi_+ - 1) P_- + P^a P_a
     c_full = (el(pi) - one) * el(pidx[1]) * Scalar.monomial(gr(2), -1, 0) + pp
@@ -775,17 +778,17 @@ class Model:
     # --- element helpers ---------------------------------------------------
 
     def gen(self, label):
-        return AlgElement.gen(self.pres, self.pres.gen_index(label), self.trunc)
+        return TensorElement.gen(self.pres, self.pres.gen_index(label), self.trunc)
 
     def p(self, slot):
         if slot not in self.p_index:
             raise PresentationError("no momentum generator in slot %r" % slot)
-        return AlgElement.gen(self.pres, self.p_index[slot], self.trunc)
+        return TensorElement.gen(self.pres, self.p_index[slot], self.trunc)
 
     def p_up(self, slot):
         """Raised-index momentum P^slot using the working metric."""
         return _lincomb(
-            AlgElement.zero(self.pres, self.trunc),
+            TensorElement.zero(self.pres, 1, self.trunc),
             enumerate(self.metric.inverse()[slot]),
             self.p,
         )
@@ -798,8 +801,8 @@ class Model:
         if self.grouplike:
             pi, piv = self.grouplike
             idx = pi if k >= 0 else piv
-            return AlgElement(
-                self.pres, {(idx,) * abs(k): Scalar.one()}, self.trunc
+            return TensorElement(
+                self.pres, 1, {((idx,) * abs(k),): Scalar.one()}, self.trunc
             )
         return unital_power(self.cas.Pi, k)
 
@@ -812,14 +815,12 @@ class Model:
         substitution (nothing in the catalog does).
         """
         strip = set(self.grouplike)
-        is_tensor = isinstance(obj, TensorElement)
 
         def drop(word):
             return tuple(x for x in word if x not in strip)
 
         out = accumulate({}, (
-            (tuple(map(drop, key)) if is_tensor else drop(key), c)
-            for key, c in obj.terms.items()
+            (tuple(map(drop, key)), c) for key, c in obj.terms.items()
         ))
         cleaned = {}
         for key, c in out.items():
@@ -830,9 +831,7 @@ class Model:
             c0 = c.h_zero_part()
             if c0:
                 cleaned[key] = c0
-        if is_tensor:
-            return TensorElement(self.pres, obj.rank, cleaned, obj.trunc)
-        return AlgElement(self.pres, cleaned, obj.trunc)
+        return TensorElement(self.pres, obj.rank, cleaned, obj.trunc)
 
 
 # --- checks --------------------------------------------------------------------
@@ -848,7 +847,7 @@ def presentation_check(pres, triples=None):
     if failures:
         for t, residual in failures[:8]:
             rep.zero("confluence[%s]" % pres._word_str(t),
-                     AlgElement(pres, residual))
+                     TensorElement.from_words(pres, residual))
     else:
         rep.add("confluence", True)
     return rep
@@ -871,7 +870,7 @@ def decomposition_display_check(model):
     g = model.metric.g
     nh, nxi = model.trunc
     I = Scalar.i(model.trunc)
-    one = AlgElement.one(model.pres, model.trunc)
+    one = TensorElement.one(model.pres, 1, model.trunc)
     cas = model.cas
 
     p_tau = model.p(0)
@@ -903,12 +902,12 @@ def decomposition_display_check(model):
     atoms = _covariant_atoms(model.pres, model.metric, model.tau, bump)
     sqrt_el = atoms["Pi"] - atoms["P_tau"] * Scalar.h(1, bump)
     pp_b = _quadratic(
-        AlgElement.zero(model.pres, bump),
+        TensorElement.zero(model.pres, 1, bump),
         model.metric.inverse(),
-        lambda m: AlgElement.gen(model.pres, model.p_index[m], bump),
+        lambda m: TensorElement.gen(model.pres, model.p_index[m], bump),
         range(1, dim),
     )
-    denom = AlgElement.one(model.pres, bump) + pp_b * Scalar.monomial(
+    denom = TensorElement.one(model.pres, 1, bump) + pp_b * Scalar.monomial(
         gr(t2), 2, 0, bump
     )
     closed = (sqrt_el - atoms["P_tau"] * Scalar.h(1, bump)) * unital_inverse(denom)
@@ -918,7 +917,7 @@ def decomposition_display_check(model):
     comb = (
         atoms["Pi"]
         + atoms["PiInv"]
-        - AlgElement.one(model.pres, bump) * 2
+        - TensorElement.one(model.pres, 1, bump) * 2
         + pp_b * atoms["PiInv"] * Scalar.monomial(gr(t2), 2, 0, bump)
     )
     ct = comb.map_scalars(lambda sc: sc.shift(-2)) * (Fraction(1) / t2)
@@ -927,7 +926,7 @@ def decomposition_display_check(model):
     # (P_tau, Pi, Pi_inv) are not independent:
     # P_tau = (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2))
     recon = atoms["Pi"] - atoms["PiInv"] * (
-        AlgElement.one(model.pres, bump)
+        TensorElement.one(model.pres, 1, bump)
         + pp_b * Scalar.monomial(gr(t2), 2, 0, bump)
     )
     recon = recon.map_scalars(lambda sc: sc.shift(-1)) * _HALF
@@ -1006,7 +1005,7 @@ def nullplane_display_check(model):
     cas = model.cas
     I = Scalar.i(model.trunc)
     h1 = Scalar.h(1, model.trunc)
-    one = AlgElement.one(model.pres, model.trunc)
+    one = TensorElement.one(model.pres, 1, model.trunc)
     p_p, p_m = model.p(0), model.p(1)
 
     rep.zero("pi_plus_is_affine", cas.Pi - (one + p_p * h1))
@@ -1112,21 +1111,15 @@ def nullplane_display_check(model):
 
 
 def _word_image(pres_h, word, images, trunc):
-    out = AlgElement.one(pres_h, trunc)
+    out = TensorElement.one(pres_h, 1, trunc)
     for letter in word:
         out = out * images[letter]
     return out
 
 
-def _subst_element(elt, images, pres_h, trunc):
-    out = AlgElement.zero(pres_h, trunc)
-    for word, c in elt.terms.items():
-        out = out + _word_image(pres_h, word, images, trunc) * c
-    return out
-
-
-def _subst_tensor(tens, images, pres_h, trunc):
-    out = TensorElement.zero(pres_h, trunc, rank=tens.rank)
+def _subst(tens, images, pres_h, trunc):
+    """Each letter of each leg of ``tens`` replaced by its image."""
+    out = TensorElement.zero(pres_h, tens.rank, trunc)
     for key, c in tens.terms.items():
         legs = [_word_image(pres_h, w, images, trunc) for w in key]
         out = out + TensorElement.from_legs(*legs) * c
@@ -1162,10 +1155,10 @@ def q_hadic_correspondence_check(q_model, trunc=(3, 3)):
         {"flavor": q_model.flavor, "trunc": str(trunc)},
     )
     for i, gen in enumerate(q_model.pres.generators):
-        got = _subst_tensor(q_model.hopf.coproduct[i], images, pres_h, trunc)
+        got = _subst(q_model.hopf.coproduct[i], images, pres_h, trunc)
         want = h_model.hopf.cop(images[i])
         rep.zero("cop_corr[%s]" % gen.label, got - want)
-        got = _subst_element(q_model.hopf.antipode[i], images, pres_h, trunc)
+        got = _subst(q_model.hopf.antipode[i], images, pres_h, trunc)
         want = h_model.hopf.antipode_of(images[i])
         rep.zero("antipode_corr[%s]" % gen.label, got - want)
         eps_q = q_model.hopf.counit[i]
@@ -1191,7 +1184,7 @@ def q_display_check(model):
     pi, piv = model.grouplike
     el_pi = model.pi_power(1)
     el_piv = model.pi_power(-1)
-    one = AlgElement.one(pres)
+    one = TensorElement.one(pres, 1)
     I = Scalar.i()
     # P^m P_m over the slots g-orthogonal to tau (and to its null partner)
     timelike = model.flavor == "qanalog_timelike"
@@ -1348,9 +1341,9 @@ def casimir_check(model):
         "casimir elements", {"flavor": model.flavor, "tau2": str(model.tau2)}
     )
     cas = model.cas
-    one = AlgElement.one(model.pres, model.trunc)
+    one = TensorElement.one(model.pres, 1, model.trunc)
     for i, gen in enumerate(model.pres.generators):
-        el = AlgElement.gen(model.pres, i, model.trunc)
+        el = TensorElement.gen(model.pres, i, model.trunc)
         rep.zero("central[C,%s]" % gen.label, cas.C.commutator(el))
         rep.zero("central[C_tau,%s]" % gen.label, cas.C_tau.commutator(el))
     rep.zero("pi_times_pi_inv", cas.Pi * cas.PiInv - one)
@@ -1389,14 +1382,14 @@ def classical_hopf_check(model):
     rep = Report("classical limit", {"flavor": model.flavor})
     pres = model.pres
     strip = set(model.grouplike)
-    one = AlgElement.one(pres, model.trunc)
+    one = TensorElement.one(pres, 1, model.trunc)
     for i, gen in enumerate(pres.generators):
-        el = AlgElement.gen(pres, i, model.trunc)
+        el = TensorElement.gen(pres, i, model.trunc)
         if i in strip:
             lim = model.classical_limit(model.hopf.coproduct[i])
             rep.zero(
                 "limit_cop[%s]_is_unit" % gen.label,
-                lim - TensorElement.one(pres, model.trunc),
+                lim - TensorElement.one(pres, 2, model.trunc),
             )
             rep.zero(
                 "limit_antipode[%s]_is_unit" % gen.label,
@@ -1427,42 +1420,28 @@ def _grading_offsets(model):
     monomial sits at that offset.
     """
     pres = model.pres
-    for (i, j), terms in pres.comm_rules.items():
-        w_lhs = pres.generators[i].weight + pres.generators[j].weight
-        for word, c in terms.items():
-            yield (
-                "comm[%s,%s]" % (pres.label(i), pres.label(j)),
-                word,
-                c,
-                _weight(pres, word) - w_lhs,
-            )
-    for (i, j), terms in pres.product_rules.items():
-        w_lhs = pres.generators[i].weight + pres.generators[j].weight
-        for word, c in terms.items():
-            yield (
-                "product[%s,%s]" % (pres.label(i), pres.label(j)),
-                word,
-                c,
-                _weight(pres, word) - w_lhs,
-            )
-    for i, tens in model.hopf.coproduct.items():
-        w_lhs = pres.generators[i].weight
-        for key, c in tens.terms.items():
-            yield (
-                "cop[%s]" % pres.label(i),
-                key,
-                c,
-                sum(_weight(pres, w) for w in key) - w_lhs,
-            )
-    for i, elt in model.hopf.antipode.items():
-        w_lhs = pres.generators[i].weight
-        for word, c in elt.terms.items():
-            yield (
-                "antipode[%s]" % pres.label(i),
-                word,
-                c,
-                _weight(pres, word) - w_lhs,
-            )
+    for what, rules in (("comm", pres.comm_rules),
+                        ("product", pres.product_rules)):
+        for (i, j), terms in rules.items():
+            w_lhs = pres.generators[i].weight + pres.generators[j].weight
+            for word, c in terms.items():
+                yield (
+                    "%s[%s,%s]" % (what, pres.label(i), pres.label(j)),
+                    word,
+                    c,
+                    _weight(pres, word) - w_lhs,
+                )
+    for what, table in (("cop", model.hopf.coproduct),
+                        ("antipode", model.hopf.antipode)):
+        for i, tens in table.items():
+            w_lhs = pres.generators[i].weight
+            for key, c in tens.terms.items():
+                yield (
+                    "%s[%s]" % (what, pres.label(i)),
+                    key,
+                    c,
+                    sum(_weight(pres, w) for w in key) - w_lhs,
+                )
     for i, sc in model.hopf.counit.items():
         w_lhs = pres.generators[i].weight
         yield ("counit[%s]" % pres.label(i), None, sc, -w_lhs)
@@ -1565,22 +1544,15 @@ def rescaling_isomorphism_check(model, lam=2, kappas=(1, 2, 10)):
                 got == other.pres.comm_rules[(i, j)],
             )
         for i, gen in enumerate(pres.generators):
-            got = {
-                k: scale(c, e[i] - sum(w_e(w) for w in k))
-                for k, c in model.hopf.coproduct[i].terms.items()
-            }
-            rep.add(
-                "scaled_cop[%s]" % gen.label,
-                got == other.hopf.coproduct[i].terms,
-            )
-            got = {
-                k: scale(c, e[i] - w_e(k))
-                for k, c in model.hopf.antipode[i].terms.items()
-            }
-            rep.add(
-                "scaled_antipode[%s]" % gen.label,
-                got == other.hopf.antipode[i].terms,
-            )
+            for what, mine, theirs in (
+                ("cop", model.hopf.coproduct[i], other.hopf.coproduct[i]),
+                ("antipode", model.hopf.antipode[i], other.hopf.antipode[i]),
+            ):
+                got = {
+                    k: scale(c, e[i] - sum(w_e(w) for w in k))
+                    for k, c in mine.terms.items()
+                }
+                rep.add("scaled_%s[%s]" % (what, gen.label), got == theirs.terms)
     return rep
 
 
@@ -1603,7 +1575,7 @@ def hopf_covariance_check(model, rows):
     )
     trunc = model.trunc
     pt, mt = _basis_images(
-        model.p, model.m, rows, AlgElement.zero(model.pres, trunc)
+        model.p, model.m, rows, TensorElement.zero(model.pres, 1, trunc)
     )
     images = {other.p_index[a]: x for a, x in enumerate(pt)}
     images.update((other.m_index[ab], x) for ab, x in mt.items())
@@ -1614,9 +1586,9 @@ def hopf_covariance_check(model, rows):
     )
     for i, gen in enumerate(other.pres.generators):
         phi_x = images[i]
-        got = _subst_tensor(other.hopf.coproduct[i], images, model.pres, trunc)
+        got = _subst(other.hopf.coproduct[i], images, model.pres, trunc)
         rep.zero("cop_cov[%s]" % gen.label, got - model.hopf.cop(phi_x))
-        got = _subst_element(other.hopf.antipode[i], images, model.pres, trunc)
+        got = _subst(other.hopf.antipode[i], images, model.pres, trunc)
         rep.zero(
             "antipode_cov[%s]" % gen.label,
             got - model.hopf.antipode_of(phi_x),
@@ -1626,7 +1598,7 @@ def hopf_covariance_check(model, rows):
             model.hopf.counit_of(phi_x) - other.hopf.counit[i],
         )
     for attr in ("C", "C_tau", "Pi", "PiInv"):
-        got = _subst_element(
+        got = _subst(
             getattr(other.cas, attr), images, model.pres, trunc
         )
         rep.zero("invariant[%s]" % attr, got - getattr(model.cas, attr))

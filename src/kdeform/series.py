@@ -6,9 +6,8 @@ once k > N_h + N_xi.  That makes Maclaurin series of 1/(1+t), sqrt(1+t),
 log(1+t) and exp(t) finite sums, evaluated here with exact rational
 coefficients.
 
-The inputs are deliberately not validated against specific presentations;
-anything with +, *, scalar multiplication and a ``trunc`` attribute works
-(algebra elements and tensor-product elements both qualify).
+The inputs are ``ncalg.TensorElement`` values of any rank (algebra elements
+are the rank-1 case); each series unit takes the input's rank.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import KdeformError
+from .ncalg import TensorElement
 
 
 def _nilpotency_bound(x):
@@ -25,18 +25,18 @@ def _nilpotency_bound(x):
 
 
 def _check_positive_bigrade(x, what):
-    for word, coeff in x.terms.items():
+    for key, coeff in x.terms.items():
         for (a, b) in coeff.terms:
             if a + b < 1:
                 raise KdeformError(
                     "%s needs positive total bigrade in every term; "
-                    "found h^%d xi^%d on %r" % (what, a, b, word)
+                    "found h^%d xi^%d on %r" % (what, a, b, key)
                 )
 
 
 def perturbation_part(u):
     """n = u - 1, checked to be nilpotent (positive total bigrade terms)."""
-    n = u - type(u).one(u.pres, u.trunc)
+    n = u - TensorElement.one(u.pres, u.rank, u.trunc)
     _check_positive_bigrade(n, "unital series")
     return n
 
@@ -44,7 +44,7 @@ def perturbation_part(u):
 def _maclaurin(u, coeff_fn):
     """sum_k coeff_fn(k) * (u - 1)^k, k = 0 .. nilpotency bound."""
     n = perturbation_part(u)
-    one = type(u).one(u.pres, u.trunc)
+    one = TensorElement.one(u.pres, u.rank, u.trunc)
     total = one * Fraction(coeff_fn(0))
     power = one
     for k in range(1, _nilpotency_bound(u) + 1):
@@ -86,7 +86,7 @@ def unital_power(u, k):
     if k < 0:
         u = unital_inverse(u)
         k = -k
-    out = type(u).one(u.pres, u.trunc)
+    out = TensorElement.one(u.pres, u.rank, u.trunc)
     for _ in range(k):
         out = out * u
     return out
@@ -96,7 +96,7 @@ def exp_nilpotent(x, one=None):
     """exp(x) for x with positive total bigrade in every coefficient."""
     _check_positive_bigrade(x, "exp")
     if one is None:
-        one = type(x).one(x.pres, x.trunc)
+        one = TensorElement.one(x.pres, x.rank, x.trunc)
     total = one
     power = one
     fact = Fraction(1)

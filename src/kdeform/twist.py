@@ -19,8 +19,8 @@ structure is established by ``cocycle_check``, not assumed here.
 from fractions import Fraction
 
 from .errors import KdeformError, PresentationError
-from .hopf import HopfData, TensorElement, otimes
-from .ncalg import AlgElement
+from .hopf import HopfData, otimes
+from .ncalg import TensorElement
 from .report import Report
 from .scalar import Scalar, gr
 from .series import exp_nilpotent, unital_inverse, unital_log, unital_sqrt
@@ -42,8 +42,8 @@ def primitive_hopf(pres, trunc):
         )
     cop, antip, counit = {}, {}, {}
     for i in range(len(pres.generators)):
-        g = AlgElement.gen(pres, i, trunc)
-        one = AlgElement.one(pres, trunc)
+        g = TensorElement.gen(pres, i, trunc)
+        one = TensorElement.one(pres, 1, trunc)
         cop[i] = otimes(g, one) + otimes(one, g)
         antip[i] = -g
         counit[i] = Scalar.zero(trunc)
@@ -59,7 +59,7 @@ class TwistElement:
         self.trunc = model.trunc
         self.factors = list(factors)
         self.label = label
-        one = TensorElement.one(self.pres, self.trunc)
+        one = TensorElement.one(self.pres, 2, self.trunc)
         t = one
         for x in self.factors:
             t = t * exp_nilpotent(x, one=one)
@@ -103,7 +103,7 @@ def build_twist(label, model):
         ln_pi = unital_log(model.cas.Pi)
         piv = model.cas.PiInv
         x1 = otimes(model.m(0, 1), ln_pi) * minus_i
-        x2 = TensorElement.zero(model.pres, trunc)
+        x2 = TensorElement.zero(model.pres, 2, trunc)
         for a in _transverse_slots(model):
             x2 = x2 + otimes(model.m(0, a), model.p_up(a) * piv)
         x2 = x2 * (minus_i * Scalar.h(1, trunc))
@@ -162,7 +162,7 @@ def build_twist(label, model):
         x2 = otimes(ln_pi, m3) * (i_s * _HALF)
         return TwistElement(model, [x1, x2], label=label)
     # T4
-    one = AlgElement.one(model.pres, trunc)
+    one = TensorElement.one(model.pres, 1, trunc)
     sigma = unital_log(one + p_t * Scalar.xi(1, trunc))
     damp = unital_inverse(one + p_t * Scalar.xi(1, trunc)) * model.cas.PiInv
     x1 = otimes(m_t * damp, model.p(3)) * Scalar.xi(1, trunc)
@@ -192,8 +192,8 @@ def cocycle_check(twist, hopf):
         {"twist": twist.label or "custom", "trunc": str(twist.trunc)},
     )
     t = twist.tensor
-    one2 = TensorElement.one(twist.pres, twist.trunc)
-    one1 = AlgElement.one(twist.pres, twist.trunc)
+    one2 = TensorElement.one(twist.pres, 2, twist.trunc)
+    one1 = TensorElement.one(twist.pres, 1, twist.trunc)
     rep.zero("invertible", t * twist.inverse - one2)
     lhs = _pad3(t, (0, 1)) * hopf.apply_cop_leg(t, 0)
     rhs = _pad3(t, (1, 2)) * hopf.apply_cop_leg(t, 1)
@@ -218,12 +218,12 @@ def twist_hopf(hopf, twist, check=True):
     trunc = twist.trunc
     u = hopf.apply_antipode_leg(twist.tensor, 1).merge_legs()
     u_inv = hopf.apply_antipode_leg(twist.inverse, 0).merge_legs()
-    one = AlgElement.one(pres, trunc)
+    one = TensorElement.one(pres, 1, trunc)
     if not (u * u_inv - one).is_zero() or not (u_inv * u - one).is_zero():
         raise KdeformError("twist gauge element u is not invertible")
     cop, antip, counit = {}, {}, {}
     for i in range(len(pres.generators)):
-        g = AlgElement.gen(pres, i, trunc)
+        g = TensorElement.gen(pres, i, trunc)
         cop[i] = twist.conjugate(hopf.cop(g))
         antip[i] = u * hopf.antipode_of(g) * u_inv
         counit[i] = hopf.counit[i]
@@ -238,7 +238,7 @@ def factor_order_check(twist):
     trunc = model.trunc
     minus_i = Scalar.monomial(gr(0, -1), 0, 0, trunc)
     ln_pi = unital_log(model.cas.Pi)
-    y1 = TensorElement.zero(model.pres, trunc)
+    y1 = TensorElement.zero(model.pres, 2, trunc)
     for a in _transverse_slots(model):
         y1 = y1 + otimes(model.m(0, a), model.p_up(a))
     y1 = y1 * (minus_i * Scalar.h(1, trunc))

@@ -28,7 +28,7 @@ from kdeform.model import (
     h_polynomial_check,
     transform_tau,
 )
-from kdeform.ncalg import AlgElement
+from kdeform.ncalg import TensorElement
 from kdeform.scalar import Scalar, gr
 
 MINK2 = [[1, 0], [0, -1]]
@@ -45,9 +45,9 @@ def failed(report):
 
 def test_iso_euclidean_2d_brackets():
     pres = build_iso(EUCL2)
-    p0 = AlgElement.gen(pres, pres.gen_index("P_0"))
-    p1 = AlgElement.gen(pres, pres.gen_index("P_1"))
-    m01 = AlgElement.gen(pres, pres.gen_index("M_01"))
+    p0 = TensorElement.gen(pres, pres.gen_index("P_0"))
+    p1 = TensorElement.gen(pres, pres.gen_index("P_1"))
+    m01 = TensorElement.gen(pres, pres.gen_index("M_01"))
     i = Scalar.i()
     assert (m01.commutator(p0) + p1 * i).is_zero()
     assert (m01.commutator(p1) - p0 * i).is_zero()
@@ -379,7 +379,7 @@ def test_q_timelike_antipode_polynomial_collapse():
     piv = m.pres.gen_index("Pi_inv")
     for i in (1, 2):
         s = m.hopf.antipode[m.m_index[(0, i)]]
-        assert all(piv not in w for w in s.terms)
+        assert all(piv not in w for (w,) in s.terms)
 
 
 def test_q_lightlike_exact():
@@ -473,5 +473,5 @@ def test_stored_entries_are_normal_under_the_final_rules(tau, flavor, trunc):
             for w in key:
                 assert pres.is_normal_word(w), (pres.label(i), key)
     for i, s in m.hopf.antipode.items():
-        for w in s.terms:
+        for (w,) in s.terms:
             assert pres.is_normal_word(w), (pres.label(i), w)

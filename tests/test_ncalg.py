@@ -9,7 +9,7 @@ import pytest
 
 import kdeform
 from kdeform.errors import PresentationError, RewriteError
-from kdeform.ncalg import AlgElement, Presentation
+from kdeform.ncalg import Presentation, TensorElement
 from kdeform.scalar import GR_ONE, Scalar, gr
 
 
@@ -143,9 +143,9 @@ def test_word_length_cap():
 
 def test_element_arithmetic():
     pres, a, b = weyl_pair()
-    ea = AlgElement.gen(pres, a)
-    eb = AlgElement.gen(pres, b)
-    one = AlgElement.one(pres)
+    ea = TensorElement.gen(pres, a)
+    eb = TensorElement.gen(pres, b)
+    one = TensorElement.one(pres, 1)
     assert eb * ea == ea * eb + one
     assert eb.commutator(ea) == one
     # (a + b)^2 = a^2 + 2 a b + b^2 + 1
@@ -158,12 +158,12 @@ def test_element_arithmetic():
 def test_element_scalar_coefficients_and_trunc():
     pres, a, b = weyl_pair()
     t = (3, 3)
-    h2a = AlgElement.gen(pres, a, t) * Scalar.h(2, t)
-    h2b = AlgElement.gen(pres, b, t) * Scalar.h(2, t)
+    h2a = TensorElement.gen(pres, a, t) * Scalar.h(2, t)
+    h2b = TensorElement.gen(pres, b, t) * Scalar.h(2, t)
     assert (h2a * h2b).is_zero()  # h^4 falls outside the truncation
-    hb = AlgElement.gen(pres, b, t) * Scalar.h(1, t)
+    hb = TensorElement.gen(pres, b, t) * Scalar.h(1, t)
     prod = h2a * hb
-    assert prod.coeff((a, b)) == Scalar.h(3, t)
+    assert prod.coeff(((a, b),)) == Scalar.h(3, t)
 
 
 def test_exact_rule_with_truncated_elements():
@@ -173,20 +173,20 @@ def test_exact_rule_with_truncated_elements():
     b = pres.add_generator("b")
     pres.set_commutator(b, a, {(): Scalar.h(1)})
     t = (2, 2)
-    ea = AlgElement.gen(pres, a, t)
-    eb = AlgElement.gen(pres, b, t)
+    ea = TensorElement.gen(pres, a, t)
+    eb = TensorElement.gen(pres, b, t)
     comm = eb.commutator(ea)
-    assert comm.coeff(()) == Scalar.h(1, t)
+    assert comm.coeff(((),)) == Scalar.h(1, t)
     assert comm.trunc == t
 
 
 def test_star_antihomomorphism():
     pres, a, b = weyl_pair()
-    ea = AlgElement.gen(pres, a)
-    eb = AlgElement.gen(pres, b)
+    ea = TensorElement.gen(pres, a)
+    eb = TensorElement.gen(pres, b)
     # (i a b)* = -i b* a* = -i (a b + 1) for self-adjoint letters
     elt = ea * eb * Scalar.i()
-    expect = -(ea * eb + AlgElement.one(pres)) * Scalar.i()
+    expect = -(ea * eb + TensorElement.one(pres, 1)) * Scalar.i()
     assert elt.star() == expect
     # star table: b* = -b
     pres2 = Presentation("w2")
@@ -194,20 +194,33 @@ def test_star_antihomomorphism():
     b2 = pres2.add_generator("b")
     pres2.set_commutator(b2, a2, {(): Scalar.one()})
     pres2.set_star(b2, {(b2,): Scalar.rational(-1)})
-    e2 = AlgElement.gen(pres2, b2)
+    e2 = TensorElement.gen(pres2, b2)
     assert e2.star() == -e2
 
 
 def test_star_h_sign_flip():
     pres, a, _ = weyl_pair()
-    ea = AlgElement.gen(pres, a)
+    ea = TensorElement.gen(pres, a)
     elt = ea * (Scalar.i() * Scalar.h())
     assert elt.star() == -elt
     assert elt.star(h_sign=-1) == elt
+
+
+def test_rank_one_keys_are_one_tuples_of_words():
+    pres, a, b = weyl_pair()
+    elt = TensorElement(pres, 1, {((a, b),): Scalar.one()})
+    assert elt == TensorElement.gen(pres, a) * TensorElement.gen(pres, b)
+    assert elt.coeff(((a, b),)) == Scalar.one()
+    # a bare word, or a key of another length, is refused
+    for key in ((a,), (a, b), (), ((a,), (b,))):
+        with pytest.raises(PresentationError):
+            TensorElement(pres, 1, {key: Scalar.one()})
+        with pytest.raises(PresentationError):
+            elt.coeff(key)
 
 
 def test_mixed_presentations_rejected():
     p1, a1, _ = weyl_pair()
     p2, a2, _ = weyl_pair()
     with pytest.raises(PresentationError):
-        AlgElement.gen(p1, a1) * AlgElement.gen(p2, a2)
+        TensorElement.gen(p1, a1) * TensorElement.gen(p2, a2)

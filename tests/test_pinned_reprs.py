@@ -34,7 +34,7 @@ from kdeform import model as km
 from kdeform import twist
 from kdeform.errors import PresentationError
 from kdeform.model import Model, ModelConfig, build_iso, change_basis
-from kdeform.ncalg import AlgElement
+from kdeform.ncalg import TensorElement
 from kdeform.rmatrix import WedgeTensor, build_r, schouten, ybe_classify
 from kdeform.scalar import Scalar, gr
 
@@ -85,7 +85,7 @@ def rendered(config):
     m = Model(ModelConfig(*config))
     pres = m.pres
     n = len(pres.generators)
-    gens = [AlgElement.gen(pres, i, m.trunc) for i in range(n)]
+    gens = [TensorElement.gen(pres, i, m.trunc) for i in range(n)]
     objs = (
         [m.hopf.coproduct[i] for i in range(n)]
         + [m.hopf.antipode[i] for i in range(n)]
