@@ -103,6 +103,36 @@ class Metric:
         return "Metric(%r)" % (self.g,)
 
 
+def as_metric(metric):
+    """A Metric, built from its rows unless it is one already."""
+    return metric if isinstance(metric, Metric) else Metric(metric)
+
+
+def as_vector(metric, v):
+    """A vector's ``dim`` components as Fractions; another length raises."""
+    v = tuple(Fraction(x) for x in v)
+    if len(v) != metric.dim:
+        raise PresentationError("need %d components: %r" % (metric.dim, v))
+    return v
+
+
+def as_tau(metric, tau):
+    """The deformation vector tau as ``dim`` Fractions, not all zero."""
+    tau = as_vector(metric, tau)
+    if not any(tau):
+        raise PresentationError("tau must be non-zero")
+    return tau
+
+
+def basis_metric(metric, rows):
+    """``(rows, metric~)`` for ``dim`` basis rows (old coordinates): each row
+    as ``dim`` Fractions, and metric~_ab = g(rows[a], rows[b])."""
+    rows = [as_vector(metric, row) for row in rows]
+    if len(rows) != metric.dim:
+        raise PresentationError("need %d rows: %r" % (metric.dim, rows))
+    return rows, Metric([[metric.pair(u, v) for v in rows] for u in rows])
+
+
 def exact_inertia(rows):
     """Counts (p, q) of positive and negative squares of a rational
     symmetric matrix, by symmetric congruence elimination.
@@ -163,7 +193,7 @@ def orthogonal_split(metric, tau):
     basis: blocks[0][0] == tau^2 and the first row/column vanish off the
     corner.  The complement block is not diagonalized.
     """
-    tau = tuple(Fraction(x) for x in tau)
+    tau = as_vector(metric, tau)
     t2 = metric.square(tau)
     if t2 == 0:
         raise PresentationError("orthogonal_split needs tau^2 != 0")
@@ -177,8 +207,7 @@ def orthogonal_split(metric, tau):
             basis.append(w)
     if len(basis) != n:
         raise PresentationError("failed to complete tau to a basis")
-    blocks = [[metric.pair(u, v) for v in basis] for u in basis]
-    return basis, blocks
+    return basis, basis_metric(metric, basis)[1].g
 
 
 def null_pair_split(metric, tau):
@@ -188,7 +217,7 @@ def null_pair_split(metric, tau):
     tau_minus null, g(tau_plus, tau_minus) = 1, and ``transverse`` a list of
     dim-2 vectors orthogonal to both.
     """
-    tau = tuple(Fraction(x) for x in tau)
+    tau = as_vector(metric, tau)
     if metric.square(tau) != 0:
         raise PresentationError("null_pair_split needs tau^2 == 0")
     n = metric.dim

@@ -29,7 +29,8 @@ from functools import partial
 
 from .errors import ClassicalLimitError, PresentationError
 from .hopf import HopfData, otimes, verify_axioms, verify_reality
-from .metric import Metric, null_pair_split, orthogonal_split
+from .metric import (as_metric, as_tau, as_vector, basis_metric,
+                     null_pair_split, orthogonal_split)
 from .ncalg import EMPTY_WORD, Presentation, TensorElement, accumulate
 from .report import Report
 from .scalar import Scalar, gr
@@ -50,14 +51,8 @@ class ModelConfig:
     """Input data for one catalog entry."""
 
     def __init__(self, metric, tau, flavor="covariant_hadic", trunc=(3, 3)):
-        if not isinstance(metric, Metric):
-            metric = Metric(metric)
-        self.metric = metric
-        self.tau = tuple(Fraction(x) for x in tau)
-        if len(self.tau) != metric.dim:
-            raise PresentationError("tau has wrong dimension")
-        if all(x == 0 for x in self.tau):
-            raise PresentationError("tau must be non-zero")
+        self.metric = metric = as_metric(metric)
+        self.tau = as_tau(metric, tau)
         if flavor not in FLAVORS:
             raise PresentationError("unknown flavor %r" % (flavor,))
         self.flavor = flavor
@@ -157,8 +152,7 @@ def build_iso(metric, p_labels=None, m_labels=None):
     Index maps are attached as ``pres.iso_data`` = {"metric", "p", "m"} so
     that basis changes and the Hopf builders can find their way around.
     """
-    if not isinstance(metric, Metric):
-        metric = Metric(metric)
+    metric = as_metric(metric)
     metric.inverse()  # validates non-degeneracy up front
     dim = metric.dim
     if p_labels is None:
@@ -172,6 +166,14 @@ def build_iso(metric, p_labels=None, m_labels=None):
     _install_orthogonal_rules(pres, metric.g, dict(enumerate(pidx)), midx)
     pres.iso_data = {"metric": metric, "p": pidx, "m": midx}
     return pres
+
+
+def _iso_data(pres):
+    """The index maps of a presentation built by ``build_iso``."""
+    data = getattr(pres, "iso_data", None)
+    if data is None:
+        raise PresentationError("needs a presentation built by build_iso")
+    return data
 
 
 def _m_signed(midx, a, b):
@@ -229,15 +231,11 @@ def _install_orthogonal_rules(pres, g, pidx, midx):
 def transform_tau(metric, rows, tau):
     """Components of tau in the basis e~_alpha = rows[alpha].
 
-    Lower with g, contract with the rows, raise with the transformed metric.
+    Pair each row with tau through g, raise with the transformed metric.
     """
-    tau_low = metric.lower(tau)
-    new_low = tuple(
-        sum(Fraction(row[mu]) * tau_low[mu] for mu in range(metric.dim))
-        for row in rows
-    )
-    blocks = [[metric.pair(u, v) for v in rows] for u in rows]
-    return Metric(blocks).raise_index(new_low)
+    rows, new_metric = basis_metric(metric, rows)
+    tau = as_vector(metric, tau)
+    return new_metric.raise_index(tuple(metric.pair(row, tau) for row in rows))
 
 
 def change_basis(pres, rows):
@@ -247,15 +245,8 @@ def change_basis(pres, rows):
     constants are rebuilt from it, which is what covariance of the defining
     relations asserts (basis_change_check verifies this formula-level).
     """
-    data = getattr(pres, "iso_data", None)
-    if data is None:
-        raise PresentationError("change_basis needs a presentation from build_iso")
-    metric = data["metric"]
-    rows = [tuple(Fraction(x) for x in row) for row in rows]
-    if len(rows) != metric.dim:
-        raise PresentationError("basis has wrong size")
-    blocks = [[metric.pair(u, v) for v in rows] for u in rows]
-    new_pres = build_iso(Metric(blocks))
+    rows, new_metric = basis_metric(_iso_data(pres)["metric"], rows)
+    new_pres = build_iso(new_metric)
     new_pres.iso_data["basis"] = rows
     return new_pres
 
@@ -288,11 +279,11 @@ def basis_change_check(pres, rows):
     M~_ab = A_a^mu A_b^nu M_mu_nu must satisfy the relations built from the
     transformed metric, and the quadratic Casimir must be basis independent.
     """
-    data = pres.iso_data
+    data = _iso_data(pres)
     metric, pidx, midx = data["metric"], data["p"], data["m"]
     dim = metric.dim
-    rows = [tuple(Fraction(x) for x in row) for row in rows]
-    gt = [[metric.pair(u, v) for v in rows] for u in rows]
+    rows, metric_t = basis_metric(metric, rows)
+    gt = metric_t.g
     I = Scalar.i()
     zero = TensorElement.zero(pres, 1)
 
@@ -325,7 +316,7 @@ def basis_change_check(pres, rows):
             rep.zero("comm[M~_%d%d,M~_%d%d]" % (a, b, c, d), got - want)
     # C~ = C: the Casimir does not see the basis
     c_old = _quadratic(zero, metric.inverse(), p_el, range(dim))
-    c_new = _quadratic(zero, Metric(gt).inverse(), pt.__getitem__, range(dim))
+    c_new = _quadratic(zero, metric_t.inverse(), pt.__getitem__, range(dim))
     rep.zero("casimir_basis_independent", c_old - c_new)
     return rep
 
@@ -338,22 +329,19 @@ def orthogonal_decompose(metric, tau):
     tau^2 = 0: rows = (tau_+, tau_-, transverse...) with the anti-diagonal
     2x2 light-cone block.  Either way tau becomes (1, 0, ..., 0).
     """
-    if not isinstance(metric, Metric):
-        metric = Metric(metric)
-    tau = tuple(Fraction(x) for x in tau)
-    if all(x == 0 for x in tau):
-        raise PresentationError("tau must be non-zero")
+    metric = as_metric(metric)
+    tau = as_tau(metric, tau)
     if metric.square(tau) != 0:
         basis, blocks = orthogonal_split(metric, tau)
+        new_metric = as_metric(blocks)
     else:
         p, q = metric.inertia()
         if p == 0 or q == 0:
             raise PresentationError("null tau needs a non-Euclidean signature")
         tp, tm, transverse = null_pair_split(metric, tau)
-        basis = [tp, tm] + list(transverse)
-        blocks = [[metric.pair(u, v) for v in basis] for u in basis]
+        basis, new_metric = basis_metric(metric, [tp, tm] + list(transverse))
     new_tau = (Fraction(1),) + (Fraction(0),) * (metric.dim - 1)
-    return basis, Metric(blocks), new_tau
+    return basis, new_metric, new_tau
 
 
 # --- covariant h-adic construction -------------------------------------------
@@ -787,6 +775,7 @@ class Model:
 
     def p_up(self, slot):
         """Raised-index momentum P^slot using the working metric."""
+        self._require_slots(slot)
         return _lincomb(
             TensorElement.zero(self.pres, 1, self.trunc),
             enumerate(self.metric.inverse()[slot]),
@@ -794,7 +783,13 @@ class Model:
         )
 
     def m(self, a, b):
+        self._require_slots(a, b)
         return _rotation(self.pres, self.m_index, a, b, self.trunc)
+
+    def _require_slots(self, *slots):
+        dim = self.metric.dim
+        if not all(slot in range(dim) for slot in slots):
+            raise PresentationError("no slots %r in dimension %d" % (slots, dim))
 
     def pi_power(self, k):
         """Pi^k as an element, for any integer k."""
@@ -837,9 +832,9 @@ class Model:
 # --- checks --------------------------------------------------------------------
 
 
-def presentation_check(pres, triples=None):
+def presentation_check(pres):
     """Local-confluence sweep wrapped in a report (Jacobi when pure Lie)."""
-    failures = pres.associativity_check(triples)
+    failures = pres.associativity_check()
     rep = Report(
         "presentation consistency: %s" % pres.name,
         {"generators": len(pres.generators)},
@@ -1126,6 +1121,23 @@ def _subst(tens, images, pres_h, trunc):
     return out
 
 
+def _hopf_map_check(rep, tag, src, dst, images):
+    """Checks, named with ``tag``, that phi: g_i -> images[i] carries the
+    Delta, S and epsilon of ``src`` on each generator to those of ``dst``."""
+    for i, gen in enumerate(src.pres.generators):
+        phi_g = images[i]
+        got = _subst(src.coproduct[i], images, dst.pres, dst.trunc)
+        rep.zero("cop_%s[%s]" % (tag, gen.label), got - dst.cop(phi_g))
+        got = _subst(src.antipode[i], images, dst.pres, dst.trunc)
+        rep.zero(
+            "antipode_%s[%s]" % (tag, gen.label), got - dst.antipode_of(phi_g)
+        )
+        rep.zero(
+            "counit_%s[%s]" % (tag, gen.label),
+            dst.counit_of(phi_g) - src.counit[i],
+        )
+
+
 def q_hadic_correspondence_check(q_model, trunc=(3, 3)):
     """The q-analog maps onto the matching h-adic flavor.
 
@@ -1142,7 +1154,6 @@ def q_hadic_correspondence_check(q_model, trunc=(3, 3)):
     h_model = Model(
         ModelConfig(q_model.config.metric, q_model.config.tau, h_flavor, trunc)
     )
-    pres_h = h_model.pres
     pi, piv = q_model.grouplike
     images = {pi: h_model.cas.Pi, piv: h_model.cas.PiInv}
     for i, gen in enumerate(q_model.pres.generators):
@@ -1154,16 +1165,7 @@ def q_hadic_correspondence_check(q_model, trunc=(3, 3)):
         "q-analog vs h-adic correspondence",
         {"flavor": q_model.flavor, "trunc": str(trunc)},
     )
-    for i, gen in enumerate(q_model.pres.generators):
-        got = _subst(q_model.hopf.coproduct[i], images, pres_h, trunc)
-        want = h_model.hopf.cop(images[i])
-        rep.zero("cop_corr[%s]" % gen.label, got - want)
-        got = _subst(q_model.hopf.antipode[i], images, pres_h, trunc)
-        want = h_model.hopf.antipode_of(images[i])
-        rep.zero("antipode_corr[%s]" % gen.label, got - want)
-        eps_q = q_model.hopf.counit[i]
-        eps_h = h_model.hopf.counit_of(images[i])
-        rep.zero("counit_corr[%s]" % gen.label, eps_h - eps_q)
+    _hopf_map_check(rep, "corr", q_model.hopf, h_model.hopf, images)
     return rep
 
 
@@ -1373,7 +1375,7 @@ def reality_check(model):
         "reality conditions",
         {"flavor": model.flavor, "dim": dim},
     )
-    rep.extend(verify_reality(model.hopf, h_sign=1, conjugator=conj))
+    rep.extend(verify_reality(model.hopf, conj))
     return rep
 
 
@@ -1473,7 +1475,7 @@ def _slot_exponents(model):
     return e
 
 
-def rescaling_isomorphism_check(model, lam=2, kappas=(1, 2, 10)):
+def rescaling_isomorphism_check(model, lam=2):
     """Certifies U_{kappa,tau} ~= U_{lambda kappa, lambda tau}.
 
     Two independent certificates: (a) the grading identity, every stored
@@ -1481,8 +1483,8 @@ def rescaling_isomorphism_check(model, lam=2, kappas=(1, 2, 10)):
     its word, so P -> P/kappa clears h from all structure data; (b) direct
     comparison, for h-adic flavors against a freshly built (lambda tau)
     model, whose entries differ from the original by lambda^(deg_h + slot
-    degree offset), and for q-analogs by specializing h = 1/kappa_0 and
-    normalizing with the momentum rescale.
+    degree offset), and for q-analogs by specializing h = 1/kappa_0 at
+    kappa_0 = 1, 2, 10 and normalizing with the momentum rescale.
     """
     lam = Fraction(lam)
     if lam == 0:
@@ -1507,7 +1509,7 @@ def rescaling_isomorphism_check(model, lam=2, kappas=(1, 2, 10)):
     pres = model.pres
     if model.flavor.startswith("qanalog"):
         base = None
-        for k0 in kappas:
+        for k0 in (1, 2, 10):
             k0 = Fraction(k0)
             tables = {
                 (name, key): c.specialize(1 / k0) * (k0 ** offset)
@@ -1567,11 +1569,10 @@ def hopf_covariance_check(model, rows):
         raise PresentationError("hopf_covariance_check needs covariant_hadic")
     metric = model.metric
     dim = metric.dim
-    rows = [tuple(Fraction(x) for x in row) for row in rows]
-    blocks = [[metric.pair(u, v) for v in rows] for u in rows]
+    rows, metric_t = basis_metric(metric, rows)
     tau_t = transform_tau(metric, rows, model.tau)
     other = Model(
-        ModelConfig(blocks, tau_t, "covariant_hadic", model.trunc)
+        ModelConfig(metric_t, tau_t, "covariant_hadic", model.trunc)
     )
     trunc = model.trunc
     pt, mt = _basis_images(
@@ -1584,19 +1585,7 @@ def hopf_covariance_check(model, rows):
         "hopf covariance under basis change",
         {"dim": dim, "trunc": str(trunc)},
     )
-    for i, gen in enumerate(other.pres.generators):
-        phi_x = images[i]
-        got = _subst(other.hopf.coproduct[i], images, model.pres, trunc)
-        rep.zero("cop_cov[%s]" % gen.label, got - model.hopf.cop(phi_x))
-        got = _subst(other.hopf.antipode[i], images, model.pres, trunc)
-        rep.zero(
-            "antipode_cov[%s]" % gen.label,
-            got - model.hopf.antipode_of(phi_x),
-        )
-        rep.zero(
-            "counit_cov[%s]" % gen.label,
-            model.hopf.counit_of(phi_x) - other.hopf.counit[i],
-        )
+    _hopf_map_check(rep, "cov", other.hopf, model.hopf, images)
     for attr in ("C", "C_tau", "Pi", "PiInv"):
         got = _subst(
             getattr(other.cas, attr), images, model.pres, trunc

@@ -23,6 +23,9 @@ through the normalize cache.  The class is bound to a second name at the
 end of this module only because the benchmark's tracer patches the product
 through that name; the package itself does not use it.
 
+The package has one star structure, with every generator self-adjoint and h
+real: :meth:`TensorElement.star` reverses words and conjugates coefficients.
+
 Sparse combinations, here and in the wedge layer, are dicts from keys to
 nonzero Scalars; :func:`accumulate` is the one place where terms are summed
 into such a dict and cancelled terms dropped.  A product of two tensors
@@ -40,6 +43,7 @@ generator triples by resolving each word two ways.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import PresentationError, RewriteError
 from .scalar import (
@@ -156,7 +160,6 @@ class Presentation:
         self.generators = []
         self.comm_rules = {}      # (hi, lo) -> terms, hi > lo
         self.product_rules = {}   # (i, j) -> terms, replaces the pair
-        self.star_table = {}      # i -> terms for the adjoint of g_i
         self.max_word_len = max_word_len
         self._reset_cache()
         self._in_progress = set()
@@ -207,10 +210,6 @@ class Presentation:
 
     def _reset_cache(self):
         self._norm_cache = {EMPTY_WORD: {EMPTY_WORD: Scalar.one()}}
-
-    def set_star(self, i, terms):
-        """Adjoint of g_i as element terms (default when absent: g_i itself)."""
-        self.star_table[i] = _validate_terms(terms)
 
     # --- rewriting --------------------------------------------------------
 
@@ -283,7 +282,7 @@ class Presentation:
 
     # --- consistency ------------------------------------------------------
 
-    def associativity_check(self, triples=None):
+    def associativity_check(self):
         """Local-confluence sweep.
 
         For each generator triple (a, b, c) the word is resolved two ways:
@@ -294,16 +293,8 @@ class Presentation:
         pure commutator rules).  Returns a list of (triple, residual) pairs,
         empty when the presentation is consistent.
         """
-        n = len(self.generators)
-        if triples is None:
-            triples = [
-                (a, b, c)
-                for a in range(n)
-                for b in range(n)
-                for c in range(n)
-            ]
         failures = []
-        for t in triples:
+        for t in product(range(len(self.generators)), repeat=3):
             left = self.normalize_terms(self.step_at(t, 0))
             right = self.normalize_terms(self.step_at(t, 1))
             residual = accumulate(left, ((w, -c) for w, c in right.items()))
@@ -383,10 +374,10 @@ class TensorElement:
         return cls(pres, 1, {((i,),): Scalar.one(trunc)}, trunc)
 
     @classmethod
-    def from_words(cls, pres, terms, trunc=None):
-        """The rank-1 element of a dict from words to Scalars, the format of
-        the rule tables."""
-        return cls(pres, 1, {(w,): c for w, c in terms.items()}, trunc)
+    def from_words(cls, pres, terms):
+        """The exact rank-1 element of a dict from words to Scalars, the
+        format of the rule tables and of ``normalize_word``."""
+        return cls(pres, 1, {(w,): c for w, c in terms.items()})
 
     @classmethod
     def from_legs(cls, *legs):
@@ -542,33 +533,21 @@ class TensorElement:
         ))
         return TensorElement._make(self.pres, 1, out, self.trunc)
 
-    def star(self, h_sign=1):
+    def star(self):
         """The adjoint, legwise and without reversing the legs:
-        (a (x) b)* = a* (x) b*.  On one leg, the word is reversed, the
-        coefficient conjugated and each letter mapped through the
-        presentation's star table (default: letter fixed)."""
+        (a (x) b)* = a* (x) b*.  Generators are self-adjoint, so on one leg
+        the word is reversed and normal-ordered, and the coefficient is
+        conjugated."""
         pres = self.pres
-        images = {}
-
-        def word_star(w):
-            img = images.get(w)
-            if img is None:
-                img = TensorElement.one(pres, 1, self.trunc)
-                for letter in reversed(w):
-                    entry = pres.star_table.get(letter)
-                    if entry is None:
-                        img = img * TensorElement.gen(pres, letter)
-                    else:
-                        # the table stores the adjoint itself, coefficients literal
-                        img = img * TensorElement.from_words(pres, entry)
-                images[w] = img
-            return img
-
-        out = TensorElement.zero(pres, self.rank, self.trunc)
+        out = {}
         for key, c in self.terms.items():
-            piece = TensorElement.from_legs(*map(word_star, key))
-            out = out + piece * c.conjugate(h_sign=h_sign)
-        return out
+            piece = TensorElement.from_legs(*(
+                TensorElement.from_words(pres, pres.normalize_word(w[::-1]))
+                for w in key
+            ))
+            cc = c.conjugate()
+            accumulate(out, ((k, cw * cc) for k, cw in piece.terms.items()))
+        return TensorElement._make(pres, self.rank, out, self.trunc)
 
     def map_scalars(self, fn):
         out = {}

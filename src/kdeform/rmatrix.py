@@ -21,8 +21,8 @@ both orientations of every commutator rule.
 from fractions import Fraction
 
 from .errors import PresentationError
-from .metric import Metric
-from .model import _m_signed, build_iso
+from .metric import as_metric, as_tau
+from .model import _iso_data, _m_signed, build_iso
 from .ncalg import accumulate
 from .report import Report
 from .scalar import GR_ONE, GaussianRational, Scalar, gr
@@ -140,20 +140,10 @@ class WedgeTensor:
         return "WedgeTensor(%s)" % " + ".join(bits)
 
 
-def _iso_data(pres):
-    data = getattr(pres, "iso_data", None)
-    if data is None:
-        raise PresentationError("needs a presentation built by build_iso")
-    return data
-
-
 def build_r(metric, tau, pres=None):
     """r = tau^alpha g^{beta sigma} M_{alpha beta} ^ P_sigma."""
-    if not isinstance(metric, Metric):
-        metric = Metric(metric)
-    tau = tuple(Fraction(x) for x in tau)
-    if all(x == 0 for x in tau):
-        raise PresentationError("tau must be non-zero")
+    metric = as_metric(metric)
+    tau = as_tau(metric, tau)
     if pres is None:
         pres = build_iso(metric)
     data = _iso_data(pres)
@@ -306,11 +296,11 @@ def omega_invariance_check(metric, pres=None):
 
 def schouten_identity_check(metric, tau, pres=None):
     """[[r, r]] = -tau^2 * Omega for this metric and tau."""
-    if not isinstance(metric, Metric):
-        metric = Metric(metric)
+    metric = as_metric(metric)
+    tau = as_tau(metric, tau)
     r = build_r(metric, tau, pres)
     s = schouten(r)
-    t2 = metric.square(tuple(Fraction(x) for x in tau))
+    t2 = metric.square(tau)
     want = build_omega(r.pres) * Scalar.rational(-t2)
     rep = Report("schouten identity", {"tau2": str(t2)})
     rep.zero("schouten_equals_minus_tau2_omega", s - want)

@@ -35,11 +35,14 @@ The *floor* of a nonzero scalar is the pair (lowest deg_h, lowest deg_xi),
 each minimum taken separately.  Every term of a product c1*c2 has bigrade at
 least floor(c1) + floor(c2), so when the merged truncation T of the two
 operands is finite (one is exact, or both carry the same T) and that sum
-exceeds T in either parameter, the product is exactly the zero scalar.  :func:`product_vanishes` states this rule; the
-sparse products of the element and tensor layers and the coproduct and
-antipode leg maps use it to skip such pairs without multiplying them.  It
-never skips a pair of two different finite truncations, whose product
-raises ``TruncationMismatch``.
+exceeds T in either parameter, the product is exactly the zero scalar.
+:func:`product_vanishes` states this rule; the sparse products of the
+element and tensor layers and the coproduct and antipode leg maps use it to
+skip such pairs without multiplying them.  It never skips a pair of two
+different finite truncations, whose product raises ``TruncationMismatch``.
+
+h and xi are real: conjugation acts on the coefficients only, as the one star
+structure of the package (:mod:`kdeform.ncalg`) needs.
 """
 
 from __future__ import annotations
@@ -469,20 +472,11 @@ class Scalar:
         _check_laurent(out, self.trunc)
         return Scalar._make(out, self.trunc)
 
-    def conjugate(self, h_sign=1):
-        """Complex-conjugate the coefficients.
-
-        h and xi are treated as real parameters.  ``h_sign=-1`` models an
-        imaginary deformation parameter, where conjugation also flips the
-        sign of h (each term picks up (-1)^deg_h).
-        """
-        out = {}
-        for (a, b), v in self.terms.items():
-            w = v.conjugate()
-            if h_sign == -1 and a % 2:
-                w = -w
-            out[(a, b)] = w
-        return Scalar._make(out, self.trunc)
+    def conjugate(self):
+        """Complex-conjugate the coefficients; h and xi are real."""
+        return Scalar._make(
+            {k: v.conjugate() for k, v in self.terms.items()}, self.trunc
+        )
 
     def retrunc(self, new_trunc):
         """Tighten the truncation.  Loosening (or removing) it is an error."""

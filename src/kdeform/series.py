@@ -13,6 +13,7 @@ are the rank-1 case); each series unit takes the input's rank.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import KdeformError
 from .ncalg import TensorElement
@@ -41,13 +42,13 @@ def perturbation_part(u):
     return n
 
 
-def _maclaurin(u, coeff_fn):
-    """sum_k coeff_fn(k) * (u - 1)^k, k = 0 .. nilpotency bound."""
-    n = perturbation_part(u)
-    one = TensorElement.one(u.pres, u.rank, u.trunc)
+def _maclaurin(n, coeff_fn):
+    """sum_k coeff_fn(k) * n^k, k = 0 .. nilpotency bound, for a nilpotent
+    n (positive total bigrade in every term)."""
+    one = TensorElement.one(n.pres, n.rank, n.trunc)
     total = one * Fraction(coeff_fn(0))
     power = one
-    for k in range(1, _nilpotency_bound(u) + 1):
+    for k in range(1, _nilpotency_bound(n) + 1):
         power = power * n
         if power.is_zero():
             break
@@ -59,7 +60,7 @@ def _maclaurin(u, coeff_fn):
 
 def unital_inverse(u):
     """(1 + n)^(-1) as a terminating geometric series."""
-    return _maclaurin(u, lambda k: (-1) ** k)
+    return _maclaurin(perturbation_part(u), lambda k: (-1) ** k)
 
 
 def unital_sqrt(u):
@@ -72,12 +73,14 @@ def unital_sqrt(u):
             num *= (x - j) / (j + 1)
         return num
 
-    return _maclaurin(u, binom_half)
+    return _maclaurin(perturbation_part(u), binom_half)
 
 
 def unital_log(u):
     """log(1 + n) as a terminating series."""
-    return _maclaurin(u, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+    return _maclaurin(
+        perturbation_part(u), lambda k: Fraction((-1) ** (k + 1), k) if k else 0
+    )
 
 
 def unital_power(u, k):
@@ -92,18 +95,7 @@ def unital_power(u, k):
     return out
 
 
-def exp_nilpotent(x, one=None):
+def exp_nilpotent(x):
     """exp(x) for x with positive total bigrade in every coefficient."""
     _check_positive_bigrade(x, "exp")
-    if one is None:
-        one = TensorElement.one(x.pres, x.rank, x.trunc)
-    total = one
-    power = one
-    fact = Fraction(1)
-    for k in range(1, _nilpotency_bound(x) + 1):
-        power = power * x
-        if power.is_zero():
-            break
-        fact = fact / k
-        total = total + power * fact
-    return total
+    return _maclaurin(x, lambda k: Fraction(1, factorial(k)))

@@ -53,7 +53,7 @@ def primitive_hopf(pres, trunc):
 class TwistElement:
     """Ordered exponential product F = exp(X_1) exp(X_2) ... in U (x) U."""
 
-    def __init__(self, model, factors, label=None):
+    def __init__(self, model, factors, label):
         self.model = model
         self.pres = model.pres
         self.trunc = model.trunc
@@ -62,11 +62,11 @@ class TwistElement:
         one = TensorElement.one(self.pres, 2, self.trunc)
         t = one
         for x in self.factors:
-            t = t * exp_nilpotent(x, one=one)
+            t = t * exp_nilpotent(x)
         self.tensor = t
         inv = one
         for x in reversed(self.factors):
-            inv = inv * exp_nilpotent(-x, one=one)
+            inv = inv * exp_nilpotent(-x)
         self.inverse = inv
 
     def swapped(self):
@@ -174,29 +174,20 @@ def build_twist(label, model):
 # --- verification --------------------------------------------------------------
 
 
-def _pad3(tensor, legs):
-    """Embed a rank-2 tensor into rank 3 with the unit on the leftover leg."""
-    out = {}
-    for (w1, w2), c in tensor.terms.items():
-        key = [(), (), ()]
-        key[legs[0]] = w1
-        key[legs[1]] = w2
-        out[tuple(key)] = c
-    return TensorElement(tensor.pres, 3, out, tensor.trunc)
-
-
 def cocycle_check(twist, hopf):
     """(F(x)1)(Delta(x)id)F = (1(x)F)(id(x)Delta)F plus counit normalization."""
     rep = Report(
         "two-cocycle condition",
-        {"twist": twist.label or "custom", "trunc": str(twist.trunc)},
+        {"twist": twist.label, "trunc": str(twist.trunc)},
     )
     t = twist.tensor
     one2 = TensorElement.one(twist.pres, 2, twist.trunc)
     one1 = TensorElement.one(twist.pres, 1, twist.trunc)
     rep.zero("invertible", t * twist.inverse - one2)
-    lhs = _pad3(t, (0, 1)) * hopf.apply_cop_leg(t, 0)
-    rhs = _pad3(t, (1, 2)) * hopf.apply_cop_leg(t, 1)
+    # the exact unit, so each leg product by it returns the coefficient
+    unit = TensorElement.one(twist.pres, 1)
+    lhs = TensorElement.from_legs(t, unit) * hopf.apply_cop_leg(t, 0)
+    rhs = TensorElement.from_legs(unit, t) * hopf.apply_cop_leg(t, 1)
     rep.zero("two_cocycle", lhs - rhs)
     rep.zero("counit_left", hopf.apply_counit_leg(t, 0) - one1)
     rep.zero("counit_right", hopf.apply_counit_leg(t, 1) - one1)
@@ -212,7 +203,7 @@ def twist_hopf(hopf, twist, check=True):
         if bad:
             raise PresentationError(
                 "twist %s is not a 2-cocycle over this structure: %s"
-                % (twist.label or "custom", ", ".join(bad))
+                % (twist.label, ", ".join(bad))
             )
     pres = twist.pres
     trunc = twist.trunc

@@ -29,6 +29,7 @@ from kdeform.model import (
     transform_tau,
 )
 from kdeform.ncalg import TensorElement
+from kdeform.rmatrix import build_r, schouten_identity_check
 from kdeform.scalar import Scalar, gr
 
 MINK2 = [[1, 0], [0, -1]]
@@ -403,7 +404,7 @@ def test_q_reality():
 def test_q_rescaling_specialization():
     for tau, flavor in [((1, 0, 0), "qanalog_timelike"), ((1, 1, 0), "qanalog_lightlike")]:
         m = Model(ModelConfig(MINK3, tau, flavor, None))
-        rep = rescaling_isomorphism_check(m, kappas=(1, 2, 10))
+        rep = rescaling_isomorphism_check(m)
         assert rep.ok, (flavor, failed(rep))
 
 
@@ -475,3 +476,42 @@ def test_stored_entries_are_normal_under_the_final_rules(tau, flavor, trunc):
     for i, s in m.hopf.antipode.items():
         for (w,) in s.terms:
             assert pres.is_normal_word(w), (pres.label(i), w)
+
+
+ROWS3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def _q_pres():
+    return Model(ModelConfig(MINK3, (1, 0, 0), "qanalog_timelike", None)).pres
+
+
+def _d2_model():
+    return Model(ModelConfig(MINK2, (1, 0), "covariant_hadic", (1, 0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: schouten_identity_check(MINK3, (1, 0, 0, 4)),
+    lambda: build_r(MINK3, (1, 0, 0, 4)),
+    lambda: build_r(MINK3, (1, 0)),
+    lambda: change_basis(build_iso(MINK3), [(1, 0, 0, 5)] + ROWS3[1:]),
+    lambda: change_basis(build_iso(MINK3), [(1, 0)] + ROWS3[1:]),
+    lambda: transform_tau(Metric(MINK3), [(1, 0, 0, 5)] + ROWS3[1:], (1, 0, 0)),
+    lambda: basis_change_check(build_iso(MINK3), ROWS3[:2]),
+    lambda: basis_change_check(_q_pres(), ROWS3),
+    lambda: hopf_covariance_check(_d2_model(), [[1, 0]]),
+    lambda: orthogonal_decompose(MINK3, (1, 0, 0, 4)),
+    lambda: _d2_model().m(0, 7),
+    lambda: _d2_model().p_up(9),
+], ids=[
+    "schouten_long_tau", "build_r_long_tau", "build_r_short_tau",
+    "change_basis_long_row", "change_basis_short_row",
+    "transform_tau_long_row", "basis_change_check_two_rows",
+    "basis_change_check_q_analog", "hopf_covariance_one_row",
+    "orthogonal_decompose_long_tau", "model_m_missing_slot",
+    "model_p_up_missing_slot",
+])
+def test_malformed_metric_indexed_input_is_refused(call):
+    # wrong lengths and slots, and presentations without iso data, raise
+    # PresentationError instead of being truncated or leaking another error
+    with pytest.raises(PresentationError):
+        call()

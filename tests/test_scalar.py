@@ -104,10 +104,6 @@ def test_retrunc_only_tightens():
 def test_conjugate_real_and_imaginary_h():
     s = Scalar.i() * Scalar.h()  # i*h
     assert s.conjugate() == -s
-    # with an imaginary deformation parameter, i*h is self-conjugate
-    assert s.conjugate(h_sign=-1) == s
-    t = Scalar.h(2) * Scalar.i()
-    assert t.conjugate(h_sign=-1) == -t
 
 
 def test_specialize_is_ring_homomorphism():
@@ -386,7 +382,6 @@ def test_ring_operations_never_mutate_an_operand():
             lambda: x.shift(-1),
             lambda: x.retrunc((1, 1)),
             lambda: x.conjugate(),
-            lambda: x.conjugate(h_sign=-1),
         ):
             try:
                 op()

@@ -57,16 +57,29 @@ def named(source):
     return out
 
 
+def definitions(source):
+    """Names of the module-level functions and classes of a source, and of
+    the methods of those classes other than dunders."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name
+
+
 def orphans(modules, others):
-    """Module-level functions and classes of the ``modules`` sources that
-    neither they nor the ``others`` sources name."""
+    """Definitions of the ``modules`` sources that neither they nor the
+    ``others`` sources name."""
     used = set().union(*map(named, list(modules) + list(others)))
     return sorted(
-        node.name
+        name
         for source in modules
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in used
+        for name in definitions(source)
+        if name not in used
     )
 
 
@@ -79,6 +92,19 @@ def test_the_scan_sees_an_orphaned_definition():
     assert orphans([module], []) == ["Lost", "orphan"]
     assert orphans([module], ["from m import orphan\nLost()\n"]) == []
     assert orphans([module], ["targets = ('orphan', 'Lost')\n"]) == []
+
+
+def test_the_scan_sees_an_orphaned_method():
+    module = (
+        "class Kept:\n"
+        "    def __init__(self):\n        self.used()\n\n"
+        "    def used(self):\n        pass\n\n"
+        "    def orphan(self):\n        pass\n\n"
+        "    @classmethod\n    def lost(cls):\n        pass\n\n"
+        "Kept()\n"
+    )
+    assert orphans([module], []) == ["lost", "orphan"]
+    assert orphans([module], ["Kept.lost()\nk.orphan()\n"]) == []
 
 
 def test_no_orphaned_module_level_definition():
