@@ -20,7 +20,8 @@ class PresentationError(KdeformError):
 
 
 class RewriteError(KdeformError):
-    """Raised when normal ordering cannot complete (fuel or word length)."""
+    """Raised when normal ordering cannot complete: a rewriting cycle, or a
+    word longer than the presentation's length cap."""
 
 
 class ClassicalLimitError(KdeformError):

@@ -1,24 +1,71 @@
 """Exact linear algebra for rational symmetric metric tensors.
 
-Everything here works over ``fractions.Fraction``; no floats, no numerical
-tolerances.  The inertia computation uses symmetric congruence elimination,
-so signatures come out exact for arbitrary rational symmetric matrices.
+Everything works over ``fractions.Fraction``: no floats, no tolerances.
+
+- Vectors are coerced once, at the boundary (``as_vector``, ``_frac_matrix``);
+  a wrong length or a non-rational entry raises ``PresentationError``.
+- There is one row reduction, ``_row_reduce``, for ranks and the inverse,
+  plus the symmetric congruence elimination of ``exact_inertia``, whose
+  diagonal signs are exact (Sylvester).
+- A non-degenerate metric with a non-zero null vector is indefinite, so a
+  null tau needs no separate signature check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import PresentationError
 
+# what Fraction() raises for an entry that is not a rational number
+_NOT_RATIONAL = (TypeError, ValueError, ArithmeticError)
+
+
+def _fractions(v, n):
+    """``v`` as a tuple of ``n`` Fractions; anything else raises."""
+    try:
+        v = tuple(Fraction(x) for x in v)
+    except _NOT_RATIONAL:
+        raise PresentationError("need rational entries: %r" % (v,)) from None
+    if len(v) != n:
+        raise PresentationError("need %d entries: %r" % (n, v))
+    return v
+
 
 def _frac_matrix(rows):
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    for row in mat:
-        if len(row) != n:
-            raise PresentationError("metric matrix must be square")
-    return mat
+    """A square matrix as lists of Fractions; anything else raises."""
+    try:
+        rows = list(rows)
+    except TypeError:
+        raise PresentationError("need matrix rows: %r" % (rows,)) from None
+    return [list(_fractions(row, len(rows))) for row in rows]
+
+
+def _mat_vec(mat, v):
+    """The product mat . v of a matrix and a coerced vector."""
+    return tuple(sum(map(mul, row, v)) for row in mat)
+
+
+def _row_reduce(rows):
+    """``(echelon, pivots)``: the reduced row echelon form of ``rows`` over Q,
+    and the column of each leading 1, one per non-zero row."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        p = rows[r][col]
+        rows[r] = [x / p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f != 0:
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots
 
 
 class Metric:
@@ -44,57 +91,34 @@ class Metric:
         return cls([[signs[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def inverse(self):
-        """The exact inverse matrix g^{mu nu}, as tuples of Fractions."""
+        """The exact inverse matrix g^{mu nu}, as tuples of Fractions: the
+        right half of the reduced [g | I]."""
         if self._inv is None:
             n = self.dim
-            a = [list(row) for row in self.g]
-            inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            for col in range(n):
-                pivot = None
-                for row in range(col, n):
-                    if a[row][col] != 0:
-                        pivot = row
-                        break
-                if pivot is None:
-                    raise PresentationError("metric is degenerate")
-                a[col], a[pivot] = a[pivot], a[col]
-                inv[col], inv[pivot] = inv[pivot], inv[col]
-                p = a[col][col]
-                a[col] = [x / p for x in a[col]]
-                inv[col] = [x / p for x in inv[col]]
-                for row in range(n):
-                    if row != col and a[row][col] != 0:
-                        f = a[row][col]
-                        a[row] = [x - f * y for x, y in zip(a[row], a[col])]
-                        inv[row] = [x - f * y for x, y in zip(inv[row], inv[col])]
-            self._inv = tuple(tuple(row) for row in inv)
+            rows, pivots = _row_reduce(
+                row + tuple(Fraction(int(i == j)) for j in range(n))
+                for i, row in enumerate(self.g)
+            )
+            if pivots != list(range(n)):
+                raise PresentationError("metric is degenerate")
+            self._inv = tuple(tuple(row[n:]) for row in rows)
         return self._inv
 
     def pair(self, u, v):
         """g_{mu nu} u^mu v^nu for contravariant rational vectors."""
-        return sum(
-            self.g[i][j] * Fraction(u[i]) * Fraction(v[j])
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return sum(map(mul, self.lower(u), as_vector(self, v)))
 
     def square(self, u):
-        return self.pair(u, u)
+        u = as_vector(self, u)
+        return sum(map(mul, _mat_vec(self.g, u), u))
 
     def lower(self, u):
         """Covariant components u_mu = g_{mu nu} u^nu."""
-        return tuple(
-            sum(self.g[i][j] * Fraction(u[j]) for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        return _mat_vec(self.g, as_vector(self, u))
 
     def raise_index(self, w):
         """Contravariant components w^mu = g^{mu nu} w_nu."""
-        inv = self.inverse()
-        return tuple(
-            sum(inv[i][j] * Fraction(w[j]) for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        return _mat_vec(self.inverse(), as_vector(self, w))
 
     def inertia(self):
         return exact_inertia(self.g)
@@ -109,11 +133,8 @@ def as_metric(metric):
 
 
 def as_vector(metric, v):
-    """A vector's ``dim`` components as Fractions; another length raises."""
-    v = tuple(Fraction(x) for x in v)
-    if len(v) != metric.dim:
-        raise PresentationError("need %d components: %r" % (metric.dim, v))
-    return v
+    """A vector's ``dim`` components as Fractions; anything else raises."""
+    return _fractions(v, metric.dim)
 
 
 def as_tau(metric, tau):
@@ -130,7 +151,7 @@ def basis_metric(metric, rows):
     rows = [as_vector(metric, row) for row in rows]
     if len(rows) != metric.dim:
         raise PresentationError("need %d rows: %r" % (metric.dim, rows))
-    return rows, Metric([[metric.pair(u, v) for v in rows] for u in rows])
+    return rows, Metric([_mat_vec(rows, _mat_vec(metric.g, u)) for u in rows])
 
 
 def exact_inertia(rows):
@@ -184,94 +205,38 @@ def exact_inertia(rows):
     return (p, q)
 
 
-def orthogonal_split(metric, tau):
-    """Basis adapted to a non-null direction tau.
+def adapted_basis(metric, tau):
+    """Basis rows (old coordinates) adapted to a non-zero tau.
 
-    Returns ``(basis, blocks)`` where ``basis`` is a list of contravariant
-    vectors, basis[0] = tau, and the remaining dim-1 vectors span the
-    g-orthogonal complement of tau.  ``blocks`` is the metric in the new
-    basis: blocks[0][0] == tau^2 and the first row/column vanish off the
-    corner.  The complement block is not diagonalized.
+    tau^2 != 0: tau, then dim-1 rows spanning its g-orthogonal complement.
+    tau^2 == 0: tau, its null partner tau_- with g(tau, tau_-) = 1, then
+    dim-2 rows orthogonal to both.  The tail projects the unit vectors in
+    order and keeps each projection that raises the rank; the head and the
+    projections of all unit vectors always span Q^dim.
     """
-    tau = as_vector(metric, tau)
-    t2 = metric.square(tau)
-    if t2 == 0:
-        raise PresentationError("orthogonal_split needs tau^2 != 0")
+    tau = as_tau(metric, tau)
     n = metric.dim
-    basis = [tau]
+    tau_low = metric.lower(tau)
+    t2 = sum(map(mul, tau_low, tau))
+    # the projector drops sum(low[mu] * vec) from each unit vector e_mu
+    if t2 != 0:
+        rows = [tau]
+        proj = [(tuple(x / t2 for x in tau_low), tau)]
+    else:
+        # the first unit vector not orthogonal to tau, made null along tau
+        mu = next((mu for mu in range(n) if tau_low[mu] != 0), None)
+        if mu is None:
+            raise PresentationError("metric is degenerate on tau")
+        s = tau_low[mu]
+        c = -metric.g[mu][mu] / (2 * s)
+        tau_minus = tuple((int(i == mu) + c * x) / s for i, x in enumerate(tau))
+        rows = [tau, tau_minus]
+        proj = [(metric.lower(tau_minus), tau), (tau_low, tau_minus)]
     for mu in range(n):
-        e = tuple(Fraction(int(i == mu)) for i in range(n))
-        w = tuple(e[i] - metric.pair(e, tau) / t2 * tau[i] for i in range(n))
-        cand = basis + [w]
-        if _rank(cand) == len(cand):
-            basis.append(w)
-    if len(basis) != n:
-        raise PresentationError("failed to complete tau to a basis")
-    return basis, basis_metric(metric, basis)[1].g
-
-
-def null_pair_split(metric, tau):
-    """Basis adapted to a null direction tau.
-
-    Returns ``(tau_plus, tau_minus, transverse)`` with tau_plus = tau,
-    tau_minus null, g(tau_plus, tau_minus) = 1, and ``transverse`` a list of
-    dim-2 vectors orthogonal to both.
-    """
-    tau = as_vector(metric, tau)
-    if metric.square(tau) != 0:
-        raise PresentationError("null_pair_split needs tau^2 == 0")
-    n = metric.dim
-    w = None
-    for mu in range(n):
-        e = tuple(Fraction(int(i == mu)) for i in range(n))
-        if metric.pair(e, tau) != 0:
-            w = e
-            break
-    if w is None:
-        raise PresentationError("metric is degenerate on tau")
-    s = metric.pair(w, tau)
-    c = -metric.square(w) / (2 * s)
-    u = tuple(w[i] + c * tau[i] for i in range(n))  # null partner direction
-    tau_minus = tuple(x / s for x in u)
-    transverse = []
-    for mu in range(n):
-        e = tuple(Fraction(int(i == mu)) for i in range(n))
-        v = tuple(
-            e[i]
-            - metric.pair(e, tau_minus) * tau[i]
-            - metric.pair(e, tau) * tau_minus[i]
+        w = tuple(
+            int(i == mu) - sum(low[mu] * vec[i] for low, vec in proj)
             for i in range(n)
         )
-        cand = [tau, tau_minus] + transverse + [v]
-        if _rank(cand) == len(cand):
-            transverse.append(v)
-    if len(transverse) != n - 2:
-        raise PresentationError("failed to complete null pair to a basis")
-    return tau, tau_minus, transverse
-
-
-def _rank(vectors):
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < n:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], pr)]
-        rank += 1
-        col += 1
-    return rank
+        if len(_row_reduce(rows + [w])[1]) > len(rows):
+            rows.append(w)
+    return rows

@@ -29,8 +29,7 @@ from functools import partial
 
 from .errors import ClassicalLimitError, PresentationError
 from .hopf import HopfData, otimes, verify_axioms, verify_reality
-from .metric import (as_metric, as_tau, as_vector, basis_metric,
-                     null_pair_split, orthogonal_split)
+from .metric import adapted_basis, as_metric, as_tau, basis_metric
 from .ncalg import EMPTY_WORD, Presentation, TensorElement, accumulate
 from .report import Report
 from .scalar import Scalar, gr
@@ -52,6 +51,7 @@ class ModelConfig:
 
     def __init__(self, metric, tau, flavor="covariant_hadic", trunc=(3, 3)):
         self.metric = metric = as_metric(metric)
+        metric.inverse()  # a degenerate metric raises here
         self.tau = as_tau(metric, tau)
         if flavor not in FLAVORS:
             raise PresentationError("unknown flavor %r" % (flavor,))
@@ -59,14 +59,8 @@ class ModelConfig:
         self.tau2 = metric.square(self.tau)
         if flavor in ("orthog_1_plus", "qanalog_timelike") and self.tau2 == 0:
             raise PresentationError("%s needs tau^2 != 0" % flavor)
-        if flavor in ("null_plane", "qanalog_lightlike"):
-            if self.tau2 != 0:
-                raise PresentationError("%s needs tau^2 == 0" % flavor)
-            p, q = metric.inertia()
-            if p == 0 or q == 0:
-                raise PresentationError(
-                    "null tau needs a non-Euclidean signature"
-                )
+        if flavor in ("null_plane", "qanalog_lightlike") and self.tau2 != 0:
+            raise PresentationError("%s needs tau^2 == 0" % flavor)
         if flavor.startswith("qanalog"):
             if trunc is not None:
                 raise PresentationError(
@@ -234,8 +228,7 @@ def transform_tau(metric, rows, tau):
     Pair each row with tau through g, raise with the transformed metric.
     """
     rows, new_metric = basis_metric(metric, rows)
-    tau = as_vector(metric, tau)
-    return new_metric.raise_index(tuple(metric.pair(row, tau) for row in rows))
+    return new_metric.raise_index([metric.pair(row, tau) for row in rows])
 
 
 def change_basis(pres, rows):
@@ -330,16 +323,7 @@ def orthogonal_decompose(metric, tau):
     2x2 light-cone block.  Either way tau becomes (1, 0, ..., 0).
     """
     metric = as_metric(metric)
-    tau = as_tau(metric, tau)
-    if metric.square(tau) != 0:
-        basis, blocks = orthogonal_split(metric, tau)
-        new_metric = as_metric(blocks)
-    else:
-        p, q = metric.inertia()
-        if p == 0 or q == 0:
-            raise PresentationError("null tau needs a non-Euclidean signature")
-        tp, tm, transverse = null_pair_split(metric, tau)
-        basis, new_metric = basis_metric(metric, [tp, tm] + list(transverse))
+    basis, new_metric = basis_metric(metric, adapted_basis(metric, tau))
     new_tau = (Fraction(1),) + (Fraction(0),) * (metric.dim - 1)
     return basis, new_metric, new_tau
 
@@ -347,19 +331,18 @@ def orthogonal_decompose(metric, tau):
 # --- covariant h-adic construction -------------------------------------------
 
 
-def _covariant_atoms(pres, metric, tau, trunc):
+def _covariant_atoms(model, trunc):
     """Pi, Pi_inv, C, C_tau and kappa*ln(Pi) at the requested truncation.
 
     The two divisions by kappa (inside C_tau and the log) are done at a
     bumped h-order so no truncated information is lost, then cut back.
     """
+    pres, metric, tau, t2 = model.pres, model.metric, model.tau, model.tau2
     nh, nxi = trunc
     bump = (nh + 2, nxi)
-    data = pres.iso_data
-    pidx = data["p"]
+    pidx = pres.iso_data["p"]
     dim = metric.dim
     ginv = metric.inverse()
-    t2 = metric.square(tau)
 
     p = [TensorElement.gen(pres, pidx[mu], bump) for mu in range(dim)]
     one = TensorElement.one(pres, 1, bump)
@@ -398,7 +381,7 @@ def _build_hadic(model):
     model.p_index, model.m_index = dict(enumerate(pidx)), dict(midx)
     tau_low = metric.lower(tau)
 
-    atoms = _covariant_atoms(pres, metric, tau, trunc)
+    atoms = _covariant_atoms(model, trunc)
     Pi, PiInv = atoms["Pi"], atoms["PiInv"]
     C, C_tau = atoms["C"], atoms["C_tau"]
 
@@ -894,7 +877,7 @@ def decomposition_display_check(model):
 
     # closed form of Pi_inv: (sqrt - P_tau/kappa) / (1 + tau^2 P^m P_m/kappa^2)
     bump = (nh + 2, nxi)
-    atoms = _covariant_atoms(model.pres, model.metric, model.tau, bump)
+    atoms = _covariant_atoms(model, bump)
     sqrt_el = atoms["Pi"] - atoms["P_tau"] * Scalar.h(1, bump)
     pp_b = _quadratic(
         TensorElement.zero(model.pres, 1, bump),

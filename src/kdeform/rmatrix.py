@@ -297,8 +297,7 @@ def omega_invariance_check(metric, pres=None):
 def schouten_identity_check(metric, tau, pres=None):
     """[[r, r]] = -tau^2 * Omega for this metric and tau."""
     metric = as_metric(metric)
-    tau = as_tau(metric, tau)
-    r = build_r(metric, tau, pres)
+    r = build_r(metric, tau, pres)  # validates tau
     s = schouten(r)
     t2 = metric.square(tau)
     want = build_omega(r.pres) * Scalar.rational(-t2)

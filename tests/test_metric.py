@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from kdeform.errors import PresentationError
-from kdeform.metric import Metric, exact_inertia, null_pair_split, orthogonal_split
+from kdeform.metric import (Metric, _row_reduce, adapted_basis, as_metric,
+                            basis_metric, exact_inertia)
+from kdeform.model import ModelConfig, transform_tau
 
 
 LORENTZ = Metric.from_signature([-1, 1, 1, 1])
+SKEW = Metric([[2, 1, 0], [1, -1, 0], [0, 0, 1]])
 
 
 def test_inertia_antidiagonal_block():
@@ -43,6 +46,8 @@ def test_degenerate_metric_rejected():
         Metric([[1, 1], [1, 1]]).inverse()
     with pytest.raises(PresentationError):
         Metric([[1, 2], [3, 4]])
+    with pytest.raises(PresentationError, match="degenerate on tau"):
+        adapted_basis(Metric([[1, 0], [0, 0]]), (0, 1))
 
 
 def test_lower_raise_roundtrip():
@@ -75,9 +80,18 @@ def test_inertia_congruence_invariance():
         assert exact_inertia(a) == exact_inertia(sas)
 
 
+def _fracs(rows):
+    return [tuple(Fraction(x) for x in row) for row in rows]
+
+
+def _gram(g, rows):
+    return basis_metric(g, rows)[1].g
+
+
 def test_orthogonal_split_timelike():
     tau = (1, 0, 0, 0)
-    basis, blocks = orthogonal_split(LORENTZ, tau)
+    basis = adapted_basis(LORENTZ, tau)
+    blocks = _gram(LORENTZ, basis)
     assert basis[0] == tuple(Fraction(x) for x in tau)
     assert blocks[0][0] == -1
     for j in range(1, 4):
@@ -86,21 +100,24 @@ def test_orthogonal_split_timelike():
 
 
 def test_orthogonal_split_spacelike_skew_metric():
-    g = Metric([[2, 1, 0], [1, -1, 0], [0, 0, 1]])
     tau = (0, 1, 0)
-    basis, blocks = orthogonal_split(g, tau)
+    blocks = _gram(SKEW, adapted_basis(SKEW, tau))
     assert blocks[0][0] == -1
     for j in range(1, 3):
         assert blocks[0][j] == 0
-    with pytest.raises(PresentationError):
-        orthogonal_split(g, (1, 0, 0)) if g.square((1, 0, 0)) == 0 else None
-        raise PresentationError("tau was not null, guard reached")
+    with pytest.raises(PresentationError, match="non-zero"):
+        adapted_basis(SKEW, (0, 0, 0))
+    # (0, 1, 1) is null here, so it takes the light-cone branch
+    null = (0, 1, 1)
+    assert SKEW.square(null) == 0
+    rows = adapted_basis(SKEW, null)
+    assert SKEW.square(rows[1]) == 0 and SKEW.pair(null, rows[1]) == 1
 
 
 def test_null_pair_split():
     tau = (1, 0, 0, 1)
     assert LORENTZ.square(tau) == 0
-    tp, tm, transverse = null_pair_split(LORENTZ, tau)
+    tp, tm, *transverse = adapted_basis(LORENTZ, tau)
     assert LORENTZ.square(tp) == 0 and LORENTZ.square(tm) == 0
     assert LORENTZ.pair(tp, tm) == 1
     assert len(transverse) == 2
@@ -111,5 +128,56 @@ def test_null_pair_split():
 
 
 def test_null_pair_split_rejects_non_null():
-    with pytest.raises(PresentationError):
-        null_pair_split(LORENTZ, (1, 0, 0, 0))
+    # a non-null tau gets no null partner: every later row is orthogonal to it
+    rows = adapted_basis(LORENTZ, (1, 0, 0, 0))
+    assert all(LORENTZ.pair(rows[0], v) == 0 for v in rows[1:])
+    with pytest.raises(PresentationError, match=r"tau\^2 == 0"):
+        ModelConfig(LORENTZ, (1, 0, 0, 0), "null_plane", (1, 0))
+
+
+@pytest.mark.parametrize("g, tau, rows", [
+    ([[3, 1, 0], [1, -2, 0], [0, 0, -5]], (1, 0, 0),
+     [(1, 0, 0), (Fraction(-1, 3), 1, 0), (0, 0, 1)]),
+    (SKEW, (0, 1, 0), [(0, 1, 0), (1, 1, 0), (0, 0, 1)]),
+    (LORENTZ, (1, 0, 0, 1),
+     [(1, 0, 0, 1), (Fraction(-1, 2), 0, 0, Fraction(1, 2)),
+      (0, 1, 0, 0), (0, 0, 1, 0)]),
+], ids=["skew3_timelike", "skew_spacelike", "mink4_null"])
+def test_adapted_basis_rows_are_pinned(g, tau, rows):
+    got = adapted_basis(as_metric(g), tau)
+    assert got == _fracs(rows)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def _congruent_metric(rng, base):
+    # R g R^T for a random invertible R, with R kept to carry vectors over
+    n = base.dim
+    while True:
+        r = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        if len(_row_reduce(r)[1]) == n:
+            return r, basis_metric(base, r)[1]
+
+
+def test_adapted_basis_blocks_on_random_metrics():
+    rng = random.Random(29160)
+    for n in range(2, 6):
+        base = Metric.from_signature([-1] + [1] * (n - 1))
+        for _ in range(3):
+            r, g = _congruent_metric(rng, base)
+            tau = (0,) * n
+            while g.square(tau) == 0:
+                tau = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            null = transform_tau(base, r, (1, 1) + (0,) * (n - 2))
+            assert g.square(null) == 0
+            for t in (tau, null):
+                rows = adapted_basis(g, t)
+                assert len(rows) == n and len(_row_reduce(rows)[1]) == n
+                assert rows[0] == tuple(Fraction(x) for x in t)
+                if g.square(t) != 0:
+                    assert all(g.pair(t, v) == 0 for v in rows[1:])
+                    continue
+                tm = rows[1]
+                assert g.square(tm) == 0 and g.pair(t, tm) == 1
+                for v in rows[2:]:
+                    assert g.pair(v, t) == 0 and g.pair(v, tm) == 0

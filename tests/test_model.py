@@ -66,6 +66,16 @@ def test_iso_rejects_degenerate_metric():
         build_iso([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("tau, flavor", [
+    ((1, 0), "covariant_hadic"),
+    ((0, 1), "null_plane"),
+], ids=["covariant", "null_plane"])
+def test_config_rejects_degenerate_metric(tau, flavor):
+    # validated once, by the inverse, before any flavor or signature logic
+    with pytest.raises(PresentationError, match="degenerate"):
+        ModelConfig([[1, 0], [0, 0]], tau, flavor, (1, 0))
+
+
 def test_presentation_check_passes_and_catches_sign_flip():
     pres = build_iso(MINK3)
     assert presentation_check(pres).ok
@@ -479,6 +489,7 @@ def test_stored_entries_are_normal_under_the_final_rules(tau, flavor, trunc):
 
 
 ROWS3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+LORENTZ = Metric.from_signature([-1, 1, 1, 1])
 
 
 def _q_pres():
@@ -502,16 +513,29 @@ def _d2_model():
     lambda: orthogonal_decompose(MINK3, (1, 0, 0, 4)),
     lambda: _d2_model().m(0, 7),
     lambda: _d2_model().p_up(9),
+    lambda: build_r(MINK2, ("a", 0)),
+    lambda: ModelConfig(MINK2, (None, 1)),
+    lambda: ModelConfig(MINK2, 5),
+    lambda: Metric([["a", 0], [0, 1]]),
+    lambda: Metric(5),
+    lambda: LORENTZ.pair((1, 0, 0, 0, 5), (1, 0, 0, 0)),
+    lambda: LORENTZ.lower((1, 0, 0, 0, 7)),
+    lambda: LORENTZ.pair((1, 0, 0), (1, 0, 0, 0)),
+    lambda: LORENTZ.raise_index((1, 0)),
 ], ids=[
     "schouten_long_tau", "build_r_long_tau", "build_r_short_tau",
     "change_basis_long_row", "change_basis_short_row",
     "transform_tau_long_row", "basis_change_check_two_rows",
     "basis_change_check_q_analog", "hopf_covariance_one_row",
     "orthogonal_decompose_long_tau", "model_m_missing_slot",
-    "model_p_up_missing_slot",
+    "model_p_up_missing_slot", "build_r_text_entry",
+    "model_config_none_entry", "model_config_int_tau",
+    "metric_text_entry", "metric_int_rows", "pair_long_vector",
+    "lower_long_vector", "pair_short_vector", "raise_index_short_vector",
 ])
 def test_malformed_metric_indexed_input_is_refused(call):
-    # wrong lengths and slots, and presentations without iso data, raise
-    # PresentationError instead of being truncated or leaking another error
+    # wrong lengths and slots, non-numeric or non-iterable entries, and
+    # presentations without iso data raise PresentationError instead of
+    # being truncated or leaking another error
     with pytest.raises(PresentationError):
         call()
