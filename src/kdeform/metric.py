@@ -3,7 +3,8 @@
 Everything works over ``fractions.Fraction``: no floats, no tolerances.
 
 - Vectors are coerced once, at the boundary (``as_vector``, ``_frac_matrix``);
-  a wrong length or a non-rational entry raises ``PresentationError``.
+  a wrong length, a non-rational entry or a float (whose exact value is its
+  binary expansion, not the decimal written) raises ``PresentationError``.
 - There is one row reduction, ``_row_reduce``, for ranks and the inverse,
   plus the symmetric congruence elimination of ``exact_inertia``, whose
   diagonal signs are exact (Sylvester).
@@ -22,12 +23,20 @@ from .errors import PresentationError
 _NOT_RATIONAL = (TypeError, ValueError, ArithmeticError)
 
 
+def _fraction(x):
+    if isinstance(x, float):
+        raise TypeError("float")
+    return Fraction(x)
+
+
 def _fractions(v, n):
     """``v`` as a tuple of ``n`` Fractions; anything else raises."""
     try:
-        v = tuple(Fraction(x) for x in v)
+        v = tuple(map(_fraction, v))
     except _NOT_RATIONAL:
-        raise PresentationError("need rational entries: %r" % (v,)) from None
+        raise PresentationError(
+            "need exact rational entries, not floats: %r" % (v,)
+        ) from None
     if len(v) != n:
         raise PresentationError("need %d entries: %r" % (n, v))
     return v

@@ -20,6 +20,14 @@ The q-analog flavors close on finitely many relations, so the deformation
 parameter can be specialized to a number; rescaling_isomorphism_check
 certifies that all nonzero specializations give isomorphic Hopf algebras
 (the momentum rescale P -> P/kappa removes every power of h).
+
+One covariant formula set builds the coproduct, antipode and counit of
+every flavor (``_hopf_tables``), from Pi, Pi_inv, C, C_tau and P_tau; every
+builder sets ``model.cas`` and ``model.p_tau_expr`` first.  A q-analog has
+no momentum generator in slot 0: there P_tau (P_+ for tau^2 = 0) is the
+expression in Pi^{+-1} it stands for, and Pi^{+-1} are group-like.  The
+iso(g) brackets [M, P] and [M, M] are written once (``_iso_bracket``) and
+give the rules of every flavor and the basis-change check.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .hopf import HopfData, otimes, verify_axioms, verify_reality
 from .metric import adapted_basis, as_metric, as_tau, basis_metric
 from .ncalg import EMPTY_WORD, Presentation, TensorElement, accumulate
 from .report import Report
-from .scalar import Scalar, gr
+from .scalar import ONE, Scalar, gr
 from .series import unital_inverse, unital_log, unital_power, unital_sqrt
 
 FLAVORS = (
@@ -114,7 +122,7 @@ def _quadratic(start, mat, x, slots):
 
 
 def _momentum_square(model, first):
-    """P^m P_m = g^{mn} P_m P_n over the momentum slots m, n >= first."""
+    """P^m P_m = g^{mn} P_m P_n over the slots m, n >= first; C at 0."""
     return _quadratic(
         TensorElement.zero(model.pres, 1, model.trunc),
         model.metric.inverse(),
@@ -157,7 +165,15 @@ def build_iso(metric, p_labels=None, m_labels=None):
     for a in range(dim):
         for b in range(a + 1, dim):
             midx[(a, b)] = pres.add_generator(m_labels[(a, b)])
-    _install_orthogonal_rules(pres, metric.g, dict(enumerate(pidx)), midx)
+    _install_brackets(
+        pres,
+        metric.g,
+        lambda mu: TensorElement.gen(pres, pidx[mu]),
+        partial(_rotation, pres, midx),
+        dict(enumerate(pidx)),
+        midx,
+        _iso_pairs(range(dim), midx),
+    )
     pres.iso_data = {"metric": metric, "p": pidx, "m": midx}
     return pres
 
@@ -189,37 +205,43 @@ def _rotation(pres, midx, a, b, trunc=None):
     return m if sgn > 0 else -m
 
 
-def _install_orthogonal_rules(pres, g, pidx, midx):
-    """The [M, P] and [M, M] rules of iso(g) on the given slots.
+def _iso_bracket(g, p, m, ab, y, zero):
+    """[M_ab, P_y] for a slot y, or [M_ab, M_cd] for a slot pair y = (c, d);
+    p(mu) and m(mu, nu) give the momenta and rotations as elements, and
+    the terms whose metric entry is 0 are never built."""
+    a, b = ab
+    if isinstance(y, tuple):
+        # [M_ab, M_cd] = i(g_ad M_bc - g_bd M_ac + g_bc M_ad - g_ac M_bd)
+        c, d = y
+        terms = [((b, c), g[a][d]), ((a, c), -g[b][d]),
+                 ((a, d), g[b][c]), ((b, d), -g[a][c])]
+        rhs = _lincomb(zero, terms, lambda k: m(*k))
+    else:
+        # [M_ab, P_c] = i(g_bc P_a - g_ac P_b)
+        rhs = _lincomb(zero, [(a, g[b][y]), (b, -g[a][y])], p)
+    return rhs * Scalar.i()
 
-    ``pidx`` maps momentum slots and ``midx`` slot pairs a < b to generator
-    indices; rules are installed in slot order, which fixes the order of
-    every later check.
-    """
-    I = Scalar.i()
-    m_el = partial(_rotation, pres, midx)
 
-    def p_el(mu):
-        return TensorElement.gen(pres, pidx[mu])
+def _iso_pairs(slots, mpairs):
+    """The (ab, y) arguments of every [M, P] and then every [M, M] rule
+    among the momenta of ``slots`` and the rotations of ``mpairs``, in slot
+    order, which fixes the order of every later check."""
+    mpairs = sorted(mpairs)
+    return [(ab, c) for ab in mpairs for c in slots] + [
+        (ab, cd) for x, ab in enumerate(mpairs) for cd in mpairs[x + 1:]
+    ]
 
-    # [M_ab, P_c] = i(g_bc P_a - g_ac P_b)
-    for (a, b), im in midx.items():
-        for c, ic in pidx.items():
-            rhs = (p_el(a) * g[b][c] - p_el(b) * g[a][c]) * I
-            if rhs:
-                pres.set_commutator(im, ic, _rule(rhs))
-    # [M_ab, M_cd] = i(g_ad M_bc - g_bd M_ac + g_bc M_ad - g_ac M_bd)
-    pairs = sorted(midx)
-    for x, (a, b) in enumerate(pairs):
-        for (c, d) in pairs[x + 1:]:
-            rhs = (
-                m_el(b, c) * g[a][d]
-                - m_el(a, c) * g[b][d]
-                + m_el(a, d) * g[b][c]
-                - m_el(b, d) * g[a][c]
-            ) * I
-            if rhs:
-                pres.set_commutator(midx[(a, b)], midx[(c, d)], _rule(rhs))
+
+def _install_brackets(pres, g, p, m, pidx, midx, pairs):
+    """Install the rule [M_ab, X] that ``_iso_bracket`` gives for each
+    (ab, y) of ``pairs``, in order, unless it is zero; X is the rotation
+    midx[y] of a slot pair y or the momentum pidx[y] of a slot y."""
+    zero = TensorElement.zero(pres, 1)
+    for ab, y in pairs:
+        rhs = _iso_bracket(g, p, m, ab, y, zero)
+        if rhs:
+            x = midx[y] if isinstance(y, tuple) else pidx[y]
+            pres.set_commutator(midx[ab], x, _rule(rhs))
 
 
 def transform_tau(metric, rows, tau):
@@ -276,8 +298,6 @@ def basis_change_check(pres, rows):
     metric, pidx, midx = data["metric"], data["p"], data["m"]
     dim = metric.dim
     rows, metric_t = basis_metric(metric, rows)
-    gt = metric_t.g
-    I = Scalar.i()
     zero = TensorElement.zero(pres, 1)
 
     def p_el(mu):
@@ -289,24 +309,27 @@ def basis_change_check(pres, rows):
     for a in range(dim):
         mt[(a, a)] = zero
 
+    def want(ab, y):
+        return _iso_bracket(
+            metric_t.g, pt.__getitem__, lambda a, b: mt[a, b], ab, y, zero
+        )
+
     rep = Report("basis change covariance", {"dim": dim})
     for a in range(dim):
         for b in range(a + 1, dim):
             for c in range(dim):
-                want = (pt[a] * gt[b][c] - pt[b] * gt[a][c]) * I
                 got = mt[(a, b)].commutator(pt[c])
-                rep.zero("comm[M~_%d%d,P~_%d]" % (a, b, c), got - want)
+                rep.zero(
+                    "comm[M~_%d%d,P~_%d]" % (a, b, c), got - want((a, b), c)
+                )
     mpairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
     for x, (a, b) in enumerate(mpairs):
         for (c, d) in mpairs[x:]:
-            want = (
-                mt[(b, c)] * gt[a][d]
-                - mt[(a, c)] * gt[b][d]
-                + mt[(a, d)] * gt[b][c]
-                - mt[(b, d)] * gt[a][c]
-            ) * I
             got = mt[(a, b)].commutator(mt[(c, d)])
-            rep.zero("comm[M~_%d%d,M~_%d%d]" % (a, b, c, d), got - want)
+            rep.zero(
+                "comm[M~_%d%d,M~_%d%d]" % (a, b, c, d),
+                got - want((a, b), (c, d)),
+            )
     # C~ = C: the Casimir does not see the basis
     c_old = _quadratic(zero, metric.inverse(), p_el, range(dim))
     c_new = _quadratic(zero, metric_t.inverse(), pt.__getitem__, range(dim))
@@ -371,26 +394,27 @@ def _covariant_atoms(model, trunc):
     }
 
 
-def _build_hadic(model):
-    """iso(g) in the flavor's basis, with the deformed coalgebra written
-    through the atoms."""
-    metric, tau, trunc = model.metric, model.tau, model.trunc
+def _hopf_tables(model):
+    """``(coproduct, antipode, counit)`` of every generator of a flavor.
+
+    One covariant formula set, read from Pi, Pi_inv, C, C_tau (``model.cas``)
+    and P_tau (``model.p_tau_expr``); each slot's momentum comes from
+    ``Model.p``.  Pi^{+-1}, generators only in the q-analogs, are
+    group-like with counit 1.  A coefficient equal to the exact 1 is stored
+    as the shared ``ONE``, so that products by it stay short-circuited.
+    """
+    pres, metric, tau, trunc = model.pres, model.metric, model.tau, model.trunc
     dim = metric.dim
-    pres = model.pres = build_iso(metric, *_HADIC_LABELS[model.flavor](dim))
-    pidx, midx = pres.iso_data["p"], pres.iso_data["m"]
-    model.p_index, model.m_index = dict(enumerate(pidx)), dict(midx)
+    Pi, PiInv, C, C_tau = (
+        model.cas.Pi, model.cas.PiInv, model.cas.C, model.cas.C_tau
+    )
     tau_low = metric.lower(tau)
-
-    atoms = _covariant_atoms(model, trunc)
-    Pi, PiInv = atoms["Pi"], atoms["PiInv"]
-    C, C_tau = atoms["C"], atoms["C_tau"]
-
+    p_tau = model.p_tau_expr
     one = TensorElement.one(pres, 1, trunc)
-    p = [model.p(mu) for mu in range(dim)]
-    m_el = model.m
-    pu = [model.p_up(mu) for mu in range(dim)]
-    p_tau = atoms["P_tau"]
     zero = TensorElement.zero(pres, 1, trunc)
+    m_el = model.m
+    ps = [model.p(mu) for mu in range(dim)]
+    pu = [model.p_up(mu) for mu in range(dim)]
     m_tau = [
         _lincomb(zero, enumerate(tau), lambda al: m_el(al, lam))
         for lam in range(dim)
@@ -403,24 +427,31 @@ def _build_hadic(model):
     ct_piinv = C_tau * PiInv
 
     cop, antip, counit = {}, {}, {}
-    for mu in range(dim):
-        d = otimes(p[mu], Pi) + otimes(one, p[mu])
-        s_el = p[mu]
+    for i, inv in zip(model.grouplike, model.grouplike[::-1]):
+        x = TensorElement.gen(pres, i)
+        cop[i] = otimes(x, x)
+        antip[i] = TensorElement.gen(pres, inv)
+        counit[i] = Scalar.one()
+
+    for mu, ip in model.p_index.items():
+        d = otimes(ps[mu], Pi) + otimes(one, ps[mu])
+        s_el = ps[mu]
         if tau_low[mu]:
             for al in range(dim):
-                d = d - otimes(pu_piinv[al], p[al]) * (h1 * tau_low[mu])
+                d = d - otimes(pu_piinv[al], ps[al]) * (h1 * tau_low[mu])
             d = d - otimes(ct_piinv, p_tau) * (half_h2 * tau_low[mu])
             s_el = s_el + (C + p_tau * C_tau * half_h1) * (h1 * tau_low[mu])
-        cop[pidx[mu]] = d
-        antip[pidx[mu]] = -(s_el * PiInv)
-        counit[pidx[mu]] = Scalar.zero()
+        cop[ip] = d
+        antip[ip] = -(s_el * PiInv)
+        counit[ip] = Scalar.zero()
 
-    for (a, b), im in midx.items():
+    for (a, b), im in model.m_index.items():
         mel = TensorElement.gen(pres, im, trunc)
         d = otimes(mel, one) + otimes(one, mel)
         s_el = -mel
         for al in range(dim):
-            w1 = m_el(al, a) * tau_low[b] - m_el(al, b) * tau_low[a]
+            coeffs = (((al, a), tau_low[b]), ((al, b), -tau_low[a]))
+            w1 = _lincomb(zero, coeffs, lambda k: m_el(*k))
             if w1:
                 d = d + otimes(pu_piinv[al], w1) * h1
                 s_el = s_el + pu[al] * w1 * h1
@@ -432,8 +463,28 @@ def _build_hadic(model):
         antip[im] = s_el
         counit[im] = Scalar.zero()
 
-    model.hopf = HopfData(pres, cop, antip, counit, trunc=trunc)
-    model.cas = CasimirSet(C, C_tau, Pi, PiInv)
+    def unit(c):
+        return ONE if c == ONE else c
+
+    return (
+        {i: d.map_scalars(unit) for i, d in cop.items()},
+        {i: s.map_scalars(unit) for i, s in antip.items()},
+        counit,
+    )
+
+
+def _build_hadic(model):
+    """iso(g) in the flavor's basis, with the covariant atoms."""
+    dim = model.metric.dim
+    pres = build_iso(model.metric, *_HADIC_LABELS[model.flavor](dim))
+    model.pres = pres
+    model.p_index = dict(enumerate(pres.iso_data["p"]))
+    model.m_index = dict(pres.iso_data["m"])
+    atoms = _covariant_atoms(model, model.trunc)
+    model.cas = CasimirSet(
+        atoms["C"], atoms["C_tau"], atoms["Pi"], atoms["PiInv"]
+    )
+    model.p_tau_expr = atoms["P_tau"]
     model.klog = atoms["klog"]
 
 
@@ -490,38 +541,23 @@ def _q_skeleton(model, labels, pi_label, s):
 
     pres.set_product(pi, piv, {EMPTY_WORD: Scalar.one()})
     pres.set_product(piv, pi, {EMPTY_WORD: Scalar.one()})
-    _install_orthogonal_rules(
-        pres,
+    _q_brackets(model, _iso_pairs(
+        range(s + 1, dim), (ab for ab in model.m_index if ab[0] > s)
+    ))
+
+
+def _q_brackets(model, pairs):
+    """The iso(g) rules of ``pairs`` in a q-analog, whose slot-0 momentum
+    is P_tau (P_+ for tau^2 = 0) read from Pi^{+-1}."""
+    _install_brackets(
+        model.pres,
         model.metric.g,
-        {k: i for k, i in model.p_index.items() if k > s},
-        {ab: i for ab, i in model.m_index.items() if ab[0] > s},
+        model.p,
+        model.m,
+        model.p_index,
+        model.m_index,
+        pairs,
     )
-
-
-def _q_tables(model, s):
-    """The Hopf entries both q-analogs share, once every rule is set.
-
-    Pi^{+-1} are group-like, every momentum off slot ``s`` is Pi-dressed,
-    every rotation off slot ``s`` is primitive, and every counit but those
-    of Pi^{+-1} vanishes.  Returns the tables for the builder to complete.
-    """
-    pres = model.pres
-    pi, piv = model.grouplike
-    el = partial(TensorElement.gen, pres)
-    one = TensorElement.one(pres, 1)
-    cop = {pi: otimes(el(pi), el(pi)), piv: otimes(el(piv), el(piv))}
-    antip = {pi: el(piv), piv: el(pi)}
-    counit = {i: Scalar.zero() for i in range(len(pres.generators))}
-    counit[pi] = counit[piv] = Scalar.one()
-    for k, i in model.p_index.items():
-        if k != s:
-            cop[i] = otimes(el(i), el(pi)) + otimes(one, el(i))
-            antip[i] = -(el(i) * el(piv))
-    for ab, i in model.m_index.items():
-        if s not in ab:
-            cop[i] = otimes(el(i), one) + otimes(one, el(i))
-            antip[i] = -el(i)
-    return cop, antip, counit
 
 
 def _pi_boost_rules(model, boost, p, c):
@@ -537,177 +573,71 @@ def _pi_boost_rules(model, boost, p, c):
 
 def _build_q_timelike(model):
     _q_skeleton(model, _orthog_labels, "Pi", 0)
-    pres, dim, g, t2 = model.pres, model.metric.dim, model.metric.g, model.tau2
-    pi, piv = model.grouplike
-    pidx = model.p_index
-    mt = {i: model.m_index[(0, i)] for i in range(1, dim)}
-    el = partial(TensorElement.gen, pres)
-    m_sp = model.m
-    I = Scalar.i()
+    pres, dim, t2 = model.pres, model.metric.dim, model.tau2
+    pi, piv = (TensorElement.gen(pres, i) for i in model.grouplike)
+    pp = _momentum_square(model, 1) * Scalar.monomial(gr(t2), 2, 0)
+    # P_tau = (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2)) and
+    # C_tau = (kappa^2/tau^2)(Pi + Pi_inv - 2 + tau^2 Pi_inv P^m P_m/kappa^2)
+    model.p_tau_expr = (pi - piv - piv * pp) * Scalar.monomial(
+        gr(_HALF), -1, 0
+    )
+    c_tau = (pi + piv - TensorElement.one(pres, 1) * 2 + piv * pp) * (
+        Scalar.monomial(gr(Fraction(1) / t2), -2, 0)
+    )
+    model.cas = CasimirSet(_momentum_square(model, 0), c_tau, pi, piv)
 
-    # [M_tau_i, M_cd] = i(g_ic M_tau_d - g_id M_tau_c)
-    spairs = sorted(ab for ab in model.m_index if ab[0] > 0)
-    for i in range(1, dim):
-        for (c, d) in spairs:
-            rhs = (el(mt[d]) * g[i][c] - el(mt[c]) * g[i][d]) * I
-            if rhs:
-                pres.set_commutator(mt[i], model.m_index[(c, d)], _rule(rhs))
+    # [M_tau_i, M_cd] = i(g_ic M_tau_d - g_id M_tau_c), then
     # [M_tau_i, M_tau_j] = -i tau^2 M_ij
-    for i in range(1, dim):
-        for j in range(i + 1, dim):
-            rhs = m_sp(i, j) * Scalar.monomial(gr(0, -t2))
-            if rhs:
-                pres.set_commutator(mt[i], mt[j], _rule(rhs))
+    spairs = sorted(ab for ab in model.m_index if ab[0] > 0)
+    _q_brackets(model, [((0, i), cd) for i in range(1, dim) for cd in spairs])
+    _q_brackets(model, [
+        ((0, i), (0, j)) for i in range(1, dim) for j in range(i + 1, dim)
+    ])
     # [M_tau_i, Pi^{+-1}]; Pi = 1 + P_tau/kappa + tau^2 C_tau/(2 kappa^2)
     # forces the tau^2 factor on the right-hand side
     for i in range(1, dim):
-        _pi_boost_rules(model, mt[i], pidx[i], t2)
-    # [M_tau_i, P_j] = i g_ij (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2))
-    pp = _momentum_square(model, 1)
-    bracket = (
-        el(pi)
-        - el(piv)
-        - el(piv) * pp * Scalar.monomial(gr(t2), 2, 0)
-    )
-    for i in range(1, dim):
-        for j in range(1, dim):
-            if g[i][j]:
-                rhs = bracket * Scalar.monomial(gr(0, _HALF * g[i][j]), -1, 0)
-                pres.set_commutator(mt[i], pidx[j], _rule(rhs))
-
-    # Casimirs, via the reconstruction of P_tau from the group-likes
-    model.p_tau_expr = bracket * Scalar.monomial(gr(_HALF), -1, 0)
-    c_tau = (
-        el(pi)
-        + el(piv)
-        - TensorElement.one(pres, 1) * 2
-        + el(piv) * pp * Scalar.monomial(gr(t2), 2, 0)
-    ) * Scalar.monomial(gr(Fraction(1) / t2), -2, 0)
-    c_full = model.p_tau_expr * model.p_tau_expr * (Fraction(1) / t2) + pp
-    model.cas = CasimirSet(c_full, c_tau, el(pi), el(piv))
-
-    cop, antip, counit = _q_tables(model, 0)
-    one = TensorElement.one(pres, 1)
-    pu = {j: model.p_up(j) for j in range(1, dim)}
-    for i in range(1, dim):
-        d = otimes(el(mt[i]), one) + otimes(el(piv), el(mt[i]))
-        s_el = -el(mt[i]) - bracket * el(mt[i]) * Scalar.monomial(gr(_HALF))
-        for j in range(1, dim):
-            if pu[j]:
-                d = d + otimes(pu[j] * el(piv), m_sp(i, j)) * Scalar.monomial(
-                    gr(t2), 1, 0
-                )
-            s_el = s_el - pu[j] * m_sp(j, i) * Scalar.monomial(gr(t2), 1, 0)
-        s_el = s_el - c_tau * el(mt[i]) * Scalar.monomial(gr(t2 * _HALF), 2, 0)
-        cop[mt[i]] = d
-        antip[mt[i]] = s_el
-    model.hopf = HopfData(pres, cop, antip, counit)
+        _pi_boost_rules(model, model.m_index[(0, i)], model.p_index[i], t2)
+    # [M_tau_i, P_j] = i g_ij P_tau
+    _q_brackets(model, [
+        ((0, i), j) for i in range(1, dim) for j in range(1, dim)
+    ])
 
 
 def _build_q_lightlike(model):
     _q_skeleton(model, _null_labels, "Pi_+", 1)
-    pres, dim, g = model.pres, model.metric.dim, model.metric.g
+    pres, dim = model.pres, model.metric.dim
     pi, piv = model.grouplike
-    pidx, midx = model.p_index, model.m_index
-    el = partial(TensorElement.gen, pres)
-    m_tr = model.m
-    I = Scalar.i()
-    mpm = midx[(0, 1)]
-    tpairs = [ab for ab in midx if ab[0] > 1]
+    midx, mpm = model.m_index, model.m_index[(0, 1)]
+    pi_el = TensorElement.gen(pres, pi)
+    # P_+ = kappa(Pi_+ - 1), and C = 2 P_+ P_- + P^a P_a = C_tau
+    model.p_tau_expr = (pi_el - TensorElement.one(pres, 1)) * (
+        Scalar.monomial(gr(1), -1, 0)
+    )
+    c = _momentum_square(model, 0)
+    model.cas = CasimirSet(c, c, pi_el, TensorElement.gen(pres, piv))
 
-    # [M_+a, M_-b] = -i(M_ab + g_ab M_+-)
-    for a in range(2, dim):
-        for b in range(2, dim):
-            rhs = (m_tr(a, b) + el(mpm) * g[a][b]) * (-I)
-            if rhs:
-                pres.set_commutator(midx[(0, a)], midx[(1, b)], _rule(rhs))
-    # [M_{+-a}, M_bc] = i(g_ab M_{+-c} - g_ac M_{+-b})
-    for s in (0, 1):
-        for a in range(2, dim):
-            for (b, c) in tpairs:
-                rhs = (el(midx[(s, c)]) * g[a][b] - el(midx[(s, b)]) * g[a][c]) * I
-                if rhs:
-                    pres.set_commutator(midx[(s, a)], midx[(b, c)], _rule(rhs))
+    tr = range(2, dim)
+    tpairs = [ab for ab in midx if ab[0] > 1]
+    # [M_+a, M_-b] = -i(M_ab + g_ab M_+-),
+    # [M_{+-a}, M_bc] = i(g_ab M_{+-c} - g_ac M_{+-b}) and
     # [M_+-, M_{+-a}] = +-i M_{+-a}
-    for a in range(2, dim):
-        pres.set_commutator(mpm, midx[(0, a)], {(midx[(0, a)],): Scalar.i()})
-        pres.set_commutator(mpm, midx[(1, a)], {(midx[(1, a)],): -Scalar.i()})
-    # [M_+-, Pi_+^{+-1}] and [M_+-, P_-]
+    _q_brackets(model, [((0, a), (1, b)) for a in tr for b in tr])
+    _q_brackets(model, [
+        ((s, a), bc) for s in (0, 1) for a in tr for bc in tpairs
+    ])
+    _q_brackets(model, [((0, 1), (s, a)) for a in tr for s in (0, 1)])
+    # [M_+-, Pi_+^{+-1}], then [M_+-, P_-]
     pres.set_commutator(mpm, pi, {(pi,): Scalar.i(), EMPTY_WORD: -Scalar.i()})
     pres.set_commutator(
         mpm, piv, {(piv, piv): Scalar.i(), (piv,): -Scalar.i()}
     )
-    pres.set_commutator(mpm, pidx[1], {(pidx[1],): -Scalar.i()})
-    for a in range(2, dim):
-        # [M_+a, P_-] = -i P_a and [M_+a, P_b] = i kappa g_ab (Pi_+ - 1)
-        pres.set_commutator(midx[(0, a)], pidx[1], {(pidx[a],): -Scalar.i()})
-        for b in range(2, dim):
-            if g[a][b]:
-                pres.set_commutator(
-                    midx[(0, a)],
-                    pidx[b],
-                    {
-                        (pi,): Scalar.monomial(gr(0, g[a][b]), -1, 0),
-                        EMPTY_WORD: Scalar.monomial(gr(0, -g[a][b]), -1, 0),
-                    },
-                )
+    _q_brackets(model, [((0, 1), 1)])
+    for a in tr:
+        # [M_+a, P_-] = -i P_a, [M_+a, P_b] = i kappa g_ab (Pi_+ - 1),
         # [M_-a, Pi_+^{+-1}] and [M_-a, P_b] = i g_ab P_-
-        _pi_boost_rules(model, midx[(1, a)], pidx[a], 1)
-        for b in range(2, dim):
-            if g[a][b]:
-                pres.set_commutator(
-                    midx[(1, a)],
-                    pidx[b],
-                    {(pidx[1],): Scalar.monomial(gr(0, g[a][b]))},
-                )
-
-    one = TensorElement.one(pres, 1)
-    pp = _momentum_square(model, 2)
-    # C = 2 kappa (Pi_+ - 1) P_- + P^a P_a
-    c_full = (el(pi) - one) * el(pidx[1]) * Scalar.monomial(gr(2), -1, 0) + pp
-    model.cas = CasimirSet(c_full, c_full, el(pi), el(piv))
-    model.p_tau_expr = (el(pi) - one) * Scalar.monomial(gr(1), -1, 0)
-
-    cop, antip, counit = _q_tables(model, 1)
-    pu = {a: model.p_up(a) for a in range(2, dim)}
-    h1 = Scalar.h(1)
-    pm = pidx[1]
-    pmc = el(pm) + c_full * Scalar.monomial(gr(_HALF), 1, 0)
-    d = (
-        otimes(el(pm), el(pi))
-        + otimes(el(piv), el(pm))
-        - otimes(pmc * el(piv), el(pi) - one)
-    )
-    for a in range(2, dim):
-        d = d - otimes(pu[a] * el(piv), el(pidx[a])) * h1
-    cop[pm] = d
-    antip[pm] = -(el(pm) * el(pi)) - (one + el(pi)) * pp * el(
-        piv
-    ) * Scalar.monomial(gr(_HALF), 1, 0)
-
-    d = otimes(el(mpm), one) + otimes(el(piv), el(mpm))
-    s_el = -(el(pi) * el(mpm))
-    for a in range(2, dim):
-        d = d - otimes(pu[a] * el(piv), el(midx[(0, a)])) * h1
-        s_el = s_el - pu[a] * el(midx[(0, a)]) * h1
-    cop[mpm] = d
-    antip[mpm] = s_el
-
-    for a in range(2, dim):
-        im = midx[(1, a)]
-        d = (
-            otimes(el(im), one)
-            + otimes(el(piv), el(im))
-            - otimes(pmc * el(piv), el(midx[(0, a)])) * h1
-        )
-        s_el = -(el(pi) * el(im)) - pmc * el(midx[(0, a)]) * h1
-        for b in range(2, dim):
-            if pu[b]:
-                d = d - otimes(pu[b] * el(piv), m_tr(b, a)) * h1
-                s_el = s_el - pu[b] * m_tr(b, a) * h1
-        cop[im] = d
-        antip[im] = s_el
-    model.hopf = HopfData(pres, cop, antip, counit)
+        _q_brackets(model, [((0, a), b) for b in range(1, dim)])
+        _pi_boost_rules(model, midx[(1, a)], model.p_index[a], 1)
+        _q_brackets(model, [((1, a), b) for b in tr])
 
 
 # --- the model object ---------------------------------------------------------
@@ -718,8 +648,12 @@ class Model:
 
     Attributes: pres, hopf, cas; metric/tau in the working (possibly
     adapted) basis; basis rows back to the original coordinates (or None);
-    p_index / m_index mapping basis slots to generator indices; klog, the
-    element kappa*ln(Pi), for the h-adic flavors.
+    p_index / m_index mapping basis slots to generator indices; p_tau_expr,
+    the element P_tau, set for every flavor (in the q-analogs, P_tau or P_+
+    written through Pi^{+-1}); klog, the element kappa*ln(Pi), for the
+    h-adic flavors.  Each builder sets the presentation, cas and
+    p_tau_expr; the Hopf tables of every flavor then come from one
+    covariant formula set (``_hopf_tables``).
     """
 
     def __init__(self, config):
@@ -730,7 +664,6 @@ class Model:
         self.trunc = config.trunc
         self.klog = None
         self.grouplike = ()
-        self.p_tau_expr = None
 
         if config.flavor == "covariant_hadic":
             self.metric, self.tau, self.basis = config.metric, config.tau, None
@@ -745,6 +678,7 @@ class Model:
             _build_q_lightlike(self)
         else:
             _build_hadic(self)
+        self.hopf = HopfData(self.pres, *_hopf_tables(self), trunc=self.trunc)
 
     # --- element helpers ---------------------------------------------------
 
@@ -752,9 +686,13 @@ class Model:
         return TensorElement.gen(self.pres, self.pres.gen_index(label), self.trunc)
 
     def p(self, slot):
-        if slot not in self.p_index:
-            raise PresentationError("no momentum generator in slot %r" % slot)
-        return TensorElement.gen(self.pres, self.p_index[slot], self.trunc)
+        """The momentum of a slot.  A q-analog has no generator in slot 0;
+        its momentum there is P_tau (P_+ for tau^2 = 0), read from Pi^{+-1}."""
+        if slot in self.p_index:
+            return TensorElement.gen(self.pres, self.p_index[slot], self.trunc)
+        if slot == 0 and self.grouplike:
+            return self.p_tau_expr
+        raise PresentationError("no momentum generator in slot %r" % slot)
 
     def p_up(self, slot):
         """Raised-index momentum P^slot using the working metric."""
@@ -1155,7 +1093,10 @@ def q_hadic_correspondence_check(q_model, trunc=(3, 3)):
 def q_display_check(model):
     """Printed q-analog formulas against the stored presentation.
 
-    For the tau^2 != 0 flavor this includes the two known display
+    The stored coproducts and antipodes come from the covariant formula set
+    that builds every flavor (``_hopf_tables``), so the printed q forms are
+    checked against that engine, not against tables written in their own
+    shape.  For the tau^2 != 0 flavor this includes the two known display
     deviations, recorded with their exact differences: the [M_tau_i, Pi]
     line printed without its tau^2 factor, and the antipode of M_tau_i
     whose printed bracket carries tau^2/2 (for 1/2) and 1/kappa^2 (for
@@ -1553,7 +1494,7 @@ def hopf_covariance_check(model, rows):
     metric = model.metric
     dim = metric.dim
     rows, metric_t = basis_metric(metric, rows)
-    tau_t = transform_tau(metric, rows, model.tau)
+    tau_t = metric_t.raise_index([metric.pair(row, model.tau) for row in rows])
     other = Model(
         ModelConfig(metric_t, tau_t, "covariant_hadic", model.trunc)
     )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kdeform import model as km
 from kdeform.errors import ClassicalLimitError, PresentationError
 from kdeform.metric import Metric
 from kdeform.model import (
@@ -30,7 +31,7 @@ from kdeform.model import (
 )
 from kdeform.ncalg import TensorElement
 from kdeform.rmatrix import build_r, schouten_identity_check
-from kdeform.scalar import Scalar, gr
+from kdeform.scalar import ONE, Scalar, gr
 
 MINK2 = [[1, 0], [0, -1]]
 MINK3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
@@ -522,6 +523,9 @@ def _d2_model():
     lambda: LORENTZ.lower((1, 0, 0, 0, 7)),
     lambda: LORENTZ.pair((1, 0, 0), (1, 0, 0, 0)),
     lambda: LORENTZ.raise_index((1, 0)),
+    lambda: ModelConfig(MINK2, (0.1, 1)),
+    lambda: Metric([[1.0, 0], [0, -1]]),
+    lambda: build_r(MINK2, (0.5, 0)),
 ], ids=[
     "schouten_long_tau", "build_r_long_tau", "build_r_short_tau",
     "change_basis_long_row", "change_basis_short_row",
@@ -532,10 +536,53 @@ def _d2_model():
     "model_config_none_entry", "model_config_int_tau",
     "metric_text_entry", "metric_int_rows", "pair_long_vector",
     "lower_long_vector", "pair_short_vector", "raise_index_short_vector",
+    "model_config_float_tau", "metric_float_entry", "build_r_float_tau",
 ])
 def test_malformed_metric_indexed_input_is_refused(call):
-    # wrong lengths and slots, non-numeric or non-iterable entries, and
-    # presentations without iso data raise PresentationError instead of
-    # being truncated or leaking another error
+    # wrong lengths and slots, non-numeric or non-iterable entries, floats
+    # (whose exact values are binary expansions), and presentations without
+    # iso data raise PresentationError instead of being truncated or
+    # leaking another error
     with pytest.raises(PresentationError):
         call()
+
+
+def test_exact_entries_are_still_accepted():
+    cfg = ModelConfig(MINK2, ("1/10", Fraction(1, 2)))
+    assert cfg.tau == (Fraction(1, 10), Fraction(1, 2))
+    assert Metric([[1, 0], [0, "-1/3"]]).g == ((1, 0), (0, Fraction(-1, 3)))
+
+
+@pytest.mark.parametrize("g,tau,flavor", [
+    (MINK3, (1, 0, 0), "qanalog_timelike"),
+    (MINK3, (1, 1, 0), "qanalog_lightlike"),
+    (LORENTZ, (1, 0, 0, 0), "qanalog_timelike"),
+    (LORENTZ, (1, 1, 0, 0), "qanalog_lightlike"),
+], ids=["timelike_d3", "lightlike_d3", "timelike_d4", "lightlike_d4"])
+def test_q_unit_coefficients_are_the_shared_one(g, tau, flavor):
+    # a stored coefficient equal to 1 must be the shared unit, so that a
+    # product by it returns the other operand without multiplying
+    m = Model(ModelConfig(g, tau, flavor, None))
+    units = [
+        c
+        for table in (m.hopf.coproduct, m.hopf.antipode)
+        for entry in table.values()
+        for c in entry.terms.values()
+        if c == Scalar.one()
+    ]
+    assert units
+    assert all(c is ONE for c in units)
+
+
+def test_hopf_covariance_builds_the_gram_matrix_once(monkeypatch):
+    calls = []
+    real = km.basis_metric
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(km, "basis_metric", counted)
+    rows = [(Fraction(5, 3), Fraction(4, 3)), (Fraction(4, 3), Fraction(5, 3))]
+    assert hopf_covariance_check(_d2_model(), rows).ok
+    assert len(calls) == 1

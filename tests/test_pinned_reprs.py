@@ -1,13 +1,14 @@
-"""Byte-identity guard: exact reprs of two small models, pinned by sha256.
+"""Byte-identity guard: exact reprs of three small models, pinned by sha256.
 
 The reprs print every coefficient, so any change to the coefficient ring or
 to the rewriting that alters an exact result, or only its printed form,
 changes a digest.  Each text is the coproduct and antipode of every
 generator, then the normal-ordered product x_i * x_j of every generator pair
-i > j.  The q-analog model uses a non-diagonal metric, so its products carry
-Laurent terms (h^-1), imaginary units and non-trivial denominators.
+i > j.  Both q-analog models use a non-diagonal metric, so their texts carry
+Laurent terms (h^-1), imaginary units and non-trivial denominators; the
+lightlike one has an off-diagonal transverse block.
 
-The two model cases truncate h only.  The twisted case covers the xi side:
+The h-adic model case truncates h only.  The twisted case covers the xi side:
 the twisted coproduct Delta_F and antipode S_F of every generator for the T1
 twist of the d=4 ``orthog_1_plus`` model at (2, 1), whose coefficients are
 two-parameter scalars.
@@ -42,6 +43,7 @@ MINK2 = [[1, 0], [0, -1]]
 MINK3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
 SKEW3 = [[3, 1, 0], [1, -2, 0], [0, 0, -5]]
 MINK4 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+NULL4 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 3]]
 BOOST2 = [(Fraction(5, 3), Fraction(4, 3)), (Fraction(4, 3), Fraction(5, 3))]
 
 CASES = {
@@ -52,6 +54,10 @@ CASES = {
     "qanalog_timelike_d3": (
         (SKEW3, (1, 0, 0), "qanalog_timelike", None),
         "8e6c5835a56840bb56c86b5f34579095340cc49f57594d980e170baf888f265a",
+    ),
+    "qanalog_lightlike_d4": (
+        (NULL4, (1, 0, 0, 0), "qanalog_lightlike", None),
+        "3699121ed0a6d7eb9e08e0795fb1d97f22cca04838039801dda93ef700e1d03f",
     ),
 }
 
@@ -111,8 +117,9 @@ def test_t1_twisted_reprs_match_pinned_digest():
 
 
 def test_qanalog_text_covers_laurent_terms_and_fractions():
-    text = rendered(CASES["qanalog_timelike_d3"][0])
-    assert "h^-1" in text and "/" in text and "*i" in text
+    for name in ("qanalog_timelike_d3", "qanalog_lightlike_d4"):
+        text = rendered(CASES[name][0])
+        assert "h^-1" in text and "/" in text and "*i" in text, name
 
 
 def schouten_inputs():

@@ -3,7 +3,7 @@
 Every row of the catalog is checked on d=4 Minkowski at truncation (2, 1),
 over the undeformed (primitive) structure and over the model's own deformed
 structure.  Rows that are not 2-cocycles are pinned as failing; see ROADMAP
-open item 2 for the deviations they record.
+open item 3 for the deviations they record.
 """
 
 import pytest
