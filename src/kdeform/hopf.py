@@ -13,22 +13,24 @@ anti-multiplicatively, multiplicatively respectively), with memoized
 word-level caches; the three leg maps share one helper that replaces a
 single tensor leg by a word's image, and the coproduct and antipode of an
 element are those leg maps at rank 1.  The coproduct and antipode leg maps
-skip the image terms that vanish against the tensor term's coefficient;
-those images are indexed by floor (``ncalg.FloorIndex``) once per word,
-alongside their memoized values.
+take from a word's memoized image only the terms that its ``live`` method
+keeps against the tensor term's coefficient; :mod:`kdeform.ncalg` decides
+which.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
-rule, and (optionally) counit/antipode axioms on all degree-2 words.  All
-residuals are exact; a check passes only when the residual is identically
-zero at the working truncation.  ``verify_reality`` checks the one star
-structure of :mod:`kdeform.ncalg`: self-adjoint generators, real h.
+rule, and (optionally) counit/antipode axioms on all degree-2 words; one
+helper gives the counit and antipode residuals of an element from its
+coproduct for both sweeps.  All residuals are exact; a check passes only
+when the residual is identically zero at the working truncation.
+``verify_reality`` checks the one star structure of :mod:`kdeform.ncalg`:
+self-adjoint generators, real h.
 """
 
 from __future__ import annotations
 
 from .errors import KdeformError, PresentationError
-from .ncalg import EMPTY_WORD, FloorIndex, TensorElement, accumulate
+from .ncalg import EMPTY_WORD, TensorElement, accumulate
 from .report import Report
 from .scalar import Scalar, merge_trunc
 
@@ -67,9 +69,6 @@ class HopfData:
         self._cop_cache = {EMPTY_WORD: TensorElement.one(pres, 2, trunc)}
         self._antipode_cache = {EMPTY_WORD: TensorElement.one(pres, 1, trunc)}
         self._counit_cache = {EMPTY_WORD: Scalar.one(trunc)}
-        # word -> FloorIndex of its image's terms, keyed by legs
-        self._cop_index = {}
-        self._antipode_index = {}
 
     # --- word-level extensions ---------------------------------------------
 
@@ -126,44 +125,33 @@ class HopfData:
 
     # --- tensor-leg applications --------------------------------------------
 
-    @staticmethod
-    def _leg_map(tensor, leg, image):
-        """Terms of ``tensor`` with leg ``leg`` replaced by its image.
+    def _leg_map(self, tensor, leg, rank, image):
+        """``tensor`` with leg ``leg`` replaced by its image, of rank ``rank``
+        and at the truncation of both.
 
         ``image(word, c)`` yields the (legs, coeff) terms of the word's image
         to pair with a tensor term of coefficient ``c``, where ``legs`` is a
         tuple of 0, 1 or 2 words that takes the place of the one word.
         """
-        return accumulate({}, (
+        out = accumulate({}, (
             (key[:leg] + legs + key[leg + 1:], c * ci)
             for key, c in tensor.terms.items()
             for legs, ci in image(key[leg], c)
         ))
-
-    @staticmethod
-    def _live(memo, word, terms, c):
-        # the terms of a memoized word image whose product with c the floor
-        # rule does not rule out; the image's FloorIndex is built once per word
-        index = memo.get(word)
-        if index is None:
-            index = memo[word] = FloorIndex(terms)
-        return index.live(c)
+        return TensorElement._make(
+            self.pres, rank, out, merge_trunc(self.trunc, tensor.trunc)
+        )
 
     def apply_cop_leg(self, tensor, leg):
         """(.. (x) Delta (x) ..): rank grows by one at position ``leg``."""
-        out = self._leg_map(tensor, leg, lambda w, c: self._live(
-            self._cop_index, w, self.cop_word(w).terms, c
-        ))
-        return TensorElement._make(
-            self.pres, tensor.rank + 1, out, merge_trunc(self.trunc, tensor.trunc)
+        return self._leg_map(
+            tensor, leg, tensor.rank + 1, lambda w, c: self.cop_word(w).live(c)
         )
 
     def apply_antipode_leg(self, tensor, leg):
-        out = self._leg_map(tensor, leg, lambda w, c: self._live(
-            self._antipode_index, w, self.antipode_word(w).terms, c
-        ))
-        return TensorElement._make(
-            self.pres, tensor.rank, out, merge_trunc(self.trunc, tensor.trunc)
+        return self._leg_map(
+            tensor, leg, tensor.rank,
+            lambda w, c: self.antipode_word(w).live(c),
         )
 
     def apply_counit_leg(self, tensor, leg):
@@ -171,13 +159,11 @@ class HopfData:
         by one.  The counit of a rank-1 element is ``counit_of``."""
         if tensor.rank < 2:
             raise PresentationError("counit leg map needs rank >= 2")
-        # a word's counit is one memoized scalar, so the leg map takes no
-        # floor index: its test would cost more than the product it skips
-        out = self._leg_map(
-            tensor, leg, lambda w, c: (((), self.counit_word(w)),)
-        )
-        return TensorElement._make(
-            self.pres, tensor.rank - 1, out, merge_trunc(self.trunc, tensor.trunc)
+        # a word's counit is one memoized scalar, so the leg map does not
+        # prune: the floor test would cost more than the product it skips
+        return self._leg_map(
+            tensor, leg, tensor.rank - 1,
+            lambda w, c: (((), self.counit_word(w)),),
         )
 
 
@@ -199,6 +185,16 @@ def verify_axioms(hopf, degree2=True):
     def gen(i):
         return TensorElement.gen(pres, i, hopf.trunc)
 
+    def axiom_residuals(x, cop):
+        # the counit residuals, then the antipode residuals, of x from its
+        # coproduct, each as (leg 0, leg 1)
+        eps_x = one * hopf.counit_of(x)
+        return (
+            [hopf.apply_counit_leg(cop, leg) - x for leg in (0, 1)],
+            [hopf.apply_antipode_leg(cop, leg).merge_legs() - eps_x
+             for leg in (0, 1)],
+        )
+
     for i in range(n):
         g = gen(i)
         lab = pres.label(i)
@@ -207,25 +203,15 @@ def verify_axioms(hopf, degree2=True):
             "coassoc[%s]" % lab,
             hopf.apply_cop_leg(cop, 0) - hopf.apply_cop_leg(cop, 1),
         )
-        rep.zero("counit_left[%s]" % lab, hopf.apply_counit_leg(cop, 0) - g)
-        rep.zero("counit_right[%s]" % lab, hopf.apply_counit_leg(cop, 1) - g)
-        eps_g = one * hopf.counit_of(g)
-        rep.zero(
-            "antipode_left[%s]" % lab,
-            hopf.apply_antipode_leg(cop, 0).merge_legs() - eps_g,
-        )
-        rep.zero(
-            "antipode_right[%s]" % lab,
-            hopf.apply_antipode_leg(cop, 1).merge_legs() - eps_g,
-        )
+        for axiom, residuals in zip(("counit", "antipode"),
+                                    axiom_residuals(g, cop)):
+            for side, r in zip(("left", "right"), residuals):
+                rep.zero("%s_%s[%s]" % (axiom, side, lab), r)
 
-    def rule_items():
-        for (i, j), rhs in pres.comm_rules.items():
-            yield i, j, rhs, True
-        for (i, j), rhs in pres.product_rules.items():
-            yield i, j, rhs, False
-
-    for i, j, rhs, is_comm in rule_items():
+    rules = [(ij, rhs, True) for ij, rhs in pres.comm_rules.items()] + [
+        (ij, rhs, False) for ij, rhs in pres.product_rules.items()
+    ]
+    for (i, j), rhs, is_comm in rules:
         li, lj = pres.label(i), pres.label(j)
         gi, gj = gen(i), gen(j)
         rhs_elt = TensorElement.from_words(pres, rhs) * Scalar.one(hopf.trunc)
@@ -249,28 +235,17 @@ def verify_axioms(hopf, degree2=True):
         rep.zero("counit_respects_%s" % tag, erec)
 
     if degree2:
-        # (check name, residuals of its axiom on a degree-2 word x)
-        table = [
-            ("counit_axiom_degree2_all_pairs", lambda x, cop: [
-                hopf.apply_counit_leg(cop, leg) - x for leg in (0, 1)
-            ]),
-            ("antipode_axiom_degree2_all_pairs", lambda x, cop: [
-                hopf.apply_antipode_leg(cop, leg).merge_legs() - eps_x
-                for eps_x in (one * hopf.counit_of(x),)
-                for leg in (0, 1)
-            ]),
-        ]
-        bad = {name: [] for name, _ in table}
+        bad = ([], [])
         for i in range(n):
             for j in range(n):
                 x = gen(i) * gen(j)
-                cop = hopf.cop(x)
-                for name, residuals in table:
-                    if not all(r.is_zero() for r in residuals(x, cop)):
-                        bad[name].append((pres.label(i), pres.label(j)))
-        for name, _ in table:
-            rep.add(name, not bad[name],
-                    "" if not bad[name] else repr(bad[name][:4]))
+                for pairs, residuals in zip(bad,
+                                            axiom_residuals(x, hopf.cop(x))):
+                    if not all(r.is_zero() for r in residuals):
+                        pairs.append((pres.label(i), pres.label(j)))
+        for axiom, pairs in zip(("counit", "antipode"), bad):
+            rep.add("%s_axiom_degree2_all_pairs" % axiom, not pairs,
+                    "" if not pairs else repr(pairs[:4]))
     return rep.checks
 
 

@@ -27,7 +27,9 @@ builder sets ``model.cas`` and ``model.p_tau_expr`` first.  A q-analog has
 no momentum generator in slot 0: there P_tau (P_+ for tau^2 = 0) is the
 expression in Pi^{+-1} it stands for, and Pi^{+-1} are group-like.  The
 iso(g) brackets [M, P] and [M, M] are written once (``_iso_bracket``) and
-give the rules of every flavor and the basis-change check.
+give the rules of every flavor and the basis-change check; in a q-analog
+they also give [M, Pi^{+-1}] through [M, Pi] = h [M, P_tau], so only
+Pi Pi_inv = Pi_inv Pi = 1 is written by hand.
 """
 
 from __future__ import annotations
@@ -560,14 +562,20 @@ def _q_brackets(model, pairs):
     )
 
 
-def _pi_boost_rules(model, boost, p, c):
-    """[Pi, M] = i c P/kappa and [Pi_inv, M] = -i c Pi_inv^2 P/kappa."""
+def _pi_rules(model, ab):
+    """[M_ab, Pi] = h [M_ab, P_tau], since Pi = 1 + h P_tau
+    + tau^2 h^2 C_tau/2 and C_tau is central, and then
+    [M_ab, Pi_inv] = -Pi_inv [M_ab, Pi] Pi_inv, normal-ordered; the bracket
+    with P_tau is the iso(g) rule of slot 0."""
+    pres = model.pres
     pi, piv = model.grouplike
-    model.pres.set_commutator(
-        pi, boost, {(p,): Scalar.monomial(gr(0, c), 1, 0)}
-    )
-    model.pres.set_commutator(
-        piv, boost, {(piv, piv, p): Scalar.monomial(gr(0, -c), 1, 0)}
+    piv_el = TensorElement.gen(pres, piv)
+    rhs = _iso_bracket(
+        model.metric.g, model.p, model.m, ab, 0, TensorElement.zero(pres, 1)
+    ) * Scalar.h()
+    pres.set_commutator(model.m_index[ab], pi, _rule(rhs))
+    pres.set_commutator(
+        model.m_index[ab], piv, _rule(-(piv_el * rhs * piv_el))
     )
 
 
@@ -593,10 +601,9 @@ def _build_q_timelike(model):
     _q_brackets(model, [
         ((0, i), (0, j)) for i in range(1, dim) for j in range(i + 1, dim)
     ])
-    # [M_tau_i, Pi^{+-1}]; Pi = 1 + P_tau/kappa + tau^2 C_tau/(2 kappa^2)
-    # forces the tau^2 factor on the right-hand side
+    # [M_tau_i, Pi^{+-1}]
     for i in range(1, dim):
-        _pi_boost_rules(model, model.m_index[(0, i)], model.p_index[i], t2)
+        _pi_rules(model, (0, i))
     # [M_tau_i, P_j] = i g_ij P_tau
     _q_brackets(model, [
         ((0, i), j) for i in range(1, dim) for j in range(1, dim)
@@ -606,18 +613,16 @@ def _build_q_timelike(model):
 def _build_q_lightlike(model):
     _q_skeleton(model, _null_labels, "Pi_+", 1)
     pres, dim = model.pres, model.metric.dim
-    pi, piv = model.grouplike
-    midx, mpm = model.m_index, model.m_index[(0, 1)]
-    pi_el = TensorElement.gen(pres, pi)
+    pi_el, piv_el = (TensorElement.gen(pres, i) for i in model.grouplike)
     # P_+ = kappa(Pi_+ - 1), and C = 2 P_+ P_- + P^a P_a = C_tau
     model.p_tau_expr = (pi_el - TensorElement.one(pres, 1)) * (
         Scalar.monomial(gr(1), -1, 0)
     )
     c = _momentum_square(model, 0)
-    model.cas = CasimirSet(c, c, pi_el, TensorElement.gen(pres, piv))
+    model.cas = CasimirSet(c, c, pi_el, piv_el)
 
     tr = range(2, dim)
-    tpairs = [ab for ab in midx if ab[0] > 1]
+    tpairs = [ab for ab in model.m_index if ab[0] > 1]
     # [M_+a, M_-b] = -i(M_ab + g_ab M_+-),
     # [M_{+-a}, M_bc] = i(g_ab M_{+-c} - g_ac M_{+-b}) and
     # [M_+-, M_{+-a}] = +-i M_{+-a}
@@ -627,16 +632,13 @@ def _build_q_lightlike(model):
     ])
     _q_brackets(model, [((0, 1), (s, a)) for a in tr for s in (0, 1)])
     # [M_+-, Pi_+^{+-1}], then [M_+-, P_-]
-    pres.set_commutator(mpm, pi, {(pi,): Scalar.i(), EMPTY_WORD: -Scalar.i()})
-    pres.set_commutator(
-        mpm, piv, {(piv, piv): Scalar.i(), (piv,): -Scalar.i()}
-    )
+    _pi_rules(model, (0, 1))
     _q_brackets(model, [((0, 1), 1)])
     for a in tr:
         # [M_+a, P_-] = -i P_a, [M_+a, P_b] = i kappa g_ab (Pi_+ - 1),
         # [M_-a, Pi_+^{+-1}] and [M_-a, P_b] = i g_ab P_-
         _q_brackets(model, [((0, a), b) for b in range(1, dim)])
-        _pi_boost_rules(model, midx[(1, a)], model.p_index[a], 1)
+        _pi_rules(model, (1, a))
         _q_brackets(model, [((1, a), b) for b in tr])
 
 

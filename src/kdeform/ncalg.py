@@ -28,12 +28,21 @@ real: :meth:`TensorElement.star` reverses words and conjugates coefficients.
 
 Sparse combinations, here and in the wedge layer, are dicts from keys to
 nonzero Scalars; :func:`accumulate` is the one place where terms are summed
-into such a dict and cancelled terms dropped.  A product of two tensors
-indexes the right operand's terms once by the floor and truncation of their
-coefficients (:class:`FloorIndex`) and pairs each left term only with the
-groups whose coefficient products the truncation does not already make zero
-(the floor rule of :mod:`kdeform.scalar`); the pairs skipped are never
-multiplied.
+into such a dict and cancelled terms dropped.
+
+This module is the only one that prunes products, by the *floor rule*.  The
+floor of a nonzero scalar is the pair (lowest deg_h, lowest deg_xi), each
+minimum taken separately.  Every term of a product c1*c2 has bigrade at
+least floor(c1) + floor(c2), so when the merged truncation T of the two
+operands is finite (one is exact, or both carry the same T) and that sum
+exceeds T in either parameter, the product is exactly the zero scalar.  A
+pair of two different finite truncations is never skipped: its product
+raises ``TruncationMismatch``.  A tensor indexes its terms by floor and
+truncation (:class:`FloorIndex`) the first time it is a right operand, and
+:meth:`TensorElement.live` gives the terms the rule keeps against a left
+coefficient.  The product kernel and the coproduct and antipode leg maps of
+:mod:`kdeform.hopf` ask the right operand, so an operand used many times,
+such as a memoized word image, is indexed once.
 
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all
@@ -46,15 +55,12 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import PresentationError, RewriteError
-from .scalar import (
-    GaussianRational,
-    Scalar,
-    floor,
-    merge_trunc,
-    product_vanishes,
-)
+from .scalar import GaussianRational, Scalar, merge_trunc
 
 EMPTY_WORD = ()
+
+# the longest word ``normalize_word`` rewrites; a longer one raises
+MAX_WORD_LEN = 12
 
 
 def accumulate(out, pairs):
@@ -79,18 +85,40 @@ def accumulate(out, pairs):
     return out
 
 
+def _floor(s):
+    """The lowest h-degree and the lowest xi-degree of a nonzero Scalar,
+    each taken over all its terms."""
+    terms = s.terms
+    if len(terms) == 1:
+        return next(iter(terms))
+    return min(a for a, _ in terms), min(b for _, b in terms)
+
+
+def _product_vanishes(f1, t1, f2, t2):
+    """True when the product of two Scalars with floors ``f1``, ``f2`` and
+    truncations ``t1``, ``t2`` is certainly the zero Scalar, by the floor
+    rule; two different finite truncations give False."""
+    if t1 is None:
+        t = t2
+    elif t2 is None or t1 == t2:
+        t = t1
+    else:
+        return False
+    return t is not None and (f1[0] + f2[0] > t[0] or f1[1] + f2[1] > t[1])
+
+
 class FloorIndex:
     """The terms of a sparse combination (a dict from keys to nonzero
     Scalars), indexed by the floor and truncation of each coefficient, as
     the right operand of a product.
 
     ``live(c)`` returns the ``(key, coeff)`` terms whose coefficient product
-    with ``c`` the floor rule of :mod:`kdeform.scalar` does not rule out, in
-    dict order, so a product visits the surviving pairs in the order an
-    all-pairs loop would.  Each group of terms sharing a floor and truncation
-    is tested once per left floor and truncation, and the surviving terms
-    are cached.  Exact operands never prune, so they are not indexed.  The
-    dict must not change while the index is in use.
+    with ``c`` the floor rule does not rule out, in dict order, so a product
+    visits the surviving pairs in the order an all-pairs loop would.  Each
+    group of terms sharing a floor and truncation is tested once per left
+    floor and truncation, and the surviving terms are cached.  Exact
+    operands never prune, so they are not indexed.  The dict must not change
+    while the index is in use.
     """
 
     __slots__ = ("terms", "exact", "tags", "sigs", "rows")
@@ -105,7 +133,7 @@ class FloorIndex:
         t1 = c.trunc
         if t1 is None and self.exact:
             return self.terms.items()
-        sig = (floor(c), t1)
+        sig = (_floor(c), t1)
         row = self.rows.get(sig)
         if row is None:
             row = self.rows[sig] = self._survivors(*sig)
@@ -115,11 +143,11 @@ class FloorIndex:
         if self.sigs is None:
             index = {}
             self.tags = [
-                index.setdefault((floor(c), c.trunc), len(index))
+                index.setdefault((_floor(c), c.trunc), len(index))
                 for c in self.terms.values()
             ]
             self.sigs = list(index)
-        keep = [not product_vanishes(f1, t1, f2, t2) for f2, t2 in self.sigs]
+        keep = [not _product_vanishes(f1, t1, f2, t2) for f2, t2 in self.sigs]
         items = self.terms.items()
         if all(keep):
             return items
@@ -155,12 +183,11 @@ def _validate_terms(terms):
 class Presentation:
     """Generators plus exact straightening rules, with a shared normalize cache."""
 
-    def __init__(self, name, max_word_len=12):
+    def __init__(self, name):
         self.name = name
         self.generators = []
         self.comm_rules = {}      # (hi, lo) -> terms, hi > lo
         self.product_rules = {}   # (i, j) -> terms, replaces the pair
-        self.max_word_len = max_word_len
         self._reset_cache()
         self._in_progress = set()
 
@@ -251,10 +278,10 @@ class Presentation:
         cached = self._norm_cache.get(word)
         if cached is not None:
             return cached
-        if len(word) > self.max_word_len:
+        if len(word) > MAX_WORD_LEN:
             raise RewriteError(
                 "word length %d exceeds cap %d in %s"
-                % (len(word), self.max_word_len, self.name)
+                % (len(word), MAX_WORD_LEN, self.name)
             )
         if word in self._in_progress:
             raise RewriteError(
@@ -317,9 +344,16 @@ class Presentation:
 
 class TensorElement:
     """An element of the rank-fold tensor power of a presented algebra;
-    rank 1 is the algebra itself."""
+    rank 1 is the algebra itself.
 
-    __slots__ = ("pres", "rank", "terms", "trunc")
+    With a finite ``trunc`` an exact coefficient is cut to it, as
+    ``Scalar.retrunc`` does: terms beyond it are dropped and a negative
+    h-degree raises ``ScalarDomainError``.  An exact tensor keeps its
+    coefficients as given.  The terms must not change after the first
+    product that uses the tensor as its right operand (see ``live``).
+    """
+
+    __slots__ = ("pres", "rank", "terms", "trunc", "_index")
 
     def __init__(self, pres, rank, terms=None, trunc=None):
         self.pres = pres
@@ -328,10 +362,13 @@ class TensorElement:
         if terms:
             for key, coeff in terms.items():
                 key = self._key(key)
+                if trunc is not None and coeff.trunc is None:
+                    coeff = coeff.retrunc(trunc)
                 if coeff:
                     clean[key] = coeff
         self.terms = clean
         self.trunc = trunc
+        self._index = None
 
     def _key(self, key):
         # a key is a tuple of ``rank`` words; a bare word given as a rank-1
@@ -355,7 +392,17 @@ class TensorElement:
         t.rank = rank
         t.terms = terms
         t.trunc = trunc
+        t._index = None
         return t
+
+    def live(self, c):
+        """The ``(key, coeff)`` terms whose coefficient product with the
+        Scalar ``c`` the floor rule does not rule out, in dict order.  The
+        tensor's :class:`FloorIndex` is built at the first call."""
+        index = self._index
+        if index is None:
+            index = self._index = FloorIndex(self.terms)
+        return index.live(c)
 
     # --- constructors -----------------------------------------------------
 
@@ -410,6 +457,12 @@ class TensorElement:
             return NotImplemented
         self._require_like(other)
         trunc = merge_trunc(self.trunc, other.trunc)
+        if self.trunc != other.trunc:
+            # the exact operand's coefficients are cut to the finite trunc
+            self, other = (
+                TensorElement(x.pres, x.rank, x.terms, trunc)
+                for x in (self, other)
+            )
         out = accumulate(dict(self.terms), other.terms.items())
         return TensorElement._make(self.pres, self.rank, out, trunc)
 
@@ -440,10 +493,9 @@ class TensorElement:
         trunc = merge_trunc(self.trunc, other.trunc)
         norm = self.pres.normalize_word
         rank = self.rank
-        right = FloorIndex(other.terms)
         out = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in right.live(c1):
+            for k2, c2 in other.live(c1):
                 c12 = c1 * c2
                 if not c12:
                     continue
@@ -501,12 +553,9 @@ class TensorElement:
         return self.terms.get(self._key(key), Scalar.zero(self.trunc))
 
     def retrunc(self, new_trunc):
-        out = {}
-        for k, c in self.terms.items():
-            c2 = c.retrunc(new_trunc)
-            if c2:
-                out[k] = c2
-        return TensorElement._make(self.pres, self.rank, out, new_trunc)
+        out = self.map_scalars(lambda c: c.retrunc(new_trunc))
+        out.trunc = new_trunc
+        return out
 
     def permute_legs(self, perm):
         """Reorder legs: new key[j] = old key[perm[j]]."""

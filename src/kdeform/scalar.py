@@ -31,15 +31,9 @@ truncation decision, since the other operand already satisfies its own
 truncation and the Laurent rule.  No ring operation mutates a scalar, so
 results may share their operands.
 
-The *floor* of a nonzero scalar is the pair (lowest deg_h, lowest deg_xi),
-each minimum taken separately.  Every term of a product c1*c2 has bigrade at
-least floor(c1) + floor(c2), so when the merged truncation T of the two
-operands is finite (one is exact, or both carry the same T) and that sum
-exceeds T in either parameter, the product is exactly the zero scalar.
-:func:`product_vanishes` states this rule; the sparse products of the
-element and tensor layers and the coproduct and antipode leg maps use it to
-skip such pairs without multiplying them.  It never skips a pair of two
-different finite truncations, whose product raises ``TruncationMismatch``.
+Pairs of coefficients whose product a finite truncation already makes zero
+are skipped before they reach this module, by the floor rule of
+:mod:`kdeform.ncalg`.
 
 h and xi are real: conjugation acts on the coefficients only, as the one star
 structure of the package (:mod:`kdeform.ncalg`) needs.
@@ -247,32 +241,6 @@ def merge_trunc(t1, t2):
 
 def _keep(key, trunc):
     return trunc is None or (key[0] <= trunc[0] and key[1] <= trunc[1])
-
-
-def floor(s):
-    """The lowest h-degree and the lowest xi-degree of a nonzero Scalar,
-    each taken over all its terms."""
-    terms = s.terms
-    if len(terms) == 1:
-        return next(iter(terms))
-    return min(a for a, _ in terms), min(b for _, b in terms)
-
-
-def product_vanishes(f1, t1, f2, t2):
-    """True when the product of two Scalars with floors ``f1``, ``f2`` and
-    truncations ``t1``, ``t2`` is certainly the zero Scalar.
-
-    That holds when the merged truncation is finite and ``f1 + f2`` exceeds
-    it in either parameter.  Two different finite truncations give False:
-    their product must still raise ``TruncationMismatch``.
-    """
-    if t1 is None:
-        t = t2
-    elif t2 is None or t1 == t2:
-        t = t1
-    else:
-        return False
-    return t is not None and (f1[0] + f2[0] > t[0] or f1[1] + f2[1] > t[1])
 
 
 def _check_laurent(terms, trunc):

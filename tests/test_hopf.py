@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kdeform import twist
+from kdeform import ncalg, twist
 from kdeform.errors import KdeformError, PresentationError, TruncationMismatch
 from kdeform.hopf import (
     HopfData,
@@ -270,15 +270,16 @@ def rand_hopf(pres, rng):
 
 def product_operands(pres, rank):
     """Seeded random operand pairs of the given rank: six random pairs, then
-    exact h^-1 terms against truncated coefficients of h-degree >= 1."""
+    an exact element with an h^-1 term against truncated coefficients of
+    h-degree >= 1.  A truncated element cannot hold the h^-1 term."""
     rng = random.Random(1000 + rank)
     pairs = [
         (rand_element(pres, rng, rank), rand_element(pres, rng, rank))
         for _ in range(6)
     ]
-    laurent = rand_element(pres, rng, rank, min_h=1)
-    w = next(iter(laurent.terms))
-    laurent.terms[w] = Scalar({(-1, 1): 2, (3, 0): 1})
+    terms = rand_terms(rng, rank, min_h=1)
+    terms[next(iter(terms))] = Scalar({(-1, 1): 2, (3, 0): 1})
+    laurent = TensorElement(pres, rank, terms)
     other = rand_element(pres, rng, rank, min_h=1)
     return pairs + [(laurent, other), (other, laurent), (laurent, laurent)]
 
@@ -295,6 +296,30 @@ def test_pruned_product_matches_all_pairs_reference(rank):
     assert vanished > 0
 
 
+def test_right_operand_is_indexed_once(monkeypatch):
+    built = []
+
+    class CountingIndex(ncalg.FloorIndex):
+        def __init__(self, terms):
+            built.append(terms)
+            super().__init__(terms)
+
+    monkeypatch.setattr(ncalg, "FloorIndex", CountingIndex)
+    pres = deformed_heisenberg()
+    rng = random.Random(4000)
+    right = rand_element(pres, rng, 2)
+    exact_left = TensorElement(pres, 2, {
+        k: Scalar(c.terms) for k, c in rand_terms(rng, 2).items()
+    })
+    trunc_left = rand_element(pres, rng, 2)
+    assert exact_left.trunc is None and trunc_left.trunc == T
+    for left in (exact_left, trunc_left, exact_left):
+        ref, vanished = reference_product(left, right)
+        assert (left * right).terms == ref
+        assert vanished > 0
+    assert built == [right.terms]
+
+
 def assert_as_constructed(t, rank):
     """``t`` holds exactly what the checking constructor builds from it:
     rank-long tuple keys of word tuples, nonzero coefficients, same order."""
@@ -307,12 +332,13 @@ def assert_as_constructed(t, rank):
 
 
 def summable(a, b):
-    """False when one key holds an exact h^-1 term on one side and a
-    truncated coefficient on the other: their sum is undefined."""
+    """False when an exact element with an h^-1 term meets a truncated one:
+    the sum cuts every exact coefficient to the finite truncation, where an
+    h^-1 term is undefined."""
     return not any(
-        x.has_negative_h() and y.trunc is not None
-        for k in a.terms.keys() & b.terms.keys()
-        for x, y in ((a.terms[k], b.terms[k]), (b.terms[k], a.terms[k]))
+        x.trunc is None and y.trunc is not None
+        and any(c.has_negative_h() for c in x.terms.values())
+        for x, y in ((a, b), (b, a))
     )
 
 
@@ -322,9 +348,9 @@ def test_tensor_kernels_build_what_the_constructor_builds(rank):
     hopf = rand_hopf(pres, random.Random(3000 + rank))
     for a, b in product_operands(pres, rank):
         # the Hopf images hold truncated h^0 coefficients, and their product
-        # with an h^-1 term would be a Laurent term under a finite truncation
-        on_hopf = [x for x in (a, b)
-                   if not any(c.has_negative_h() for c in x.terms.values())]
+        # with the exact element's h^-1 term would be a Laurent term under a
+        # finite truncation
+        on_hopf = [x for x in (a, b) if x.trunc is not None]
         assert_as_constructed(a * b, rank)
         if summable(a, b):
             assert_as_constructed(a + b, rank)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import kdeform
-from kdeform.errors import PresentationError, RewriteError
-from kdeform.ncalg import Presentation, TensorElement
+from kdeform.errors import PresentationError, RewriteError, ScalarDomainError
+from kdeform.ncalg import MAX_WORD_LEN, Presentation, TensorElement
 from kdeform.scalar import GR_ONE, Scalar, gr
 
 
@@ -133,12 +133,14 @@ def test_cycle_detection():
 
 
 def test_word_length_cap():
-    pres = Presentation("cap", max_word_len=4)
+    pres = Presentation("cap")
     a = pres.add_generator("a")
     b = pres.add_generator("b")
     pres.set_commutator(b, a, {(): Scalar.one()})
+    assert MAX_WORD_LEN == 12
+    assert pres.normalize_word((b,) * 12) == {(b,) * 12: Scalar.one()}
     with pytest.raises(RewriteError):
-        pres.normalize_word((b,) * 5)
+        pres.normalize_word((b,) * 13)
 
 
 def test_element_arithmetic():
@@ -178,6 +180,32 @@ def test_exact_rule_with_truncated_elements():
     comm = eb.commutator(ea)
     assert comm.coeff(((),)) == Scalar.h(1, t)
     assert comm.trunc == t
+
+
+def test_truncated_tensor_cuts_exact_coefficients():
+    pres, a, b = weyl_pair()
+    t = (2, 1)
+    one = TensorElement.one(pres, 1, t)
+    # h^5 lies beyond the truncation: the element is zero, as its product
+    # with the truncated unit is
+    x = TensorElement(pres, 1, {((a,),): Scalar.h(5)}, t)
+    assert x == x * one and x.is_zero()
+    y = TensorElement(pres, 1, {((a,),): Scalar.h(2) + Scalar.h(3)}, t)
+    assert y.coeff(((a,),)) == Scalar.h(2, t) and y == y * one
+    with pytest.raises(ScalarDomainError):
+        TensorElement(pres, 1, {((a,),): Scalar.h(-1)}, t)
+    # a sum with a truncated element cuts the exact one's coefficients too
+    zero = TensorElement.zero(pres, 1, t)
+    exact = TensorElement(pres, 1, {((a,),): Scalar.h(5), ((b,),): Scalar.h()})
+    cut = TensorElement.gen(pres, b, t) * Scalar.h(1, t)
+    assert exact + zero == cut and zero + exact == cut
+    laurent = TensorElement(pres, 1, {((a,),): Scalar.h(-1)})
+    for pair in ((laurent, zero), (zero, laurent)):
+        with pytest.raises(ScalarDomainError):
+            pair[0] + pair[1]
+    # an exact element keeps its coefficients as given
+    kept = TensorElement(pres, 1, {((a,),): Scalar.h(1, t)})
+    assert kept.trunc is None and kept.coeff(((a,),)).trunc == t
 
 
 def test_star_antihomomorphism():

@@ -1,6 +1,8 @@
-"""Static checks on the package source."""
+"""Static checks on the package source, and on the names in it that the
+benchmark's tracer patches."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -115,3 +117,45 @@ def test_no_orphaned_module_level_definition():
               if p != Path(__file__).resolve()]
     modules = [p.read_text() for p in sorted(SRC.parent.rglob("*.py"))]
     assert orphans(modules, others) == UNUSED_ON_PURPOSE
+
+
+def load_tracer():
+    """The benchmark's tracer module, loaded by path without importing the
+    benchmark package."""
+    path = SRC.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_tracer_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def misplaced(targets):
+    """The (stat name, attribute) pairs of tracer ``targets`` that
+    ``Tracer.__enter__`` would not find: a method must sit in its class's
+    own ``__dict__``, a function in its module's."""
+    out = []
+    for module, cls, attrs, name, _hook, _span in targets:
+        owner = module.__dict__.get(cls) if cls else module
+        for attr in attrs:
+            if owner is None or not callable(vars(owner).get(attr)):
+                out.append((name, attr))
+    return out
+
+
+def test_the_guard_sees_a_misplaced_tracer_target():
+    from kdeform import ncalg, series
+
+    targets = [
+        (ncalg, "TensorElement", ("__mul__", "__reduce__"), "inherited",
+         None, False),
+        (ncalg, "Renamed", ("__mul__",), "no class", None, False),
+        (series, None, ("exp_nilpotent", "gone"), "no function", None, True),
+    ]
+    assert misplaced(targets) == [
+        ("inherited", "__reduce__"), ("no class", "__mul__"),
+        ("no function", "gone"),
+    ]
+
+
+def test_every_tracer_target_is_where_the_tracer_looks():
+    assert misplaced(load_tracer().TARGETS) == []
