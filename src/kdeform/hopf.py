@@ -278,9 +278,9 @@ def verify_reality(hopf, conjugator):
     return rep.checks
 
 
-def check_rmatrix_intertwiner(hopf, hopf_universal, rmat):
-    """Checks that ``rmat`` intertwines two coproducts on the same algebra:
-    R Delta(g) = Delta'(g) R for every generator, together with the
+def check_rmatrix_intertwiner(hopf, rmat):
+    """Checks that ``rmat`` intertwines the coproduct with its flip:
+    R Delta(g) = Delta(g)_21 R for every generator, together with the
     triangularity relation R_21 R = 1 (x) 1 and counit normalization.
 
     ``rmat`` must be a unital perturbation in the tensor square (1 (x) 1
@@ -306,9 +306,7 @@ def check_rmatrix_intertwiner(hopf, hopf_universal, rmat):
     rep.zero("counit_left", hopf.apply_counit_leg(rmat, 0) - one1)
     rep.zero("counit_right", hopf.apply_counit_leg(rmat, 1) - one1)
     for i in range(len(pres.generators)):
-        g = TensorElement.gen(pres, i, rmat.trunc)
-        rep.zero(
-            "intertwines[%s]" % pres.label(i),
-            rmat * hopf.cop(g) - hopf_universal.cop(g) * rmat,
-        )
+        cop = hopf.cop(TensorElement.gen(pres, i, rmat.trunc))
+        rep.zero("intertwines[%s]" % pres.label(i),
+                 rmat * cop - cop.swap() * rmat)
     return rep

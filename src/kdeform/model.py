@@ -1335,44 +1335,37 @@ def classical_hopf_check(model):
 # --- rescaling / specialization -------------------------------------------------
 
 
-def _weight(pres, word):
-    return sum(pres.generators[i].weight for i in word)
+def _grading_offsets(model, degree):
+    """Iterate (name, key, scalar, offset) over every entry of the stored
+    tables: every commutator and product rule, then the coproduct, antipode
+    and counit of each generator together.  This is the one walk of a
+    model's rule and Hopf tables.
 
-
-def _grading_offsets(model):
-    """Iterate (name, key, scalar, required h-degree offset) over every entry
-    of the stored tables.
-
-    The offset is w(rhs word) - w(lhs); the rescaling isomorphism
-    P -> P/kappa removes every power of h exactly when each coefficient
-    monomial sits at that offset.
+    ``degree[i]`` grades generator i; the offset of an entry is the degree
+    of its word, or of all words of its tensor key, minus that of its lhs.
+    A counit entry has key None and offset -degree[i].  Under the momentum
+    count, the rescaling isomorphism P -> P/kappa removes every power of h
+    exactly when each coefficient monomial sits at its offset.
     """
     pres = model.pres
+    hopf = model.hopf
+
+    def deg(words):
+        return sum(degree[i] for w in words for i in w)
+
     for what, rules in (("comm", pres.comm_rules),
                         ("product", pres.product_rules)):
         for (i, j), terms in rules.items():
-            w_lhs = pres.generators[i].weight + pres.generators[j].weight
+            name = "%s[%s,%s]" % (what, pres.label(i), pres.label(j))
             for word, c in terms.items():
-                yield (
-                    "%s[%s,%s]" % (what, pres.label(i), pres.label(j)),
-                    word,
-                    c,
-                    _weight(pres, word) - w_lhs,
-                )
-    for what, table in (("cop", model.hopf.coproduct),
-                        ("antipode", model.hopf.antipode)):
-        for i, tens in table.items():
-            w_lhs = pres.generators[i].weight
+                yield name, word, c, deg((word,)) - degree[i] - degree[j]
+    for i in range(len(pres.generators)):
+        lab = pres.label(i)
+        for what, tens in (("cop", hopf.coproduct[i]),
+                           ("antipode", hopf.antipode[i])):
             for key, c in tens.terms.items():
-                yield (
-                    "%s[%s]" % (what, pres.label(i)),
-                    key,
-                    c,
-                    sum(_weight(pres, w) for w in key) - w_lhs,
-                )
-    for i, sc in model.hopf.counit.items():
-        w_lhs = pres.generators[i].weight
-        yield ("counit[%s]" % pres.label(i), None, sc, -w_lhs)
+                yield "%s[%s]" % (what, lab), key, c, deg(key) - degree[i]
+        yield "counit[%s]" % lab, None, hopf.counit[i], -degree[i]
 
 
 def _slot_exponents(model):
@@ -1420,7 +1413,8 @@ def rescaling_isomorphism_check(model, lam=2):
         {"flavor": model.flavor, "lambda": str(lam)},
     )
 
-    entries = list(_grading_offsets(model))
+    momenta = [gen.weight for gen in model.pres.generators]
+    entries = list(_grading_offsets(model, momenta))
     bad = []
     for name, _key, scalar, offset in entries:
         for (dh, dxi), _v in scalar.terms.items():
@@ -1432,7 +1426,6 @@ def rescaling_isomorphism_check(model, lam=2):
         "" if not bad else "; ".join(bad[:6]),
     )
 
-    pres = model.pres
     if model.flavor.startswith("qanalog"):
         base = None
         for k0 in (1, 2, 10):
@@ -1455,32 +1448,20 @@ def rescaling_isomorphism_check(model, lam=2):
         other = Model(scaled_cfg)
         e = _slot_exponents(model)
 
-        def w_e(word):
-            return sum(e[i] for i in word)
+        def tables(m, coeff):
+            out = {}
+            for name, key, c, offset in _grading_offsets(m, e):
+                if key is not None:  # the counits are not compared
+                    out.setdefault(name, {})[key] = coeff(c, offset)
+            return out
 
-        def scale(c, power):
-            return Scalar(
-                {k: v * (lam ** (k[0] + power)) for k, v in c.terms.items()},
-                c.trunc,
-            )
-
-        for (i, j), terms in pres.comm_rules.items():
-            base = e[i] + e[j]
-            got = {k: scale(c, base - w_e(k)) for k, c in terms.items()}
-            rep.add(
-                "scaled_comm[%s,%s]" % (pres.label(i), pres.label(j)),
-                got == other.pres.comm_rules[(i, j)],
-            )
-        for i, gen in enumerate(pres.generators):
-            for what, mine, theirs in (
-                ("cop", model.hopf.coproduct[i], other.hopf.coproduct[i]),
-                ("antipode", model.hopf.antipode[i], other.hopf.antipode[i]),
-            ):
-                got = {
-                    k: scale(c, e[i] - sum(w_e(w) for w in k))
-                    for k, c in mine.terms.items()
-                }
-                rep.add("scaled_%s[%s]" % (what, gen.label), got == theirs.terms)
+        mine = tables(model, lambda c, offset: Scalar(
+            {k: v * (lam ** (k[0] - offset)) for k, v in c.terms.items()},
+            c.trunc,
+        ))
+        theirs = tables(other, lambda c, offset: c)
+        for name, got in mine.items():
+            rep.add("scaled_" + name, got == theirs.get(name))
     return rep
 
 
@@ -1527,22 +1508,16 @@ def h_polynomial_check(model):
     if not model.flavor.startswith("qanalog"):
         raise PresentationError("h_polynomial_check needs a q-analog flavor")
     rep = Report("h-polynomiality", {"flavor": model.flavor})
-    pres = model.pres
     no_xi = True
     min_rule = 0
-    for terms in list(pres.comm_rules.values()) + list(pres.product_rules.values()):
-        for c in terms.values():
+    ok = True
+    momenta = [gen.weight for gen in model.pres.generators]
+    for name, _key, c, _offset in _grading_offsets(model, momenta):
+        if name.startswith(("comm[", "product[")):
             no_xi = no_xi and all(k[1] == 0 for k in c.terms)
             min_rule = min(min_rule, c.min_h_degree())
-    rep.add("rules_laurent_in_h", no_xi, "min h-degree %d" % min_rule)
-    ok = True
-    for table in (model.hopf.coproduct, model.hopf.antipode):
-        for obj in table.values():
-            for c in obj.terms.values():
-                if c.min_h_degree() < 0 or any(k[1] != 0 for k in c.terms):
-                    ok = False
-    for sc in model.hopf.counit.values():
-        if sc.min_h_degree() < 0 or any(k[1] != 0 for k in sc.terms):
+        elif c.min_h_degree() < 0 or any(k[1] != 0 for k in c.terms):
             ok = False
+    rep.add("rules_laurent_in_h", no_xi, "min h-degree %d" % min_rule)
     rep.add("coalgebra_maps_h_polynomial", ok)
     return rep

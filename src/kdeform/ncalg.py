@@ -15,6 +15,11 @@ first and memoizes whole-word results; rule coefficients are stored exact
 (``trunc=None``) so one cache serves every working truncation.  The rule
 tables map words to Scalars.
 
+:meth:`Presentation.structure_constants` is the one reader of a Lie
+presentation's brackets, for :mod:`kdeform.rmatrix` and
+:mod:`kdeform.twist`.  It is built at its first call and dropped with the
+normalize cache whenever a rule is installed.
+
 A :class:`TensorElement` of rank r is an element of the r-fold tensor power
 U^{(x) r} of the presented algebra U: a dict from r-tuples of normal words
 to Scalars.  Rank 1 is the algebra itself, so an algebra element is a
@@ -237,6 +242,25 @@ class Presentation:
 
     def _reset_cache(self):
         self._norm_cache = {EMPTY_WORD: {EMPTY_WORD: Scalar.one()}}
+        self._brackets = None
+
+    def structure_constants(self):
+        """The brackets of a Lie presentation, (i, j) -> [(k, c)] with
+        [g_i, g_j] = sum c g_k and c the stored rule coefficient, in both
+        orientations; commuting pairs are absent.  The table is shared, so
+        callers must not change it.  A product rule or a non-linear
+        commutator raises ``PresentationError``."""
+        if self._brackets is None:
+            if self.product_rules or any(
+                len(w) != 1 for rhs in self.comm_rules.values() for w in rhs
+            ):
+                raise PresentationError("%s is not a Lie algebra" % self.name)
+            table = self._brackets = {}
+            for (i, j), rhs in self.comm_rules.items():
+                if rhs:
+                    table[(i, j)] = [(w[0], c) for w, c in rhs.items()]
+                    table[(j, i)] = [(w[0], -c) for w, c in rhs.items()]
+        return self._brackets
 
     # --- rewriting --------------------------------------------------------
 
@@ -348,7 +372,8 @@ class TensorElement:
 
     With a finite ``trunc`` an exact coefficient is cut to it, as
     ``Scalar.retrunc`` does: terms beyond it are dropped and a negative
-    h-degree raises ``ScalarDomainError``.  An exact tensor keeps its
+    h-degree raises ``ScalarDomainError``; a coefficient with another finite
+    truncation raises ``TruncationMismatch``.  An exact tensor keeps its
     coefficients as given.  The terms must not change after the first
     product that uses the tensor as its right operand (see ``live``).
     """
@@ -362,8 +387,9 @@ class TensorElement:
         if terms:
             for key, coeff in terms.items():
                 key = self._key(key)
-                if trunc is not None and coeff.trunc is None:
-                    coeff = coeff.retrunc(trunc)
+                if trunc is not None and coeff.trunc != trunc:
+                    # cut an exact coefficient; another finite trunc raises
+                    coeff = coeff.retrunc(merge_trunc(trunc, coeff.trunc))
                 if coeff:
                     clean[key] = coeff
         self.terms = clean

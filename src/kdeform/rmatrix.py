@@ -7,18 +7,24 @@ P^nu, so null tau solves the classical (unmodified) equation and everything
 else the modified one.
 
 Conventions.  Wedge tensors are stored on strictly increasing generator-index
-tuples with the sorting sign absorbed.  Brackets are taken in the real form:
-the presentations store [x, y] = i f(x, y) with rational f, and polyvector
-identities hold for f.  The Schouten bracket is normalized as
+tuples with the sorting sign absorbed; ``_wedge`` is the one constructor that
+sorts each key with its sign, drops keys with a repeated index and sums equal
+keys.  Brackets are taken in the real form: the presentations store
+[x, y] = i f(x, y) with rational f, and polyvector identities hold for f.
+``schouten`` and ``ad_action`` read the stored coefficients i f from
+``Presentation.structure_constants``, which lists both orientations of every
+commutator rule.  Each term they produce carries exactly one bracket, so
+they sum with the stored coefficients and multiply the result by -i once.
+The Schouten bracket is normalized as
 [[a^b, c^d]] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.  It is
 symmetric on bivectors, [[t, u]] = [[u, t]], so with r = sum_t r_t t over
 its canonical terms, [[r, r]] = sum_t r_t^2 [[t, t]] + 2 sum_{t<u} r_t r_u
 [[t, u]]: ``schouten`` visits each unordered pair of terms once and weights
-the pairs t < u by 2.  The brackets come from one signed table that lists
-both orientations of every commutator rule.
+the pairs t < u by 2.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from .errors import PresentationError
 from .metric import as_metric, as_tau
@@ -26,6 +32,9 @@ from .model import _iso_data, _m_signed, build_iso
 from .ncalg import accumulate
 from .report import Report
 from .scalar import GR_ONE, GaussianRational, Scalar, gr
+
+# the stored brackets are i times the real ones
+_MINUS_I = gr(0, -1)
 
 
 def _as_scalar(x):
@@ -54,30 +63,35 @@ def _canonical(key):
     return tuple(key), sign
 
 
-def _wedge_pairs(pairs):
-    """(canonical key, signed coefficient) for each (key, coefficient) pair;
-    keys with a repeated index are dropped."""
-    for key, c in pairs:
-        skey, sign = _canonical(key)
-        if sign:
-            yield skey, (c if sign > 0 else -c)
+def _wedge(pres, rank, pairs):
+    """The rank-``rank`` wedge tensor sum c x_key over the (key, c) pairs:
+    each key is sorted with its sign, a key with a repeated index is dropped
+    and the coefficients of equal keys are summed.  A rank other than 2 or
+    3, or a key of another length, raises."""
+    if rank not in (2, 3):
+        raise PresentationError("wedge rank must be 2 or 3")
+
+    def signed():
+        for key, c in pairs:
+            if len(key) != rank:
+                raise PresentationError("wedge key %r has wrong rank" % (key,))
+            skey, sign = _canonical(key)
+            if sign:
+                c = _as_scalar(c)
+                yield skey, (c if sign > 0 else -c)
+
+    w = object.__new__(WedgeTensor)
+    w.pres = pres
+    w.rank = rank
+    w.terms = accumulate({}, signed())
+    return w
 
 
 class WedgeTensor:
     """Antisymmetric rank-2 or rank-3 tensor over a Lie presentation."""
 
-    def __init__(self, pres, rank, terms=None):
-        if rank not in (2, 3):
-            raise PresentationError("wedge rank must be 2 or 3")
-        self.pres = pres
-        self.rank = rank
-        terms = terms or {}
-        for key in terms:
-            if len(key) != rank:
-                raise PresentationError("wedge key %r has wrong rank" % (key,))
-        self.terms = accumulate({}, _wedge_pairs(
-            (key, _as_scalar(c)) for key, c in terms.items()
-        ))
+    def __new__(cls, pres, rank, terms=None):
+        return _wedge(pres, rank, (terms or {}).items())
 
     @classmethod
     def zero(cls, pres, rank=2):
@@ -86,11 +100,10 @@ class WedgeTensor:
     @classmethod
     def from_labels(cls, pres, rank, entries):
         """entries: iterable of (label, ..., coefficient) tuples."""
-        terms = accumulate({}, _wedge_pairs(
-            (tuple(pres.gen_index(lab) for lab in labels), _as_scalar(c))
+        return _wedge(pres, rank, (
+            (tuple(pres.gen_index(lab) for lab in labels), c)
             for *labels, c in entries
         ))
-        return cls(pres, rank, terms)
 
     def coeff(self, key):
         skey, sign = _canonical(key)
@@ -106,24 +119,20 @@ class WedgeTensor:
             return NotImplemented
         if other.pres is not self.pres or other.rank != self.rank:
             raise PresentationError("wedge mismatch")
-        w = WedgeTensor(self.pres, self.rank)
-        w.terms = accumulate(dict(self.terms), other.terms.items())
-        return w
+        return _wedge(self.pres, self.rank,
+                      chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        w = WedgeTensor(self.pres, self.rank)
-        w.terms = {k: -c for k, c in self.terms.items()}
-        return w
+        return _wedge(self.pres, self.rank,
+                      ((k, -c) for k, c in self.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         c = _as_scalar(other)
-        w = WedgeTensor(self.pres, self.rank)
-        if c:
-            w.terms = accumulate({}, ((k, v * c) for k, v in self.terms.items()))
-        return w
+        return _wedge(self.pres, self.rank,
+                      ((k, v * c) for k, v in self.terms.items()))
 
     __rmul__ = __mul__
 
@@ -152,14 +161,13 @@ def build_r(metric, tau, pres=None):
     dim = metric.dim
     ginv = metric.inverse()
     pidx, midx = data["p"], data["m"]
-    terms = accumulate({}, (
+    return _wedge(pres, 2, (
         ((im, pidx[sg]), Scalar.rational(tau[al] * ginv[be][sg] * sgn))
         for al in range(dim) if tau[al]
         for be in range(dim)
         for im, sgn in (_m_signed(midx, al, be),) if sgn
         for sg in range(dim) if ginv[be][sg]
     ))
-    return WedgeTensor(pres, 2, terms)
 
 
 def build_omega(pres):
@@ -169,8 +177,7 @@ def build_omega(pres):
     dim = metric.dim
     ginv = metric.inverse()
     pidx, midx = data["p"], data["m"]
-    t = WedgeTensor(pres, 3)
-    t.terms = accumulate({}, _wedge_pairs(
+    return _wedge(pres, 3, (
         (
             (im, pidx[al], pidx[be]),
             Scalar.rational(ginv[mu][al] * ginv[nu][be] * sgn),
@@ -181,40 +188,13 @@ def build_omega(pres):
         for al in range(dim) if ginv[mu][al]
         for be in range(dim) if ginv[nu][be]
     ))
-    return t
-
-
-def _bracket_table(pres):
-    """Signed real brackets: (i, j) -> [(k, f)] with [x_i, x_j] = i sum f x_k.
-
-    Both orientations of every commutator rule are listed, so a lookup never
-    negates; commuting pairs and i == j are absent.
-    """
-    minus_i = gr(0, -1)
-    table = {}
-    for (i, j), terms in pres.comm_rules.items():
-        row = []
-        for w, c in terms.items():
-            if len(w) != 1:
-                raise PresentationError(
-                    "presentation is not linear; r-matrix calculus needs a Lie algebra"
-                )
-            row.append((w[0], c * minus_i))
-        if row:
-            table[(i, j)] = row
-            table[(j, i)] = [(k, -f) for k, f in row]
-    if pres.product_rules:
-        raise PresentationError(
-            "presentation has product rules; r-matrix calculus needs a Lie algebra"
-        )
-    return table
 
 
 def schouten(r):
     """[[r, r]] as a rank-3 wedge (see the module docstring for signs)."""
     if r.rank != 2:
         raise PresentationError("schouten bracket needs a rank-2 wedge")
-    table = _bracket_table(r.pres)
+    table = r.pres.structure_constants()
     items = list(r.terms.items())
 
     def expansion():
@@ -236,9 +216,7 @@ def schouten(r):
                 for e, f in table.get((b, d), ()):
                     yield (e, a, c), coef * f
 
-    out = WedgeTensor(r.pres, 3)
-    out.terms = accumulate({}, _wedge_pairs(expansion()))
-    return out
+    return _wedge(r.pres, 3, expansion()) * _MINUS_I
 
 
 def ybe_classify(r):
@@ -270,15 +248,13 @@ def ybe_classify(r):
 
 def ad_action(pres, x, w):
     """ad_x acting as a derivation on a wedge tensor (real brackets)."""
-    table = _bracket_table(pres)
-    out = WedgeTensor(pres, w.rank)
-    out.terms = accumulate({}, _wedge_pairs(
+    table = pres.structure_constants()
+    return _wedge(pres, w.rank, (
         (key[:slot] + (e,) + key[slot + 1:], c * f)
         for key, c in w.terms.items()
         for slot in range(w.rank)
         for e, f in table.get((x, key[slot]), ())
-    ))
-    return out
+    )) * _MINUS_I
 
 
 def omega_invariance_check(metric, pres=None):

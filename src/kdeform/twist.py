@@ -35,11 +35,10 @@ def _wedge(a, b):
 
 
 def primitive_hopf(pres, trunc):
-    """The undeformed structure: primitive coproducts, S = -id, eps = 0."""
-    if pres.product_rules:
-        raise PresentationError(
-            "primitive Hopf structure needs a Lie presentation"
-        )
+    """The undeformed structure: primitive coproducts, S = -id, eps = 0.
+    A primitive coproduct respects only linear brackets, so a presentation
+    that is not a Lie algebra raises."""
+    pres.structure_constants()
     cop, antip, counit = {}, {}, {}
     for i in range(len(pres.generators)):
         g = TensorElement.gen(pres, i, trunc)

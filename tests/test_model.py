@@ -86,7 +86,7 @@ def test_presentation_check_passes_and_catches_sign_flip():
     bad.comm_rules[key] = {
         w: -c for w, c in bad.comm_rules[key].items()
     }
-    bad._norm_cache = {(): {(): Scalar.one()}}
+    bad._reset_cache()  # the rule was written past set_commutator
     rep = presentation_check(bad)
     assert not rep.ok
     labels = [g.label for g in bad.generators]

@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 import kdeform
-from kdeform.errors import PresentationError, RewriteError, ScalarDomainError
+from kdeform.errors import (
+    PresentationError,
+    RewriteError,
+    ScalarDomainError,
+    TruncationMismatch,
+)
 from kdeform.ncalg import MAX_WORD_LEN, Presentation, TensorElement
 from kdeform.scalar import GR_ONE, Scalar, gr
 
@@ -95,6 +100,26 @@ def test_set_product_refuses_a_second_rule_for_the_pair():
     with pytest.raises(PresentationError):
         pres.set_product(a, b, {(): Scalar.rational(2)})
     assert pres.product_rules[(a, b)] == {(): Scalar.one()}
+
+
+def test_structure_constants_follow_the_installed_rules():
+    pres, x, y, z = heisenberg()
+    one, i = Scalar.one(), Scalar.i()
+    table = pres.structure_constants()
+    assert table == {(y, x): [(z, -one)], (x, y): [(z, one)]}
+    assert pres.structure_constants() is table
+    # installing a rule drops the table, as it drops the normalize cache
+    pres.set_commutator(z, x, {(x,): i})
+    assert pres.structure_constants() == {
+        **table, (z, x): [(x, i)], (x, z): [(x, -i)],
+    }
+    pres.set_product(x, z, {(): one})
+    with pytest.raises(PresentationError, match="not a Lie algebra"):
+        pres.structure_constants()
+    # [b, a] = 1 is not linear
+    weyl, _, _ = weyl_pair()
+    with pytest.raises(PresentationError, match="not a Lie algebra"):
+        weyl.structure_constants()
 
 
 def test_import_leaves_the_recursion_limit_alone():
@@ -206,6 +231,9 @@ def test_truncated_tensor_cuts_exact_coefficients():
     # an exact element keeps its coefficients as given
     kept = TensorElement(pres, 1, {((a,),): Scalar.h(1, t)})
     assert kept.trunc is None and kept.coeff(((a,),)).trunc == t
+    # a truncated one refuses a coefficient of another finite truncation
+    with pytest.raises(TruncationMismatch):
+        TensorElement(pres, 1, {((a,),): Scalar.h(1, (3, 0))}, (2, 0))
 
 
 def test_star_antihomomorphism():

@@ -16,7 +16,9 @@ two-parameter scalars.
 The Schouten cases pin the exact bracket [[w, w]]: ``repr(schouten(w))`` for
 the r-matrix on two d=3 and one d=4 random basis image of Minkowski space,
 and for one random wedge with h, xi and i coefficients whose bracket is not
-a multiple of Omega.
+a multiple of Omega.  The ad-action case pins ``ad_action`` of every
+generator on that d=4 r-matrix and on Omega, which guards the one factor -i
+that turns the stored brackets into the real ones.
 
 The report cases pin the sha256 of ``Report.to_json()`` for the model checks
 that the other tests only assert as ``ok``: the display, covariance,
@@ -36,7 +38,14 @@ from kdeform import twist
 from kdeform.errors import PresentationError
 from kdeform.model import Model, ModelConfig, build_iso, change_basis
 from kdeform.ncalg import TensorElement
-from kdeform.rmatrix import WedgeTensor, build_r, schouten, ybe_classify
+from kdeform.rmatrix import (
+    WedgeTensor,
+    ad_action,
+    build_omega,
+    build_r,
+    schouten,
+    ybe_classify,
+)
 from kdeform.scalar import Scalar, gr
 
 MINK2 = [[1, 0], [0, -1]]
@@ -81,6 +90,10 @@ SCHOUTEN_DIGESTS = {
         "354776c3a791eccedd35126d3c8b2787698eaf5a994feb104a0a852211f66931"
     ),
 }
+
+AD_ACTION_D4 = (
+    "46ae498f072eaee691c63b89b40f60adaeea692ad4c581413f74524f4b78a162"
+)
 
 
 def digest(text):
@@ -156,6 +169,16 @@ def schouten_inputs():
 def test_schouten_reprs_match_pinned_digest():
     for name, w in schouten_inputs().items():
         assert digest(repr(schouten(w))) == SCHOUTEN_DIGESTS[name], name
+
+
+def test_ad_action_reprs_match_pinned_digest():
+    r = schouten_inputs()["r_d4"]
+    pres = r.pres
+    images = [ad_action(pres, i, w)
+              for w in (r, build_omega(pres))
+              for i in range(len(pres.generators))]
+    assert sum(1 for w in images if not w.is_zero()) == 10
+    assert digest("\n".join(map(repr, images))) == AD_ACTION_D4
 
 
 def test_schouten_h_xi_case_is_not_a_multiple_of_omega():

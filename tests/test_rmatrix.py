@@ -372,6 +372,32 @@ def test_other_class_keeps_residual():
     assert not verdict["residual"].is_zero()
 
 
+# --- one bracket reader per presentation ---------------------------------------
+
+
+class CountingRules(dict):
+    """A commutator table that counts the walks over its items."""
+
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+@pytest.mark.parametrize("check", [
+    lambda pres: omega_invariance_check(MINK4, pres),
+    lambda pres: schouten_identity_check(MINK4, (1, 0, 0, 0), pres),
+], ids=["omega_invariance", "schouten_identity"])
+def test_a_check_reads_the_brackets_once(check):
+    # ad_action runs once per generator and schouten twice per identity
+    # check; every call reads the presentation's one bracket table
+    pres = build_iso(MINK4)
+    pres.comm_rules = CountingRules(pres.comm_rules)
+    assert check(pres).ok
+    assert pres.comm_rules.walks == 1
+
+
 # --- guards against non-Lie presentations --------------------------------------
 
 

@@ -1,5 +1,12 @@
 """Static checks on the package source, and on the names in it that the
-benchmark's tracer patches."""
+benchmark's tracer patches.
+
+The rule tables of a presentation have one reader each outside ``ncalg``:
+``hopf.verify_axioms`` checks every rule, ``model._grading_offsets`` walks
+the rules and Hopf tables of a model, and everything else reads the brackets
+through ``Presentation.structure_constants``.  A scan fails on any other
+read of ``comm_rules`` or ``product_rules``.
+"""
 
 import ast
 import importlib.util
@@ -38,7 +45,6 @@ def test_no_unused_module_level_import(path):
 # ROADMAP item; the scan fails if one of them gets used or a new one appears.
 UNUSED_ON_PURPOSE = [
     "ClassificationError",  # item 6: classification of 4D Lie algebras
-    "universal_r",          # item 3: R = F_21 F^-1 for the twist rows
 ]
 
 
@@ -117,6 +123,45 @@ def test_no_orphaned_module_level_definition():
               if p != Path(__file__).resolve()]
     modules = [p.read_text() for p in sorted(SRC.parent.rglob("*.py"))]
     assert orphans(modules, others) == UNUSED_ON_PURPOSE
+
+
+RULE_TABLES = {"comm_rules", "product_rules"}
+RULE_READERS = [("hopf", "verify_axioms"), ("model", "_grading_offsets")]
+
+
+def stray_rule_table_reads(module, source):
+    """(module, top-level definition) of every attribute access to a rule
+    table in a source, outside ``RULE_READERS``; a method counts as its
+    class."""
+    reads = [
+        (module, getattr(node, "name", None))
+        for node in ast.parse(source).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr in RULE_TABLES
+    ]
+    return [read for read in reads if read not in RULE_READERS]
+
+
+def test_the_scan_sees_a_stray_rule_table_read():
+    source = (
+        "def _grading_offsets(model):\n    return model.pres.comm_rules\n\n"
+        "class Stray:\n    def walk(self, pres):\n"
+        "        return pres.product_rules\n\n"
+        "TABLE = pres.comm_rules\n"
+    )
+    assert stray_rule_table_reads("model", source) == [
+        ("model", "Stray"), ("model", None),
+    ]
+    assert stray_rule_table_reads("rmatrix", source)[0] == (
+        "rmatrix", "_grading_offsets"
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "ncalg.py"],
+                         ids=lambda p: p.name)
+def test_only_the_named_readers_read_the_rule_tables(path):
+    assert stray_rule_table_reads(path.stem, path.read_text()) == []
 
 
 def load_tracer():

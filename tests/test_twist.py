@@ -10,8 +10,10 @@ import pytest
 
 from kdeform import twist
 from kdeform.errors import PresentationError
-from kdeform.hopf import verify_axioms
+from kdeform.hopf import check_rmatrix_intertwiner, verify_axioms
 from kdeform.model import Model, ModelConfig
+from kdeform.ncalg import Presentation
+from kdeform.scalar import Scalar
 
 MINK4 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 TRUNC = (2, 1)
@@ -89,3 +91,29 @@ def test_twisted_t1_is_a_hopf_algebra(models):
     twisted = twist.twist_hopf(model.hopf, twist.build_twist("T1", model))
     failed = [c for c in verify_axioms(twisted, degree2=False) if not c.passed]
     assert failed == []
+
+
+@pytest.mark.parametrize("label", ["LC", "S1", "S2", "S3"])
+def test_universal_r_intertwines_the_twisted_primitive_coproduct(models, label):
+    # R = F_21 F^-1 over the twisted cocommutative structure:
+    # R Delta_F(g) = Delta_F(g)_21 R, triangular and invertible
+    model = models[MATRIX[label][0]]
+    f = twist.build_twist(label, model)
+    primitive = twist.primitive_hopf(model.pres, model.trunc)
+    rep = check_rmatrix_intertwiner(
+        twist.twist_hopf(primitive, f), twist.universal_r(f)
+    )
+    assert [c.name for c in rep.checks if not c.passed] == []
+
+
+def test_primitive_hopf_needs_a_lie_presentation():
+    # [b, a] = 1: the primitive coproduct of the lhs is 2 (1 (x) 1)
+    weyl = Presentation("weyl")
+    a, b = weyl.add_generator("a"), weyl.add_generator("b")
+    weyl.set_commutator(b, a, {(): Scalar.one()})
+    grouplike = Presentation("grouplike")
+    p, q = grouplike.add_generator("Pi"), grouplike.add_generator("PiInv")
+    grouplike.set_product(p, q, {(): Scalar.one()})
+    for pres in (weyl, grouplike):
+        with pytest.raises(PresentationError, match="not a Lie algebra"):
+            twist.primitive_hopf(pres, TRUNC)
