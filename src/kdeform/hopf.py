@@ -281,7 +281,9 @@ def verify_reality(hopf, conjugator):
 def check_rmatrix_intertwiner(hopf, rmat):
     """Checks that ``rmat`` intertwines the coproduct with its flip:
     R Delta(g) = Delta(g)_21 R for every generator, together with the
-    triangularity relation R_21 R = 1 (x) 1 and counit normalization.
+    triangularity relation R_21 R = 1 (x) 1, the quantum Yang-Baxter
+    equation R_12 R_13 R_23 = R_23 R_13 R_12 in the tensor cube, and
+    counit normalization.
 
     ``rmat`` must be a unital perturbation in the tensor square (1 (x) 1
     plus positive-bigrade terms); anything else raises.
@@ -302,6 +304,10 @@ def check_rmatrix_intertwiner(hopf, rmat):
     one2 = TensorElement.one(pres, 2, rmat.trunc)
     rep.zero("invertible", rmat * unital_inverse(rmat) - one2)
     rep.zero("triangular", rmat.swap() * rmat - one2)
+    r12 = TensorElement.from_legs(rmat, TensorElement.one(pres, 1))
+    r13 = r12.permute_legs((0, 2, 1))
+    r23 = r12.permute_legs((2, 0, 1))
+    rep.zero("qybe", r12 * r13 * r23 - r23 * r13 * r12)
     one1 = TensorElement.one(pres, 1, rmat.trunc)
     rep.zero("counit_left", hopf.apply_counit_leg(rmat, 0) - one1)
     rep.zero("counit_right", hopf.apply_counit_leg(rmat, 1) - one1)

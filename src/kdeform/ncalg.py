@@ -13,7 +13,9 @@ Words are tuples of generator indices.  A word is normal when no adjacent
 pair triggers a rule.  ``normalize_word`` rewrites the leftmost violation
 first and memoizes whole-word results; rule coefficients are stored exact
 (``trunc=None``) so one cache serves every working truncation.  The rule
-tables map words to Scalars.
+tables map words to Scalars.  They and each rule's rhs are read-only views
+(``types.MappingProxyType``): a rule goes in only through ``set_commutator``
+or ``set_product``, which drop the caches, so a stray write raises.
 
 :meth:`Presentation.structure_constants` is the one reader of a Lie
 presentation's brackets, for :mod:`kdeform.rmatrix` and
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 from .errors import PresentationError, RewriteError
 from .scalar import GaussianRational, Scalar, merge_trunc
@@ -191,8 +194,10 @@ class Presentation:
     def __init__(self, name):
         self.name = name
         self.generators = []
-        self.comm_rules = {}      # (hi, lo) -> terms, hi > lo
-        self.product_rules = {}   # (i, j) -> terms, replaces the pair
+        self._comm = {}      # (hi, lo) -> terms, hi > lo
+        self._product = {}   # (i, j) -> terms, replaces the pair
+        self.comm_rules = MappingProxyType(self._comm)  # read-only views
+        self.product_rules = MappingProxyType(self._product)
         self._reset_cache()
         self._in_progress = set()
 
@@ -219,16 +224,16 @@ class Presentation:
         if i < j:
             i, j = j, i
             terms = {w: -c for w, c in terms.items()}
-        self._install(self.comm_rules, i, j, terms)
+        self._install(self._comm, i, j, terms)
 
     def set_product(self, i, j, terms):
         """Install the replacement g_i g_j -> terms."""
-        self._install(self.product_rules, i, j, _validate_terms(terms))
+        self._install(self._product, i, j, _validate_terms(terms))
 
     def _install(self, table, i, j, terms):
         # one rule per pair, over both tables, with a normal-ordered rhs;
         # every cached normal form may change with the new rule
-        if (i, j) in self.comm_rules or (i, j) in self.product_rules:
+        if (i, j) in self._comm or (i, j) in self._product:
             raise PresentationError(
                 "duplicate rule for pair (%s, %s)" % (self.label(i), self.label(j))
             )
@@ -237,7 +242,7 @@ class Presentation:
                 raise PresentationError(
                     "rule rhs word %r is not normal-ordered" % (self._word_str(w),)
                 )
-        table[(i, j)] = terms
+        table[(i, j)] = MappingProxyType(terms)
         self._reset_cache()
 
     def _reset_cache(self):
@@ -269,7 +274,7 @@ class Presentation:
         or None when the word is normal."""
         for k in range(len(word) - 1):
             a, b = word[k], word[k + 1]
-            if (a, b) in self.product_rules or a > b:
+            if (a, b) in self._product or a > b:
                 return k
         return None
 
@@ -284,13 +289,13 @@ class Presentation:
         """
         a, b = word[k], word[k + 1]
         pre, post = word[:k], word[k + 2:]
-        if (a, b) in self.product_rules:
+        if (a, b) in self._product:
             return {
-                pre + w + post: c for w, c in self.product_rules[(a, b)].items()
+                pre + w + post: c for w, c in self._product[(a, b)].items()
             }
         if a > b:
             out = {pre + (b, a) + post: Scalar.one()}
-            rhs = self.comm_rules.get((a, b))
+            rhs = self._comm.get((a, b))
             if rhs:
                 accumulate(out, ((pre + w + post, c) for w, c in rhs.items()))
             return out
@@ -362,7 +367,7 @@ class Presentation:
         return "Presentation(%r, %d generators, %d rules)" % (
             self.name,
             len(self.generators),
-            len(self.comm_rules) + len(self.product_rules),
+            len(self._comm) + len(self._product),
         )
 
 

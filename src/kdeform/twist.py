@@ -14,6 +14,14 @@ for L1 and L2, ln Pi ^ M_3 for T1, plain tensors for the S rows.  These
 orders are taken as printed; no twisted coproduct is compared with a printed
 display.  Which rows are 2-cocycles over the primitive and over the deformed
 structure is established by ``cocycle_check``, not assumed here.
+
+Twisted coproducts.  Delta_F(g) = F Delta(g) F^{-1} is computed as
+exp(ad X_1) ... exp(ad X_k) Delta(g), not as the triple product: each X has
+far fewer terms than F.  e^X t e^{-X} = exp(ad X)(t) needs only the
+associativity that confluence of the rules gives, and the series stops
+because each X has positive total bigrade, so each ad X raises the degree
+until the truncation cuts the term.  F and F^{-1} are still built whole for
+the cocycle check, the antipode gauge of ``twist_hopf`` and ``universal_r``.
 """
 
 from fractions import Fraction
@@ -73,8 +81,16 @@ class TwistElement:
         return self.tensor.swap()
 
     def conjugate(self, t):
-        """F t F^{-1} for a rank-2 tensor t."""
-        return self.tensor * t * self.inverse
+        """F t F^{-1} for a rank-2 tensor t, as exp(ad X_1) ... exp(ad X_k) t.
+        F^{-1} = exp(-X_k) ... exp(-X_1), so the last factor conjugates
+        innermost: the factors are applied in reverse order."""
+        for x in reversed(self.factors):
+            term, n = t, 0
+            while term:
+                n += 1
+                term = (x * term - term * x) * Fraction(1, n)
+                t = t + term
+        return t
 
 
 def _require_flavor(model, label, flavors):

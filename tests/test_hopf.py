@@ -11,12 +11,14 @@ from kdeform.errors import KdeformError, PresentationError, TruncationMismatch
 from kdeform.hopf import (
     HopfData,
     check_rmatrix_intertwiner,
+    otimes,
     verify_axioms,
     verify_reality,
 )
 from kdeform.model import Model, ModelConfig
 from kdeform.ncalg import Presentation, TensorElement
 from kdeform.scalar import GaussianRational, Scalar
+from kdeform.series import exp_nilpotent
 
 
 def heisenberg():
@@ -167,10 +169,28 @@ def test_rmatrix_intertwiner_on_covariant_d2():
         "intertwines[P_0]", "intertwines[P_1]", "intertwines[M_01]"
     ]
     assert [c.name for c in rep.checks if c.passed] == [
-        "invertible", "triangular", "counit_left", "counit_right"
+        "invertible", "triangular", "qybe", "counit_left", "counit_right"
     ]
     with pytest.raises(KdeformError):
         check_rmatrix_intertwiner(m.hopf, one2 * 2)
+
+
+MINK4 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_qybe_needs_commuting_exponent_legs():
+    # R = exp(h (A ^ B)) is triangular for any A, B, but solves the QYBE
+    # only when [A, B] = 0: M_01 commutes with M_23, not with M_12
+    m = Model(ModelConfig(MINK4, (0, 1, 0, 0), "covariant_hadic", (2, 1)))
+    primitive = twist.primitive_hopf(m.pres, m.trunc)
+    a = m.m(0, 1)
+    for slots, solves in (((2, 3), True), ((1, 2), False)):
+        b = m.m(*slots)
+        r = exp_nilpotent((otimes(a, b) - otimes(b, a)) * Scalar.h(1, m.trunc))
+        flags = {c.name: c.passed
+                 for c in check_rmatrix_intertwiner(primitive, r).checks}
+        assert flags["triangular"] and flags["invertible"]
+        assert flags["qybe"] is solves
 
 
 # --- pruned products against all-pairs reference loops ----------------------

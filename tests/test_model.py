@@ -29,7 +29,7 @@ from kdeform.model import (
     h_polynomial_check,
     transform_tau,
 )
-from kdeform.ncalg import TensorElement
+from kdeform.ncalg import Presentation, TensorElement
 from kdeform.rmatrix import build_r, schouten_identity_check
 from kdeform.scalar import ONE, Scalar, gr
 
@@ -80,13 +80,14 @@ def test_config_rejects_degenerate_metric(tau, flavor):
 def test_presentation_check_passes_and_catches_sign_flip():
     pres = build_iso(MINK3)
     assert presentation_check(pres).ok
-    # flip the sign of one structure constant; Jacobi must now fail
-    bad = build_iso(MINK3)
-    key = next(iter(bad.comm_rules))
-    bad.comm_rules[key] = {
-        w: -c for w, c in bad.comm_rules[key].items()
-    }
-    bad._reset_cache()  # the rule was written past set_commutator
+    # the same rules with the sign of the first structure constant flipped;
+    # Jacobi must now fail
+    bad = Presentation(pres.name)
+    for g in pres.generators:
+        bad.add_generator(g.label, g.weight)
+    for n, ((i, j), rhs) in enumerate(pres.comm_rules.items()):
+        bad.set_commutator(i, j, {w: -c if n == 0 else c
+                                  for w, c in rhs.items()})
     rep = presentation_check(bad)
     assert not rep.ok
     labels = [g.label for g in bad.generators]

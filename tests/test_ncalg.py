@@ -122,6 +122,24 @@ def test_structure_constants_follow_the_installed_rules():
         weyl.structure_constants()
 
 
+def test_rule_tables_are_read_only():
+    # a rule written past set_commutator would leave the normalize cache
+    # and the bracket table stale, so the tables and each rhs refuse writes
+    pres, x, y, z = heisenberg()
+    key = next(iter(pres.comm_rules))
+    word = next(iter(pres.comm_rules[key]))
+    with pytest.raises(TypeError):
+        pres.comm_rules[key] = {word: Scalar.one()}
+    with pytest.raises(TypeError):
+        pres.comm_rules[key][word] = Scalar.one()
+    with pytest.raises(TypeError):
+        pres.product_rules[(x, z)] = {(): Scalar.one()}
+    assert pres.comm_rules == {(y, x): {(z,): -Scalar.one()}}
+    # the views follow the rules installed later
+    pres.set_product(x, z, {(): Scalar.one()})
+    assert pres.product_rules == {(x, z): {(): Scalar.one()}}
+
+
 def test_import_leaves_the_recursion_limit_alone():
     # a fresh interpreter: this one has imported the package already
     code = (

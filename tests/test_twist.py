@@ -1,4 +1,5 @@
-"""Tests for the twist catalog: the cocycle matrix, factor orders, twisting.
+"""Tests for the twist catalog: the cocycle matrix, factor orders, twisting,
+and the twisted coproduct against the triple product F Delta F^-1.
 
 Every row of the catalog is checked on d=4 Minkowski at truncation (2, 1),
 over the undeformed (primitive) structure and over the model's own deformed
@@ -12,7 +13,7 @@ from kdeform import twist
 from kdeform.errors import PresentationError
 from kdeform.hopf import check_rmatrix_intertwiner, verify_axioms
 from kdeform.model import Model, ModelConfig
-from kdeform.ncalg import Presentation
+from kdeform.ncalg import Presentation, TensorElement
 from kdeform.scalar import Scalar
 
 MINK4 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -104,6 +105,75 @@ def test_universal_r_intertwines_the_twisted_primitive_coproduct(models, label):
         twist.twist_hopf(primitive, f), twist.universal_r(f)
     )
     assert [c.name for c in rep.checks if not c.passed] == []
+
+
+def test_qybe_fails_when_one_exponent_of_f21_is_doubled(models):
+    # R = F'_21 F^-1 with LC's first exponent doubled in F' stays unital and
+    # invertible, but is neither triangular nor a solution of the QYBE
+    model = models["null_plane"]
+    f = twist.build_twist("LC", model)
+    primitive = twist.primitive_hopf(model.pres, model.trunc)
+    bad = twist.TwistElement(model, [f.factors[0] * 2, f.factors[1]], "LC")
+    rep = check_rmatrix_intertwiner(
+        twist.twist_hopf(primitive, f), bad.swapped() * f.inverse
+    )
+    failed = [c.name for c in rep.checks if not c.passed]
+    assert failed[:2] == ["triangular", "qybe"]
+
+
+# --- the conjugation against the triple product ----------------------------
+
+
+def _generator_cops(hopf):
+    pres, trunc = hopf.pres, hopf.trunc
+    return [hopf.cop(TensorElement.gen(pres, i, trunc))
+            for i in range(len(pres.generators))]
+
+
+@pytest.mark.parametrize("label", sorted(MATRIX))
+def test_conjugate_is_the_triple_product(models, label):
+    model = models[MATRIX[label][0]]
+    f = twist.build_twist(label, model)
+    for hopf in (model.hopf, twist.primitive_hopf(model.pres, model.trunc)):
+        for cop in _generator_cops(hopf):
+            assert f.conjugate(cop) == f.tensor * cop * f.inverse
+
+
+def test_conjugate_is_the_triple_product_for_t1_at_3_2():
+    model = Model(ModelConfig(MINK4, FRAMES["orthog_1_plus"],
+                              "orthog_1_plus", (3, 2)))
+    f = twist.build_twist("T1", model)
+    for cop in _generator_cops(model.hopf):
+        assert f.conjugate(cop) == f.tensor * cop * f.inverse
+
+
+@pytest.mark.parametrize("label, changed", [("LC", 8), ("T3", 10)])
+def test_the_reference_sees_the_factor_order(models, label, changed):
+    # the reversed factor list applies the factors in forward order
+    model = models[MATRIX[label][0]]
+    f = twist.build_twist(label, model)
+    forward = twist.TwistElement(model, f.factors[::-1], label)
+    assert sum(
+        forward.conjugate(cop) != f.tensor * cop * f.inverse
+        for cop in _generator_cops(model.hopf)
+    ) == changed
+
+
+def test_twisting_never_multiplies_by_the_whole_twist(models, monkeypatch):
+    model = models["orthog_1_plus"]
+    f = twist.build_twist("T1", model)
+    whole = (f.tensor, f.inverse)
+    operands = []
+    mul = TensorElement.__mul__
+
+    def recording(self, other):
+        operands.extend((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TensorElement, "__mul__", recording)
+    twist.twist_hopf(model.hopf, f, check=False)
+    assert operands
+    assert not any(x is y for x in operands for y in whole)
 
 
 def test_primitive_hopf_needs_a_lie_presentation():
