@@ -46,14 +46,17 @@ class HopfData:
     ``coproduct``: dict gen index -> rank-2 TensorElement
     ``antipode``:  dict gen index -> rank-1 TensorElement
     ``counit``:    dict gen index -> Scalar
+
+    The working truncation ``trunc`` is the merged truncation of the
+    coproduct and antipode values; two different finite ones raise
+    ``TruncationMismatch``.
     """
 
-    def __init__(self, pres, coproduct, antipode, counit, trunc=None):
+    def __init__(self, pres, coproduct, antipode, counit):
         self.pres = pres
         self.coproduct = dict(coproduct)
         self.antipode = dict(antipode)
         self.counit = dict(counit)
-        self.trunc = trunc
         n = len(pres.generators)
         for table, what in (
             (self.coproduct, "coproduct"),
@@ -66,6 +69,10 @@ class HopfData:
                     "%s missing for generators %s"
                     % (what, [pres.label(i) for i in missing])
                 )
+        trunc = None
+        for value in (*self.coproduct.values(), *self.antipode.values()):
+            trunc = merge_trunc(trunc, value.trunc)
+        self.trunc = trunc
         self._cop_cache = {EMPTY_WORD: TensorElement.one(pres, 2, trunc)}
         self._antipode_cache = {EMPTY_WORD: TensorElement.one(pres, 1, trunc)}
         self._counit_cache = {EMPTY_WORD: Scalar.one(trunc)}

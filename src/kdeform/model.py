@@ -680,7 +680,7 @@ class Model:
             _build_q_lightlike(self)
         else:
             _build_hadic(self)
-        self.hopf = HopfData(self.pres, *_hopf_tables(self), trunc=self.trunc)
+        self.hopf = HopfData(self.pres, *_hopf_tables(self))
 
     # --- element helpers ---------------------------------------------------
 
@@ -1105,6 +1105,8 @@ def q_display_check(model):
     tau^2/kappa^2).  Both printed forms agree with the derived ones exactly
     when tau^2 = 1; the checks pin the deviation at general tau^2.
     """
+    if not model.flavor.startswith("qanalog"):
+        raise PresentationError("q_display_check needs a q-analog flavor")
     rep = Report("q-analog displays", {"flavor": model.flavor})
     pres = model.pres
     dim = model.metric.dim
@@ -1374,23 +1376,15 @@ def _slot_exponents(model):
     In the adapted bases the first slot follows tau (degree +1); for a null
     pair the partner slot scales oppositely (degree -1); everything else is
     untouched.  The covariant flavor keeps its basis, so all degrees are 0.
+    A generator's degree is the sum over its slots.
     """
-    n = len(model.pres.generators)
-    e = {i: 0 for i in range(n)}
-    if model.flavor == "orthog_1_plus":
-        e[model.p_index[0]] = 1
-        for (a, b), idx in model.m_index.items():
-            if a == 0:
-                e[idx] = 1
-    elif model.flavor == "null_plane":
-
-        def ex(slot):
-            return 1 if slot == 0 else (-1 if slot == 1 else 0)
-
-        for slot, idx in model.p_index.items():
-            e[idx] = ex(slot)
-        for (a, b), idx in model.m_index.items():
-            e[idx] = ex(a) + ex(b)
+    lead = {"orthog_1_plus": (1,), "null_plane": (1, -1)}.get(model.flavor, ())
+    ex = lead + (0,) * model.metric.dim
+    e = {i: 0 for i in range(len(model.pres.generators))}
+    for slot, idx in model.p_index.items():
+        e[idx] = ex[slot]
+    for (a, b), idx in model.m_index.items():
+        e[idx] = ex[a] + ex[b]
     return e
 
 

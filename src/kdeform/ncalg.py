@@ -40,12 +40,12 @@ into such a dict and cancelled terms dropped.
 This module is the only one that prunes products, by the *floor rule*.  The
 floor of a nonzero scalar is the pair (lowest deg_h, lowest deg_xi), each
 minimum taken separately.  Every term of a product c1*c2 has bigrade at
-least floor(c1) + floor(c2), so when the merged truncation T of the two
-operands is finite (one is exact, or both carry the same T) and that sum
-exceeds T in either parameter, the product is exactly the zero scalar.  A
-pair of two different finite truncations is never skipped: its product
-raises ``TruncationMismatch``.  A tensor indexes its terms by floor and
-truncation (:class:`FloorIndex`) the first time it is a right operand, and
+least floor(c1) + floor(c2), so when the pair's truncation T is finite and
+that sum exceeds T in either parameter, the product is exactly the zero
+scalar.  Every coefficient of a tensor carries the tensor's truncation, so T
+is the merged truncation of the two operands, which ``scalar.merge_trunc``
+alone decides.  A tensor groups its terms by floor (:class:`FloorIndex`) the
+first time it is a right operand against a finite truncation, and
 :meth:`TensorElement.live` gives the terms the rule keeps against a left
 coefficient.  The product kernel and the coproduct and antipode leg maps of
 :mod:`kdeform.hopf` ask the right operand, so an operand used many times,
@@ -62,7 +62,7 @@ from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
 
-from .errors import PresentationError, RewriteError
+from .errors import PresentationError, RewriteError, TruncationMismatch
 from .scalar import GaussianRational, Scalar, merge_trunc
 
 EMPTY_WORD = ()
@@ -102,68 +102,48 @@ def _floor(s):
     return min(a for a, _ in terms), min(b for _, b in terms)
 
 
-def _product_vanishes(f1, t1, f2, t2):
-    """True when the product of two Scalars with floors ``f1``, ``f2`` and
-    truncations ``t1``, ``t2`` is certainly the zero Scalar, by the floor
-    rule; two different finite truncations give False."""
-    if t1 is None:
-        t = t2
-    elif t2 is None or t1 == t2:
-        t = t1
-    else:
-        return False
-    return t is not None and (f1[0] + f2[0] > t[0] or f1[1] + f2[1] > t[1])
-
-
 class FloorIndex:
     """The terms of a sparse combination (a dict from keys to nonzero
-    Scalars), indexed by the floor and truncation of each coefficient, as
-    the right operand of a product.
+    Scalars), grouped by the floor of each coefficient, as the right operand
+    of a product.
 
-    ``live(c)`` returns the ``(key, coeff)`` terms whose coefficient product
-    with ``c`` the floor rule does not rule out, in dict order, so a product
-    visits the surviving pairs in the order an all-pairs loop would.  Each
-    group of terms sharing a floor and truncation is tested once per left
-    floor and truncation, and the surviving terms are cached.  Exact
-    operands never prune, so they are not indexed.  The dict must not change
-    while the index is in use.
+    ``live(f1, t)`` returns the ``(key, coeff)`` terms whose coefficient
+    product with a left coefficient of floor ``f1`` the floor rule keeps at
+    the finite truncation ``t``, in dict order, so a product visits the
+    surviving pairs in the order an all-pairs loop would.  Each floor group
+    is tested once per left floor and truncation, and the surviving terms
+    are cached.  The dict must not change while the index is in use.
     """
 
-    __slots__ = ("terms", "exact", "tags", "sigs", "rows")
+    __slots__ = ("terms", "tags", "floors", "rows")
 
     def __init__(self, terms):
         self.terms = terms
-        self.exact = all(c.trunc is None for c in terms.values())
-        self.sigs = None
+        self.floors = None
         self.rows = {}
 
-    def live(self, c):
-        t1 = c.trunc
-        if t1 is None and self.exact:
-            return self.terms.items()
-        sig = (_floor(c), t1)
-        row = self.rows.get(sig)
+    def live(self, f1, t):
+        row = self.rows.get((f1, t))
         if row is None:
-            row = self.rows[sig] = self._survivors(*sig)
+            if self.floors is None:
+                index = {}
+                self.tags = [
+                    index.setdefault(_floor(c), len(index))
+                    for c in self.terms.values()
+                ]
+                self.floors = list(index)
+            room_h, room_xi = t[0] - f1[0], t[1] - f1[1]
+            keep = [a <= room_h and b <= room_xi for a, b in self.floors]
+            row = self.terms.items()
+            if not all(keep):
+                row = [item for item, j in zip(row, self.tags) if keep[j]]
+            self.rows[(f1, t)] = row
         return row
-
-    def _survivors(self, f1, t1):
-        if self.sigs is None:
-            index = {}
-            self.tags = [
-                index.setdefault((_floor(c), c.trunc), len(index))
-                for c in self.terms.values()
-            ]
-            self.sigs = list(index)
-        keep = [not _product_vanishes(f1, t1, f2, t2) for f2, t2 in self.sigs]
-        items = self.terms.items()
-        if all(keep):
-            return items
-        return [item for item, j in zip(items, self.tags) if keep[j]]
 
 
 class Generator:
-    """A named generator; ``weight`` feeds the termination bookkeeping."""
+    """A named generator; ``weight`` is its momentum count, the grade of
+    the rescaling and h-polynomial checks of :mod:`kdeform.model`."""
 
     __slots__ = ("label", "weight")
 
@@ -375,12 +355,13 @@ class TensorElement:
     """An element of the rank-fold tensor power of a presented algebra;
     rank 1 is the algebra itself.
 
-    With a finite ``trunc`` an exact coefficient is cut to it, as
-    ``Scalar.retrunc`` does: terms beyond it are dropped and a negative
-    h-degree raises ``ScalarDomainError``; a coefficient with another finite
-    truncation raises ``TruncationMismatch``.  An exact tensor keeps its
-    coefficients as given.  The terms must not change after the first
-    product that uses the tensor as its right operand (see ``live``).
+    Every coefficient carries the tensor's truncation.  With a finite
+    ``trunc`` an exact coefficient is cut to it, as ``Scalar.retrunc`` does:
+    terms beyond it are dropped and a negative h-degree raises
+    ``ScalarDomainError``.  A finite coefficient at any other truncation,
+    in an exact tensor too, raises ``TruncationMismatch``.  The terms must
+    not change after the first product that uses the tensor as its right
+    operand (see ``live``).
     """
 
     __slots__ = ("pres", "rank", "terms", "trunc", "_index")
@@ -392,9 +373,13 @@ class TensorElement:
         if terms:
             for key, coeff in terms.items():
                 key = self._key(key)
-                if trunc is not None and coeff.trunc != trunc:
-                    # cut an exact coefficient; another finite trunc raises
-                    coeff = coeff.retrunc(merge_trunc(trunc, coeff.trunc))
+                if coeff.trunc != trunc:
+                    if coeff.trunc is not None:
+                        raise TruncationMismatch(
+                            "coefficient at truncation %r in a tensor at %r"
+                            % (coeff.trunc, trunc)
+                        )
+                    coeff = coeff.retrunc(trunc)
                 if coeff:
                     clean[key] = coeff
         self.terms = clean
@@ -416,8 +401,8 @@ class TensorElement:
     @staticmethod
     def _make(pres, rank, terms, trunc):
         # internal fast path: caller guarantees rank-long tuple keys of word
-        # tuples and nonzero coefficients, as a tensor's own keys and
-        # ``accumulate`` leave them
+        # tuples and nonzero coefficients at ``trunc``, as a tensor's own
+        # keys and ``accumulate`` leave them
         t = TensorElement.__new__(TensorElement)
         t.pres = pres
         t.rank = rank
@@ -429,11 +414,17 @@ class TensorElement:
     def live(self, c):
         """The ``(key, coeff)`` terms whose coefficient product with the
         Scalar ``c`` the floor rule does not rule out, in dict order.  The
-        tensor's :class:`FloorIndex` is built at the first call."""
+        pair's truncation is ``c``'s, or the tensor's when ``c`` is exact;
+        the callers merge the two tensor truncations, so a mismatch still
+        raises.  The tensor's :class:`FloorIndex` is built at the first call
+        with a finite pair truncation."""
+        t = self.trunc if c.trunc is None else c.trunc
+        if t is None:
+            return self.terms.items()
         index = self._index
         if index is None:
             index = self._index = FloorIndex(self.terms)
-        return index.live(c)
+        return index.live(_floor(c), t)
 
     # --- constructors -----------------------------------------------------
 
@@ -584,9 +575,11 @@ class TensorElement:
         return self.terms.get(self._key(key), Scalar.zero(self.trunc))
 
     def retrunc(self, new_trunc):
-        out = self.map_scalars(lambda c: c.retrunc(new_trunc))
-        out.trunc = new_trunc
-        return out
+        out = {
+            k: c2 for k, c in self.terms.items()
+            for c2 in (c.retrunc(new_trunc),) if c2
+        }
+        return TensorElement._make(self.pres, self.rank, out, new_trunc)
 
     def permute_legs(self, perm):
         """Reorder legs: new key[j] = old key[perm[j]]."""

@@ -54,7 +54,7 @@ def primitive_hopf(pres, trunc):
         cop[i] = otimes(g, one) + otimes(one, g)
         antip[i] = -g
         counit[i] = Scalar.zero(trunc)
-    return HopfData(pres, cop, antip, counit, trunc=trunc)
+    return HopfData(pres, cop, antip, counit)
 
 
 class TwistElement:
@@ -233,7 +233,7 @@ def twist_hopf(hopf, twist, check=True):
         cop[i] = twist.conjugate(hopf.cop(g))
         antip[i] = u * hopf.antipode_of(g) * u_inv
         counit[i] = hopf.counit[i]
-    return HopfData(pres, cop, antip, counit, trunc=trunc)
+    return HopfData(pres, cop, antip, counit)
 
 
 def factor_order_check(twist):

@@ -282,24 +282,28 @@ def reference_leg_map(tensor, leg, image):
 
 def rand_hopf(pres, rng):
     """Arbitrary images on generators (no axioms needed: the leg maps are
-    linear), with truncated and exact coefficients and some zero counits."""
+    linear), cut to T, with truncated and exact counits, some zero; the
+    structure's truncation is read from its tables."""
     n = len(pres.generators)
     cop = {i: rand_element(pres, rng, 2, nterms=4) for i in range(n)}
     antipode = {i: rand_element(pres, rng, 1, nterms=3) for i in range(n)}
     counit = {i: rand_coeff(rng) if i else Scalar.zero(T) for i in range(n)}
-    return HopfData(pres, cop, antipode, counit, T)
+    return HopfData(pres, cop, antipode, counit)
 
 
 def product_operands(pres, rank):
     """Seeded random operand pairs of the given rank: six random pairs, then
-    an exact element with an h^-1 term against truncated coefficients of
-    h-degree >= 1.  A truncated element cannot hold the h^-1 term."""
+    an exact element with an h^-1 term, all its coefficients exact, against
+    a truncated one of h-degree >= 1.  A truncated element cannot hold the
+    h^-1 term."""
     rng = random.Random(1000 + rank)
     pairs = [
         (rand_element(pres, rng, rank), rand_element(pres, rng, rank))
         for _ in range(6)
     ]
-    terms = rand_terms(rng, rank, min_h=1)
+    terms = {
+        k: Scalar(c.terms) for k, c in rand_terms(rng, rank, min_h=1).items()
+    }
     terms[next(iter(terms))] = Scalar({(-1, 1): 2, (3, 0): 1})
     laurent = TensorElement(pres, rank, terms)
     other = rand_element(pres, rng, rank, min_h=1)
@@ -391,6 +395,7 @@ def test_pruned_leg_maps_match_all_pairs_reference(rank):
     pres = deformed_heisenberg()
     rng = random.Random(2000 + rank)
     hopf = rand_hopf(pres, rng)
+    assert hopf.trunc == T
     # at rank 1 the coproduct and antipode leg maps are ``cop`` and
     # ``antipode_of``; the counit of an element is a Scalar, not a leg map
     maps = {
@@ -413,8 +418,8 @@ def test_pruned_leg_maps_match_all_pairs_reference(rank):
 def test_pruned_product_still_raises_on_mismatched_truncations():
     pres = deformed_heisenberg()
     # floors 2 + 2 exceed both (2, 0) and (3, 0), yet the truncations differ
-    a = TensorElement(pres, 1, {((0,),): Scalar.h(2, (2, 0))})
-    b = TensorElement(pres, 1, {((1,),): Scalar.h(2, (3, 0))})
+    a = TensorElement(pres, 1, {((0,),): Scalar.h(2, (2, 0))}, (2, 0))
+    b = TensorElement(pres, 1, {((1,),): Scalar.h(2, (3, 0))}, (3, 0))
     with pytest.raises(TruncationMismatch):
         a * b
     one = TensorElement.one(pres, 1)
@@ -473,13 +478,18 @@ def rand_normal_word(rng, pres):
 MINK3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
 
-@pytest.mark.parametrize("tau,flavor,trunc", [
+# one d=3 model of each flavor
+FLAVORS = [
     ((1, 0, 0), "covariant_hadic", T),
     ((1, 0, 0), "orthog_1_plus", T),
     ((1, 1, 0), "null_plane", T),
     ((1, 0, 0), "qanalog_timelike", None),
     ((1, 1, 0), "qanalog_lightlike", None),
-], ids=["covariant", "orthog", "null_plane", "q_timelike", "q_lightlike"])
+]
+FLAVOR_IDS = ["covariant", "orthog", "null_plane", "q_timelike", "q_lightlike"]
+
+
+@pytest.mark.parametrize("tau,flavor,trunc", FLAVORS, ids=FLAVOR_IDS)
 def test_star_matches_letter_by_letter_reference(tau, flavor, trunc):
     m = Model(ModelConfig(MINK3, tau, flavor, trunc))
     pres = m.pres
@@ -495,3 +505,65 @@ def test_star_matches_letter_by_letter_reference(tau, flavor, trunc):
     for i in range(len(pres.generators)):
         cop = m.hopf.cop(TensorElement.gen(pres, i, trunc))
         assert cop.star().terms == reference_star(cop).terms
+
+
+# --- every coefficient carries its tensor's truncation ----------------------
+
+
+def stray_coefficients(hopf):
+    """(table, word, key, coefficient truncation, tensor truncation) of every
+    coefficient of a coproduct or antipode value, stored or memoized, whose
+    truncation is not its tensor's.  The kernels build these values through
+    the unchecked fast path, so the constructor's refusal does not cover
+    them."""
+    tables = {
+        "coproduct": hopf.coproduct, "antipode": hopf.antipode,
+        "cop_word": hopf._cop_cache, "antipode_word": hopf._antipode_cache,
+    }
+    return [
+        (name, word, key, c.trunc, value.trunc)
+        for name, table in tables.items()
+        for word, value in table.items()
+        for key, c in value.terms.items()
+        if c.trunc != value.trunc
+    ]
+
+
+@pytest.mark.parametrize("tau,flavor,trunc", FLAVORS, ids=FLAVOR_IDS)
+def test_model_tables_carry_one_truncation(tau, flavor, trunc):
+    m = Model(ModelConfig(MINK3, tau, flavor, trunc))
+    assert m.hopf.trunc == m.trunc == trunc
+    # the axiom sweep fills the word caches through the product kernel and
+    # the leg maps
+    assert all(c.passed for c in verify_axioms(m.hopf, degree2=False))
+    assert len(m.hopf._cop_cache) > len(m.pres.generators)
+    assert stray_coefficients(m.hopf) == []
+
+
+@pytest.mark.parametrize("label,tau,flavor,over", [
+    ("T1", (1, 0, 0, 0), "orthog_1_plus", "deformed"),
+    ("LC", (1, 1, 0, 0), "null_plane", "primitive"),
+], ids=["T1", "LC"])
+def test_twisted_tables_carry_one_truncation(label, tau, flavor, over):
+    # each row over the structure it is a 2-cocycle of
+    m = Model(ModelConfig(MINK4, tau, flavor, T))
+    hopf = m.hopf if over == "deformed" else twist.primitive_hopf(m.pres, T)
+    twisted = twist.twist_hopf(hopf, twist.build_twist(label, m))
+    assert twisted.trunc == T
+    # the coproduct and antipode of each twisted coproduct's product fill
+    # the word caches
+    for i in range(len(m.pres.generators)):
+        x = twisted.cop(TensorElement.gen(m.pres, i, T)).merge_legs()
+        twisted.cop(x)
+        twisted.antipode_of(x)
+    assert stray_coefficients(twisted) == []
+
+
+def test_hopf_tables_at_two_truncations_are_refused():
+    pres = deformed_heisenberg()
+    low, high = (twist.primitive_hopf(pres, t) for t in ((2, 0), (3, 0)))
+    with pytest.raises(TruncationMismatch):
+        HopfData(pres, low.coproduct, high.antipode, low.counit)
+    with pytest.raises(TruncationMismatch):
+        HopfData(pres, {**low.coproduct, 0: high.coproduct[0]},
+                 low.antipode, low.counit)

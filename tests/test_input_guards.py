@@ -1,0 +1,143 @@
+"""Bad input to the twist catalog, the model checks, the rule and tensor
+constructors, ``HopfData`` and the wedge calculus raises
+``PresentationError``: one table, one call per guard.
+
+Each call builds its own small input, so no row depends on another."""
+
+import re
+
+import pytest
+
+from kdeform import model as km
+from kdeform import twist
+from kdeform.errors import PresentationError
+from kdeform.hopf import HopfData
+from kdeform.model import Model, ModelConfig
+from kdeform.ncalg import Presentation, TensorElement
+from kdeform.rmatrix import WedgeTensor
+from kdeform.scalar import Scalar
+
+MINK2 = [[1, 0], [0, -1]]
+MINK3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+MINK4 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def model(g, tau, flavor, trunc=(1, 0)):
+    return Model(ModelConfig(g, tau, flavor, trunc))
+
+
+def covariant():
+    return model(MINK2, (1, 0), "covariant_hadic")
+
+
+def orthog():
+    return model(MINK2, (1, 0), "orthog_1_plus")
+
+
+def pair():
+    pres = Presentation("pair")
+    return pres, pres.add_generator("a"), pres.add_generator("b")
+
+
+def hopf_missing_antipode():
+    pres, a, _ = pair()
+    full = twist.primitive_hopf(pres, None)
+    antipode = dict(full.antipode)
+    del antipode[a]
+    return HopfData(pres, full.coproduct, antipode, full.counit)
+
+
+def foreign_legs():
+    pres_a, pres_b = pair()[0], pair()[0]
+    return TensorElement.from_legs(
+        TensorElement.one(pres_a, 1), TensorElement.one(pres_b, 1)
+    )
+
+
+def wedge_pres():
+    return km.build_iso(MINK3)
+
+
+def wedge_sum_of_ranks_2_and_3():
+    pres = wedge_pres()
+    return WedgeTensor.zero(pres, 2) + WedgeTensor.zero(pres, 3)
+
+
+def guard(name, message, call):
+    """A table row: ``call`` raises ``PresentationError`` with ``message``
+    in its text."""
+    return pytest.param(message, call, id=name)
+
+
+GUARDS = [
+    # build_twist
+    guard("twist_unknown_label", "unknown twist label",
+          lambda: twist.build_twist("T2", orthog())),
+    guard("twist_wrong_flavor", "needs a model of flavor null_plane",
+          lambda: twist.build_twist("LC", covariant())),
+    guard("twist_l1_at_d2", "L1 needs a transverse direction",
+          lambda: twist.build_twist("L1", model(MINK2, (1, 1), "null_plane"))),
+    guard("twist_l2_at_d3", "L2 needs two transverse directions",
+          lambda: twist.build_twist(
+              "L2", model(MINK3, (1, 1, 0), "null_plane"))),
+    guard("twist_s_at_d3", "S rows are cataloged in dimension 4",
+          lambda: twist.build_twist(
+              "S1", model(MINK3, (0, 1, 0), "covariant_hadic"))),
+    guard("twist_s_tau_off_axis_1", "S rows use tau along axis 1",
+          lambda: twist.build_twist(
+              "S2", model(MINK4, (0, 0, 1, 0), "covariant_hadic"))),
+    guard("twist_t1_at_d3", "T rows are cataloged in dimension 4",
+          lambda: twist.build_twist(
+              "T1", model(MINK3, (1, 0, 0), "orthog_1_plus"))),
+    guard("factor_order_not_lc", "for the LC twist",
+          lambda: twist.factor_order_check(twist.build_twist(
+              "L1", model(MINK3, (1, 1, 0), "null_plane", (1, 1))))),
+    # Model and its checks
+    guard("model_without_config", "needs a ModelConfig", lambda: Model(None)),
+    guard("model_p_missing_slot", "no momentum generator in slot 7",
+          lambda: covariant().p(7)),
+    guard("decomposition_display_wrong_flavor", "needs orthog_1_plus",
+          lambda: km.decomposition_display_check(covariant())),
+    guard("nullplane_display_wrong_flavor", "needs null_plane",
+          lambda: km.nullplane_display_check(orthog())),
+    guard("q_display_wrong_flavor", "needs a q-analog flavor",
+          lambda: km.q_display_check(covariant())),
+    guard("rescaling_lambda_zero", "lambda != 0",
+          lambda: km.rescaling_isomorphism_check(covariant(), lam=0)),
+    guard("q_hadic_correspondence_wrong_flavor", "needs a q-analog model",
+          lambda: km.q_hadic_correspondence_check(orthog())),
+    guard("hopf_covariance_wrong_flavor", "needs covariant_hadic",
+          lambda: km.hopf_covariance_check(orthog(), [[1, 0], [0, 1]])),
+    guard("h_polynomial_wrong_flavor", "needs a q-analog flavor",
+          lambda: km.h_polynomial_check(covariant())),
+    # rules and tensors
+    guard("rule_coefficient_not_scalar", "must be Scalar",
+          lambda: pair()[0].set_commutator(1, 0, {(0,): 1})),
+    guard("rule_coefficient_truncated", "must be exact",
+          lambda: pair()[0].set_commutator(
+              1, 0, {(0,): Scalar.h(1, (1, 0))})),
+    guard("gen_index_unknown_label", "no generator named",
+          lambda: pair()[0].gen_index("c")),
+    guard("commutator_with_itself", "with itself",
+          lambda: pair()[0].set_commutator(0, 0, {(1,): Scalar.one()})),
+    guard("from_legs_across_presentations", "different presentations",
+          foreign_legs),
+    guard("permute_legs_bad_permutation", "bad leg permutation",
+          lambda: TensorElement.one(pair()[0], 2).permute_legs((0, 0))),
+    guard("swap_at_rank_3", "swap is for rank 2",
+          lambda: TensorElement.one(pair()[0], 3).swap()),
+    guard("hopf_missing_table_entry", "antipode missing",
+          hopf_missing_antipode),
+    # wedges
+    guard("wedge_bad_coefficient", "bad wedge coefficient",
+          lambda: WedgeTensor.from_labels(
+              wedge_pres(), 2, [("P_0", "M_01", "one")])),
+    guard("wedge_sum_of_ranks_2_and_3", "wedge mismatch",
+          wedge_sum_of_ranks_2_and_3),
+]
+
+
+@pytest.mark.parametrize("message,call", GUARDS)
+def test_bad_input_is_refused(message, call):
+    with pytest.raises(PresentationError, match=re.escape(message)):
+        call()

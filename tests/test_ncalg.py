@@ -246,9 +246,9 @@ def test_truncated_tensor_cuts_exact_coefficients():
     for pair in ((laurent, zero), (zero, laurent)):
         with pytest.raises(ScalarDomainError):
             pair[0] + pair[1]
-    # an exact element keeps its coefficients as given
-    kept = TensorElement(pres, 1, {((a,),): Scalar.h(1, t)})
-    assert kept.trunc is None and kept.coeff(((a,),)).trunc == t
+    # an exact element refuses a truncated coefficient
+    with pytest.raises(TruncationMismatch):
+        TensorElement(pres, 1, {((a,),): Scalar.h(1, t)})
     # a truncated one refuses a coefficient of another finite truncation
     with pytest.raises(TruncationMismatch):
         TensorElement(pres, 1, {((a,),): Scalar.h(1, (3, 0))}, (2, 0))

@@ -5,7 +5,9 @@ The rule tables of a presentation have one reader each outside ``ncalg``:
 ``hopf.verify_axioms`` checks every rule, ``model._grading_offsets`` walks
 the rules and Hopf tables of a model, and everything else reads the brackets
 through ``Presentation.structure_constants``.  A scan fails on any other
-read of ``comm_rules`` or ``product_rules``.
+read of ``comm_rules`` or ``product_rules``.  The floor rule that prunes
+products lives in ``ncalg`` alone: a scan fails on any other module that
+names ``FloorIndex`` or ``_floor``.
 """
 
 import ast
@@ -162,6 +164,25 @@ def test_the_scan_sees_a_stray_rule_table_read():
                          ids=lambda p: p.name)
 def test_only_the_named_readers_read_the_rule_tables(path):
     assert stray_rule_table_reads(path.stem, path.read_text()) == []
+
+
+FLOOR_RULE = {"FloorIndex", "_floor"}
+
+
+def test_the_scan_sees_a_floor_rule_name():
+    source = (
+        "from .ncalg import FloorIndex\n"
+        "def walk(t, c):\n    return ncalg._floor(c)\n"
+    )
+    assert named(source) & FLOOR_RULE == FLOOR_RULE
+    assert named("floor = min(degrees)\n") & FLOOR_RULE == set()
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "ncalg.py"],
+                         ids=lambda p: p.name)
+def test_only_ncalg_names_the_floor_rule(path):
+    assert named(path.read_text()) & FLOOR_RULE == set()
 
 
 def load_tracer():
