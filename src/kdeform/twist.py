@@ -20,11 +20,19 @@ exp(ad X_1) ... exp(ad X_k) Delta(g), not as the triple product: each X has
 far fewer terms than F.  e^X t e^{-X} = exp(ad X)(t) needs only the
 associativity that confluence of the rules gives, and the series stops
 because each X has positive total bigrade, so each ad X raises the degree
-until the truncation cuts the term.  F and F^{-1} are still built whole for
-the cocycle check, the antipode gauge of ``twist_hopf`` and ``universal_r``.
+until the truncation cuts the term.
+
+The cocycle check goes through the exponents as well: (Delta (x) id)F is the
+product of the exp((Delta (x) id)X_k), so the coproduct legs see only the
+short words of each X_k, never the long leg words of F.  F and F^{-1} are
+still built whole for the (F (x) 1) and (1 (x) F) factors of that check, its
+``invertible`` entry, the antipode gauge of ``twist_hopf`` and
+``universal_r``.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .errors import KdeformError, PresentationError
 from .hopf import HopfData, otimes
@@ -189,8 +197,50 @@ def build_twist(label, model):
 # --- verification --------------------------------------------------------------
 
 
+def _require_own_structure(twist, hopf):
+    if hopf.pres is not twist.pres:
+        raise PresentationError(
+            "twist %s needs a Hopf structure over its own presentation"
+            % twist.label
+        )
+
+
+def _cop_leg_of_twist(twist, hopf, leg):
+    """(Delta (x) id)F for leg 0, (id (x) Delta)F for leg 1, as the product
+    of the exp((Delta (x) id)X_k) in F's factor order."""
+    return reduce(mul, (
+        exp_nilpotent(hopf.apply_cop_leg(x, leg)) for x in twist.factors
+    ))
+
+
+def _cocycle_residual(twist, hopf):
+    """(F(x)1)(Delta(x)id)F - (1(x)F)(id(x)Delta)F."""
+    t = twist.tensor
+    # the exact unit, so each leg product by it returns the coefficient
+    unit = TensorElement.one(twist.pres, 1)
+    lhs = TensorElement.from_legs(t, unit) * _cop_leg_of_twist(twist, hopf, 0)
+    rhs = TensorElement.from_legs(unit, t) * _cop_leg_of_twist(twist, hopf, 1)
+    return lhs - rhs
+
+
 def cocycle_check(twist, hopf):
-    """(F(x)1)(Delta(x)id)F = (1(x)F)(id(x)Delta)F plus counit normalization."""
+    """(F(x)1)(Delta(x)id)F = (1(x)F)(id(x)Delta)F plus counit normalization.
+
+    For F = exp(X_1) ... exp(X_k) the coproduct legs of F are computed
+    through its exponents, never on F's own leg words:
+
+        (Delta (x) id)F = exp((Delta (x) id)X_1) ... exp((Delta (x) id)X_k),
+
+    and (id (x) Delta)F likewise.  The identity needs Delta (x) id to be an
+    algebra map, which holds when Delta respects the rewrite rules (the
+    ``cop_respects_*`` entries of ``hopf_axiom_check`` verify it).  It holds
+    at every truncation: a truncation is the ring quotient by the ideal
+    (h^(N_h+1), xi^(N_xi+1)), and Delta (x) id preserves bigrade (it never
+    lowers the h- or xi-degree of a coefficient), so it maps that ideal into
+    itself and commutes with the truncated exponential, a finite sum of
+    products.
+    """
+    _require_own_structure(twist, hopf)
     rep = Report(
         "two-cocycle condition",
         {"twist": twist.label, "trunc": str(twist.trunc)},
@@ -199,11 +249,7 @@ def cocycle_check(twist, hopf):
     one2 = TensorElement.one(twist.pres, 2, twist.trunc)
     one1 = TensorElement.one(twist.pres, 1, twist.trunc)
     rep.zero("invertible", t * twist.inverse - one2)
-    # the exact unit, so each leg product by it returns the coefficient
-    unit = TensorElement.one(twist.pres, 1)
-    lhs = TensorElement.from_legs(t, unit) * hopf.apply_cop_leg(t, 0)
-    rhs = TensorElement.from_legs(unit, t) * hopf.apply_cop_leg(t, 1)
-    rep.zero("two_cocycle", lhs - rhs)
+    rep.zero("two_cocycle", _cocycle_residual(twist, hopf))
     rep.zero("counit_left", hopf.apply_counit_leg(t, 0) - one1)
     rep.zero("counit_right", hopf.apply_counit_leg(t, 1) - one1)
     return rep
@@ -212,6 +258,7 @@ def cocycle_check(twist, hopf):
 def twist_hopf(hopf, twist, check=True):
     """Twisted Hopf structure: Delta_F = F Delta F^{-1}, S_F = u S u^{-1}
     with u = m(id (x) S)F.  Refuses when the cocycle condition fails."""
+    _require_own_structure(twist, hopf)
     if check:
         rep = cocycle_check(twist, hopf)
         bad = [c.name for c in rep.checks if not c.passed]

@@ -1,5 +1,5 @@
-"""Bad input to the twist catalog, the model checks, the rule and tensor
-constructors, ``HopfData`` and the wedge calculus raises
+"""Bad input to the twist catalog and its checks, the model checks, the rule
+and tensor constructors, ``HopfData`` and the wedge calculus raises
 ``PresentationError``: one table, one call per guard.
 
 Each call builds its own small input, so no row depends on another."""
@@ -32,6 +32,10 @@ def covariant():
 
 def orthog():
     return model(MINK2, (1, 0), "orthog_1_plus")
+
+
+def t1_model():
+    return model(MINK4, (1, 0, 0, 0), "orthog_1_plus")
 
 
 def pair():
@@ -92,6 +96,16 @@ GUARDS = [
     guard("factor_order_not_lc", "for the LC twist",
           lambda: twist.factor_order_check(twist.build_twist(
               "L1", model(MINK3, (1, 1, 0), "null_plane", (1, 1))))),
+    # cocycle check and twisting
+    guard("cocycle_check_foreign_structure",
+          "twist T1 needs a Hopf structure over its own presentation",
+          lambda: twist.cocycle_check(twist.build_twist("T1", t1_model()),
+                                      t1_model().hopf)),
+    guard("twist_hopf_foreign_structure",
+          "twist T1 needs a Hopf structure over its own presentation",
+          lambda: twist.twist_hopf(t1_model().hopf,
+                                   twist.build_twist("T1", t1_model()),
+                                   check=False)),
     # Model and its checks
     guard("model_without_config", "needs a ModelConfig", lambda: Model(None)),
     guard("model_p_missing_slot", "no momentum generator in slot 7",

@@ -1,5 +1,6 @@
 """Tests for the twist catalog: the cocycle matrix, factor orders, twisting,
-and the twisted coproduct against the triple product F Delta F^-1.
+the twisted coproduct against the triple product F Delta F^-1, and the
+cocycle residual through the exponents against Delta on the whole twist.
 
 Every row of the catalog is checked on d=4 Minkowski at truncation (2, 1),
 over the undeformed (primitive) structure and over the model's own deformed
@@ -11,7 +12,7 @@ import pytest
 
 from kdeform import twist
 from kdeform.errors import PresentationError
-from kdeform.hopf import check_rmatrix_intertwiner, verify_axioms
+from kdeform.hopf import HopfData, check_rmatrix_intertwiner, verify_axioms
 from kdeform.model import Model, ModelConfig
 from kdeform.ncalg import Presentation, TensorElement
 from kdeform.scalar import Scalar
@@ -139,10 +140,15 @@ def test_conjugate_is_the_triple_product(models, label):
             assert f.conjugate(cop) == f.tensor * cop * f.inverse
 
 
-def test_conjugate_is_the_triple_product_for_t1_at_3_2():
+@pytest.fixture(scope="module")
+def t1_at_3_2():
     model = Model(ModelConfig(MINK4, FRAMES["orthog_1_plus"],
                               "orthog_1_plus", (3, 2)))
-    f = twist.build_twist("T1", model)
+    return model, twist.build_twist("T1", model)
+
+
+def test_conjugate_is_the_triple_product_for_t1_at_3_2(t1_at_3_2):
+    model, f = t1_at_3_2
     for cop in _generator_cops(model.hopf):
         assert f.conjugate(cop) == f.tensor * cop * f.inverse
 
@@ -172,6 +178,50 @@ def test_twisting_never_multiplies_by_the_whole_twist(models, monkeypatch):
 
     monkeypatch.setattr(TensorElement, "__mul__", recording)
     twist.twist_hopf(model.hopf, f, check=False)
+    assert operands
+    assert not any(x is y for x in operands for y in whole)
+
+
+# --- the cocycle through the exponents against the whole twist ---------------
+
+
+def _whole_twist_residual(f, hopf):
+    # (F(x)1)(Delta(x)id)F - (1(x)F)(id(x)Delta)F with Delta on F's leg words
+    unit = TensorElement.one(f.pres, 1)
+    return (TensorElement.from_legs(f.tensor, unit)
+            * hopf.apply_cop_leg(f.tensor, 0)
+            - TensorElement.from_legs(unit, f.tensor)
+            * hopf.apply_cop_leg(f.tensor, 1))
+
+
+@pytest.mark.parametrize("label", sorted(MATRIX))
+def test_cocycle_residual_is_the_whole_twist_residual(models, label):
+    model = models[MATRIX[label][0]]
+    f = twist.build_twist(label, model)
+    for hopf in (model.hopf, twist.primitive_hopf(model.pres, model.trunc)):
+        assert twist._cocycle_residual(f, hopf) == _whole_twist_residual(f, hopf)
+
+
+def test_cocycle_residual_is_the_whole_twist_residual_for_t1_at_3_2(t1_at_3_2):
+    model, f = t1_at_3_2
+    for hopf in (model.hopf, twist.primitive_hopf(model.pres, model.trunc)):
+        assert twist._cocycle_residual(f, hopf) == _whole_twist_residual(f, hopf)
+
+
+def test_cocycle_check_never_takes_the_coproduct_of_the_whole_twist(
+        models, monkeypatch):
+    model = models["orthog_1_plus"]
+    f = twist.build_twist("T1", model)
+    whole = (f.tensor, f.inverse)
+    operands = []
+    apply_cop_leg = HopfData.apply_cop_leg
+
+    def recording(self, tensor, leg):
+        operands.append(tensor)
+        return apply_cop_leg(self, tensor, leg)
+
+    monkeypatch.setattr(HopfData, "apply_cop_leg", recording)
+    assert twist.cocycle_check(f, model.hopf).ok
     assert operands
     assert not any(x is y for x in operands for y in whole)
 
