@@ -11,8 +11,8 @@ class TruncationMismatch(KdeformError):
 
 class ScalarDomainError(KdeformError, ValueError):
     """Raised for a scalar outside its domain: a negative xi-degree, a
-    negative h-degree under a finite truncation, or the constant value of a
-    non-constant scalar."""
+    negative h-degree under a finite truncation, the constant value of a
+    non-constant scalar, or a float or unknown coefficient."""
 
 
 class PresentationError(KdeformError):

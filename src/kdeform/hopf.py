@@ -9,13 +9,13 @@ to the class, so both of its product counters count every product.
 
 :class:`HopfData` holds coproduct, antipode and counit values on generators
 and extends them to arbitrary elements (multiplicatively,
-anti-multiplicatively, multiplicatively respectively), with memoized
-word-level caches; the three leg maps share one helper that replaces a
-single tensor leg by a word's image, and the coproduct and antipode of an
-element are those leg maps at rank 1.  The coproduct and antipode leg maps
-take from a word's memoized image only the terms that its ``live`` method
-keeps against the tensor term's coefficient; :mod:`kdeform.ncalg` decides
-which.
+anti-multiplicatively, multiplicatively respectively); each word's image is
+memoized by the one helper :func:`kdeform.ncalg.word_image`, one cache per
+map.  The three leg maps share one helper that replaces a single tensor leg
+by a word's image, and the coproduct and antipode of an element are those
+leg maps at rank 1.  The coproduct and antipode leg maps take from a word's
+memoized image only the terms that its ``live`` method keeps against the
+tensor term's coefficient; :mod:`kdeform.ncalg` decides which.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
@@ -30,7 +30,7 @@ self-adjoint generators, real h.
 from __future__ import annotations
 
 from .errors import KdeformError, PresentationError
-from .ncalg import EMPTY_WORD, TensorElement, accumulate
+from .ncalg import EMPTY_WORD, TensorElement, accumulate, word_image
 from .report import Report
 from .scalar import Scalar, merge_trunc
 
@@ -81,37 +81,18 @@ class HopfData:
 
     def cop_word(self, word):
         """Delta on a word, extended multiplicatively; memoized."""
-        word = tuple(word)
-        cached = self._cop_cache.get(word)
-        if cached is not None:
-            return cached
-        head = word[:-1]
-        out = self.cop_word(head) * self.coproduct[word[-1]]
-        self._cop_cache[word] = out
-        return out
+        return word_image(self._cop_cache, word, self.cop_word,
+                          lambda head, g: head * self.coproduct[g])
 
     def antipode_word(self, word):
         """S on a word, extended anti-multiplicatively; memoized."""
-        word = tuple(word)
-        cached = self._antipode_cache.get(word)
-        if cached is not None:
-            return cached
-        head = word[:-1]
-        out = self.antipode[word[-1]] * self.antipode_word(head)
-        self._antipode_cache[word] = out
-        return out
+        return word_image(self._antipode_cache, word, self.antipode_word,
+                          lambda head, g: self.antipode[g] * head)
 
     def counit_word(self, word):
         """epsilon on a word, extended multiplicatively; memoized."""
-        word = tuple(word)
-        cached = self._counit_cache.get(word)
-        if cached is not None:
-            return cached
-        out = self.counit_word(word[:-1])
-        if out:
-            out = out * self.counit[word[-1]]
-        self._counit_cache[word] = out
-        return out
+        return word_image(self._counit_cache, word, self.counit_word,
+                          lambda head, g: head and head * self.counit[g])
 
     # --- element-level maps -------------------------------------------------
 
@@ -138,8 +119,13 @@ class HopfData:
 
         ``image(word, c)`` yields the (legs, coeff) terms of the word's image
         to pair with a tensor term of coefficient ``c``, where ``legs`` is a
-        tuple of 0, 1 or 2 words that takes the place of the one word.
+        tuple of 0, 1 or 2 words that takes the place of the one word.  A
+        ``leg`` outside ``range(tensor.rank)`` raises.
         """
+        if leg not in range(tensor.rank):
+            raise PresentationError(
+                "no leg %r in a rank-%d tensor" % (leg, tensor.rank)
+            )
         out = accumulate({}, (
             (key[:leg] + legs + key[leg + 1:], c * ci)
             for key, c in tensor.terms.items()

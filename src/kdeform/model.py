@@ -40,7 +40,9 @@ from functools import partial
 from .errors import ClassicalLimitError, PresentationError
 from .hopf import HopfData, otimes, verify_axioms, verify_reality
 from .metric import adapted_basis, as_metric, as_tau, basis_metric
-from .ncalg import EMPTY_WORD, Presentation, TensorElement, accumulate
+from .ncalg import (
+    EMPTY_WORD, Presentation, TensorElement, accumulate, word_image,
+)
 from .report import Report
 from .scalar import ONE, Scalar, gr
 from .series import unital_inverse, unital_log, unital_power, unital_sqrt
@@ -1028,19 +1030,17 @@ def nullplane_display_check(model):
     return rep
 
 
-def _word_image(pres_h, word, images, trunc):
-    out = TensorElement.one(pres_h, 1, trunc)
-    for letter in word:
-        out = out * images[letter]
-    return out
-
-
 def _subst(tens, images, pres_h, trunc):
-    """Each letter of each leg of ``tens`` replaced by its image."""
+    """Each letter of each leg of ``tens`` replaced by its image; each word's
+    image is built once per call, through ``word_image``."""
+    cache = {EMPTY_WORD: TensorElement.one(pres_h, 1, trunc)}
+
+    def image(word):
+        return word_image(cache, word, image, lambda head, g: head * images[g])
+
     out = TensorElement.zero(pres_h, tens.rank, trunc)
     for key, c in tens.terms.items():
-        legs = [_word_image(pres_h, w, images, trunc) for w in key]
-        out = out + TensorElement.from_legs(*legs) * c
+        out = out + TensorElement.from_legs(*map(image, key)) * c
     return out
 
 

@@ -44,12 +44,12 @@ least floor(c1) + floor(c2), so when the pair's truncation T is finite and
 that sum exceeds T in either parameter, the product is exactly the zero
 scalar.  Every coefficient of a tensor carries the tensor's truncation, so T
 is the merged truncation of the two operands, which ``scalar.merge_trunc``
-alone decides.  A tensor groups its terms by floor (:class:`FloorIndex`) the
-first time it is a right operand against a finite truncation, and
-:meth:`TensorElement.live` gives the terms the rule keeps against a left
-coefficient.  The product kernel and the coproduct and antipode leg maps of
-:mod:`kdeform.hopf` ask the right operand, so an operand used many times,
-such as a memoized word image, is indexed once.
+alone decides.  :meth:`TensorElement.live` gives the terms of a right
+operand that the rule keeps against a left coefficient, and keeps that row
+on the tensor for the next left coefficient of the same floor.  The product
+kernel and the coproduct and antipode leg maps of :mod:`kdeform.hopf` ask
+the right operand, so an operand used many times, such as a memoized word
+image, filters its terms once per row.
 
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all
@@ -93,6 +93,18 @@ def accumulate(out, pairs):
     return out
 
 
+def word_image(cache, word, head_image, step):
+    """The image of ``word`` under a map given on generators and extended
+    to words, ``step(head_image(word[:-1]), word[-1])``, memoized in
+    ``cache``.  ``cache`` holds the empty word's image, and ``head_image``
+    is the extended map itself, so the recursion runs through it."""
+    word = tuple(word)
+    out = cache.get(word)
+    if out is None:
+        out = cache[word] = step(head_image(word[:-1]), word[-1])
+    return out
+
+
 def _floor(s):
     """The lowest h-degree and the lowest xi-degree of a nonzero Scalar,
     each taken over all its terms."""
@@ -100,45 +112,6 @@ def _floor(s):
     if len(terms) == 1:
         return next(iter(terms))
     return min(a for a, _ in terms), min(b for _, b in terms)
-
-
-class FloorIndex:
-    """The terms of a sparse combination (a dict from keys to nonzero
-    Scalars), grouped by the floor of each coefficient, as the right operand
-    of a product.
-
-    ``live(f1, t)`` returns the ``(key, coeff)`` terms whose coefficient
-    product with a left coefficient of floor ``f1`` the floor rule keeps at
-    the finite truncation ``t``, in dict order, so a product visits the
-    surviving pairs in the order an all-pairs loop would.  Each floor group
-    is tested once per left floor and truncation, and the surviving terms
-    are cached.  The dict must not change while the index is in use.
-    """
-
-    __slots__ = ("terms", "tags", "floors", "rows")
-
-    def __init__(self, terms):
-        self.terms = terms
-        self.floors = None
-        self.rows = {}
-
-    def live(self, f1, t):
-        row = self.rows.get((f1, t))
-        if row is None:
-            if self.floors is None:
-                index = {}
-                self.tags = [
-                    index.setdefault(_floor(c), len(index))
-                    for c in self.terms.values()
-                ]
-                self.floors = list(index)
-            room_h, room_xi = t[0] - f1[0], t[1] - f1[1]
-            keep = [a <= room_h and b <= room_xi for a, b in self.floors]
-            row = self.terms.items()
-            if not all(keep):
-                row = [item for item, j in zip(row, self.tags) if keep[j]]
-            self.rows[(f1, t)] = row
-        return row
 
 
 class Generator:
@@ -361,10 +334,10 @@ class TensorElement:
     ``ScalarDomainError``.  A finite coefficient at any other truncation,
     in an exact tensor too, raises ``TruncationMismatch``.  The terms must
     not change after the first product that uses the tensor as its right
-    operand (see ``live``).
+    operand, whose rows of surviving terms ``live`` keeps in ``_rows``.
     """
 
-    __slots__ = ("pres", "rank", "terms", "trunc", "_index")
+    __slots__ = ("pres", "rank", "terms", "trunc", "_rows")
 
     def __init__(self, pres, rank, terms=None, trunc=None):
         self.pres = pres
@@ -384,7 +357,7 @@ class TensorElement:
                     clean[key] = coeff
         self.terms = clean
         self.trunc = trunc
-        self._index = None
+        self._rows = None
 
     def _key(self, key):
         # a key is a tuple of ``rank`` words; a bare word given as a rank-1
@@ -408,7 +381,7 @@ class TensorElement:
         t.rank = rank
         t.terms = terms
         t.trunc = trunc
-        t._index = None
+        t._rows = None
         return t
 
     def live(self, c):
@@ -416,15 +389,27 @@ class TensorElement:
         Scalar ``c`` the floor rule does not rule out, in dict order.  The
         pair's truncation is ``c``'s, or the tensor's when ``c`` is exact;
         the callers merge the two tensor truncations, so a mismatch still
-        raises.  The tensor's :class:`FloorIndex` is built at the first call
-        with a finite pair truncation."""
+        raises.  Each row of survivors, per floor of ``c`` and finite
+        truncation, is built once and kept in ``_rows``."""
         t = self.trunc if c.trunc is None else c.trunc
         if t is None:
             return self.terms.items()
-        index = self._index
-        if index is None:
-            index = self._index = FloorIndex(self.terms)
-        return index.live(_floor(c), t)
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {}
+        f1 = _floor(c)
+        row = rows.get((f1, t))
+        if row is None:
+            room_h, room_xi = t[0] - f1[0], t[1] - f1[1]
+            row = [
+                item for item in self.terms.items()
+                for a, b in (_floor(item[1]),)
+                if a <= room_h and b <= room_xi
+            ]
+            if len(row) == len(self.terms):
+                row = self.terms.items()
+            rows[(f1, t)] = row
+        return row
 
     # --- constructors -----------------------------------------------------
 

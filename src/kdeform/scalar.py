@@ -6,8 +6,8 @@ stored as an integer triple ``(a, b, d)`` meaning ``(a + b*i) / d``, with
 canonical, so equality compares the three ints, and every ring operation
 reduces its result with at most one ``math.gcd`` (none when ``d == 1``).
 ``fractions.Fraction`` appears only at the boundary: the constructor accepts
-Fractions, ``.re``/``.im`` return them, and ``repr`` prints each part in the
-``Fraction`` format.
+Fractions and refuses floats, ``.re``/``.im`` return Fractions, and ``repr``
+prints each part in the ``Fraction`` format.
 
 Deformation scalars are Laurent polynomials in the deformation parameter h
 (so expressions carrying kappa = h^(-1) stay exact) and ordinary polynomials
@@ -58,6 +58,16 @@ def _gr(a, b, d):
     return z
 
 
+def _fraction(x):
+    # a float's exact value is its binary expansion, not the decimal written
+    if not isinstance(x, float):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ScalarDomainError("need an exact rational, not %r" % (x,))
+
+
 def _reduced(a, b, d):
     # d > 0; divide out gcd(a, b, d) once, skipped when d == 1
     if d != 1:
@@ -83,8 +93,8 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
-        re = re if isinstance(re, Fraction) else Fraction(re)
-        im = im if isinstance(im, Fraction) else Fraction(im)
+        re = re if isinstance(re, Fraction) else _fraction(re)
+        im = im if isinstance(im, Fraction) else _fraction(im)
         q, s = re.denominator, im.denominator
         # with both parts in lowest terms, lcm(q, s) is already canonical
         d = q // gcd(q, s) * s
@@ -312,11 +322,17 @@ class Scalar:
 
     @classmethod
     def rational(cls, value, trunc=None):
-        return cls.monomial(_as_gr(Fraction(value)), 0, 0, trunc)
+        return cls.monomial(GaussianRational(value), 0, 0, trunc)
 
     @classmethod
     def monomial(cls, coeff, deg_h=0, deg_xi=0, trunc=None):
-        coeff = _as_gr(coeff)
+        c = _as_gr(coeff)
+        if c is NotImplemented:
+            raise ScalarDomainError(
+                "monomial coefficient %r is not an int, Fraction or "
+                "GaussianRational" % (coeff,)
+            )
+        coeff = c
         if deg_xi < 0:
             raise ScalarDomainError("negative xi-degree")
         if not coeff or not _keep((deg_h, deg_xi), trunc):

@@ -207,10 +207,13 @@ def _require_own_structure(twist, hopf):
 
 def _cop_leg_of_twist(twist, hopf, leg):
     """(Delta (x) id)F for leg 0, (id (x) Delta)F for leg 1, as the product
-    of the exp((Delta (x) id)X_k) in F's factor order."""
-    return reduce(mul, (
-        exp_nilpotent(hopf.apply_cop_leg(x, leg)) for x in twist.factors
-    ))
+    of the exp((Delta (x) id)X_k) in F's factor order; the rank-3 unit for
+    F = 1."""
+    factors = [exp_nilpotent(hopf.apply_cop_leg(x, leg))
+               for x in twist.factors]
+    if not factors:
+        return TensorElement.one(twist.pres, 3, twist.trunc)
+    return reduce(mul, factors)
 
 
 def _cocycle_residual(twist, hopf):

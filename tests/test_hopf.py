@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kdeform import ncalg, twist
+from kdeform import twist
 from kdeform.errors import KdeformError, PresentationError, TruncationMismatch
 from kdeform.hopf import (
     HopfData,
@@ -322,15 +322,7 @@ def test_pruned_product_matches_all_pairs_reference(rank):
     assert vanished > 0
 
 
-def test_right_operand_is_indexed_once(monkeypatch):
-    built = []
-
-    class CountingIndex(ncalg.FloorIndex):
-        def __init__(self, terms):
-            built.append(terms)
-            super().__init__(terms)
-
-    monkeypatch.setattr(ncalg, "FloorIndex", CountingIndex)
+def test_right_operand_is_indexed_once():
     pres = deformed_heisenberg()
     rng = random.Random(4000)
     right = rand_element(pres, rng, 2)
@@ -339,11 +331,15 @@ def test_right_operand_is_indexed_once(monkeypatch):
     })
     trunc_left = rand_element(pres, rng, 2)
     assert exact_left.trunc is None and trunc_left.trunc == T
+    rows = []
     for left in (exact_left, trunc_left, exact_left):
         ref, vanished = reference_product(left, right)
         assert (left * right).terms == ref
         assert vanished > 0
-    assert built == [right.terms]
+        rows.append(dict(right._rows))
+    # the repeated product finds every row it needs already built
+    assert rows[0] and rows[2].keys() == rows[1].keys()
+    assert all(rows[2][key] is row for key, row in rows[1].items())
 
 
 def assert_as_constructed(t, rank):

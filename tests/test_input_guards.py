@@ -51,6 +51,15 @@ def hopf_missing_antipode():
     return HopfData(pres, full.coproduct, antipode, full.counit)
 
 
+def leg_map(name, leg):
+    """The leg map ``name`` of the primitive structure on ``pair`` at
+    ``leg`` of the rank-2 coproduct of a generator."""
+    pres, a, _ = pair()
+    hopf = twist.primitive_hopf(pres, None)
+    cop = hopf.cop(TensorElement.gen(pres, a))
+    return getattr(hopf, name)(cop, leg)
+
+
 def foreign_legs():
     pres_a, pres_b = pair()[0], pair()[0]
     return TensorElement.from_legs(
@@ -142,6 +151,14 @@ GUARDS = [
           lambda: TensorElement.one(pair()[0], 3).swap()),
     guard("hopf_missing_table_entry", "antipode missing",
           hopf_missing_antipode),
+    guard("cop_leg_negative", "no leg -1 in a rank-2 tensor",
+          lambda: leg_map("apply_cop_leg", -1)),
+    guard("cop_leg_past_rank", "no leg 2 in a rank-2 tensor",
+          lambda: leg_map("apply_cop_leg", 2)),
+    guard("antipode_leg_negative", "no leg -1 in a rank-2 tensor",
+          lambda: leg_map("apply_antipode_leg", -1)),
+    guard("counit_leg_past_rank", "no leg 2 in a rank-2 tensor",
+          lambda: leg_map("apply_counit_leg", 2)),
     # wedges
     guard("wedge_bad_coefficient", "bad wedge coefficient",
           lambda: WedgeTensor.from_labels(

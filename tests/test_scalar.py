@@ -1,6 +1,7 @@
 """Tests for the exact coefficient ring (Gaussian rationals, bigraded scalars)."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -42,6 +43,30 @@ def test_gaussian_rational_mixed_ops_with_ints():
     assert 2 * GR_I - 1 == gr(-1, 2)
     assert (GR_I + 1) * (GR_I - 1) == gr(-2)
     assert Fraction(1, 2) * gr(4) == gr(2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gr(0.1), "not 0.1"),
+    (lambda: gr(1, 0.5), "not 0.5"),
+    (lambda: gr("one"), "not 'one'"),
+    (lambda: Scalar.rational(0.1), "not 0.1"),
+    (lambda: Scalar.rational("1/0"), "not '1/0'"),
+    (lambda: Scalar({(0, 0): 0.1}), "not 0.1"),
+    (lambda: Scalar({(0, 0): None}), "not None"),
+    (lambda: Scalar.monomial(0.5), "coefficient 0.5 is not an int"),
+    (lambda: Scalar.monomial("1/2"), "coefficient '1/2' is not an int"),
+], ids=["gr_float", "gr_imaginary_float", "gr_str", "rational_float",
+        "rational_zero_denominator", "scalar_terms_float", "scalar_terms_none",
+        "monomial_float", "monomial_str"])
+def test_inexact_or_unknown_coefficients_are_refused(call, message):
+    with pytest.raises(ScalarDomainError, match=re.escape(message)):
+        call()
+
+
+def test_exact_coefficient_input_is_kept():
+    assert gr("1/10") == gr(Fraction(1, 10))
+    assert Scalar.rational("1/10") == Scalar.monomial(Fraction(1, 10))
+    assert Scalar.rational(3) == Scalar({(0, 0): 3})
 
 
 def test_scalar_monomials_and_coeffs():

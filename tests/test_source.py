@@ -7,7 +7,8 @@ the rules and Hopf tables of a model, and everything else reads the brackets
 through ``Presentation.structure_constants``.  A scan fails on any other
 read of ``comm_rules`` or ``product_rules``.  The floor rule that prunes
 products lives in ``ncalg`` alone: a scan fails on any other module that
-names ``FloorIndex`` or ``_floor``.
+names ``_floor`` or ``_rows``, the slot where a tensor keeps the terms that
+survive each left floor.
 """
 
 import ast
@@ -166,13 +167,13 @@ def test_only_the_named_readers_read_the_rule_tables(path):
     assert stray_rule_table_reads(path.stem, path.read_text()) == []
 
 
-FLOOR_RULE = {"FloorIndex", "_floor"}
+FLOOR_RULE = {"_floor", "_rows"}
 
 
 def test_the_scan_sees_a_floor_rule_name():
     source = (
-        "from .ncalg import FloorIndex\n"
-        "def walk(t, c):\n    return ncalg._floor(c)\n"
+        "from .ncalg import _floor\n"
+        "def walk(t, c):\n    return t._rows.get(_floor(c))\n"
     )
     assert named(source) & FLOOR_RULE == FLOOR_RULE
     assert named("floor = min(degrees)\n") & FLOOR_RULE == set()

@@ -226,6 +226,17 @@ def test_cocycle_check_never_takes_the_coproduct_of_the_whole_twist(
     assert not any(x is y for x in operands for y in whole)
 
 
+def test_the_identity_twist_is_a_cocycle_and_twists_nothing(models):
+    model = models["orthog_1_plus"]
+    f = twist.TwistElement(model, [], "1")
+    primitive = twist.primitive_hopf(model.pres, model.trunc)
+    for hopf in (model.hopf, primitive):
+        assert twist.cocycle_check(f, hopf).ok
+        twisted = twist.twist_hopf(hopf, f)
+        assert twisted.coproduct == hopf.coproduct
+        assert twisted.antipode == hopf.antipode
+
+
 def test_primitive_hopf_needs_a_lie_presentation():
     # [b, a] = 1: the primitive coproduct of the lhs is 2 (1 (x) 1)
     weyl = Presentation("weyl")
