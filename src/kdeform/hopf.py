@@ -96,18 +96,26 @@ class HopfData:
 
     # --- element-level maps -------------------------------------------------
 
+    @staticmethod
+    def _rank_one(elt):
+        if elt.rank != 1:
+            raise PresentationError(
+                "needs a rank-1 element, not rank %d" % elt.rank
+            )
+        return elt
+
     def cop(self, elt):
-        """Delta of an element: the coproduct leg map at rank 1."""
-        return self.apply_cop_leg(elt, 0)
+        """Delta of a rank-1 element: the coproduct leg map at rank 1."""
+        return self.apply_cop_leg(self._rank_one(elt), 0)
 
     def antipode_of(self, elt):
-        """S of an element: the antipode leg map at rank 1."""
-        return self.apply_antipode_leg(elt, 0)
+        """S of a rank-1 element: the antipode leg map at rank 1."""
+        return self.apply_antipode_leg(self._rank_one(elt), 0)
 
     def counit_of(self, elt):
         """epsilon of a rank-1 element, a Scalar."""
         total = Scalar.zero(merge_trunc(self.trunc, elt.trunc))
-        for (w,), c in elt.terms.items():
+        for (w,), c in self._rank_one(elt).terms.items():
             total = total + self.counit_word(w) * c
         return total
 

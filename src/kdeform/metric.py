@@ -17,25 +17,17 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .errors import PresentationError
-
-# what Fraction() raises for an entry that is not a rational number
-_NOT_RATIONAL = (TypeError, ValueError, ArithmeticError)
-
-
-def _fraction(x):
-    if isinstance(x, float):
-        raise TypeError("float")
-    return Fraction(x)
+from .errors import PresentationError, ScalarDomainError
+from .scalar import _fraction
 
 
 def _fractions(v, n):
     """``v`` as a tuple of ``n`` Fractions; anything else raises."""
     try:
         v = tuple(map(_fraction, v))
-    except _NOT_RATIONAL:
+    except (TypeError, ScalarDomainError):  # TypeError: v is not a sequence
         raise PresentationError(
-            "need exact rational entries, not floats: %r" % (v,)
+            "need exact rational entries (no floats): %r" % (v,)
         ) from None
     if len(v) != n:
         raise PresentationError("need %d entries: %r" % (n, v))

@@ -29,17 +29,20 @@ expression in Pi^{+-1} it stands for, and Pi^{+-1} are group-like.  The
 iso(g) brackets [M, P] and [M, M] are written once (``_iso_bracket``) and
 give the rules of every flavor and the basis-change check; in a q-analog
 they also give [M, Pi^{+-1}] through [M, Pi] = h [M, P_tau], so only
-Pi Pi_inv = Pi_inv Pi = 1 is written by hand.
+Pi Pi_inv = Pi_inv Pi = 1 is written by hand.  The paper's printed
+displays are transcribed as lines of index notation (``_DISPLAYS``) that
+one reader, ``_DisplayReader``, checks in the model's basis.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial
 
 from .errors import ClassicalLimitError, PresentationError
 from .hopf import HopfData, otimes, verify_axioms, verify_reality
-from .metric import adapted_basis, as_metric, as_tau, basis_metric
+from .metric import _fractions, adapted_basis, as_metric, as_tau, basis_metric
 from .ncalg import (
     EMPTY_WORD, Presentation, TensorElement, accumulate, word_image,
 )
@@ -773,11 +776,322 @@ def presentation_check(pres):
     return rep
 
 
+# --- the printed displays, read from their transcribed text -------------------
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<call>sum_[a-z]|[DS])\(|(?P<head>M_|P_|P\^|g_)(?P<sym>[τ+\-a-z]+)"
+    r"|(?P<name>Pi_inv|Pi|C_tau|C|t2|[hki])(?!\w)|(?P<num>\d+)"
+    r"|(?P<op>\(x\)|[-+/=,()\[\]]))"
+)
+# what ends a product of factors; None is the end of the line
+_ENDS = {"+", "-", "(x)", ")", "]", ",", "=", None}
+
+
+class _DisplayReader:
+    """Reads a model's printed displays from their transcribed text.
+
+    ``reader(line, env)`` reads a printed line ``lhs = rhs`` in the model's
+    basis and returns the exact residual lhs - rhs as a ``TensorElement``
+    (a line without ``=`` gives its value); ``env`` binds loop letters to
+    slots.  The notation:
+
+    * factors side by side multiply in the written order; ``(x)`` separates
+      tensor legs, ``[a, b]`` is the commutator, and ``D(..)`` and ``S(..)``
+      are the model's coproduct and antipode;
+    * ``M_xy``, ``P_x``, ``P^x`` (raised by the metric) and ``g_xy`` take
+      slot symbols: ``τ`` (slot 0) in the tau^2 != 0 flavors, ``+`` and
+      ``-`` (slots 0 and 1) in the light-cone ones, or a letter, which runs
+      over the slots after those; ``sum_a(..)`` sums over the slots of a;
+    * the named values are h, k = 1/h (exact models only), i, t2 = tau^2,
+      Pi, Pi_inv, C and C_tau; numbers are rationals, and ``/`` divides by
+      a nonzero number (a numeral or t2).
+
+    A character that no token reads, or a token left over, raises
+    ``PresentationError``.
+    """
+
+    def __init__(self, model):
+        self.model, self.trunc, cas = model, model.trunc, model.cas
+        light = model.flavor in ("null_plane", "qanalog_lightlike")
+        self.fixed = {"+": 0, "-": 1} if light else {"τ": 0}
+        self.slots = range(len(self.fixed), model.metric.dim)
+        self.named = {
+            "h": Scalar.h(1, self.trunc), "i": Scalar.i(self.trunc),
+            "t2": Scalar.rational(model.tau2, self.trunc), "Pi": cas.Pi,
+            "Pi_inv": cas.PiInv, "C": cas.C, "C_tau": cas.C_tau,
+        }
+        if self.trunc is None:
+            self.named["k"] = Scalar.h(-1)
+
+    def __call__(self, line, env):
+        self.toks, self.at, self.env, pos = [], 0, env, 0
+        line = line.rstrip()
+        while pos < len(line):
+            # match at each position, so that no character goes unread
+            m = _TOKEN.match(line, pos)
+            if m is None:
+                raise PresentationError(
+                    "cannot read %r in %r" % (line[pos:].strip()[0], line)
+                )
+            kind = m.lastgroup
+            key = m[kind] if kind == "op" else kind
+            self.toks.append((key, m[kind], m["head"]))
+            pos = m.end()
+        self.toks.append((None, "the end", None))
+        value = self._sum()
+        if self._take("="):
+            value = self._add(value, -self._sum())
+        if self.toks[self.at][0] is not None:
+            raise PresentationError(
+                "unread %r at the end of %r" % (self.toks[self.at][1], line)
+            )
+        return self._lift(value, 1)
+
+    def run(self, rep, groups):
+        """Add to ``rep`` one check per line of each ``(letters, lines)``
+        group, for every binding of its letters, the first outermost (in
+        ``i<j``, j runs past i).  A braced letter in a line's name that the
+        group does not bind loops inside that line.  A name prints each
+        slot as its label fragment: the slot in the tau^2 != 0 flavors,
+        slot - 1 in the light-cone ones.  A line that is a function of
+        ``(reader, env)`` gives the check's ``(passed, detail)`` itself."""
+        for letters, lines in groups:
+            for env in self._bind(letters, {}):
+                for name, line in lines:
+                    inner = [x for x in re.findall("{(.)}", name)
+                             if x not in env]
+                    for full in self._bind(inner, env):
+                        label = name.format(**{
+                            x: s + 1 - len(self.fixed) for x, s in full.items()
+                        })
+                        if callable(line):
+                            rep.add(label, *line(self, full))
+                        else:
+                            rep.zero(label, self(line, full))
+
+    def _bind(self, letters, env):
+        envs, prev, past = [env], None, False
+        for x in letters:
+            if x == "<":
+                past = True
+                continue
+            envs = [{**e, x: s} for e in envs for s in self.slots
+                    if not past or s > e[prev]]
+            prev, past = x, False
+        return envs
+
+    # --- recursive descent, evaluating as it reads -------------------------
+
+    def _take(self, op):
+        found = self.toks[self.at][0] == op
+        self.at += found
+        return found
+
+    def _expect(self, op):
+        if not self._take(op):
+            raise PresentationError(
+                "expected %r, not %r" % (op, self.toks[self.at][1])
+            )
+
+    def _sum(self):
+        total, minus = Scalar.zero(self.trunc), self._take("-")
+        while True:
+            term = self._product()
+            while self._take("(x)"):
+                term = TensorElement.from_legs(
+                    self._lift(term, 1), self._lift(self._product(), 1)
+                )
+            total = self._add(total, -term if minus else term)
+            if not (self._take("+") or self._take("-")):
+                return total
+            minus = self.toks[self.at - 1][0] == "-"
+
+    def _product(self):
+        value = self._factor()
+        while self.toks[self.at][0] not in _ENDS:
+            x = self._factor()
+            value = x * value if isinstance(value, Scalar) else value * x
+        return value
+
+    def _factor(self):
+        key, text, head = self.toks[self.at]
+        self.at += 1
+        if key == "num":
+            return Scalar.rational(int(text), self.trunc)
+        if key == "name":
+            if text not in self.named:
+                raise PresentationError("k = 1/h needs an exact model")
+            return self.named[text]
+        if key == "sym":
+            return self._symbol(head, text)
+        if key == "/":
+            x = self._factor()
+            if not (isinstance(x, Scalar) and x.is_constant() and x):
+                raise PresentationError("/ needs a nonzero number, not %r" % x)
+            return Scalar.monomial(1 / x.constant_value(), 0, 0, self.trunc)
+        if text.startswith("sum_"):
+            return self._slot_sum(text[-1])
+        if key not in ("(", "[", "call"):
+            raise PresentationError("unexpected %r" % (text,))
+        value = self._sum()
+        if key == "[":
+            self._expect(",")
+            value = self._lift(value, 1).commutator(self._lift(self._sum(), 1))
+        self._expect("]" if key == "[" else ")")
+        if text in ("D", "S"):
+            hopf = self.model.hopf
+            return (hopf.cop if text == "D" else hopf.antipode_of)(
+                self._lift(value, 1)
+            )
+        return value
+
+    def _slot_sum(self, x):
+        start, env, total = self.at, self.env, Scalar.zero(self.trunc)
+        # over no slot, the body is still read once, at slot 0, and dropped
+        for s in self.slots or [0]:
+            self.at, self.env = start, {**env, x: s}
+            term = self._sum()
+            if s in self.slots:
+                total = self._add(total, term)
+        self.env = env
+        self._expect(")")
+        return total
+
+    def _symbol(self, head, text):
+        # a bound letter reads its slot; the model refuses any other
+        slots = [self.fixed.get(s, self.env.get(s, s)) for s in text]
+        if len(slots) != (1 if head[0] == "P" else 2):
+            raise PresentationError("cannot read %s%s" % (head, text))
+        model = self.model
+        if head == "g_":
+            model._require_slots(*slots)
+            a, b = slots
+            return Scalar.rational(model.metric.g[a][b], self.trunc)
+        return {"M_": model.m, "P_": model.p, "P^": model.p_up}[head](*slots)
+
+    # --- a value is a Scalar, or a TensorElement of some rank ---------------
+
+    def _lift(self, x, rank):
+        if isinstance(x, Scalar):
+            return TensorElement.one(self.model.pres, rank, self.trunc) * x
+        return x
+
+    def _add(self, a, b):
+        if isinstance(a, Scalar) and isinstance(b, Scalar):
+            return a + b
+        rank = (b if isinstance(a, Scalar) else a).rank
+        return self._lift(a, rank) + self._lift(b, rank)
+
+
+def _printed_zero(read, env):
+    # the printed [M_tau_j, M_tau_l] = 0 misses exactly the derived rhs
+    derived = read("-i t2 M_jl", env)
+    return ((read("[M_τj, M_τl] = 0", env) - derived).is_zero()
+            and bool(derived) == (read.model.tau2 != 0),
+            "printed 0, derived -i*tau^2*M_%d%d" % (env["j"], env["l"]))
+
+
+# Each display is a list of (letters, lines) groups that _DisplayReader.run
+# checks in order; a misprint is a named deviation next to its printed line.
+# The 1+(D-1) decomposition is split around its closed forms, which
+# decomposition_display_check checks as code.
+_Q_UNIT = ("", [("pi_pi_inv", "Pi Pi_inv = 1"), ("pi_inv_pi", "Pi_inv Pi = 1")])
+_DISPLAYS = {
+    "orthog_1_plus": [
+        ("j", [("comm[M_tau_{j},P_{k}]", "[M_τj, P_k] = i g_jk P_τ"),
+               ("comm[M_tau_{j},P_tau]", "[M_τj, P_τ] = -i t2 P_j")]),
+        ("j<l", [("comm[M_tau_{j},M_tau_{l}]_derived", "[M_τj, M_τl] = -i t2 M_jl"),
+                 ("comm[M_tau_{j},M_tau_{l}]_printed_zero_deviation", _printed_zero)]),
+    ],
+    "orthog_1_plus after the closed forms": [
+        ("", [("casimir_split", "C = P_τ P_τ / t2 + sum_j(P^j P_j)"),
+              ("cop[P_tau]_display", "D(P_τ) = P_τ (x) Pi + Pi_inv (x) P_τ"
+               " - h t2 sum_j(Pi_inv P^j (x) P_j)")]),
+        ("i", [("cop[P_{i}]_display", "D(P_i) = P_i (x) Pi + 1 (x) P_i"),
+               ("cop[M_tau_{i}]_display", "D(M_τi) = M_τi (x) 1 + Pi_inv (x) M_τi"
+                " + h t2 sum_j(Pi_inv P^j (x) M_ij)")]),
+        ("a<b", [("cop[M_{a}{b}]_primitive", "D(M_ab) = M_ab (x) 1 + 1 (x) M_ab")]),
+        ("", [("antipode[P_tau]_display",
+               "S(P_τ) = -(P_τ + h t2 (C + h/2 P_τ C_tau)) Pi_inv")]),
+        ("i", [("antipode[P_{i}]_display", "S(P_i) = -P_i Pi_inv"),
+               ("antipode[M_tau_{i}]_display", "S(M_τi) = -M_τi"
+                " - h t2 (P^τ M_τi + sum_j(P^j M_ji)) - h h t2/2 C_tau M_τi")]),
+        ("", [("antipode_sends_pi_to_pi_inv", "S(Pi) = Pi_inv")]),
+    ],
+    "null_plane": [
+        ("", [("pi_plus_is_affine", "Pi = 1 + h P_+"),
+              ("casimir_split", "C = 2 P_+ P_- + sum_a(P^a P_a)"),
+              ("ctau_equals_c", "C_tau = C")]),
+        ("ab", [("comm[M_+{a},M_-{b}]", "[M_+a, M_-b] = -i (M_ab + g_ab M_+-)"),
+                ("comm[M_-{a},P_{b}]", "[M_-a, P_b] = i g_ab P_-")]),
+        ("", [("comm[M_+-,P_+]", "[M_+-, P_+] = i P_+"),
+              ("comm[M_+-,P_-]", "[M_+-, P_-] = -i P_-")]),
+        ("a", [("comm[M_+{a},P_-]", "[M_+a, P_-] = -i P_a"),
+               ("comm[M_-{a},P_+]", "[M_-a, P_+] = -i P_a"),
+               ("comm[M_+{a},P_+]", "[M_+a, P_+] = 0"),
+               ("comm[M_+-,P_{a}]", "[M_+-, P_a] = 0")]),
+        ("", [("cop[P_+]_display", "D(P_+) = P_+ (x) Pi + 1 (x) P_+")]),
+        ("a", [("cop[P_{a}]_display", "D(P_a) = P_a (x) Pi + 1 (x) P_a")]),
+        ("", [("cop[P_-]_display", "D(P_-) = P_- (x) Pi + Pi_inv (x) P_-"
+               " - h (P_- + h C/2) Pi_inv (x) P_+ - h sum_a(P^a Pi_inv (x) P_a)"),
+              ("cop[M_+-]_display", "D(M_+-) = M_+- (x) 1 + Pi_inv (x) M_+-"
+               " - h sum_a(P^a Pi_inv (x) M_+a)")]),
+        ("a", [("cop[M_-{a}]_display", "D(M_-a) = M_-a (x) 1 + Pi_inv (x) M_-a"
+                " - h (P_- + h C/2) Pi_inv (x) M_+a - h sum_b(P^b Pi_inv (x) M_ba)"),
+               ("cop[M_+{a}]_primitive", "D(M_+a) = M_+a (x) 1 + 1 (x) M_+a")]),
+        ("", [("antipode[P_+]_display", "S(P_+) = -P_+ Pi_inv")]),
+        ("a", [("antipode[P_{a}]_display", "S(P_a) = -P_a Pi_inv")]),
+        ("", [("antipode[P_-]_display",
+               "S(P_-) = -P_- Pi - h/2 (1 + Pi) sum_a(P^a P_a) Pi_inv"),
+              ("antipode[M_+-]_display", "S(M_+-) = -Pi M_+- - h sum_a(P^a M_+a)")]),
+        ("a", [("antipode[M_-{a}]_display", "S(M_-a) = -Pi M_-a"
+                " - h (P_- + h C/2) M_+a - h sum_b(P^b M_ba)")]),
+    ],
+    "qanalog_timelike": [
+        _Q_UNIT,
+        ("i", [("comm[P_{i},Pi]", "[P_i, Pi] = 0"),
+               ("comm[M_tau_{i},Pi]_derived", "[M_τi, Pi] = -i h t2 P_i"),
+               # printed without its tau^2
+               ("comm[M_tau_{i},Pi]_printed_deviation",
+                "-i h P_i - [M_τi, Pi] = i h (t2 - 1) P_i"),
+               ("comm[M_tau_{i},Pi_inv]_derived",
+                "[M_τi, Pi_inv] = i h t2 Pi_inv Pi_inv P_i"),
+               ("comm[M_tau_{i},P_{j}]_display", "[M_τi, P_j]"
+                " = i g_ij k/2 (Pi - Pi_inv - h h t2 Pi_inv sum_m(P^m P_m))")]),
+        ("a<b", [("comm[M_{a}{b},Pi]", "[M_ab, Pi] = 0")]),
+        ("i", [("cop[P_{i}]_display", "D(P_i) = P_i (x) Pi + 1 (x) P_i"),
+               ("cop[M_tau_{i}]_display", "D(M_τi) = M_τi (x) 1 + Pi_inv (x) M_τi"
+                " + h t2 sum_j(P^j Pi_inv (x) M_ij)")]),
+        ("i", [("antipode[M_tau_{i}]_polynomial_form",
+                "S(M_τi) = -Pi M_τi - h t2 sum_m(P^m M_mi)"),
+               # printed with tau^2/2 for 1/2 and 1/kappa^2 for tau^2/kappa^2
+               ("antipode[M_tau_{i}]_printed_deviation",
+                "-M_τi - t2/2 (Pi - Pi_inv - h h Pi_inv sum_m(P^m P_m)) M_τi"
+                " - h t2 sum_m(P^m M_mi) - h h t2/2 C_tau M_τi - S(M_τi)"
+                " = (1 - t2)/2 (Pi - Pi_inv) M_τi")]),
+        ("i", [("comm[M_tau_{i},P_tau_expr]", "[M_τi, P_τ] = -i t2 P_i"),
+               ("comm[P_{i},P_tau_expr]", "[P_i, P_τ] = 0")]),
+    ],
+    "qanalog_lightlike": [
+        _Q_UNIT,
+        ("", [("comm[M_+-,Pi_+]", "[M_+-, Pi] = i (Pi - 1)"),
+              ("comm[M_+-,Pi_+_inv]", "[M_+-, Pi_inv] = i (Pi_inv Pi_inv - Pi_inv)")]),
+        ("a", [("comm[M_-{a},Pi_+]", "[M_-a, Pi] = -i h P_a"),
+               ("comm[M_-{a},Pi_+_inv]", "[M_-a, Pi_inv] = i h Pi_inv Pi_inv P_a"),
+               ("comm[M_+{a},P_{b}]_display", "[M_+a, P_b] = i g_ab k (Pi - 1)"),
+               ("comm[M_+{a},P_-]", "[M_+a, P_-] = -i P_a")]),
+        ("", [("comm[M_+-,P_plus_expr]", "[M_+-, P_+] = i P_+")]),
+        ("a", [("comm[M_-{a},P_plus_expr]", "[M_-a, P_+] = -i P_a")]),
+        ("", [("casimir_via_p_plus", "C = 2 P_+ P_- + sum_a(P^a P_a)")]),
+    ],
+}
+
+
 def decomposition_display_check(model):
     """The 1+(D-1) decomposed formulas against the covariant construction.
 
-    Covers the algebra table in the adapted basis, the closed form of
-    Pi_inv, the split Casimir, the P_tau reconstruction, the decomposed
+    Covers the algebra table in the adapted basis, the closed forms of
+    Pi_inv, C_tau and P_tau, the split Casimir, the decomposed
     coproducts/antipodes, and the one known deviation: the printed
     [M_tau_j, M_tau_l] = 0 line, whose right side actually carries
     -i tau^2 M_jl (required by the Jacobi identity).
@@ -785,133 +1099,39 @@ def decomposition_display_check(model):
     if model.flavor != "orthog_1_plus":
         raise PresentationError("decomposition_display_check needs orthog_1_plus")
     rep = Report("decomposed displays", {"tau2": str(model.tau2)})
-    dim = model.metric.dim
-    t2 = model.tau2
-    g = model.metric.g
-    nh, nxi = model.trunc
-    I = Scalar.i(model.trunc)
-    one = TensorElement.one(model.pres, 1, model.trunc)
-    cas = model.cas
+    read = _DisplayReader(model)
+    read.run(rep, _DISPLAYS["orthog_1_plus"])
 
-    p_tau = model.p(0)
-    pp = _momentum_square(model, 1)
-
-    # algebra sector in the adapted basis
-    for j in range(1, dim):
-        for k in range(1, dim):
-            got = model.m(0, j).commutator(model.p(k))
-            rep.zero("comm[M_tau_%d,P_%d]" % (j, k), got - p_tau * (I * g[j][k]))
-        rep.zero(
-            "comm[M_tau_%d,P_tau]" % j,
-            model.m(0, j).commutator(p_tau) + model.p(j) * (I * t2),
-        )
-    for j in range(1, dim):
-        for l in range(j + 1, dim):
-            got = model.m(0, j).commutator(model.m(0, l))
-            derived = -model.m(j, l) * (I * t2)
-            rep.zero("comm[M_tau_%d,M_tau_%d]_derived" % (j, l), got - derived)
-            # the printed table shows 0 here; record the exact deviation
-            rep.add(
-                "comm[M_tau_%d,M_tau_%d]_printed_zero_deviation" % (j, l),
-                (got - derived).is_zero() and bool(derived) == (t2 != 0),
-                "printed 0, derived -i*tau^2*M_%d%d" % (j, l),
-            )
-
-    # closed form of Pi_inv: (sqrt - P_tau/kappa) / (1 + tau^2 P^m P_m/kappa^2)
-    bump = (nh + 2, nxi)
+    # the closed forms, at a bumped h-order so that no division by kappa
+    # loses a term of the working truncation
+    pres, bump = model.pres, (model.trunc[0] + 2, model.trunc[1])
     atoms = _covariant_atoms(model, bump)
-    sqrt_el = atoms["Pi"] - atoms["P_tau"] * Scalar.h(1, bump)
-    pp_b = _quadratic(
-        TensorElement.zero(model.pres, 1, bump),
-        model.metric.inverse(),
-        lambda m: TensorElement.gen(model.pres, model.p_index[m], bump),
-        range(1, dim),
-    )
-    denom = TensorElement.one(model.pres, 1, bump) + pp_b * Scalar.monomial(
-        gr(t2), 2, 0, bump
-    )
-    closed = (sqrt_el - atoms["P_tau"] * Scalar.h(1, bump)) * unital_inverse(denom)
-    rep.zero("pi_inv_closed_form", closed.retrunc(model.trunc) - cas.PiInv)
+    pi, piv, p_tau = atoms["Pi"], atoms["PiInv"], atoms["P_tau"]
+    one = TensorElement.one(pres, 1, bump)
+    # tau^2 P^m P_m/kappa^2 over the slots orthogonal to tau
+    pp = _quadratic(
+        TensorElement.zero(pres, 1, bump), model.metric.inverse(),
+        lambda m: TensorElement.gen(pres, model.p_index[m], bump),
+        range(1, model.metric.dim),
+    ) * Scalar.monomial(gr(model.tau2), 2, 0, bump)
+    for name, got, want in (
+        # Pi_inv = (sqrt - P_tau/kappa) / (1 + tau^2 P^m P_m/kappa^2), where
+        # sqrt = Pi - P_tau/kappa
+        ("pi_inv_closed_form",
+         (pi - p_tau * Scalar.h(1, bump) * 2) * unital_inverse(one + pp),
+         model.cas.PiInv),
+        # C_tau = (kappa^2/tau^2)(Pi + Pi_inv - 2 + tau^2 P^m P_m Pi_inv/kappa^2)
+        ("casimir_ctau_grouplike_form",
+         (pi + piv - one * 2 + pp * piv).map_scalars(lambda sc: sc.shift(-2))
+         * (1 / model.tau2), model.cas.C_tau),
+        # P_tau = (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2))
+        ("p_tau_reconstruction",
+         (pi - piv * (one + pp)).map_scalars(lambda sc: sc.shift(-1)) * _HALF,
+         p_tau),
+    ):
+        rep.zero(name, got.retrunc(model.trunc) - want.retrunc(model.trunc))
 
-    # C_tau = (kappa^2/tau^2)(Pi + Pi_inv - 2 + tau^2 P^m P_m Pi_inv/kappa^2)
-    comb = (
-        atoms["Pi"]
-        + atoms["PiInv"]
-        - TensorElement.one(model.pres, 1, bump) * 2
-        + pp_b * atoms["PiInv"] * Scalar.monomial(gr(t2), 2, 0, bump)
-    )
-    ct = comb.map_scalars(lambda sc: sc.shift(-2)) * (Fraction(1) / t2)
-    rep.zero("casimir_ctau_grouplike_form", ct.retrunc(model.trunc) - cas.C_tau)
-
-    # (P_tau, Pi, Pi_inv) are not independent:
-    # P_tau = (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2))
-    recon = atoms["Pi"] - atoms["PiInv"] * (
-        TensorElement.one(model.pres, 1, bump)
-        + pp_b * Scalar.monomial(gr(t2), 2, 0, bump)
-    )
-    recon = recon.map_scalars(lambda sc: sc.shift(-1)) * _HALF
-    rep.zero("p_tau_reconstruction", recon.retrunc(model.trunc) - atoms["P_tau"].retrunc(model.trunc))
-
-    # split Casimir: C = P_tau^2/tau^2 + g^{ij} P_i P_j
-    rep.zero("casimir_split", p_tau * p_tau * (Fraction(1) / t2) + pp - cas.C)
-
-    # coproducts
-
-    h1 = Scalar.h(1, model.trunc)
-    disp = otimes(p_tau, cas.Pi) + otimes(cas.PiInv, p_tau)
-    for j in range(1, dim):
-        disp = disp - otimes(cas.PiInv * model.p_up(j), model.p(j)) * (h1 * t2)
-    rep.zero("cop[P_tau]_display", disp - model.hopf.coproduct[model.p_index[0]])
-    for i in range(1, dim):
-        disp = otimes(model.p(i), cas.Pi) + otimes(one, model.p(i))
-        rep.zero(
-            "cop[P_%d]_display" % i,
-            disp - model.hopf.coproduct[model.p_index[i]],
-        )
-        disp = otimes(model.m(0, i), one) + otimes(cas.PiInv, model.m(0, i))
-        for j in range(1, dim):
-            disp = disp + otimes(cas.PiInv * model.p_up(j), model.m(i, j)) * (
-                h1 * t2
-            )
-        rep.zero(
-            "cop[M_tau_%d]_display" % i,
-            disp - model.hopf.coproduct[model.m_index[(0, i)]],
-        )
-    for (a, b) in sorted(model.m_index):
-        if a == 0:
-            continue
-        mel = model.m(a, b)
-        disp = otimes(mel, one) + otimes(one, mel)
-        rep.zero(
-            "cop[M_%d%d]_primitive" % (a, b),
-            disp - model.hopf.coproduct[model.m_index[(a, b)]],
-        )
-
-    # antipodes
-    half_h1 = Scalar.monomial(gr(_HALF), 1, 0, model.trunc)
-    disp = -(
-        p_tau + (cas.C + p_tau * cas.C_tau * half_h1) * (h1 * t2)
-    ) * cas.PiInv
-    rep.zero("antipode[P_tau]_display", disp - model.hopf.antipode[model.p_index[0]])
-    for i in range(1, dim):
-        rep.zero(
-            "antipode[P_%d]_display" % i,
-            -(model.p(i) * cas.PiInv) - model.hopf.antipode[model.p_index[i]],
-        )
-        disp = -model.m(0, i)
-        for al in range(dim):
-            disp = disp - model.p_up(al) * model.m(al, i) * (h1 * t2)
-        disp = disp - cas.C_tau * model.m(0, i) * Scalar.monomial(
-            gr(t2 * _HALF), 2, 0, model.trunc
-        )
-        rep.zero(
-            "antipode[M_tau_%d]_display" % i,
-            disp - model.hopf.antipode[model.m_index[(0, i)]],
-        )
-    rep.zero(
-        "antipode_sends_pi_to_pi_inv",
-        model.hopf.antipode_of(cas.Pi) - cas.PiInv,
-    )
+    read.run(rep, _DISPLAYS["orthog_1_plus after the closed forms"])
     return rep
 
 
@@ -920,113 +1140,29 @@ def nullplane_display_check(model):
     if model.flavor != "null_plane":
         raise PresentationError("nullplane_display_check needs null_plane")
     rep = Report("null-plane displays", {"dim": model.metric.dim})
-    dim = model.metric.dim
-    g = model.metric.g
-    cas = model.cas
-    I = Scalar.i(model.trunc)
-    h1 = Scalar.h(1, model.trunc)
-    one = TensorElement.one(model.pres, 1, model.trunc)
-    p_p, p_m = model.p(0), model.p(1)
-
-    rep.zero("pi_plus_is_affine", cas.Pi - (one + p_p * h1))
-    pp = _momentum_square(model, 2)
-    rep.zero("casimir_split", p_p * p_m * 2 + pp - cas.C)
-    rep.zero("ctau_equals_c", cas.C_tau - cas.C)
-
-    # algebra table
-    for a in range(2, dim):
-        for b in range(2, dim):
-            got = model.m(0, a).commutator(model.m(1, b))
-            want = -(model.m(a, b) + model.m(0, 1) * g[a][b]) * I
-            rep.zero("comm[M_+%d,M_-%d]" % (a - 1, b - 1), got - want)
-            rep.zero(
-                "comm[M_-%d,P_%d]" % (a - 1, b - 1),
-                model.m(1, a).commutator(model.p(b)) - p_m * (I * g[a][b]),
-            )
-    rep.zero("comm[M_+-,P_+]", model.m(0, 1).commutator(p_p) - p_p * I)
-    rep.zero("comm[M_+-,P_-]", model.m(0, 1).commutator(p_m) + p_m * I)
-    for a in range(2, dim):
-        rep.zero(
-            "comm[M_+%d,P_-]" % (a - 1),
-            model.m(0, a).commutator(p_m) + model.p(a) * I,
-        )
-        rep.zero(
-            "comm[M_-%d,P_+]" % (a - 1),
-            model.m(1, a).commutator(p_p) + model.p(a) * I,
-        )
-        rep.zero("comm[M_+%d,P_+]" % (a - 1), model.m(0, a).commutator(p_p))
-        rep.zero(
-            "comm[M_+-,P_%d]" % (a - 1),
-            model.m(0, 1).commutator(model.p(a)),
-        )
+    _DisplayReader(model).run(rep, _DISPLAYS["null_plane"])
+    return rep
 
 
-    # coproducts
-    for slot in [0] + list(range(2, dim)):
-        disp = otimes(model.p(slot), cas.Pi) + otimes(one, model.p(slot))
-        rep.zero(
-            "cop[%s]_display" % model.pres.label(model.p_index[slot]),
-            disp - model.hopf.coproduct[model.p_index[slot]],
-        )
-    pmc = p_m + cas.C * Scalar.monomial(gr(_HALF), 1, 0, model.trunc)
-    disp = (
-        otimes(p_m, cas.Pi)
-        + otimes(cas.PiInv, p_m)
-        - otimes(pmc * cas.PiInv, p_p) * h1
-    )
-    for a in range(2, dim):
-        disp = disp - otimes(model.p_up(a) * cas.PiInv, model.p(a)) * h1
-    rep.zero("cop[P_-]_display", disp - model.hopf.coproduct[model.p_index[1]])
-    disp = otimes(model.m(0, 1), one) + otimes(cas.PiInv, model.m(0, 1))
-    for a in range(2, dim):
-        disp = disp - otimes(model.p_up(a) * cas.PiInv, model.m(0, a)) * h1
-    rep.zero(
-        "cop[M_+-]_display", disp - model.hopf.coproduct[model.m_index[(0, 1)]]
-    )
-    for a in range(2, dim):
-        disp = (
-            otimes(model.m(1, a), one)
-            + otimes(cas.PiInv, model.m(1, a))
-            - otimes(pmc * cas.PiInv, model.m(0, a)) * h1
-        )
-        for b in range(2, dim):
-            disp = disp - otimes(model.p_up(b) * cas.PiInv, model.m(b, a)) * h1
-        rep.zero(
-            "cop[M_-%d]_display" % (a - 1),
-            disp - model.hopf.coproduct[model.m_index[(1, a)]],
-        )
-        disp = otimes(model.m(0, a), one) + otimes(one, model.m(0, a))
-        rep.zero(
-            "cop[M_+%d]_primitive" % (a - 1),
-            disp - model.hopf.coproduct[model.m_index[(0, a)]],
-        )
+def q_display_check(model):
+    """Printed q-analog formulas against the stored presentation.
 
-    # antipodes
-    for slot in [0] + list(range(2, dim)):
-        rep.zero(
-            "antipode[%s]_display" % model.pres.label(model.p_index[slot]),
-            -(model.p(slot) * cas.PiInv)
-            - model.hopf.antipode[model.p_index[slot]],
-        )
-    disp = -(p_m * cas.Pi) - (one + cas.Pi) * pp * cas.PiInv * Scalar.monomial(
-        gr(_HALF), 1, 0, model.trunc
-    )
-    rep.zero("antipode[P_-]_display", disp - model.hopf.antipode[model.p_index[1]])
-    disp = -(cas.Pi * model.m(0, 1))
-    for a in range(2, dim):
-        disp = disp - model.p_up(a) * model.m(0, a) * h1
-    rep.zero(
-        "antipode[M_+-]_display",
-        disp - model.hopf.antipode[model.m_index[(0, 1)]],
-    )
-    for a in range(2, dim):
-        disp = -(cas.Pi * model.m(1, a)) - pmc * model.m(0, a) * h1
-        for b in range(2, dim):
-            disp = disp - model.p_up(b) * model.m(b, a) * h1
-        rep.zero(
-            "antipode[M_-%d]_display" % (a - 1),
-            disp - model.hopf.antipode[model.m_index[(1, a)]],
-        )
+    The stored coproducts and antipodes come from the covariant formula set
+    that builds every flavor (``_hopf_tables``), so the printed q forms are
+    checked against that engine, not against tables written in their own
+    shape.  For the tau^2 != 0 flavor this includes the two known display
+    deviations, recorded with their exact differences: the [M_tau_i, Pi]
+    line printed without its tau^2 factor, and the antipode of M_tau_i
+    whose printed bracket carries tau^2/2 (for 1/2) and 1/kappa^2 (for
+    tau^2/kappa^2).  Both printed forms agree with the derived ones exactly
+    when tau^2 = 1; the checks pin the deviation at general tau^2.  The
+    tau^2 = 0 table is typo-free: its rows that mix generators with the
+    group-likes are spot-checked.
+    """
+    if not model.flavor.startswith("qanalog"):
+        raise PresentationError("q_display_check needs a q-analog flavor")
+    rep = Report("q-analog displays", {"flavor": model.flavor})
+    _DisplayReader(model).run(rep, _DISPLAYS[model.flavor])
     return rep
 
 
@@ -1089,179 +1225,6 @@ def q_hadic_correspondence_check(q_model, trunc=(3, 3)):
         {"flavor": q_model.flavor, "trunc": str(trunc)},
     )
     _hopf_map_check(rep, "corr", q_model.hopf, h_model.hopf, images)
-    return rep
-
-
-def q_display_check(model):
-    """Printed q-analog formulas against the stored presentation.
-
-    The stored coproducts and antipodes come from the covariant formula set
-    that builds every flavor (``_hopf_tables``), so the printed q forms are
-    checked against that engine, not against tables written in their own
-    shape.  For the tau^2 != 0 flavor this includes the two known display
-    deviations, recorded with their exact differences: the [M_tau_i, Pi]
-    line printed without its tau^2 factor, and the antipode of M_tau_i
-    whose printed bracket carries tau^2/2 (for 1/2) and 1/kappa^2 (for
-    tau^2/kappa^2).  Both printed forms agree with the derived ones exactly
-    when tau^2 = 1; the checks pin the deviation at general tau^2.
-    """
-    if not model.flavor.startswith("qanalog"):
-        raise PresentationError("q_display_check needs a q-analog flavor")
-    rep = Report("q-analog displays", {"flavor": model.flavor})
-    pres = model.pres
-    dim = model.metric.dim
-    g = model.metric.g
-    pi, piv = model.grouplike
-    el_pi = model.pi_power(1)
-    el_piv = model.pi_power(-1)
-    one = TensorElement.one(pres, 1)
-    I = Scalar.i()
-    # P^m P_m over the slots g-orthogonal to tau (and to its null partner)
-    timelike = model.flavor == "qanalog_timelike"
-    pp = _momentum_square(model, 1 if timelike else 2)
-
-    rep.zero("pi_pi_inv", el_pi * el_piv - one)
-    rep.zero("pi_inv_pi", el_piv * el_pi - one)
-
-    if timelike:
-        t2 = model.tau2
-        for i in range(1, dim):
-            rep.zero("comm[P_%d,Pi]" % i, model.p(i).commutator(el_pi))
-            mt = model.m(0, i)
-            derived = -model.p(i) * Scalar.monomial(gr(0, t2), 1, 0)
-            rep.zero("comm[M_tau_%d,Pi]_derived" % i, mt.commutator(el_pi) - derived)
-            printed = -model.p(i) * Scalar.monomial(gr(0, 1), 1, 0)
-            rep.zero(
-                "comm[M_tau_%d,Pi]_printed_deviation" % i,
-                (printed - derived)
-                - model.p(i) * Scalar.monomial(gr(0, t2 - 1), 1, 0),
-            )
-            derived = (el_piv * el_piv * model.p(i)) * Scalar.monomial(
-                gr(0, t2), 1, 0
-            )
-            rep.zero(
-                "comm[M_tau_%d,Pi_inv]_derived" % i,
-                mt.commutator(el_piv) - derived,
-            )
-            # (q2)
-            bracket = el_pi - el_piv - el_piv * pp * Scalar.monomial(gr(t2), 2, 0)
-            for j in range(1, dim):
-                want = bracket * Scalar.monomial(gr(0, _HALF * g[i][j]), -1, 0)
-                rep.zero(
-                    "comm[M_tau_%d,P_%d]_display" % (i, j),
-                    mt.commutator(model.p(j)) - want,
-                )
-        for (a, b) in sorted(model.m_index):
-            if a == 0:
-                continue
-            rep.zero(
-                "comm[M_%d%d,Pi]" % (a, b),
-                model.m(a, b).commutator(el_pi),
-            )
-        # coproduct displays
-
-        for i in range(1, dim):
-            disp = otimes(model.p(i), el_pi) + otimes(one, model.p(i))
-            rep.zero(
-                "cop[P_%d]_display" % i,
-                disp - model.hopf.coproduct[model.p_index[i]],
-            )
-            disp = otimes(model.m(0, i), one) + otimes(el_piv, model.m(0, i))
-            for j in range(1, dim):
-                disp = disp + otimes(
-                    model.p_up(j) * el_piv, model.m(i, j)
-                ) * Scalar.monomial(gr(t2), 1, 0)
-            rep.zero(
-                "cop[M_tau_%d]_display" % i,
-                disp - model.hopf.coproduct[model.m_index[(0, i)]],
-            )
-        # antipode: collapsed polynomial form and the printed deviation
-        for i in range(1, dim):
-            mt = model.m(0, i)
-            collapsed = -(el_pi * mt)
-            for k in range(1, dim):
-                collapsed = collapsed - model.p_up(k) * model.m(k, i) * (
-                    Scalar.monomial(gr(t2), 1, 0)
-                )
-            engine = model.hopf.antipode[model.m_index[(0, i)]]
-            rep.zero("antipode[M_tau_%d]_polynomial_form" % i, engine - collapsed)
-            bracket_printed = (
-                el_pi - el_piv - el_piv * pp * Scalar.monomial(gr(1), 2, 0)
-            )
-            printed = -mt - bracket_printed * mt * Scalar.monomial(
-                gr(t2 * _HALF)
-            )
-            for k in range(1, dim):
-                printed = printed - model.p_up(k) * model.m(k, i) * (
-                    Scalar.monomial(gr(t2), 1, 0)
-                )
-            printed = printed - model.cas.C_tau * mt * Scalar.monomial(
-                gr(t2 * _HALF), 2, 0
-            )
-            expected_dev = (el_pi - el_piv) * mt * Scalar.monomial(
-                gr((1 - t2) * _HALF)
-            )
-            rep.zero(
-                "antipode[M_tau_%d]_printed_deviation" % i,
-                (printed - engine) - expected_dev,
-            )
-        # the reconstructed P_tau behaves like the decomposed P_tau
-        for i in range(1, dim):
-            rep.zero(
-                "comm[M_tau_%d,P_tau_expr]" % i,
-                model.m(0, i).commutator(model.p_tau_expr)
-                + model.p(i) * (I * t2),
-            )
-            rep.zero(
-                "comm[P_%d,P_tau_expr]" % i,
-                model.p(i).commutator(model.p_tau_expr),
-            )
-    else:
-        # lightlike: the printed table is typo-free; spot-check the rows
-        # that mix generators with the group-likes
-        h1 = Scalar.h(1)
-        pm = model.p(1)
-        rep.zero(
-            "comm[M_+-,Pi_+]",
-            model.m(0, 1).commutator(el_pi) - (el_pi - one) * I,
-        )
-        rep.zero(
-            "comm[M_+-,Pi_+_inv]",
-            model.m(0, 1).commutator(el_piv)
-            - (el_piv * el_piv - el_piv) * I,
-        )
-        for a in range(2, dim):
-            rep.zero(
-                "comm[M_-%d,Pi_+]" % (a - 1),
-                model.m(1, a).commutator(el_pi) + model.p(a) * (I * h1),
-            )
-            rep.zero(
-                "comm[M_-%d,Pi_+_inv]" % (a - 1),
-                model.m(1, a).commutator(el_piv)
-                - el_piv * el_piv * model.p(a) * (I * h1),
-            )
-            for b in range(2, dim):
-                want = (el_pi - one) * Scalar.monomial(gr(0, g[a][b]), -1, 0)
-                rep.zero(
-                    "comm[M_+%d,P_%d]_display" % (a - 1, b - 1),
-                    model.m(0, a).commutator(model.p(b)) - want,
-                )
-            rep.zero(
-                "comm[M_+%d,P_-]" % (a - 1),
-                model.m(0, a).commutator(pm) + model.p(a) * I,
-            )
-        # P_+ reconstruction: kappa(Pi_+ - 1) plays the momentum role
-        pplus = model.p_tau_expr
-        rep.zero(
-            "comm[M_+-,P_plus_expr]",
-            model.m(0, 1).commutator(pplus) - pplus * I,
-        )
-        for a in range(2, dim):
-            rep.zero(
-                "comm[M_-%d,P_plus_expr]" % (a - 1),
-                model.m(1, a).commutator(pplus) + model.p(a) * I,
-            )
-        rep.zero("casimir_via_p_plus", pplus * pm * 2 + pp - model.cas.C)
     return rep
 
 
@@ -1399,7 +1362,7 @@ def rescaling_isomorphism_check(model, lam=2):
     degree offset), and for q-analogs by specializing h = 1/kappa_0 at
     kappa_0 = 1, 2, 10 and normalizing with the momentum rescale.
     """
-    lam = Fraction(lam)
+    lam = _fractions([lam], 1)[0]
     if lam == 0:
         raise PresentationError("rescaling needs lambda != 0")
     rep = Report(

@@ -74,21 +74,6 @@ class Report:
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def summary_lines(self):
-        lines = ["== %s ==" % self.title]
-        for k in sorted(self.header):
-            lines.append("   %s: %s" % (k, self.header[k]))
-        for c in self.checks:
-            mark = "ok  " if c.passed else "FAIL"
-            line = " %s %s" % (mark, c.name)
-            if c.detail and not c.passed:
-                line += "  [%s]" % c.detail
-            lines.append(line)
-        lines.append(
-            " -> %d checks, %d failed" % (len(self.checks), self.n_failed)
-        )
-        return lines
-
     def __repr__(self):
         return "Report(%r, %d checks, %d failed)" % (
             self.title,

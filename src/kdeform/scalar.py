@@ -201,9 +201,6 @@ class GaussianRational:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def is_real(self):
-        return self.b == 0
-
     def __repr__(self):
         re, im = self.re, self.im
         if not im:
@@ -479,10 +476,11 @@ class Scalar:
         return Scalar._make(out, new_trunc)
 
     def specialize(self, h_value, xi_value=0):
-        """Evaluate at rational parameter values; h_value may not be 0 when
-        negative h-degrees are present."""
-        h_value = Fraction(h_value)
-        xi_value = Fraction(xi_value)
+        """Evaluate at exact rational parameter values; h_value may not be 0
+        when negative h-degrees are present."""
+        h_value, xi_value = _fraction(h_value), _fraction(xi_value)
+        if h_value == 0 and self.has_negative_h():
+            raise ScalarDomainError("h = 0 in a negative power of h")
         total = GR_ZERO
         for (a, b), v in self.terms.items():
             total = total + v * (h_value ** a) * (xi_value ** b)

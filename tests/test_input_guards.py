@@ -60,6 +60,15 @@ def leg_map(name, leg):
     return getattr(hopf, name)(cop, leg)
 
 
+def rank_two_map(name):
+    """The element map ``name`` of the primitive structure on ``pair``,
+    applied to the rank-2 unit."""
+    pres = pair()[0]
+    return getattr(twist.primitive_hopf(pres, None), name)(
+        TensorElement.one(pres, 2)
+    )
+
+
 def foreign_legs():
     pres_a, pres_b = pair()[0], pair()[0]
     return TensorElement.from_legs(
@@ -127,6 +136,8 @@ GUARDS = [
           lambda: km.q_display_check(covariant())),
     guard("rescaling_lambda_zero", "lambda != 0",
           lambda: km.rescaling_isomorphism_check(covariant(), lam=0)),
+    guard("rescaling_lambda_float", "need exact rational entries",
+          lambda: km.rescaling_isomorphism_check(covariant(), lam=0.1)),
     guard("q_hadic_correspondence_wrong_flavor", "needs a q-analog model",
           lambda: km.q_hadic_correspondence_check(orthog())),
     guard("hopf_covariance_wrong_flavor", "needs covariant_hadic",
@@ -159,6 +170,12 @@ GUARDS = [
           lambda: leg_map("apply_antipode_leg", -1)),
     guard("counit_leg_past_rank", "no leg 2 in a rank-2 tensor",
           lambda: leg_map("apply_counit_leg", 2)),
+    guard("cop_of_rank_2", "needs a rank-1 element, not rank 2",
+          lambda: rank_two_map("cop")),
+    guard("antipode_of_rank_2", "needs a rank-1 element, not rank 2",
+          lambda: rank_two_map("antipode_of")),
+    guard("counit_of_rank_2", "needs a rank-1 element, not rank 2",
+          lambda: rank_two_map("counit_of")),
     # wedges
     guard("wedge_bad_coefficient", "bad wedge coefficient",
           lambda: WedgeTensor.from_labels(

@@ -1,6 +1,7 @@
 """Tests for the deformed Hopf algebra catalog (all five flavors)."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -402,6 +403,72 @@ def test_q_lightlike_exact():
                h_polynomial_check, classical_hopf_check):
         rep = fn(m)
         assert rep.ok, (fn.__name__, failed(rep))
+
+
+# --- the printed displays, read by one reader ---------------------------------
+
+# one d=3 model per display table; tau^2 = 3 for the tau^2 != 0 flavors, so
+# that every printed deviation has a nonzero right side
+DISPLAY_CASES = {
+    "orthog_1_plus": (decomposition_display_check, "orthog_1_plus", (2, 1, 0), (2, 0)),
+    "orthog_1_plus after the closed forms": (
+        decomposition_display_check, "orthog_1_plus", (2, 1, 0), (2, 0)),
+    "null_plane": (nullplane_display_check, "null_plane", (1, 1, 0), (2, 0)),
+    "qanalog_timelike": (q_display_check, "qanalog_timelike", (2, 1, 0), None),
+    "qanalog_lightlike": (q_display_check, "qanalog_lightlike", (1, 1, 0), None),
+}
+DISPLAY_MODELS = {}
+
+
+def display_model(key):
+    _check, flavor, tau, trunc = DISPLAY_CASES[key]
+    if key not in DISPLAY_MODELS:
+        DISPLAY_MODELS[key] = Model(ModelConfig(MINK3, tau, flavor, trunc))
+    return DISPLAY_MODELS[key]
+
+
+def printed_lines():
+    """(table, group, line) of every printed line whose right side is not
+    written as 0, so that flipping its sign changes it."""
+    for key, groups in km._DISPLAYS.items():
+        for g, (_letters, lines) in enumerate(groups):
+            for n, (name, line) in enumerate(lines):
+                if not callable(line) and not line.endswith("= 0"):
+                    yield pytest.param(key, g, n, id="%s:%s" % (key, name))
+
+
+def test_every_display_table_has_a_case():
+    assert sorted(DISPLAY_CASES) == sorted(km._DISPLAYS)
+
+
+@pytest.mark.parametrize("key,group,entry", printed_lines())
+def test_a_sign_flip_in_one_printed_line_fails_that_check_alone(
+        key, group, entry, monkeypatch):
+    check = DISPLAY_CASES[key][0]
+    model = display_model(key)
+    n_checks = len(check(model).checks)
+    groups = [(letters, list(lines)) for letters, lines in km._DISPLAYS[key]]
+    name, line = groups[group][1][entry]
+    lhs, rhs = line.split(" = ")
+    groups[group][1][entry] = (name, "%s = -(%s)" % (lhs, rhs))
+    monkeypatch.setitem(km._DISPLAYS, key, groups)
+    rep = check(model)
+    # the name with each braced letter read as any slot label
+    pattern = re.sub(r"\\\{\w\\\}", lambda _: r"\d+", re.escape(name))
+    assert len(rep.checks) == n_checks
+    assert failed(rep), name
+    assert all(re.fullmatch(pattern, f) for f in failed(rep)), failed(rep)
+
+
+def test_the_display_reader_refuses_what_it_cannot_read():
+    read = km._DisplayReader(display_model("null_plane"))
+    assert read("Pi = 1 + h P_+", {}).is_zero()
+    with pytest.raises(PresentationError, match="cannot read '\\$'"):
+        read("Pi = 1 + h $ P_+", {})
+    with pytest.raises(PresentationError, match="unread ']'"):
+        read("Pi = 1 + h P_+ ]", {})
+    with pytest.raises(PresentationError, match="k = 1/h needs an exact model"):
+        read("Pi = k", {})
 
 
 def test_q_reality():

@@ -24,7 +24,9 @@ The report cases pin the sha256 of ``Report.to_json()`` for the model checks
 that the other tests only assert as ``ok``: the display, covariance,
 rescaling, classical-limit, Casimir, h-polynomiality, presentation and
 q-analog correspondence checks.  A change that renames, drops, reorders or
-adds a check, or changes a header, changes a digest.
+adds a check, or changes a header, changes a digest.  The d=2 light-cone
+display cases have no transverse slot, so every transverse sum and loop in
+them is empty.
 """
 
 import hashlib
@@ -197,10 +199,14 @@ REPORT_CASES = {
         build_iso(MINK3), [(2, 1, 0), (0, 1, 1), (1, 0, 1)]),
     "decomposition_display_d3": lambda: km.decomposition_display_check(
         model(MINK3, (1, 0, 0), "orthog_1_plus", (2, 0))),
+    "nullplane_display_d2": lambda: km.nullplane_display_check(
+        model(MINK2, (1, 1), "null_plane", (2, 0))),
     "nullplane_display_d3": lambda: km.nullplane_display_check(
         model(MINK3, (1, 1, 0), "null_plane", (2, 0))),
     "q_display_timelike_skew3": lambda: km.q_display_check(
         model(SKEW3, (1, 0, 0), "qanalog_timelike", None)),
+    "q_display_lightlike_d2": lambda: km.q_display_check(
+        model(MINK2, (1, 1), "qanalog_lightlike", None)),
     "q_display_lightlike_d3": lambda: km.q_display_check(
         model(MINK3, (1, 1, 0), "qanalog_lightlike", None)),
     "q_hadic_correspondence_d2": lambda: km.q_hadic_correspondence_check(
@@ -236,10 +242,14 @@ REPORT_DIGESTS = {
         "3042b125fb8873161da2aefbb5b689a95f75048539dde4bdcb80cb117909b929",
     "hopf_covariance_d2_boost":
         "9f5822616840d30d738eb9b321d6605d0c2c63f3da7951c8ef4eb40d6499b4cd",
+    "nullplane_display_d2":
+        "91022d2c1087db4113140f45275bcfe6e3b9b976d081d1b8498cfcabe8f3810e",
     "nullplane_display_d3":
         "b4cc9379e032817c1e65cc7803fac8e990d372ab41014c3328774a64051df269",
     "presentation_q_timelike_skew3":
         "efe936f8b7c1504b71523fc6137dcd93e9730bb8b6a3ae4c93b5f74709065d95",
+    "q_display_lightlike_d2":
+        "7aa3a0a20fdce0648ea757669a1bc3fbac8d088b5574ecf64da551a0ad9eecea",
     "q_display_lightlike_d3":
         "aeda06dc0f8be3822f54f84187b8138eb9c807768939faf901ea1d79fd3234c9",
     "q_display_timelike_skew3":

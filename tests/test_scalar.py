@@ -69,6 +69,23 @@ def test_exact_coefficient_input_is_kept():
     assert Scalar.rational(3) == Scalar({(0, 0): 3})
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: Scalar.h(1).specialize(0.1), "not 0.1"),
+    (lambda: Scalar.h(1).specialize("x"), "not 'x'"),
+    (lambda: Scalar.xi().specialize(1, 0.5), "not 0.5"),
+    (lambda: Scalar.h(-1).specialize(0), "h = 0 in a negative power of h"),
+], ids=["h_float", "h_str", "xi_float", "h_zero_in_negative_power"])
+def test_specialize_refuses_inexact_values_and_a_pole(call, message):
+    with pytest.raises(ScalarDomainError, match=re.escape(message)):
+        call()
+
+
+def test_specialize_keeps_exact_values():
+    assert Scalar.h(1).specialize("1/10") == gr("1/10")
+    assert (Scalar.h(2) + Scalar.one()).specialize(0) == GR_ONE
+    assert Scalar.xi(2).specialize(1, Fraction(1, 3)) == gr("1/9")
+
+
 def test_scalar_monomials_and_coeffs():
     s = Scalar.h(2) * Scalar.xi() * 3
     assert s.coeff(2, 1) == gr(3)
@@ -245,7 +262,7 @@ def assert_matches(z, pair):
     assert (z.re, z.im) == pair
     assert z == GaussianRational(*pair)
     assert bool(z) == (pair != (0, 0))
-    assert z.is_real() == (pair[1] == 0)
+    assert (z.b == 0) == (pair[1] == 0)
     assert repr(z) == ref_repr(*pair)
 
 

@@ -8,7 +8,9 @@ through ``Presentation.structure_constants``.  A scan fails on any other
 read of ``comm_rules`` or ``product_rules``.  The floor rule that prunes
 products lives in ``ncalg`` alone: a scan fails on any other module that
 names ``_floor`` or ``_rows``, the slot where a tensor keeps the terms that
-survive each left floor.
+survive each left floor.  The three display checks build no tensor by hand:
+a scan fails on a call to ``otimes`` or ``from_legs`` inside them, since
+their displays are printed lines that one reader reads.
 """
 
 import ast
@@ -184,6 +186,41 @@ def test_the_scan_sees_a_floor_rule_name():
                          ids=lambda p: p.name)
 def test_only_ncalg_names_the_floor_rule(path):
     assert named(path.read_text()) & FLOOR_RULE == set()
+
+
+DISPLAY_CHECKS = ("decomposition_display_check", "nullplane_display_check",
+                  "q_display_check")
+HAND_BUILT = {"otimes", "from_legs"}
+
+
+def hand_built_tensors(source, functions):
+    """(function, callee) of every call to ``otimes`` or ``from_legs``
+    inside the top-level ``functions`` of a source."""
+    return [
+        (node.name, name)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+        for sub in ast.walk(node) if isinstance(sub, ast.Call)
+        for name in [getattr(sub.func, "id", getattr(sub.func, "attr", None))]
+        if name in HAND_BUILT
+    ]
+
+
+def test_the_scan_sees_a_hand_built_tensor():
+    source = (
+        "def q_display_check(m):\n"
+        "    return otimes(m.p(1), one) + TensorElement.from_legs(one, one)\n\n"
+        "def _hopf_tables(m):\n    return otimes(one, one)\n"
+    )
+    assert hand_built_tensors(source, DISPLAY_CHECKS) == [
+        ("q_display_check", "otimes"), ("q_display_check", "from_legs"),
+    ]
+
+
+def test_the_display_checks_build_no_tensor_by_hand():
+    # each display is a printed line that the one reader reads (item 13)
+    source = (SRC / "model.py").read_text()
+    assert hand_built_tensors(source, DISPLAY_CHECKS) == []
 
 
 def load_tracer():
