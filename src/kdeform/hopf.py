@@ -13,9 +13,11 @@ anti-multiplicatively, multiplicatively respectively); each word's image is
 memoized by the one helper :func:`kdeform.ncalg.word_image`, one cache per
 map.  The three leg maps share one helper that replaces a single tensor leg
 by a word's image, and the coproduct and antipode of an element are those
-leg maps at rank 1.  The coproduct and antipode leg maps take from a word's
-memoized image only the terms that its ``live`` method keeps against the
-tensor term's coefficient; :mod:`kdeform.ncalg` decides which.
+leg maps at rank 1, and the counit of an element is the counit leg map down
+to rank 0.  A leg map reads a word's memoized image in rising h-degree
+(``TensorElement.by_h``), tests each term pair's degrees with
+``scalar._keep`` and stops the row at the first pair out of range in h, as
+the product kernel of :mod:`kdeform.ncalg` does.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
@@ -29,8 +31,9 @@ self-adjoint generators, real h.
 
 from __future__ import annotations
 
+from . import scalar
 from .errors import KdeformError, PresentationError
-from .ncalg import EMPTY_WORD, TensorElement, accumulate, word_image
+from .ncalg import EMPTY_WORD, TensorElement, add_graded, word_image
 from .report import Report
 from .scalar import Scalar, merge_trunc
 
@@ -113,46 +116,57 @@ class HopfData:
         return self.apply_antipode_leg(self._rank_one(elt), 0)
 
     def counit_of(self, elt):
-        """epsilon of a rank-1 element, a Scalar."""
-        total = Scalar.zero(merge_trunc(self.trunc, elt.trunc))
-        for (w,), c in self._rank_one(elt).terms.items():
-            total = total + self.counit_word(w) * c
-        return total
+        """epsilon of a rank-1 element, a Scalar: the counit leg map down to
+        rank 0."""
+        return self._leg_map(
+            self._rank_one(elt), 0, 0, self._counit_image
+        ).coeff(())
 
     # --- tensor-leg applications --------------------------------------------
+
+    def _counit_image(self, word):
+        return [((), a, b, c)
+                for (a, b), c in sorted(self.counit_word(word).terms.items())]
 
     def _leg_map(self, tensor, leg, rank, image):
         """``tensor`` with leg ``leg`` replaced by its image, of rank ``rank``
         and at the truncation of both.
 
-        ``image(word, c)`` yields the (legs, coeff) terms of the word's image
-        to pair with a tensor term of coefficient ``c``, where ``legs`` is a
-        tuple of 0, 1 or 2 words that takes the place of the one word.  A
-        ``leg`` outside ``range(tensor.rank)`` raises.
+        ``image(word)`` gives the word's image as ``(legs, deg_h, deg_xi,
+        coeff)`` terms in rising h-degree, where ``legs`` is a tuple of 0, 1
+        or 2 words that takes the place of the one word.  A ``leg`` outside
+        ``range(tensor.rank)`` raises.
         """
         if leg not in range(tensor.rank):
             raise PresentationError(
                 "no leg %r in a rank-%d tensor" % (leg, tensor.rank)
             )
-        out = accumulate({}, (
-            (key[:leg] + legs + key[leg + 1:], c * ci)
-            for key, c in tensor.terms.items()
-            for legs, ci in image(key[leg], c)
-        ))
-        return TensorElement._make(
-            self.pres, rank, out, merge_trunc(self.trunc, tensor.trunc)
-        )
+        trunc = merge_trunc(self.trunc, tensor.trunc)
+        keep = scalar._keep
+        kept = []
+        for (key, a, b), c in tensor.terms.items():
+            pre, word, post = key[:leg], key[leg], key[leg + 1:]
+            for legs, ai, bi, ci in image(word):
+                ah = a + ai
+                bh = b + bi
+                if trunc is not None and not keep((ah, bh), trunc):
+                    if keep((ah, 0), trunc):
+                        continue
+                    # the image terms come in rising h-degree
+                    break
+                kept.append((pre + legs + post, ah, bh, c * ci))
+        out = add_graded({}, kept, trunc)
+        return TensorElement._make(self.pres, rank, out, trunc)
 
     def apply_cop_leg(self, tensor, leg):
         """(.. (x) Delta (x) ..): rank grows by one at position ``leg``."""
         return self._leg_map(
-            tensor, leg, tensor.rank + 1, lambda w, c: self.cop_word(w).live(c)
+            tensor, leg, tensor.rank + 1, lambda w: self.cop_word(w).by_h()
         )
 
     def apply_antipode_leg(self, tensor, leg):
         return self._leg_map(
-            tensor, leg, tensor.rank,
-            lambda w, c: self.antipode_word(w).live(c),
+            tensor, leg, tensor.rank, lambda w: self.antipode_word(w).by_h()
         )
 
     def apply_counit_leg(self, tensor, leg):
@@ -160,12 +174,7 @@ class HopfData:
         by one.  The counit of a rank-1 element is ``counit_of``."""
         if tensor.rank < 2:
             raise PresentationError("counit leg map needs rank >= 2")
-        # a word's counit is one memoized scalar, so the leg map does not
-        # prune: the floor test would cost more than the product it skips
-        return self._leg_map(
-            tensor, leg, tensor.rank - 1,
-            lambda w, c: (((), self.counit_word(w)),),
-        )
+        return self._leg_map(tensor, leg, tensor.rank - 1, self._counit_image)
 
 
 def verify_axioms(hopf, degree2=True):

@@ -47,7 +47,7 @@ from .ncalg import (
     EMPTY_WORD, Presentation, TensorElement, accumulate, word_image,
 )
 from .report import Report
-from .scalar import ONE, Scalar, gr
+from .scalar import Scalar, gr
 from .series import unital_inverse, unital_log, unital_power, unital_sqrt
 
 FLAVORS = (
@@ -143,7 +143,7 @@ def _momentum_square(model, first):
 
 def _rule(elt):
     """A rank-1 element's terms keyed by words, the rule tables' format."""
-    return {w: c for (w,), c in elt.terms.items()}
+    return {w: c for (w,), c in elt.by_legs().items()}
 
 
 def _default_labels(dim):
@@ -384,12 +384,10 @@ def _covariant_atoms(model, trunc):
     Pi = p_tau * Scalar.h(1, bump) + s
     PiInv = unital_inverse(Pi)
     if t2 != 0:
-        C_tau = (s - one).map_scalars(lambda sc: sc.shift(-2)) * (
-            Fraction(2) / t2
-        )
+        C_tau = (s - one).shift(-2) * (Fraction(2) / t2)
     else:
         C_tau = C
-    klog = unital_log(Pi).map_scalars(lambda sc: sc.shift(-1))
+    klog = unital_log(Pi).shift(-1)
 
     return {
         "C": C.retrunc(trunc),
@@ -407,8 +405,7 @@ def _hopf_tables(model):
     One covariant formula set, read from Pi, Pi_inv, C, C_tau (``model.cas``)
     and P_tau (``model.p_tau_expr``); each slot's momentum comes from
     ``Model.p``.  Pi^{+-1}, generators only in the q-analogs, are
-    group-like with counit 1.  A coefficient equal to the exact 1 is stored
-    as the shared ``ONE``, so that products by it stay short-circuited.
+    group-like with counit 1.
     """
     pres, metric, tau, trunc = model.pres, model.metric, model.tau, model.trunc
     dim = metric.dim
@@ -470,14 +467,7 @@ def _hopf_tables(model):
         antip[im] = s_el
         counit[im] = Scalar.zero()
 
-    def unit(c):
-        return ONE if c == ONE else c
-
-    return (
-        {i: d.map_scalars(unit) for i, d in cop.items()},
-        {i: s.map_scalars(unit) for i, s in antip.items()},
-        counit,
-    )
+    return cop, antip, counit
 
 
 def _build_hadic(model):
@@ -743,7 +733,7 @@ class Model:
             return tuple(x for x in word if x not in strip)
 
         out = accumulate({}, (
-            (tuple(map(drop, key)), c) for key, c in obj.terms.items()
+            (tuple(map(drop, key)), c) for key, c in obj.by_legs().items()
         ))
         cleaned = {}
         for key, c in out.items():
@@ -1122,11 +1112,11 @@ def decomposition_display_check(model):
          model.cas.PiInv),
         # C_tau = (kappa^2/tau^2)(Pi + Pi_inv - 2 + tau^2 P^m P_m Pi_inv/kappa^2)
         ("casimir_ctau_grouplike_form",
-         (pi + piv - one * 2 + pp * piv).map_scalars(lambda sc: sc.shift(-2))
-         * (1 / model.tau2), model.cas.C_tau),
+         (pi + piv - one * 2 + pp * piv).shift(-2) * (1 / model.tau2),
+         model.cas.C_tau),
         # P_tau = (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2))
         ("p_tau_reconstruction",
-         (pi - piv * (one + pp)).map_scalars(lambda sc: sc.shift(-1)) * _HALF,
+         (pi - piv * (one + pp)).shift(-1) * _HALF,
          p_tau),
     ):
         rep.zero(name, got.retrunc(model.trunc) - want.retrunc(model.trunc))
@@ -1175,7 +1165,7 @@ def _subst(tens, images, pres_h, trunc):
         return word_image(cache, word, image, lambda head, g: head * images[g])
 
     out = TensorElement.zero(pres_h, tens.rank, trunc)
-    for key, c in tens.terms.items():
+    for key, c in tens.by_legs().items():
         out = out + TensorElement.from_legs(*map(image, key)) * c
     return out
 
@@ -1328,7 +1318,7 @@ def _grading_offsets(model, degree):
         lab = pres.label(i)
         for what, tens in (("cop", hopf.coproduct[i]),
                            ("antipode", hopf.antipode[i])):
-            for key, c in tens.terms.items():
+            for key, c in tens.by_legs().items():
                 yield "%s[%s]" % (what, lab), key, c, deg(key) - degree[i]
         yield "counit[%s]" % lab, None, hopf.counit[i], -degree[i]
 

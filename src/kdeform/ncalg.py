@@ -23,9 +23,10 @@ presentation's brackets, for :mod:`kdeform.rmatrix` and
 normalize cache whenever a rule is installed.
 
 A :class:`TensorElement` of rank r is an element of the r-fold tensor power
-U^{(x) r} of the presented algebra U: a dict from r-tuples of normal words
-to Scalars.  Rank 1 is the algebra itself, so an algebra element is a
-rank-1 tensor whose keys are 1-tuples ``(word,)``.  Products act legwise
+U^{(x) r} of the presented algebra U.  Rank 1 is the algebra itself, so an
+algebra element is a rank-1 tensor whose legs are 1-tuples ``(word,)``.  Its
+terms are graded: a dict from ``(legs, deg_h, deg_xi)``, with legs an
+r-tuple of normal words, to nonzero GaussianRationals.  Products act legwise
 through the normalize cache.  The class is bound to a second name at the
 end of this module only because the benchmark's tracer patches the product
 through that name; the package itself does not use it.
@@ -34,22 +35,20 @@ The package has one star structure, with every generator self-adjoint and h
 real: :meth:`TensorElement.star` reverses words and conjugates coefficients.
 
 Sparse combinations, here and in the wedge layer, are dicts from keys to
-nonzero Scalars; :func:`accumulate` is the one place where terms are summed
-into such a dict and cancelled terms dropped.
+nonzero coefficients; :func:`accumulate` sums ``(key, coeff)`` pairs into
+such a dict, and :func:`add_graded` sums graded tensor terms, each dropping
+cancelled terms.
 
-This module is the only one that prunes products, by the *floor rule*.  The
-floor of a nonzero scalar is the pair (lowest deg_h, lowest deg_xi), each
-minimum taken separately.  Every term of a product c1*c2 has bigrade at
-least floor(c1) + floor(c2), so when the pair's truncation T is finite and
-that sum exceeds T in either parameter, the product is exactly the zero
-scalar.  Every coefficient of a tensor carries the tensor's truncation, so T
-is the merged truncation of the two operands, which ``scalar.merge_trunc``
-alone decides.  :meth:`TensorElement.live` gives the terms of a right
-operand that the rule keeps against a left coefficient, and keeps that row
-on the tensor for the next left coefficient of the same floor.  The product
-kernel and the coproduct and antipode leg maps of :mod:`kdeform.hopf` ask
-the right operand, so an operand used many times, such as a memoized word
-image, filters its terms once per row.
+Truncation is a degree test on the key: a term pair's degrees are added and
+``scalar._keep`` decides, read from :mod:`kdeform.scalar` at each call, at
+the merged truncation of the operands, which ``scalar.merge_trunc`` alone
+decides.  Only a kept pair pays for its coefficient product, and a rule
+coefficient met in the legwise normal forms shifts the degrees and is tested
+again.  A right operand sorts its terms by h-degree once, in
+:meth:`TensorElement.by_h`, so the product kernel and the coproduct and
+antipode leg maps of :mod:`kdeform.hopf` stop a row at the first term whose
+h-degree alone puts the pair out of range.  Under a finite truncation a kept
+negative h-degree raises ``ScalarDomainError``, as it does in ``Scalar``.
 
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all
@@ -62,8 +61,9 @@ from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
 
+from . import scalar
 from .errors import PresentationError, RewriteError, TruncationMismatch
-from .scalar import GaussianRational, Scalar, merge_trunc
+from .scalar import ONE, GaussianRational, Scalar, merge_trunc
 
 EMPTY_WORD = ()
 
@@ -105,13 +105,49 @@ def word_image(cache, word, head_image, step):
     return out
 
 
-def _floor(s):
-    """The lowest h-degree and the lowest xi-degree of a nonzero Scalar,
-    each taken over all its terms."""
-    terms = s.terms
-    if len(terms) == 1:
-        return next(iter(terms))
-    return min(a for a, _ in terms), min(b for _, b in terms)
+def add_graded(out, terms, trunc):
+    """Add ``(legs, deg_h, deg_xi, coeff)`` terms into the graded dict
+    ``out`` in place, dropping cancelled keys.  Under a finite ``trunc`` a
+    negative h-degree raises ``ScalarDomainError``.  Returns ``out``."""
+    get = out.get
+    for legs, a, b, c in terms:
+        if a < 0 and trunc is not None:
+            scalar._check_laurent(((a, b),), trunc)  # raises
+        key = (legs, a, b)
+        acc = get(key)
+        if acc is None:
+            out[key] = c
+        else:
+            acc = acc + c
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out
+
+
+def _spread(kept, forms, a, b, c, trunc):
+    """Append to ``kept`` the ``(legs, deg_h, deg_xi, coeff)`` terms of
+    c*h^a*xi^b times the tensor product of ``forms``, one normal form (a
+    dict from words to exact Scalars) per leg.  A rule coefficient shifts
+    the degrees, so each shifted term is tested against ``trunc`` before its
+    product is paid."""
+    keep = scalar._keep
+    partial = [((), a, b, c)]
+    for form in forms:
+        grown = []
+        for legs, a0, b0, c0 in partial:
+            for w, cw in form.items():
+                if cw is ONE:
+                    grown.append((legs + (w,), a0, b0, c0))
+                    continue
+                for (da, db), g in cw.terms.items():
+                    a1 = a0 + da
+                    b1 = b0 + db
+                    if trunc is None or keep((a1, b1), trunc):
+                        grown.append((legs + (w,), a1, b1, c0 * g))
+        partial = grown
+    kept += partial
 
 
 class Generator:
@@ -157,6 +193,10 @@ class Presentation:
     # --- construction -----------------------------------------------------
 
     def add_generator(self, label, weight=0):
+        if any(g.label == label for g in self.generators):
+            raise PresentationError(
+                "duplicate generator label %r in %s" % (label, self.name)
+            )
         self.generators.append(Generator(label, weight))
         return len(self.generators) - 1
 
@@ -167,6 +207,8 @@ class Presentation:
         raise PresentationError("no generator named %r" % label)
 
     def label(self, i):
+        if i not in range(len(self.generators)):
+            raise PresentationError("no generator %r in %s" % (i, self.name))
         return self.generators[i].label
 
     def set_commutator(self, i, j, terms):
@@ -184,11 +226,12 @@ class Presentation:
         self._install(self._product, i, j, _validate_terms(terms))
 
     def _install(self, table, i, j, terms):
-        # one rule per pair, over both tables, with a normal-ordered rhs;
-        # every cached normal form may change with the new rule
+        # one rule per pair of generators, over both tables, with a
+        # normal-ordered rhs; every cached normal form may change with it
+        li, lj = self.label(i), self.label(j)
         if (i, j) in self._comm or (i, j) in self._product:
             raise PresentationError(
-                "duplicate rule for pair (%s, %s)" % (self.label(i), self.label(j))
+                "duplicate rule for pair (%s, %s)" % (li, lj)
             )
         for w in terms:
             if not self.is_normal_word(w):
@@ -314,7 +357,7 @@ class Presentation:
     def _word_str(self, word):
         if not word:
             return "1"
-        return "*".join(self.label(i) for i in word)
+        return "*".join(self.generators[i].label for i in word)
 
     def __repr__(self):
         return "Presentation(%r, %d generators, %d rules)" % (
@@ -328,16 +371,19 @@ class TensorElement:
     """An element of the rank-fold tensor power of a presented algebra;
     rank 1 is the algebra itself.
 
-    Every coefficient carries the tensor's truncation.  With a finite
-    ``trunc`` an exact coefficient is cut to it, as ``Scalar.retrunc`` does:
-    terms beyond it are dropped and a negative h-degree raises
-    ``ScalarDomainError``.  A finite coefficient at any other truncation,
-    in an exact tensor too, raises ``TruncationMismatch``.  The terms must
-    not change after the first product that uses the tensor as its right
-    operand, whose rows of surviving terms ``live`` keeps in ``_rows``.
+    ``terms`` maps graded keys ``(legs, deg_h, deg_xi)`` to nonzero
+    GaussianRationals, so a coefficient c*h^a*xi^b of the legs is one entry;
+    :meth:`by_legs` reads the terms back as Scalars.  The constructor takes
+    a dict from legs to Scalars.  With a finite ``trunc`` an exact
+    coefficient is cut to it, as ``Scalar.retrunc`` does: terms beyond it are
+    dropped and a negative h-degree raises ``ScalarDomainError``.  A finite
+    coefficient at any other truncation, in an exact tensor too, raises
+    ``TruncationMismatch``.  The terms must not change after the first
+    product that uses the tensor as its right operand, whose terms
+    :meth:`by_h` sorts once and keeps in ``_by_h``.
     """
 
-    __slots__ = ("pres", "rank", "terms", "trunc", "_rows")
+    __slots__ = ("pres", "rank", "terms", "trunc", "_by_h")
 
     def __init__(self, pres, rank, terms=None, trunc=None):
         self.pres = pres
@@ -353,11 +399,11 @@ class TensorElement:
                             % (coeff.trunc, trunc)
                         )
                     coeff = coeff.retrunc(trunc)
-                if coeff:
-                    clean[key] = coeff
+                for (a, b), c in coeff.terms.items():
+                    clean[(key, a, b)] = c
         self.terms = clean
         self.trunc = trunc
-        self._rows = None
+        self._by_h = None
 
     def _key(self, key):
         # a key is a tuple of ``rank`` words; a bare word given as a rank-1
@@ -373,43 +419,33 @@ class TensorElement:
 
     @staticmethod
     def _make(pres, rank, terms, trunc):
-        # internal fast path: caller guarantees rank-long tuple keys of word
-        # tuples and nonzero coefficients at ``trunc``, as a tensor's own
-        # keys and ``accumulate`` leave them
+        # internal fast path: caller guarantees graded keys of rank-long
+        # tuples of word tuples, nonzero coefficients, and degrees that
+        # ``trunc`` keeps, as a tensor's own terms and ``add_graded`` leave
+        # them
         t = TensorElement.__new__(TensorElement)
         t.pres = pres
         t.rank = rank
         t.terms = terms
         t.trunc = trunc
-        t._rows = None
+        t._by_h = None
         return t
 
-    def live(self, c):
-        """The ``(key, coeff)`` terms whose coefficient product with the
-        Scalar ``c`` the floor rule does not rule out, in dict order.  The
-        pair's truncation is ``c``'s, or the tensor's when ``c`` is exact;
-        the callers merge the two tensor truncations, so a mismatch still
-        raises.  Each row of survivors, per floor of ``c`` and finite
-        truncation, is built once and kept in ``_rows``."""
-        t = self.trunc if c.trunc is None else c.trunc
-        if t is None:
-            return self.terms.items()
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = {}
-        f1 = _floor(c)
-        row = rows.get((f1, t))
-        if row is None:
-            room_h, room_xi = t[0] - f1[0], t[1] - f1[1]
-            row = [
-                item for item in self.terms.items()
-                for a, b in (_floor(item[1]),)
-                if a <= room_h and b <= room_xi
-            ]
-            if len(row) == len(self.terms):
-                row = self.terms.items()
-            rows[(f1, t)] = row
-        return row
+    def by_h(self):
+        """The terms as ``(legs, deg_h, deg_xi, coeff)`` tuples in rising
+        h-degree, sorted at the first call and kept."""
+        if self._by_h is None:
+            self._by_h = sorted((k + (c,) for k, c in self.terms.items()),
+                                key=lambda t: t[1])
+        return self._by_h
+
+    def by_legs(self):
+        """The terms as a dict from legs to Scalars at the tensor's
+        truncation."""
+        out = {}
+        for (k, a, b), c in self.terms.items():
+            out.setdefault(k, {})[(a, b)] = c
+        return {k: Scalar._make(row, self.trunc) for k, row in out.items()}
 
     # --- constructors -----------------------------------------------------
 
@@ -425,6 +461,7 @@ class TensorElement:
     @classmethod
     def gen(cls, pres, i, trunc=None):
         """The generator g_i as a rank-1 element."""
+        pres.label(i)  # refuses an index outside the generators
         return cls(pres, 1, {((i,),): Scalar.one(trunc)}, trunc)
 
     @classmethod
@@ -436,6 +473,8 @@ class TensorElement:
     @classmethod
     def from_legs(cls, *legs):
         """Outer product: the legs of each factor, in order, side by side."""
+        if not legs:
+            raise PresentationError("an outer product needs at least one leg")
         pres = legs[0].pres
         trunc = None
         for leg in legs:
@@ -444,13 +483,12 @@ class TensorElement:
             trunc = merge_trunc(trunc, leg.trunc)
         terms = {(): Scalar.one()}
         for leg in legs:
-            new = {}
-            for key, c in terms.items():
-                for k, cw in leg.terms.items():
-                    cc = c * cw
-                    if cc:
-                        new[key + k] = cc
-            terms = new
+            terms = {
+                key + k: cc
+                for key, c in terms.items()
+                for k, cw in leg.by_legs().items()
+                for cc in (c * cw,) if cc
+            }
         return cls(pres, sum(leg.rank for leg in legs), terms, trunc)
 
     # --- arithmetic -------------------------------------------------------
@@ -467,7 +505,7 @@ class TensorElement:
         if self.trunc != other.trunc:
             # the exact operand's coefficients are cut to the finite trunc
             self, other = (
-                TensorElement(x.pres, x.rank, x.terms, trunc)
+                TensorElement(x.pres, x.rank, x.by_legs(), trunc)
                 for x in (self, other)
             )
         out = accumulate(dict(self.terms), other.terms.items())
@@ -484,47 +522,48 @@ class TensorElement:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
-            trunc = self.trunc
-            if isinstance(other, Scalar):
-                trunc = merge_trunc(self.trunc, other.trunc)
-            out = {}
-            for k, c in self.terms.items():
-                c = c * other
-                if c:
-                    out[k] = c
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        if type(other) is GaussianRational:
+            if not other:
+                return TensorElement.zero(self.pres, self.rank, self.trunc)
+            out = {k: c * other for k, c in self.terms.items()}
+            return TensorElement._make(self.pres, self.rank, out, self.trunc)
+        if isinstance(other, Scalar):
+            trunc = merge_trunc(self.trunc, other.trunc)
+            keep = scalar._keep
+            kept = [
+                (k, a + da, b + db, c * g)
+                for (k, a, b), c in self.terms.items()
+                for (da, db), g in other.terms.items()
+                if trunc is None or keep((a + da, b + db), trunc)
+            ]
+            out = add_graded({}, kept, trunc)
             return TensorElement._make(self.pres, self.rank, out, trunc)
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._require_like(other)
         trunc = merge_trunc(self.trunc, other.trunc)
+        keep = scalar._keep
         norm = self.pres.normalize_word
-        rank = self.rank
+        legs = range(self.rank)
+        right = other.by_h()
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.live(c1):
-                c12 = c1 * c2
-                if not c12:
-                    continue
-                # legwise products through the shared normalize cache; the
-                # keys of one term pair never repeat, so zeros are only dropped
-                partial = [
-                    ((w,), cc)
-                    for w, cw in norm(k1[0] + k2[0]).items()
-                    for cc in (c12 * cw,) if cc
-                ]
-                for leg in range(1, rank):
-                    if not partial:
-                        break
-                    legterms = norm(k1[leg] + k2[leg]).items()
-                    partial = [
-                        (key + (w,), cc)
-                        for key, c in partial
-                        for w, cw in legterms
-                        for cc in (c * cw,) if cc
-                    ]
-                accumulate(out, partial)
-        return TensorElement._make(self.pres, rank, out, trunc)
+        for (k1, a1, b1), c1 in self.terms.items():
+            kept = []
+            for k2, a2, b2, c2 in right:
+                a = a1 + a2
+                b = b1 + b2
+                if trunc is not None and not keep((a, b), trunc):
+                    if keep((a, 0), trunc):
+                        continue
+                    # the right terms come in rising h-degree
+                    break
+                # legwise products through the shared normalize cache
+                _spread(kept, [norm(k1[leg] + k2[leg]) for leg in legs],
+                        a, b, c1 * c2, trunc)
+            add_graded(out, kept, trunc)
+        return TensorElement._make(self.pres, self.rank, out, trunc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
@@ -555,24 +594,29 @@ class TensorElement:
     # --- structure --------------------------------------------------------
 
     def coeff(self, key):
-        """The coefficient of a key of ``rank`` words, ``(w,)`` at rank 1;
-        a key of another length raises."""
-        return self.terms.get(self._key(key), Scalar.zero(self.trunc))
+        """The Scalar coefficient of a key of ``rank`` words, ``(w,)`` at
+        rank 1; a key of another length raises."""
+        return self.by_legs().get(self._key(key), Scalar.zero(self.trunc))
+
+    def shift(self, deg_h):
+        """Multiply by h^deg_h, cut to the tensor's truncation."""
+        return TensorElement(self.pres, self.rank, {
+            k: c.shift(deg_h) for k, c in self.by_legs().items()
+        }, self.trunc)
 
     def retrunc(self, new_trunc):
-        out = {
-            k: c2 for k, c in self.terms.items()
-            for c2 in (c.retrunc(new_trunc),) if c2
-        }
-        return TensorElement._make(self.pres, self.rank, out, new_trunc)
+        return TensorElement(self.pres, self.rank, {
+            k: c.retrunc(new_trunc) for k, c in self.by_legs().items()
+        }, new_trunc)
 
     def permute_legs(self, perm):
         """Reorder legs: new key[j] = old key[perm[j]]."""
         if sorted(perm) != list(range(self.rank)):
             raise PresentationError("bad leg permutation %r" % (perm,))
-        out = accumulate({}, (
-            (tuple(key[p] for p in perm), c) for key, c in self.terms.items()
-        ))
+        out = {
+            (tuple(key[p] for p in perm), a, b): c
+            for (key, a, b), c in self.terms.items()
+        }
         return TensorElement._make(self.pres, self.rank, out, self.trunc)
 
     def swap(self):
@@ -581,48 +625,41 @@ class TensorElement:
             raise PresentationError("swap is for rank 2; use permute_legs")
         return self.permute_legs((1, 0))
 
+    def _relegged(self, rank, forms, coeff):
+        # each term's legs replaced by the normal forms ``forms(legs)`` and
+        # its coefficient by ``coeff(c)``, at the tensor's truncation
+        kept = []
+        for (key, a, b), c in self.terms.items():
+            _spread(kept, forms(key), a, b, coeff(c), self.trunc)
+        out = add_graded({}, kept, self.trunc)
+        return TensorElement._make(self.pres, rank, out, self.trunc)
+
     def merge_legs(self):
         """Multiply all legs together: a (x) b (x) ... -> a*b*..., of rank 1."""
         norm = self.pres.normalize_word
-        out = accumulate({}, (
-            ((nw,), c * nc)
-            for key, c in self.terms.items()
-            for nw, nc in norm(sum(key, ())).items()
-        ))
-        return TensorElement._make(self.pres, 1, out, self.trunc)
+        return self._relegged(1, lambda key: (norm(sum(key, ())),),
+                              lambda c: c)
 
     def star(self):
         """The adjoint, legwise and without reversing the legs:
         (a (x) b)* = a* (x) b*.  Generators are self-adjoint, so on one leg
         the word is reversed and normal-ordered, and the coefficient is
         conjugated."""
-        pres = self.pres
-        out = {}
-        for key, c in self.terms.items():
-            piece = TensorElement.from_legs(*(
-                TensorElement.from_words(pres, pres.normalize_word(w[::-1]))
-                for w in key
-            ))
-            cc = c.conjugate()
-            accumulate(out, ((k, cw * cc) for k, cw in piece.terms.items()))
-        return TensorElement._make(pres, self.rank, out, self.trunc)
-
-    def map_scalars(self, fn):
-        out = {}
-        for k, c in self.terms.items():
-            c2 = fn(c)
-            if c2:
-                out[k] = c2
-        return TensorElement._make(self.pres, self.rank, out, self.trunc)
+        norm = self.pres.normalize_word
+        return self._relegged(
+            self.rank, lambda key: [norm(w[::-1]) for w in key],
+            GaussianRational.conjugate,
+        )
 
     def __repr__(self):
         # rank 1 prints as an algebra element, higher ranks with [legs]
         if not self.terms:
             return "0" if self.rank == 1 else "0(x)%d" % self.rank
         form = "(%r)*%s" if self.rank == 1 else "(%r)*[%s]"
+        view = self.by_legs()
         return " + ".join(
-            form % (self.terms[k], " (x) ".join(map(self.pres._word_str, k)))
-            for k in sorted(self.terms)
+            form % (view[k], " (x) ".join(map(self.pres._word_str, k)))
+            for k in sorted(view)
         )
 
 

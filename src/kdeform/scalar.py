@@ -31,9 +31,10 @@ truncation decision, since the other operand already satisfies its own
 truncation and the Laurent rule.  No ring operation mutates a scalar, so
 results may share their operands.
 
-Pairs of coefficients whose product a finite truncation already makes zero
-are skipped before they reach this module, by the floor rule of
-:mod:`kdeform.ncalg`.
+``_keep`` is the one degree test of a truncation.  The graded tensor kernels
+of :mod:`kdeform.ncalg` and :mod:`kdeform.hopf` multiply GaussianRationals
+directly and read ``_keep`` from this module at each call, so they test
+every degree as a Scalar does.
 
 h and xi are real: conjugation acts on the coefficients only, as the one star
 structure of the package (:mod:`kdeform.ncalg`) needs.
@@ -154,6 +155,11 @@ class GaussianRational:
         b1 = self.b
         a2 = other.a
         b2 = other.b
+        # a unit factor returns the other one; values are never mutated
+        if a1 == 1 and b1 == 0 and self.d == 1:
+            return other
+        if a2 == 1 and b2 == 0 and other.d == 1:
+            return self
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
                         self.d * other.d)
 
@@ -273,6 +279,9 @@ class Scalar:
         clean = {}
         if terms:
             for key, val in terms.items():
+                if type(key) is not tuple or len(key) != 2:
+                    raise ScalarDomainError(
+                        "scalar key %r is not a pair (deg_h, deg_xi)" % (key,))
                 if not isinstance(val, GaussianRational):
                     val = GaussianRational(val)
                 if val and _keep(key, trunc):

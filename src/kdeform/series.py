@@ -26,7 +26,7 @@ def _nilpotency_bound(x):
 
 
 def _check_positive_bigrade(x, what):
-    for key, coeff in x.terms.items():
+    for key, coeff in x.by_legs().items():
         for (a, b) in coeff.terms:
             if a + b < 1:
                 raise KdeformError(

@@ -1,6 +1,7 @@
 """Tests for tensor calculus and Hopf-axiom verification on toy algebras,
 for the R-matrix intertwiner check on a small model, and for the pruned
-products and leg maps against all-pairs reference loops."""
+products and leg maps against all-pairs reference loops, which multiply
+Scalars and so do not share the graded kernels' degree test."""
 
 import random
 
@@ -249,13 +250,13 @@ def add_into(out, key, c):
 
 
 def reference_product(a, b):
-    """Every term pair multiplied, legwise, with no floor test; also counts
+    """Every term pair multiplied, legwise, with no degree test; also counts
     the pairs whose coefficient product truncates to zero."""
     norm = a.pres.normalize_word
     out = {}
     vanished = 0
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
+    for k1, c1 in a.by_legs().items():
+        for k2, c2 in b.by_legs().items():
             c12 = c1 * c2
             if not c12:
                 vanished += 1
@@ -274,7 +275,7 @@ def reference_product(a, b):
 
 def reference_leg_map(tensor, leg, image):
     out = {}
-    for key, c in tensor.terms.items():
+    for key, c in tensor.by_legs().items():
         for legs, ci in image(key[leg]):
             add_into(out, key[:leg] + legs + key[leg + 1:], c * ci)
     return out
@@ -316,41 +317,58 @@ def test_pruned_product_matches_all_pairs_reference(rank):
     vanished = 0
     for a, b in product_operands(pres, rank):
         ref, v = reference_product(a, b)
-        assert (a * b).terms == ref
+        assert (a * b).by_legs() == ref
         vanished += v
-    # the floor rule has pairs to skip
+    # the truncation has pairs to skip
     assert vanished > 0
 
 
-def test_right_operand_is_indexed_once():
+class CountingRow(list):
+    """A right operand's sorted row that counts the terms a product reads."""
+
+    read = 0
+
+    def __iter__(self):
+        for term in list.__iter__(self):
+            self.read += 1
+            yield term
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_sorted_right_operand_stops_the_product_early(rank):
     pres = deformed_heisenberg()
-    rng = random.Random(4000)
-    right = rand_element(pres, rng, 2)
-    exact_left = TensorElement(pres, 2, {
-        k: Scalar(c.terms) for k, c in rand_terms(rng, 2).items()
-    })
-    trunc_left = rand_element(pres, rng, 2)
-    assert exact_left.trunc is None and trunc_left.trunc == T
-    rows = []
-    for left in (exact_left, trunc_left, exact_left):
-        ref, vanished = reference_product(left, right)
-        assert (left * right).terms == ref
-        assert vanished > 0
-        rows.append(dict(right._rows))
-    # the repeated product finds every row it needs already built
-    assert rows[0] and rows[2].keys() == rows[1].keys()
-    assert all(rows[2][key] is row for key, row in rows[1].items())
+    read = pairs = 0
+    for a, b in product_operands(pres, rank):
+        row = b.by_h()
+        assert [t[1] for t in row] == sorted(t[1] for t in row)
+        assert b.by_h() is row
+        row = b._by_h = CountingRow(row)
+        ref, _ = reference_product(a, b)
+        for _ in range(2):
+            assert (a * b).by_legs() == ref
+        # a repeated right operand keeps its one sorted row
+        assert b.by_h() is row
+        if a.trunc is None and b.trunc is None:
+            # exact operands have no truncation to stop at
+            assert row.read == 2 * len(a.terms) * len(row)
+        else:
+            read += row.read
+            pairs += 2 * len(a.terms) * len(row)
+    # the stop skips term pairs that the truncation rules out
+    assert 0 < read < pairs
 
 
 def assert_as_constructed(t, rank):
-    """``t`` holds exactly what the checking constructor builds from it:
-    rank-long tuple keys of word tuples, nonzero coefficients, same order."""
+    """``t`` holds what the checking constructor builds from its Scalar
+    view: graded keys of a rank-long tuple of word tuples and two int
+    degrees, with nonzero GaussianRational coefficients."""
     assert type(t) is TensorElement and t.rank == rank
-    for key in t.terms:
-        assert type(key) is tuple and len(key) == rank
-        assert all(type(w) is tuple for w in key)
-    rebuilt = TensorElement(t.pres, t.rank, t.terms, t.trunc)
-    assert rebuilt == t and list(rebuilt.terms) == list(t.terms)
+    for (legs, a, b), c in t.terms.items():
+        assert type(legs) is tuple and len(legs) == rank
+        assert all(type(w) is tuple for w in legs)
+        assert type(a) is int and type(b) is int
+        assert type(c) is GaussianRational and c
+    assert TensorElement(t.pres, t.rank, t.by_legs(), t.trunc) == t
 
 
 def summable(a, b):
@@ -359,7 +377,7 @@ def summable(a, b):
     h^-1 term is undefined."""
     return not any(
         x.trunc is None and y.trunc is not None
-        and any(c.has_negative_h() for c in x.terms.values())
+        and any(c.has_negative_h() for c in x.by_legs().values())
         for x, y in ((a, b), (b, a))
     )
 
@@ -395,9 +413,10 @@ def test_pruned_leg_maps_match_all_pairs_reference(rank):
     # at rank 1 the coproduct and antipode leg maps are ``cop`` and
     # ``antipode_of``; the counit of an element is a Scalar, not a leg map
     maps = {
-        "cop": (hopf.apply_cop_leg, lambda w: hopf.cop_word(w).terms.items()),
+        "cop": (hopf.apply_cop_leg,
+                lambda w: hopf.cop_word(w).by_legs().items()),
         "antipode": (hopf.apply_antipode_leg,
-                     lambda w: hopf.antipode_word(w).terms.items()),
+                     lambda w: hopf.antipode_word(w).by_legs().items()),
     }
     if rank > 1:
         maps["counit"] = (hopf.apply_counit_leg, lambda w: [
@@ -408,12 +427,12 @@ def test_pruned_leg_maps_match_all_pairs_reference(rank):
         for leg in range(rank):
             for name, (apply, image) in maps.items():
                 ref = reference_leg_map(t, leg, image)
-                assert apply(t, leg).terms == ref, (name, leg)
+                assert apply(t, leg).by_legs() == ref, (name, leg)
 
 
 def test_pruned_product_still_raises_on_mismatched_truncations():
     pres = deformed_heisenberg()
-    # floors 2 + 2 exceed both (2, 0) and (3, 0), yet the truncations differ
+    # degrees 2 + 2 exceed both (2, 0) and (3, 0), yet the truncations differ
     a = TensorElement(pres, 1, {((0,),): Scalar.h(2, (2, 0))}, (2, 0))
     b = TensorElement(pres, 1, {((1,),): Scalar.h(2, (3, 0))}, (3, 0))
     with pytest.raises(TruncationMismatch):
@@ -438,7 +457,7 @@ def reference_star(x):
     conjugated coefficient."""
     pres = x.pres
     out = TensorElement.zero(pres, x.rank, x.trunc)
-    for key, c in x.terms.items():
+    for key, c in x.by_legs().items():
         legs = []
         for w in key:
             img = TensorElement.one(pres, 1, x.trunc)
@@ -507,21 +526,23 @@ def test_star_matches_letter_by_letter_reference(tau, flavor, trunc):
 
 
 def stray_coefficients(hopf):
-    """(table, word, key, coefficient truncation, tensor truncation) of every
-    coefficient of a coproduct or antipode value, stored or memoized, whose
-    truncation is not its tensor's.  The kernels build these values through
-    the unchecked fast path, so the constructor's refusal does not cover
-    them."""
+    """(table, word, key, tensor truncation) of every term of a coproduct
+    or antipode value, stored or memoized, that its tensor's truncation
+    does not keep: a degree beyond it, or a negative h-degree under it.  The
+    kernels build these values through the unchecked fast path, so the
+    constructor's cut does not cover them."""
     tables = {
         "coproduct": hopf.coproduct, "antipode": hopf.antipode,
         "cop_word": hopf._cop_cache, "antipode_word": hopf._antipode_cache,
     }
     return [
-        (name, word, key, c.trunc, value.trunc)
+        (name, word, key, value.trunc)
         for name, table in tables.items()
         for word, value in table.items()
-        for key, c in value.terms.items()
-        if c.trunc != value.trunc
+        for key in value.terms
+        if value.trunc is not None and not (
+            0 <= key[1] <= value.trunc[0] and 0 <= key[2] <= value.trunc[1]
+        )
     ]
 
 

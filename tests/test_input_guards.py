@@ -1,6 +1,7 @@
 """Bad input to the twist catalog and its checks, the model checks, the rule
 and tensor constructors, ``HopfData`` and the wedge calculus raises
-``PresentationError``: one table, one call per guard.
+``PresentationError``, and a malformed scalar key ``ScalarDomainError``: one
+table, one call per guard.
 
 Each call builds its own small input, so no row depends on another."""
 
@@ -10,7 +11,7 @@ import pytest
 
 from kdeform import model as km
 from kdeform import twist
-from kdeform.errors import PresentationError
+from kdeform.errors import PresentationError, ScalarDomainError
 from kdeform.hopf import HopfData
 from kdeform.model import Model, ModelConfig
 from kdeform.ncalg import Presentation, TensorElement
@@ -85,10 +86,10 @@ def wedge_sum_of_ranks_2_and_3():
     return WedgeTensor.zero(pres, 2) + WedgeTensor.zero(pres, 3)
 
 
-def guard(name, message, call):
-    """A table row: ``call`` raises ``PresentationError`` with ``message``
-    in its text."""
-    return pytest.param(message, call, id=name)
+def guard(name, message, call, error=PresentationError):
+    """A table row: ``call`` raises ``error`` with ``message`` in its
+    text."""
+    return pytest.param(error, message, call, id=name)
 
 
 GUARDS = [
@@ -154,6 +155,20 @@ GUARDS = [
           lambda: pair()[0].gen_index("c")),
     guard("commutator_with_itself", "with itself",
           lambda: pair()[0].set_commutator(0, 0, {(1,): Scalar.one()})),
+    guard("commutator_on_phantom_generator", "no generator 7 in pair",
+          lambda: pair()[0].set_commutator(1, 7, {(0,): Scalar.one()})),
+    guard("product_on_phantom_generator", "no generator 5 in pair",
+          lambda: pair()[0].set_product(5, 0, {(): Scalar.one()})),
+    guard("duplicate_generator_label", "duplicate generator label 'a'",
+          lambda: pair()[0].add_generator("a")),
+    guard("gen_negative_index", "no generator -1 in pair",
+          lambda: TensorElement.gen(pair()[0], -1)),
+    guard("gen_past_last_generator", "no generator 5 in pair",
+          lambda: TensorElement.gen(pair()[0], 5)),
+    guard("from_legs_without_legs", "needs at least one leg",
+          TensorElement.from_legs),
+    guard("scalar_key_not_a_pair", "scalar key (0,) is not a pair",
+          lambda: Scalar({(0,): 1}), ScalarDomainError),
     guard("from_legs_across_presentations", "different presentations",
           foreign_legs),
     guard("permute_legs_bad_permutation", "bad leg permutation",
@@ -185,7 +200,7 @@ GUARDS = [
 ]
 
 
-@pytest.mark.parametrize("message,call", GUARDS)
-def test_bad_input_is_refused(message, call):
-    with pytest.raises(PresentationError, match=re.escape(message)):
+@pytest.mark.parametrize("error,message,call", GUARDS)
+def test_bad_input_is_refused(error, message, call):
+    with pytest.raises(error, match=re.escape(message)):
         call()

@@ -27,6 +27,11 @@ q-analog correspondence checks.  A change that renames, drops, reorders or
 adds a check, or changes a header, changes a digest.  The d=2 light-cone
 display cases have no transverse slot, so every transverse sum and loop in
 them is empty.
+
+The failing-report cases pin two reports that fail: the T3 cocycle check
+over the deformed structure, and the Hopf axioms of a d=2 structure whose
+first antipode value is doubled.  Their details print the residuals'
+reprs, so a failing check must read byte for byte as it did.
 """
 
 import hashlib
@@ -38,8 +43,10 @@ import pytest
 from kdeform import model as km
 from kdeform import twist
 from kdeform.errors import PresentationError
+from kdeform.hopf import HopfData, verify_axioms
 from kdeform.model import Model, ModelConfig, build_iso, change_basis
 from kdeform.ncalg import TensorElement
+from kdeform.report import Report
 from kdeform.rmatrix import (
     WedgeTensor,
     ad_action,
@@ -270,3 +277,41 @@ def test_report_json_matches_pinned_digest(name):
     rep = REPORT_CASES[name]()
     assert rep.ok
     assert digest(rep.to_json()) == REPORT_DIGESTS[name]
+
+
+def corrupted_antipode_report():
+    """The Hopf axioms, degree-2 sweep included, of the covariant d=2
+    structure with its first antipode value doubled."""
+    m = model(MINK2, (1, 0), "covariant_hadic", (2, 0))
+    h = m.hopf
+    bad = HopfData(m.pres, h.coproduct,
+                   {**h.antipode, 0: h.antipode[0] * 2}, h.counit)
+    rep = Report("hopf axioms", {"corrupted": "antipode[0]"})
+    rep.extend(verify_axioms(bad))
+    return rep
+
+
+def t3_over_deformed_report():
+    m = model(MINK4, (1, 0, 0, 0), "orthog_1_plus", (2, 1))
+    return twist.cocycle_check(twist.build_twist("T3", m), m.hopf)
+
+
+FAILING_REPORT_CASES = {
+    "corrupted_antipode_d2": (
+        corrupted_antipode_report, 7,
+        "b6c6d917825cd92756b37af5a437c89b67eb1649b32b52ef9c5e502c4ab9ef20",
+    ),
+    "t3_cocycle_over_deformed": (
+        t3_over_deformed_report, 1,
+        "756969d4aff2987ba641b2e920a5d983bf9cbe74e058e52bde249c05337dab07",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_REPORT_CASES))
+def test_failing_report_json_matches_pinned_digest(name):
+    build, n_failed, expected = FAILING_REPORT_CASES[name]
+    rep = build()
+    assert rep.n_failed == n_failed
+    assert all(c.detail for c in rep.checks if not c.passed)
+    assert digest(rep.to_json()) == expected

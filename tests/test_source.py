@@ -5,10 +5,11 @@ The rule tables of a presentation have one reader each outside ``ncalg``:
 ``hopf.verify_axioms`` checks every rule, ``model._grading_offsets`` walks
 the rules and Hopf tables of a model, and everything else reads the brackets
 through ``Presentation.structure_constants``.  A scan fails on any other
-read of ``comm_rules`` or ``product_rules``.  The floor rule that prunes
-products lives in ``ncalg`` alone: a scan fails on any other module that
-names ``_floor`` or ``_rows``, the slot where a tensor keeps the terms that
-survive each left floor.  The three display checks build no tensor by hand:
+read of ``comm_rules`` or ``product_rules``.  The degree test that decides
+truncation, ``scalar._keep``, is bound in ``scalar`` alone: a scan fails on
+any other module that defines it, imports it by name or reads it at import,
+since each degree test must read it from ``scalar`` at call time.  The three
+display checks build no tensor by hand:
 a scan fails on a call to ``otimes`` or ``from_legs`` inside them, since
 their displays are printed lines that one reader reads.
 """
@@ -169,23 +170,55 @@ def test_only_the_named_readers_read_the_rule_tables(path):
     assert stray_rule_table_reads(path.stem, path.read_text()) == []
 
 
-FLOOR_RULE = {"_floor", "_rows"}
+def keep_bindings(source):
+    """Line numbers where a module binds the degree test ``_keep`` itself:
+    a definition or assignment of the name, an import of it by name, or a
+    module-level statement that reads it, which binds it at import.  A read
+    inside a function, as ``scalar._keep``, happens at call time."""
+    tree = ast.parse(source)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and node.name == "_keep":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "_keep" \
+                and isinstance(node.ctx, ast.Store):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) \
+                and any(a.name == "_keep" for a in node.names):
+            lines.append(node.lineno)
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.ImportFrom)) \
+                and "_keep" in named(ast.unparse(stmt)):
+            lines.append(stmt.lineno)
+    return sorted(set(lines))
 
 
-def test_the_scan_sees_a_floor_rule_name():
+def test_the_scan_sees_a_bound_degree_test():
     source = (
-        "from .ncalg import _floor\n"
-        "def walk(t, c):\n    return t._rows.get(_floor(c))\n"
+        "from .scalar import _keep\n"
+        "from kdeform.scalar import _keep as keep\n"
+        "def _keep(key, trunc):\n    return True\n"
+        "_keep = None\n"
+        "keep = scalar._keep\n"
+        "def product(key, trunc):\n    return scalar._keep(key, trunc)\n"
     )
-    assert named(source) & FLOOR_RULE == FLOOR_RULE
-    assert named("floor = min(degrees)\n") & FLOOR_RULE == set()
+    assert keep_bindings(source) == [1, 2, 3, 5, 6]
+    assert keep_bindings(
+        "from . import scalar\n"
+        "def product(key, trunc):\n"
+        "    keep = scalar._keep\n    return keep(key, trunc)\n"
+    ) == []
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
-                                  if p.name != "ncalg.py"],
+                                  if p.name != "scalar.py"],
                          ids=lambda p: p.name)
-def test_only_ncalg_names_the_floor_rule(path):
-    assert named(path.read_text()) & FLOOR_RULE == set()
+def test_only_scalar_binds_the_degree_test(path):
+    # a test of the benchmark swaps ``scalar._keep`` to lower the
+    # truncation, and every degree test must see the swap
+    assert keep_bindings(path.read_text()) == []
 
 
 DISPLAY_CHECKS = ("decomposition_display_check", "nullplane_display_check",
