@@ -14,10 +14,10 @@ memoized by the one helper :func:`kdeform.ncalg.word_image`, one cache per
 map.  The three leg maps share one helper that replaces a single tensor leg
 by a word's image, and the coproduct and antipode of an element are those
 leg maps at rank 1, and the counit of an element is the counit leg map down
-to rank 0.  A leg map reads a word's memoized image in rising h-degree
-(``TensorElement.by_h``), tests each term pair's degrees with
-``scalar._keep`` and stops the row at the first pair out of range in h, as
-the product kernel of :mod:`kdeform.ncalg` does.
+to rank 0.  A leg map reads a word's image in rising h-degree (its memoized
+``TensorElement.by_h``, or ``_counit_rows``), tests each term pair's degrees
+with ``scalar._keep`` and stops the row at the first pair out of range in h,
+as the product kernel of :mod:`kdeform.ncalg` does.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
@@ -79,6 +79,7 @@ class HopfData:
         self._cop_cache = {EMPTY_WORD: TensorElement.one(pres, 2, trunc)}
         self._antipode_cache = {EMPTY_WORD: TensorElement.one(pres, 1, trunc)}
         self._counit_cache = {EMPTY_WORD: Scalar.one(trunc)}
+        self._counit_rows = {}  # word -> its counit image in rising h-degree
 
     # --- word-level extensions ---------------------------------------------
 
@@ -125,8 +126,13 @@ class HopfData:
     # --- tensor-leg applications --------------------------------------------
 
     def _counit_image(self, word):
-        return [((), a, b, c)
-                for (a, b), c in sorted(self.counit_word(word).terms.items())]
+        rows = self._counit_rows.get(word)
+        if rows is None:
+            rows = self._counit_rows[word] = [
+                ((), a, b, c)
+                for (a, b), c in sorted(self.counit_word(word).terms.items())
+            ]
+        return rows
 
     def _leg_map(self, tensor, leg, rank, image):
         """``tensor`` with leg ``leg`` replaced by its image, of rank ``rank``

@@ -34,10 +34,11 @@ through that name; the package itself does not use it.
 The package has one star structure, with every generator self-adjoint and h
 real: :meth:`TensorElement.star` reverses words and conjugates coefficients.
 
-Sparse combinations, here and in the wedge layer, are dicts from keys to
-nonzero coefficients; :func:`accumulate` sums ``(key, coeff)`` pairs into
-such a dict, and :func:`add_graded` sums graded tensor terms, each dropping
-cancelled terms.
+Sparse combinations are dicts from keys to nonzero coefficients;
+:func:`accumulate` sums ``(key, coeff)`` pairs into such a dict, and
+:func:`add_graded` sums graded terms, of tensors and of the wedges of
+:mod:`kdeform.rmatrix`, each dropping cancelled terms; :func:`scalar_view`
+reads graded terms back as Scalars.
 
 Truncation is a degree test on the key: a term pair's degrees are added and
 ``scalar._keep`` decides, read from :mod:`kdeform.scalar` at each call, at
@@ -124,6 +125,14 @@ def add_graded(out, terms, trunc):
             else:
                 del out[key]
     return out
+
+
+def scalar_view(terms, trunc):
+    """Graded terms read back as a dict from keys to Scalars at ``trunc``."""
+    out = {}
+    for (k, a, b), c in terms.items():
+        out.setdefault(k, {})[(a, b)] = c
+    return {k: Scalar._make(row, trunc) for k, row in out.items()}
 
 
 def _spread(kept, forms, a, b, c, trunc):
@@ -442,10 +451,7 @@ class TensorElement:
     def by_legs(self):
         """The terms as a dict from legs to Scalars at the tensor's
         truncation."""
-        out = {}
-        for (k, a, b), c in self.terms.items():
-            out.setdefault(k, {})[(a, b)] = c
-        return {k: Scalar._make(row, self.trunc) for k, row in out.items()}
+        return scalar_view(self.terms, self.trunc)
 
     # --- constructors -----------------------------------------------------
 

@@ -6,15 +6,20 @@ Yang-Baxter type: [[r, r]] = -tau^2 Omega with Omega = M_{mu nu} ^ P^mu ^
 P^nu, so null tau solves the classical (unmodified) equation and everything
 else the modified one.
 
-Conventions.  Wedge tensors are stored on strictly increasing generator-index
-tuples with the sorting sign absorbed; ``_wedge`` is the one constructor that
-sorts each key with its sign, drops keys with a repeated index and sums equal
-keys.  Brackets are taken in the real form: the presentations store
+Storage.  Wedge terms are graded as tensor terms are: ``(key, deg_h,
+deg_xi)`` to a nonzero GaussianRational, the key a strictly increasing
+index tuple with the sorting sign absorbed, so the calculus does no Scalar
+arithmetic.  A wedge has one truncation, merged from its Scalar
+coefficients.  ``_graded`` alone cuts terms to it with ``scalar._keep``,
+read at each call, sorts keys, drops keys with a repeated index and sums
+through ``ncalg.add_graded``; ``schouten`` also tests each pair of terms
+before its product.  :meth:`WedgeTensor.by_key` reads Scalars back.
+
+Conventions.  Brackets are taken in the real form: the presentations store
 [x, y] = i f(x, y) with rational f, and polyvector identities hold for f.
 ``schouten`` and ``ad_action`` read the stored coefficients i f from
 ``Presentation.structure_constants``, which lists both orientations of every
-commutator rule.  Each term they produce carries exactly one bracket, so
-they sum with the stored coefficients and multiply the result by -i once.
+commutator rule, and multiply them by -i once per call.
 The Schouten bracket is normalized as
 [[a^b, c^d]] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.  It is
 symmetric on bivectors, [[t, u]] = [[u, t]], so with r = sum_t r_t t over
@@ -24,14 +29,14 @@ the pairs t < u by 2.
 """
 
 from fractions import Fraction
-from itertools import chain
 
+from . import scalar
 from .errors import PresentationError
 from .metric import as_metric, as_tau
 from .model import _iso_data, _m_signed, build_iso
-from .ncalg import accumulate
+from .ncalg import add_graded, scalar_view
 from .report import Report
-from .scalar import GR_ONE, GaussianRational, Scalar, gr
+from .scalar import GR_ONE, GaussianRational, Scalar, gr, merge_trunc
 
 # the stored brackets are i times the real ones
 _MINUS_I = gr(0, -1)
@@ -40,51 +45,55 @@ _MINUS_I = gr(0, -1)
 def _as_scalar(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.rational(x)
-    if isinstance(x, GaussianRational):
+    if isinstance(x, (int, Fraction, GaussianRational)):
         return Scalar.monomial(x)
     raise PresentationError("bad wedge coefficient %r" % (x,))
 
 
 def _canonical(key):
     """(sorted key, sign) or (None, 0) when an index repeats."""
-    key = list(key)
-    sign = 1
-    for i in range(1, len(key)):
-        j = i
-        while j > 0 and key[j - 1] > key[j]:
-            key[j - 1], key[j] = key[j], key[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(key)):
-        if key[i - 1] == key[i]:
-            return None, 0
-    return tuple(key), sign
+    skey = tuple(sorted(key))
+    if len(set(skey)) < len(skey):
+        return None, 0
+    flips = sum(x > y for i, x in enumerate(key) for y in key[i + 1:])
+    return skey, -1 if flips % 2 else 1
+
+
+def _graded(pres, rank, terms, trunc):
+    """The wedge at ``trunc`` of ``(key, deg_h, deg_xi, coeff)`` terms with
+    nonzero GaussianRational coefficients; ``scalar._keep`` cuts each term."""
+    canon = {}  # each key is sorted once per call
+    keep = scalar._keep
+
+    def signed():
+        for key, a, b, c in terms:
+            if trunc is not None and not keep((a, b), trunc):
+                continue
+            ks = canon.get(key) or canon.setdefault(key, _canonical(key))
+            if ks[1]:
+                yield ks[0], a, b, (c if ks[1] > 0 else -c)
+
+    w = object.__new__(WedgeTensor)
+    w.pres, w.rank, w.trunc = pres, rank, trunc
+    w.terms = add_graded({}, signed(), trunc)
+    return w
 
 
 def _wedge(pres, rank, pairs):
-    """The rank-``rank`` wedge tensor sum c x_key over the (key, c) pairs:
-    each key is sorted with its sign, a key with a repeated index is dropped
-    and the coefficients of equal keys are summed.  A rank other than 2 or
-    3, or a key of another length, raises."""
+    """The wedge sum c x_key over the (key, c) pairs, c a number or a Scalar;
+    a rank not 2 or 3, a wrong key length or two finite truncations raise."""
     if rank not in (2, 3):
         raise PresentationError("wedge rank must be 2 or 3")
-
-    def signed():
-        for key, c in pairs:
-            if len(key) != rank:
-                raise PresentationError("wedge key %r has wrong rank" % (key,))
-            skey, sign = _canonical(key)
-            if sign:
-                c = _as_scalar(c)
-                yield skey, (c if sign > 0 else -c)
-
-    w = object.__new__(WedgeTensor)
-    w.pres = pres
-    w.rank = rank
-    w.terms = accumulate({}, signed())
-    return w
+    pairs = [(tuple(key), _as_scalar(c)) for key, c in pairs]
+    trunc = None
+    for key, c in pairs:
+        if len(key) != rank:
+            raise PresentationError("wedge key %r has wrong rank" % (key,))
+        trunc = merge_trunc(trunc, c.trunc)
+    return _graded(pres, rank, (
+        (key, a, b, g)
+        for key, c in pairs for (a, b), g in c.terms.items()
+    ), trunc)
 
 
 class WedgeTensor:
@@ -105,13 +114,13 @@ class WedgeTensor:
             for *labels, c in entries
         ))
 
+    def by_key(self):
+        """The terms as a dict from sorted keys to Scalars."""
+        return scalar_view(self.terms, self.trunc)
+
     def coeff(self, key):
         skey, sign = _canonical(key)
-        if sign == 0:
-            return Scalar.zero()
-        c = self.terms.get(skey)
-        if c is None:
-            return Scalar.zero()
+        c = self.by_key().get(skey, Scalar.zero(self.trunc))
         return c if sign > 0 else -c
 
     def __add__(self, other):
@@ -119,20 +128,23 @@ class WedgeTensor:
             return NotImplemented
         if other.pres is not self.pres or other.rank != self.rank:
             raise PresentationError("wedge mismatch")
-        return _wedge(self.pres, self.rank,
-                      chain(self.terms.items(), other.terms.items()))
+        return _graded(self.pres, self.rank, (
+            k + (c,) for x in (self, other) for k, c in x.terms.items()
+        ), merge_trunc(self.trunc, other.trunc))
 
     def __neg__(self):
-        return _wedge(self.pres, self.rank,
-                      ((k, -c) for k, c in self.terms.items()))
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        c = _as_scalar(other)
-        return _wedge(self.pres, self.rank,
-                      ((k, v * c) for k, v in self.terms.items()))
+        s = _as_scalar(other)
+        return _graded(self.pres, self.rank, (
+            (k, a + da, b + db, c * g)
+            for (k, a, b), c in self.terms.items()
+            for (da, db), g in s.terms.items()
+        ), merge_trunc(self.trunc, s.trunc))
 
     __rmul__ = __mul__
 
@@ -142,11 +154,11 @@ class WedgeTensor:
     def __repr__(self):
         if not self.terms:
             return "WedgeTensor(0)"
-        bits = []
-        for key in sorted(self.terms):
-            labels = "^".join(self.pres.label(i) for i in key)
-            bits.append("(%r)*%s" % (self.terms[key], labels))
-        return "WedgeTensor(%s)" % " + ".join(bits)
+        view = self.by_key()
+        return "WedgeTensor(%s)" % " + ".join(
+            "(%r)*%s" % (view[key], "^".join(map(self.pres.label, key)))
+            for key in sorted(view)
+        )
 
 
 def build_r(metric, tau, pres=None):
@@ -161,13 +173,13 @@ def build_r(metric, tau, pres=None):
     dim = metric.dim
     ginv = metric.inverse()
     pidx, midx = data["p"], data["m"]
-    return _wedge(pres, 2, (
-        ((im, pidx[sg]), Scalar.rational(tau[al] * ginv[be][sg] * sgn))
+    return _graded(pres, 2, (
+        ((im, pidx[sg]), 0, 0, gr(tau[al] * ginv[be][sg] * sgn))
         for al in range(dim) if tau[al]
         for be in range(dim)
         for im, sgn in (_m_signed(midx, al, be),) if sgn
         for sg in range(dim) if ginv[be][sg]
-    ))
+    ), None)
 
 
 def build_omega(pres):
@@ -177,46 +189,53 @@ def build_omega(pres):
     dim = metric.dim
     ginv = metric.inverse()
     pidx, midx = data["p"], data["m"]
-    return _wedge(pres, 3, (
-        (
-            (im, pidx[al], pidx[be]),
-            Scalar.rational(ginv[mu][al] * ginv[nu][be] * sgn),
-        )
+    return _graded(pres, 3, (
+        ((im, pidx[al], pidx[be]), 0, 0,
+         gr(ginv[mu][al] * ginv[nu][be] * sgn))
         for mu in range(dim)
         for nu in range(dim)
         for im, sgn in (_m_signed(midx, mu, nu),) if sgn
         for al in range(dim) if ginv[mu][al]
         for be in range(dim) if ginv[nu][be]
-    ))
+    ), None)
+
+
+def _real_brackets(pres):
+    """The stored brackets times -i, (i, j) -> [(k, deg_h, deg_xi, f)]."""
+    return {ij: [(k, a, b, g * _MINUS_I)
+                 for k, c in rhs for (a, b), g in c.terms.items()]
+            for ij, rhs in pres.structure_constants().items()}
 
 
 def schouten(r):
     """[[r, r]] as a rank-3 wedge (see the module docstring for signs)."""
     if r.rank != 2:
         raise PresentationError("schouten bracket needs a rank-2 wedge")
-    table = r.pres.structure_constants()
-    items = list(r.terms.items())
+    table = _real_brackets(r.pres)
+    trunc = r.trunc
+    keep = scalar._keep
+    items = [k + (c,) for k, c in r.terms.items()]
 
     def expansion():
         # unordered pairs t <= u of canonical terms a^b, c^d; t < u twice
-        for n, ((a, b), ct) in enumerate(items):
+        for n, ((a, b), at, bt, ct) in enumerate(items):
             twice = ct + ct
-            for m in range(n, len(items)):
-                (c, d), cu = items[m]
-                coef = (ct if m == n else twice) * cu
-                if not coef:
+            for m, ((c, d), au, bu, cu) in enumerate(items[n:]):
+                a0, b0 = at + au, bt + bu
+                if trunc is not None and not keep((a0, b0), trunc):
                     continue
+                coef = (twice if m else ct) * cu
                 neg = -coef
-                for e, f in table.get((a, c), ()):
-                    yield (e, b, d), coef * f
-                for e, f in table.get((a, d), ()):
-                    yield (e, b, c), neg * f
-                for e, f in table.get((b, c), ()):
-                    yield (e, a, d), neg * f
-                for e, f in table.get((b, d), ()):
-                    yield (e, a, c), coef * f
+                for e, da, db, f in table.get((a, c), ()):
+                    yield (e, b, d), a0 + da, b0 + db, coef * f
+                for e, da, db, f in table.get((a, d), ()):
+                    yield (e, b, c), a0 + da, b0 + db, neg * f
+                for e, da, db, f in table.get((b, c), ()):
+                    yield (e, a, d), a0 + da, b0 + db, neg * f
+                for e, da, db, f in table.get((b, d), ()):
+                    yield (e, a, c), a0 + da, b0 + db, coef * f
 
-    return _wedge(r.pres, 3, expansion()) * _MINUS_I
+    return _graded(r.pres, 3, expansion(), trunc)
 
 
 def ybe_classify(r):
@@ -232,14 +251,9 @@ def ybe_classify(r):
             "lam": Scalar.zero(),
             "residual": WedgeTensor.zero(r.pres, 3),
         }
-    omega = build_omega(r.pres)
-    lam = None
-    for key, c in omega.terms.items():
-        val = c.constant_value()
-        lam = s.coeff(key) * (GR_ONE / val)
-        break
-    if lam is None:
-        return {"type": "other", "lam": None, "residual": s}
+    omega = build_omega(r.pres)  # nonzero, with constant coefficients
+    (key, _, _), val = next(iter(omega.terms.items()))
+    lam = s.coeff(key) * (GR_ONE / val)
     residual = s - omega * lam
     if residual.is_zero():
         return {"type": "MYBE", "lam": lam, "residual": residual}
@@ -247,14 +261,21 @@ def ybe_classify(r):
 
 
 def ad_action(pres, x, w):
-    """ad_x acting as a derivation on a wedge tensor (real brackets)."""
-    table = pres.structure_constants()
-    return _wedge(pres, w.rank, (
-        (key[:slot] + (e,) + key[slot + 1:], c * f)
-        for key, c in w.terms.items()
+    """ad_x acting as a derivation on a wedge tensor over ``pres`` (real
+    brackets).  A generator index outside ``pres`` or a wedge over another
+    presentation raises."""
+    pres.label(x)  # refuses an index outside the generators
+    if w.pres is not pres:
+        raise PresentationError(
+            "ad_action needs a wedge over its own presentation %s" % pres.name
+        )
+    table = _real_brackets(pres)
+    return _graded(pres, w.rank, (
+        (key[:slot] + (e,) + key[slot + 1:], a + da, b + db, c * f)
+        for (key, a, b), c in w.terms.items()
         for slot in range(w.rank)
-        for e, f in table.get((x, key[slot]), ())
-    )) * _MINUS_I
+        for e, da, db, f in table.get((x, key[slot]), ())
+    ), w.trunc)
 
 
 def omega_invariance_check(metric, pres=None):

@@ -31,10 +31,10 @@ truncation decision, since the other operand already satisfies its own
 truncation and the Laurent rule.  No ring operation mutates a scalar, so
 results may share their operands.
 
-``_keep`` is the one degree test of a truncation.  The graded tensor kernels
-of :mod:`kdeform.ncalg` and :mod:`kdeform.hopf` multiply GaussianRationals
-directly and read ``_keep`` from this module at each call, so they test
-every degree as a Scalar does.
+``_keep`` is the one degree test of a truncation.  The graded kernels of
+:mod:`kdeform.ncalg`, :mod:`kdeform.hopf` and :mod:`kdeform.rmatrix`
+multiply GaussianRationals directly and read ``_keep`` from this module at
+each call, so they test every degree as a Scalar does.
 
 h and xi are real: conjugation acts on the coefficients only, as the one star
 structure of the package (:mod:`kdeform.ncalg`) needs.

@@ -1,7 +1,8 @@
 """Bad input to the twist catalog and its checks, the model checks, the rule
 and tensor constructors, ``HopfData`` and the wedge calculus raises
-``PresentationError``, and a malformed scalar key ``ScalarDomainError``: one
-table, one call per guard.
+``PresentationError``, a malformed scalar key ``ScalarDomainError`` and a
+wedge at two truncations ``TruncationMismatch``: one table, one call per
+guard.
 
 Each call builds its own small input, so no row depends on another."""
 
@@ -11,11 +12,15 @@ import pytest
 
 from kdeform import model as km
 from kdeform import twist
-from kdeform.errors import PresentationError, ScalarDomainError
+from kdeform.errors import (
+    PresentationError,
+    ScalarDomainError,
+    TruncationMismatch,
+)
 from kdeform.hopf import HopfData
 from kdeform.model import Model, ModelConfig
 from kdeform.ncalg import Presentation, TensorElement
-from kdeform.rmatrix import WedgeTensor
+from kdeform.rmatrix import WedgeTensor, ad_action
 from kdeform.scalar import Scalar
 
 MINK2 = [[1, 0], [0, -1]]
@@ -84,6 +89,19 @@ def wedge_pres():
 def wedge_sum_of_ranks_2_and_3():
     pres = wedge_pres()
     return WedgeTensor.zero(pres, 2) + WedgeTensor.zero(pres, 3)
+
+
+def ad_on_zero_wedge(x, foreign=False):
+    """``ad_action`` of generator ``x`` on a zero wedge, over the wedge's own
+    d=3 presentation or, with ``foreign``, over another one."""
+    wedge = WedgeTensor.zero(wedge_pres())
+    return ad_action(wedge_pres() if foreign else wedge.pres, x, wedge)
+
+
+def wedge_at_two_truncations():
+    return WedgeTensor(wedge_pres(), 2, {
+        (0, 1): Scalar.h(1, (2, 0)), (0, 2): Scalar.h(1, (3, 0)),
+    })
 
 
 def guard(name, message, call, error=PresentationError):
@@ -197,6 +215,16 @@ GUARDS = [
               wedge_pres(), 2, [("P_0", "M_01", "one")])),
     guard("wedge_sum_of_ranks_2_and_3", "wedge mismatch",
           wedge_sum_of_ranks_2_and_3),
+    guard("wedge_at_two_truncations",
+          "cannot combine truncations (2, 0) and (3, 0)",
+          wedge_at_two_truncations, TruncationMismatch),
+    guard("ad_action_past_last_generator", "no generator 99 in iso(3)",
+          lambda: ad_on_zero_wedge(99)),
+    guard("ad_action_negative_index", "no generator -1 in iso(3)",
+          lambda: ad_on_zero_wedge(-1)),
+    guard("ad_action_foreign_wedge",
+          "ad_action needs a wedge over its own presentation iso(3)",
+          lambda: ad_on_zero_wedge(0, foreign=True)),
 ]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kdeform.errors import PresentationError
+from kdeform.errors import PresentationError, ScalarDomainError
 from kdeform.metric import Metric
 from kdeform.model import Model, ModelConfig, build_iso, change_basis, transform_tau
 from kdeform.ncalg import accumulate
@@ -58,6 +58,25 @@ def test_wedge_from_labels_and_arithmetic():
     half = w * Fraction(1, 2)
     assert (half + half - w).is_zero()
     assert (w - w).is_zero() and not w.is_zero()
+
+
+def test_wedge_cuts_exact_coefficients_to_its_truncation():
+    # a wedge has the one finite truncation of its coefficients; an exact
+    # coefficient is cut to it, in the constructor and in a sum
+    pres = build_iso(EUCL3)
+    w = WedgeTensor(pres, 2, {
+        (0, 1): Scalar.h(1, (2, 0)), (0, 2): Scalar.h(1) + Scalar.h(3),
+    })
+    assert w.trunc == (2, 0)
+    assert w.by_key() == {(0, 1): Scalar.h(1, (2, 0)),
+                          (0, 2): Scalar.h(1, (2, 0))}
+    exact = WedgeTensor(pres, 2, {(1, 2): Scalar.h(2) + Scalar.h(4)})
+    assert exact.trunc is None
+    total = w + exact
+    assert total.trunc == (2, 0)
+    assert total.coeff((2, 1)) == -Scalar.h(2, (2, 0))
+    with pytest.raises(ScalarDomainError):
+        w + WedgeTensor(pres, 2, {(1, 2): Scalar.h(-1)})
 
 
 def test_wedge_rank_guard():
@@ -226,7 +245,7 @@ def reference_schouten(w):
         return [(word[0], c * minus_i * sign)
                 for word, c in pres.comm_rules[key].items()]
 
-    square = [term for (a, b), c in w.terms.items()
+    square = [term for (a, b), c in w.by_key().items()
               for term in (((a, b), c), ((b, a), -c))]
     raw = accumulate({}, (
         (key, cab * ccd * f)
@@ -288,7 +307,7 @@ def test_schouten_matches_reference_on_build_r_images():
 def test_schouten_matches_reference_with_laurent_terms():
     pres = build_iso(MINK4)
     w = _random_wedge(random.Random(86), pres, 6, laurent=True)
-    assert any(c.has_negative_h() for c in w.terms.values())
+    assert any(c.has_negative_h() for c in w.by_key().values())
     got = schouten(w)
     assert not got.is_zero()
     assert got.terms == reference_schouten(w).terms
@@ -297,12 +316,36 @@ def test_schouten_matches_reference_with_laurent_terms():
 def test_schouten_matches_reference_when_pair_products_truncate():
     pres = build_iso(MINK4)
     w = _random_wedge(random.Random(21), pres, 7, trunc=(2, 1))
-    coeffs = list(w.terms.values())
+    coeffs = list(w.by_key().values())
     assert any(not c1 * c2 for c1 in coeffs for c2 in coeffs)
     got = schouten(w)
     assert not got.is_zero()
-    assert all(c.trunc == (2, 1) for c in got.terms.values())
+    assert got.trunc == (2, 1)
+    assert all(c.trunc == (2, 1) for c in got.by_key().values())
     assert got.terms == reference_schouten(w).terms
+
+
+def test_wedge_calculus_does_no_scalar_arithmetic(monkeypatch):
+    # wedge terms are graded with GaussianRational coefficients, so the
+    # bracket, Omega and the adjoint action never sum or multiply Scalars
+    pres = change_basis(build_iso(MINK4), _random_rows(random.Random(20), 4))
+    r = build_r(pres.iso_data["metric"], (1, 2, 0, Fraction(1, 2)), pres)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__"):
+        def counted(self, other, run=getattr(Scalar, name), name=name):
+            calls.append(name)
+            return run(self, other)
+        monkeypatch.setattr(Scalar, name, counted)
+    s = schouten(r)
+    omega = build_omega(pres)
+    images = [ad_action(pres, i, w)
+              for w in (r, omega) for i in range(len(pres.generators))]
+    assert not s.is_zero() and not omega.is_zero()
+    assert any(not w.is_zero() for w in images)
+    assert calls == []
+    # the counter sees Scalar arithmetic
+    assert (Scalar.h() * Scalar.xi() + Scalar.one()) and calls == [
+        "__mul__", "__add__"]
 
 
 # --- Omega ---------------------------------------------------------------------
