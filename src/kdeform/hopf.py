@@ -7,17 +7,20 @@ benchmark's tracer patches its product and ``merge_legs``; the tracer patches
 the same product again under the old element name that ``ncalg`` keeps bound
 to the class, so both of its product counters count every product.
 
-:class:`HopfData` holds coproduct, antipode and counit values on generators
-and extends them to arbitrary elements (multiplicatively,
-anti-multiplicatively, multiplicatively respectively); each word's image is
-memoized by the one helper :func:`kdeform.ncalg.word_image`, one cache per
-map.  The three leg maps share one helper that replaces a single tensor leg
-by a word's image, and the coproduct and antipode of an element are those
-leg maps at rank 1, and the counit of an element is the counit leg map down
-to rank 0.  A leg map reads a word's image in rising h-degree (its memoized
-``TensorElement.by_h``, or ``_counit_rows``), tests each term pair's degrees
-with ``scalar._keep`` and stops the row at the first pair out of range in h,
-as the product kernel of :mod:`kdeform.ncalg` does.
+:class:`HopfData` holds coproduct, antipode and counit values on generators,
+checked at construction, and extends them to arbitrary elements
+(multiplicatively, anti-multiplicatively, multiplicatively respectively);
+each word's image is memoized by the one helper
+:func:`kdeform.ncalg.word_image`, one cache per map.  A word's image is a
+tensor: of rank 2 under the coproduct, rank 1 under the antipode and rank 0
+under the counit.  The three leg maps share one helper that replaces a
+single tensor leg by a word's image, and the coproduct and antipode of an
+element are those leg maps at rank 1, and the counit of an element is the
+counit leg map down to rank 0, read back as a Scalar.  A leg map reads a
+word's image in rising h-degree, its memoized ``TensorElement.by_h``, tests
+each term pair's degrees with ``scalar._keep`` and stops the row at the
+first pair out of range in h, as the product kernel of :mod:`kdeform.ncalg`
+does; it sums through ``ncalg.accumulate`` and does no Scalar arithmetic.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from . import scalar
 from .errors import KdeformError, PresentationError
-from .ncalg import EMPTY_WORD, TensorElement, add_graded, word_image
+from .ncalg import EMPTY_WORD, TensorElement, accumulate, word_image
 from .report import Report
 from .scalar import Scalar, merge_trunc
 
@@ -46,13 +49,14 @@ def otimes(a, b):
 class HopfData:
     """Coproduct, antipode and counit on generators, extended on demand.
 
-    ``coproduct``: dict gen index -> rank-2 TensorElement
-    ``antipode``:  dict gen index -> rank-1 TensorElement
+    ``coproduct``: dict gen index -> rank-2 TensorElement over ``pres``
+    ``antipode``:  dict gen index -> rank-1 TensorElement over ``pres``
     ``counit``:    dict gen index -> Scalar
 
-    The working truncation ``trunc`` is the merged truncation of the
-    coproduct and antipode values; two different finite ones raise
-    ``TruncationMismatch``.
+    A key that names no generator, a missing generator or a value of
+    another kind raises ``PresentationError``.  The working truncation
+    ``trunc`` is the merged truncation of the coproduct and antipode values;
+    two different finite ones raise ``TruncationMismatch``.
     """
 
     def __init__(self, pres, coproduct, antipode, counit):
@@ -61,11 +65,24 @@ class HopfData:
         self.antipode = dict(antipode)
         self.counit = dict(counit)
         n = len(pres.generators)
-        for table, what in (
-            (self.coproduct, "coproduct"),
-            (self.antipode, "antipode"),
-            (self.counit, "counit"),
+        for table, what, rank in (
+            (self.coproduct, "coproduct", 2),
+            (self.antipode, "antipode", 1),
+            (self.counit, "counit", None),
         ):
+            for i, value in table.items():
+                lab = pres.label(i)  # refuses a key outside the generators
+                if rank is None:
+                    if not isinstance(value, Scalar):
+                        raise PresentationError(
+                            "counit of %s must be a Scalar" % lab
+                        )
+                elif not (isinstance(value, TensorElement)
+                          and value.pres is pres and value.rank == rank):
+                    raise PresentationError(
+                        "%s of %s must be a rank-%d tensor over %s"
+                        % (what, lab, rank, pres.name)
+                    )
             missing = [i for i in range(n) if i not in table]
             if missing:
                 raise PresentationError(
@@ -78,8 +95,7 @@ class HopfData:
         self.trunc = trunc
         self._cop_cache = {EMPTY_WORD: TensorElement.one(pres, 2, trunc)}
         self._antipode_cache = {EMPTY_WORD: TensorElement.one(pres, 1, trunc)}
-        self._counit_cache = {EMPTY_WORD: Scalar.one(trunc)}
-        self._counit_rows = {}  # word -> its counit image in rising h-degree
+        self._counit_cache = {EMPTY_WORD: TensorElement.one(pres, 0, trunc)}
 
     # --- word-level extensions ---------------------------------------------
 
@@ -94,7 +110,8 @@ class HopfData:
                           lambda head, g: self.antipode[g] * head)
 
     def counit_word(self, word):
-        """epsilon on a word, extended multiplicatively; memoized."""
+        """epsilon on a word, extended multiplicatively, as a rank-0
+        tensor; memoized."""
         return word_image(self._counit_cache, word, self.counit_word,
                           lambda head, g: head and head * self.counit[g])
 
@@ -120,28 +137,18 @@ class HopfData:
         """epsilon of a rank-1 element, a Scalar: the counit leg map down to
         rank 0."""
         return self._leg_map(
-            self._rank_one(elt), 0, 0, self._counit_image
+            self._rank_one(elt), 0, 0, self.counit_word
         ).coeff(())
 
     # --- tensor-leg applications --------------------------------------------
-
-    def _counit_image(self, word):
-        rows = self._counit_rows.get(word)
-        if rows is None:
-            rows = self._counit_rows[word] = [
-                ((), a, b, c)
-                for (a, b), c in sorted(self.counit_word(word).terms.items())
-            ]
-        return rows
 
     def _leg_map(self, tensor, leg, rank, image):
         """``tensor`` with leg ``leg`` replaced by its image, of rank ``rank``
         and at the truncation of both.
 
-        ``image(word)`` gives the word's image as ``(legs, deg_h, deg_xi,
-        coeff)`` terms in rising h-degree, where ``legs`` is a tuple of 0, 1
-        or 2 words that takes the place of the one word.  A ``leg`` outside
-        ``range(tensor.rank)`` raises.
+        ``image(word)`` is the word's image, a tensor of rank 0, 1 or 2
+        whose legs take the place of the one word; its terms are read in
+        rising h-degree.  A ``leg`` outside ``range(tensor.rank)`` raises.
         """
         if leg not in range(tensor.rank):
             raise PresentationError(
@@ -152,7 +159,7 @@ class HopfData:
         kept = []
         for (key, a, b), c in tensor.terms.items():
             pre, word, post = key[:leg], key[leg], key[leg + 1:]
-            for legs, ai, bi, ci in image(word):
+            for legs, ai, bi, ci in image(word).by_h():
                 ah = a + ai
                 bh = b + bi
                 if trunc is not None and not keep((ah, bh), trunc):
@@ -161,26 +168,22 @@ class HopfData:
                     # the image terms come in rising h-degree
                     break
                 kept.append((pre + legs + post, ah, bh, c * ci))
-        out = add_graded({}, kept, trunc)
+        out = accumulate({}, kept, trunc)
         return TensorElement._make(self.pres, rank, out, trunc)
 
     def apply_cop_leg(self, tensor, leg):
         """(.. (x) Delta (x) ..): rank grows by one at position ``leg``."""
-        return self._leg_map(
-            tensor, leg, tensor.rank + 1, lambda w: self.cop_word(w).by_h()
-        )
+        return self._leg_map(tensor, leg, tensor.rank + 1, self.cop_word)
 
     def apply_antipode_leg(self, tensor, leg):
-        return self._leg_map(
-            tensor, leg, tensor.rank, lambda w: self.antipode_word(w).by_h()
-        )
+        return self._leg_map(tensor, leg, tensor.rank, self.antipode_word)
 
     def apply_counit_leg(self, tensor, leg):
         """Contract one leg of a tensor of rank >= 2 with epsilon; rank drops
         by one.  The counit of a rank-1 element is ``counit_of``."""
         if tensor.rank < 2:
             raise PresentationError("counit leg map needs rank >= 2")
-        return self._leg_map(tensor, leg, tensor.rank - 1, self._counit_image)
+        return self._leg_map(tensor, leg, tensor.rank - 1, self.counit_word)
 
 
 def verify_axioms(hopf, degree2=True):
@@ -242,10 +245,8 @@ def verify_axioms(hopf, degree2=True):
             tag = "%s*%s" % (li, lj)
             drec = ci * cj - hopf.cop(rhs_elt)
             srec = sj * si - hopf.antipode_of(rhs_elt)
-            erec = one * (
-                hopf.counit_of(gi) * hopf.counit_of(gj)
-                - hopf.counit_of(rhs_elt)
-            )
+            erec = (one * hopf.counit_of(gi) * hopf.counit_of(gj)
+                    - one * hopf.counit_of(rhs_elt))
         rep.zero("cop_respects_%s" % tag, drec)
         rep.zero("antipode_respects_%s" % tag, srec)
         rep.zero("counit_respects_%s" % tag, erec)

@@ -733,18 +733,17 @@ class Model:
             return tuple(x for x in word if x not in strip)
 
         out = accumulate({}, (
-            (tuple(map(drop, key)), c) for key, c in obj.by_legs().items()
-        ))
-        cleaned = {}
-        for key, c in out.items():
-            if c.has_negative_h():
+            (tuple(map(drop, key)), a, b, c)
+            for (key, a, b), c in obj.terms.items()
+        ), obj.trunc)
+        for key, a, _ in out:
+            if a < 0:
                 raise ClassicalLimitError(
                     "negative h power survives at %r" % (key,)
                 )
-            c0 = c.h_zero_part()
-            if c0:
-                cleaned[key] = c0
-        return TensorElement(self.pres, obj.rank, cleaned, obj.trunc)
+        return TensorElement._make(self.pres, obj.rank, {
+            k: c for k, c in out.items() if k[1] == 0
+        }, obj.trunc)
 
 
 # --- checks --------------------------------------------------------------------
@@ -759,8 +758,7 @@ def presentation_check(pres):
     )
     if failures:
         for t, residual in failures[:8]:
-            rep.zero("confluence[%s]" % pres._word_str(t),
-                     TensorElement.from_words(pres, residual))
+            rep.zero("confluence[%s]" % pres._word_str(t), residual)
     else:
         rep.add("confluence", True)
     return rep

@@ -10,46 +10,54 @@ length-2 rewrite rules:
   inverse pairs like ``Pi Pi^{-1} = 1``).
 
 Words are tuples of generator indices.  A word is normal when no adjacent
-pair triggers a rule.  ``normalize_word`` rewrites the leftmost violation
-first and memoizes whole-word results; rule coefficients are stored exact
-(``trunc=None``) so one cache serves every working truncation.  The rule
-tables map words to Scalars.  They and each rule's rhs are read-only views
-(``types.MappingProxyType``): a rule goes in only through ``set_commutator``
-or ``set_product``, which drop the caches, so a stray write raises.
+pair triggers a rule.  A rule goes in only through ``set_commutator`` or
+``set_product`` with exact Scalar coefficients, which refuse a letter that
+names no generator and drop the caches.  The rule tables ``comm_rules`` and
+``product_rules`` map words to those Scalars, as read-only views
+(``types.MappingProxyType``), so a stray write raises.  Below them each
+rule's rhs is converted once, at install, to graded rows
+``(word, deg_h, deg_xi, coeff)`` with a nonzero GaussianRational coeff, the
+one coefficient format of the rewriting and tensor kernels.  ``step_at`` and
+``normalize_terms`` rewrite on rows, and ``normalize_word`` returns a word's
+normal form as a list of exact rows with distinct ``(word, deg_h,
+deg_xi)``; it rewrites the leftmost violation first and memoizes whole
+words, so one cache serves every working truncation.
 
 :meth:`Presentation.structure_constants` is the one reader of a Lie
 presentation's brackets, for :mod:`kdeform.rmatrix` and
-:mod:`kdeform.twist`.  It is built at its first call and dropped with the
-normalize cache whenever a rule is installed.
+:mod:`kdeform.twist`: graded rows of the real brackets, built at its first
+call and dropped with the normalize cache whenever a rule is installed.
 
 A :class:`TensorElement` of rank r is an element of the r-fold tensor power
 U^{(x) r} of the presented algebra U.  Rank 1 is the algebra itself, so an
-algebra element is a rank-1 tensor whose legs are 1-tuples ``(word,)``.  Its
-terms are graded: a dict from ``(legs, deg_h, deg_xi)``, with legs an
-r-tuple of normal words, to nonzero GaussianRationals.  Products act legwise
-through the normalize cache.  The class is bound to a second name at the
-end of this module only because the benchmark's tracer patches the product
-through that name; the package itself does not use it.
+algebra element is a rank-1 tensor whose legs are 1-tuples ``(word,)``;
+rank 0 is the ring of coefficients, where the counit lands.  Its terms are
+graded: a dict from ``(legs, deg_h, deg_xi)``, with legs an r-tuple of
+normal words, to nonzero GaussianRationals.  Products act legwise through
+the normalize cache.  The class is bound to a second name at the end of this
+module only because the benchmark's tracer patches the product through that
+name; the package itself does not use it.
 
 The package has one star structure, with every generator self-adjoint and h
 real: :meth:`TensorElement.star` reverses words and conjugates coefficients.
 
-Sparse combinations are dicts from keys to nonzero coefficients;
-:func:`accumulate` sums ``(key, coeff)`` pairs into such a dict, and
-:func:`add_graded` sums graded terms, of tensors and of the wedges of
-:mod:`kdeform.rmatrix`, each dropping cancelled terms; :func:`scalar_view`
-reads graded terms back as Scalars.
+Sparse combinations are graded dicts from ``(key, deg_h, deg_xi)`` to
+nonzero GaussianRationals.  The one accumulator, :func:`accumulate`, sums
+``(key, deg_h, deg_xi, coeff)`` rows into such a dict and drops cancelled
+keys, for the normal forms, the tensors and the wedges of
+:mod:`kdeform.rmatrix`; :func:`scalar_view` reads graded terms back as
+Scalars.
 
 Truncation is a degree test on the key: a term pair's degrees are added and
 ``scalar._keep`` decides, read from :mod:`kdeform.scalar` at each call, at
 the merged truncation of the operands, which ``scalar.merge_trunc`` alone
-decides.  Only a kept pair pays for its coefficient product, and a rule
-coefficient met in the legwise normal forms shifts the degrees and is tested
-again.  A right operand sorts its terms by h-degree once, in
-:meth:`TensorElement.by_h`, so the product kernel and the coproduct and
-antipode leg maps of :mod:`kdeform.hopf` stop a row at the first term whose
-h-degree alone puts the pair out of range.  Under a finite truncation a kept
-negative h-degree raises ``ScalarDomainError``, as it does in ``Scalar``.
+decides.  Only a kept pair pays for its coefficient product, and a row of a
+normal form that shifts the degrees is tested again.  A right operand sorts
+its terms by h-degree once, in :meth:`TensorElement.by_h`, so the product
+kernel and the leg maps of :mod:`kdeform.hopf` stop a row at the first term
+whose h-degree alone puts the pair out of range.  Under a finite truncation
+the accumulator refuses a negative h-degree with ``ScalarDomainError``, as
+``Scalar`` does.
 
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all
@@ -64,33 +72,36 @@ from types import MappingProxyType
 
 from . import scalar
 from .errors import PresentationError, RewriteError, TruncationMismatch
-from .scalar import ONE, GaussianRational, Scalar, merge_trunc
+from .scalar import GR_I, GR_ONE, GaussianRational, Scalar, merge_trunc
 
 EMPTY_WORD = ()
 
 # the longest word ``normalize_word`` rewrites; a longer one raises
 MAX_WORD_LEN = 12
 
+# the stored brackets of self-adjoint generators are i times the real ones
+_MINUS_I = -GR_I
 
-def accumulate(out, pairs):
-    """Add each ``(key, coeff)`` pair into the dict ``out`` in place.
 
-    Zero coefficients are skipped and keys whose coefficients cancel are
-    deleted, so ``out`` keeps only nonzero coefficients.  Returns ``out``.
-    """
+def accumulate(out, rows, trunc):
+    """Add ``(key, deg_h, deg_xi, coeff)`` rows with nonzero coefficients
+    into the graded dict ``out`` in place, dropping cancelled keys.  Under a
+    finite ``trunc`` a negative h-degree raises ``ScalarDomainError``.
+    Returns ``out``."""
     get = out.get
-    for key, c in pairs:
-        if not c:
-            continue
-        acc = get(key)
+    for key, a, b, c in rows:
+        if a < 0 and trunc is not None:
+            scalar._check_laurent(((a, b),), trunc)  # raises
+        k = (key, a, b)
+        acc = get(k)
         if acc is None:
-            out[key] = c
+            out[k] = c
         else:
-            c = acc + c
-            if c:
-                out[key] = c
+            acc = acc + c
+            if acc:
+                out[k] = acc
             else:
-                del out[key]
+                del out[k]
     return out
 
 
@@ -106,27 +117,6 @@ def word_image(cache, word, head_image, step):
     return out
 
 
-def add_graded(out, terms, trunc):
-    """Add ``(legs, deg_h, deg_xi, coeff)`` terms into the graded dict
-    ``out`` in place, dropping cancelled keys.  Under a finite ``trunc`` a
-    negative h-degree raises ``ScalarDomainError``.  Returns ``out``."""
-    get = out.get
-    for legs, a, b, c in terms:
-        if a < 0 and trunc is not None:
-            scalar._check_laurent(((a, b),), trunc)  # raises
-        key = (legs, a, b)
-        acc = get(key)
-        if acc is None:
-            out[key] = c
-        else:
-            acc = acc + c
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
-
-
 def scalar_view(terms, trunc):
     """Graded terms read back as a dict from keys to Scalars at ``trunc``."""
     out = {}
@@ -136,25 +126,25 @@ def scalar_view(terms, trunc):
 
 
 def _spread(kept, forms, a, b, c, trunc):
-    """Append to ``kept`` the ``(legs, deg_h, deg_xi, coeff)`` terms of
-    c*h^a*xi^b times the tensor product of ``forms``, one normal form (a
-    dict from words to exact Scalars) per leg.  A rule coefficient shifts
-    the degrees, so each shifted term is tested against ``trunc`` before its
-    product is paid."""
+    """Append to ``kept`` the ``(legs, deg_h, deg_xi, coeff)`` rows of
+    c*h^a*xi^b times the tensor product of ``forms``, one normal form per
+    leg.  A row that shifts the degrees is tested against ``trunc`` before
+    its product is paid; a normal word's own row, unshifted with the unit
+    coefficient, costs no product."""
     keep = scalar._keep
     partial = [((), a, b, c)]
     for form in forms:
         grown = []
         for legs, a0, b0, c0 in partial:
-            for w, cw in form.items():
-                if cw is ONE:
-                    grown.append((legs + (w,), a0, b0, c0))
-                    continue
-                for (da, db), g in cw.terms.items():
+            for w, da, db, cw in form:
+                if da or db:
                     a1 = a0 + da
                     b1 = b0 + db
                     if trunc is None or keep((a1, b1), trunc):
-                        grown.append((legs + (w,), a1, b1, c0 * g))
+                        grown.append((legs + (w,), a1, b1, c0 * cw))
+                else:
+                    grown.append((legs + (w,), a0, b0,
+                                  c0 if cw is GR_ONE else c0 * cw))
         partial = grown
     kept += partial
 
@@ -196,6 +186,7 @@ class Presentation:
         self._product = {}   # (i, j) -> terms, replaces the pair
         self.comm_rules = MappingProxyType(self._comm)  # read-only views
         self.product_rules = MappingProxyType(self._product)
+        self._rows = {}      # the pair of either table -> its rhs as rows
         self._reset_cache()
         self._in_progress = set()
 
@@ -216,9 +207,21 @@ class Presentation:
         raise PresentationError("no generator named %r" % label)
 
     def label(self, i):
-        if i not in range(len(self.generators)):
+        if type(i) is not int or i not in range(len(self.generators)):
             raise PresentationError("no generator %r in %s" % (i, self.name))
         return self.generators[i].label
+
+    def _require_letters(self, what, words):
+        # refuses a letter of the tuple of words ``words`` that is no
+        # generator index; ``what`` names the words in the message
+        letters = range(len(self.generators))
+        for w in words:
+            for x in w:
+                if x not in letters:
+                    raise PresentationError(
+                        "letter %r of %s %r names no generator of %s"
+                        % (x, what, words, self.name)
+                    )
 
     def set_commutator(self, i, j, terms):
         """Install [g_i, g_j] = terms.  Stored under (max, min)."""
@@ -236,30 +239,36 @@ class Presentation:
 
     def _install(self, table, i, j, terms):
         # one rule per pair of generators, over both tables, with a
-        # normal-ordered rhs; every cached normal form may change with it
+        # normal-ordered rhs of generator letters, converted to rows once;
+        # every cached normal form may change with it
         li, lj = self.label(i), self.label(j)
         if (i, j) in self._comm or (i, j) in self._product:
             raise PresentationError(
                 "duplicate rule for pair (%s, %s)" % (li, lj)
             )
+        self._require_letters("rule rhs", tuple(terms))
         for w in terms:
             if not self.is_normal_word(w):
                 raise PresentationError(
                     "rule rhs word %r is not normal-ordered" % (self._word_str(w),)
                 )
         table[(i, j)] = MappingProxyType(terms)
+        self._rows[(i, j)] = [(w, a, b, g) for w, c in terms.items()
+                              for (a, b), g in c.terms.items()]
         self._reset_cache()
 
     def _reset_cache(self):
-        self._norm_cache = {EMPTY_WORD: {EMPTY_WORD: Scalar.one()}}
+        self._norm_cache = {EMPTY_WORD: [(EMPTY_WORD, 0, 0, GR_ONE)]}
         self._brackets = None
 
     def structure_constants(self):
-        """The brackets of a Lie presentation, (i, j) -> [(k, c)] with
-        [g_i, g_j] = sum c g_k and c the stored rule coefficient, in both
-        orientations; commuting pairs are absent.  The table is shared, so
-        callers must not change it.  A product rule or a non-linear
-        commutator raises ``PresentationError``."""
+        """The real brackets of a Lie presentation, (i, j) -> rows
+        [(k, deg_h, deg_xi, f)] with [g_i, g_j] = i sum f h^deg_h xi^deg_xi
+        g_k, in both orientations; commuting pairs are absent.  The stored
+        coefficient of a rule is i f, as a bracket of self-adjoint
+        generators is.  The table is shared, so callers must not change it.
+        A product rule or a non-linear commutator raises
+        ``PresentationError``."""
         if self._brackets is None:
             if self.product_rules or any(
                 len(w) != 1 for rhs in self.comm_rules.values() for w in rhs
@@ -267,9 +276,11 @@ class Presentation:
                 raise PresentationError("%s is not a Lie algebra" % self.name)
             table = self._brackets = {}
             for (i, j), rhs in self.comm_rules.items():
-                if rhs:
-                    table[(i, j)] = [(w[0], c) for w, c in rhs.items()]
-                    table[(j, i)] = [(w[0], -c) for w, c in rhs.items()]
+                rows = [(w[0], a, b, g * _MINUS_I) for w, c in rhs.items()
+                        for (a, b), g in c.terms.items()]
+                if rows:
+                    table[(i, j)] = rows
+                    table[(j, i)] = [(k, a, b, -f) for k, a, b, f in rows]
         return self._brackets
 
     # --- rewriting --------------------------------------------------------
@@ -287,27 +298,23 @@ class Presentation:
         return self._first_violation(word) is None
 
     def step_at(self, word, k):
-        """One rewrite step applied to the pair at position k.
-
-        Returns terms (dict word -> exact Scalar).  If the pair is already
-        normal the word is returned unchanged.
-        """
+        """One rewrite step applied to the pair at position k, as a list of
+        exact rows ``(word, deg_h, deg_xi, coeff)``.  If the pair is already
+        normal the word is its own row."""
         a, b = word[k], word[k + 1]
         pre, post = word[:k], word[k + 2:]
+        out = [(pre + w + post, da, db, c)
+               for w, da, db, c in self._rows.get((a, b), ())]
         if (a, b) in self._product:
-            return {
-                pre + w + post: c for w, c in self._product[(a, b)].items()
-            }
-        if a > b:
-            out = {pre + (b, a) + post: Scalar.one()}
-            rhs = self._comm.get((a, b))
-            if rhs:
-                accumulate(out, ((pre + w + post, c) for w, c in rhs.items()))
             return out
-        return {word: Scalar.one()}
+        if a > b:
+            return [(pre + (b, a) + post, 0, 0, GR_ONE), *out]
+        return [(word, 0, 0, GR_ONE)]
 
     def normalize_word(self, word):
-        """Normal-order a word; returns dict of normal words to exact Scalars."""
+        """Normal-order a word: a list of exact rows ``(normal word, deg_h,
+        deg_xi, coeff)`` with distinct ``(word, deg_h, deg_xi)``;
+        memoized."""
         word = tuple(word)
         cached = self._norm_cache.get(word)
         if cached is not None:
@@ -323,8 +330,7 @@ class Presentation:
             )
         violation = self._first_violation(word)
         if violation is None:
-            result = {word: Scalar.one()}
-            self._norm_cache[word] = result
+            result = self._norm_cache[word] = [(word, 0, 0, GR_ONE)]
             return result
         self._in_progress.add(word)
         try:
@@ -334,12 +340,15 @@ class Presentation:
         self._norm_cache[word] = out
         return out
 
-    def normalize_terms(self, terms):
-        return accumulate({}, (
-            (nw, coeff * nc)
-            for word, coeff in terms.items() if coeff
-            for nw, nc in self.normalize_word(word).items()
-        ))
+    def normalize_terms(self, rows):
+        """The normal form of exact rows, in the format of
+        ``normalize_word``."""
+        out = accumulate({}, (
+            (nw, a + da, b + db,
+             nc if c is GR_ONE else c if nc is GR_ONE else c * nc)
+            for w, a, b, c in rows for nw, da, db, nc in self.normalize_word(w)
+        ), None)
+        return [key + (c,) for key, c in out.items()]
 
     # --- consistency ------------------------------------------------------
 
@@ -352,13 +361,19 @@ class Presentation:
         the only ambiguities; agreement on all of them is equivalent to
         associativity of the induced product (and to the Jacobi identity for
         pure commutator rules).  Returns a list of (triple, residual) pairs,
-        empty when the presentation is consistent.
+        the residual an exact rank-1 element, empty when the presentation is
+        consistent.
         """
         failures = []
         for t in product(range(len(self.generators)), repeat=3):
-            left = self.normalize_terms(self.step_at(t, 0))
-            right = self.normalize_terms(self.step_at(t, 1))
-            residual = accumulate(left, ((w, -c) for w, c in right.items()))
+            left, right = (
+                TensorElement._make(self, 1, {
+                    ((w,), a, b): c
+                    for w, a, b, c in self.normalize_terms(self.step_at(t, k))
+                }, None)
+                for k in (0, 1)
+            )
+            residual = left - right
             if residual:
                 failures.append((t, residual))
         return failures
@@ -415,8 +430,9 @@ class TensorElement:
         self._by_h = None
 
     def _key(self, key):
-        # a key is a tuple of ``rank`` words; a bare word given as a rank-1
-        # key is refused here with the key in the message
+        # a key is a tuple of ``rank`` words of generator letters; a bare
+        # word given as a rank-1 key is refused here with the key in the
+        # message
         key = tuple(key)
         if len(key) != self.rank or not all(
             isinstance(w, (tuple, list)) for w in key
@@ -424,13 +440,15 @@ class TensorElement:
             raise PresentationError(
                 "tensor key %r is not a tuple of %d words" % (key, self.rank)
             )
-        return tuple(map(tuple, key))
+        key = tuple(map(tuple, key))
+        self.pres._require_letters("tensor key", key)
+        return key
 
     @staticmethod
     def _make(pres, rank, terms, trunc):
         # internal fast path: caller guarantees graded keys of rank-long
         # tuples of word tuples, nonzero coefficients, and degrees that
-        # ``trunc`` keeps, as a tensor's own terms and ``add_graded`` leave
+        # ``trunc`` keeps, as a tensor's own terms and ``accumulate`` leave
         # them
         t = TensorElement.__new__(TensorElement)
         t.pres = pres
@@ -457,23 +475,28 @@ class TensorElement:
 
     @classmethod
     def zero(cls, pres, rank, trunc=None):
-        return cls(pres, rank, {}, trunc)
+        return cls._make(pres, rank, {}, trunc)
 
     @classmethod
     def one(cls, pres, rank, trunc=None):
-        key = (EMPTY_WORD,) * rank
-        return cls(pres, rank, {key: Scalar.one(trunc)}, trunc)
+        return cls._unit(pres, rank, (EMPTY_WORD,) * rank, trunc)
 
     @classmethod
     def gen(cls, pres, i, trunc=None):
         """The generator g_i as a rank-1 element."""
         pres.label(i)  # refuses an index outside the generators
-        return cls(pres, 1, {((i,),): Scalar.one(trunc)}, trunc)
+        return cls._unit(pres, 1, ((i,),), trunc)
+
+    @staticmethod
+    def _unit(pres, rank, legs, trunc):
+        # legs of known generators with coefficient 1, cut to ``trunc``
+        terms = {(legs, 0, 0): GR_ONE} if scalar._keep((0, 0), trunc) else {}
+        return TensorElement._make(pres, rank, terms, trunc)
 
     @classmethod
     def from_words(cls, pres, terms):
         """The exact rank-1 element of a dict from words to Scalars, the
-        format of the rule tables and of ``normalize_word``."""
+        format of the rule tables."""
         return cls(pres, 1, {(w,): c for w, c in terms.items()})
 
     @classmethod
@@ -481,21 +504,23 @@ class TensorElement:
         """Outer product: the legs of each factor, in order, side by side."""
         if not legs:
             raise PresentationError("an outer product needs at least one leg")
-        pres = legs[0].pres
-        trunc = None
-        for leg in legs:
+        first = legs[0]
+        pres, trunc = first.pres, first.trunc
+        keep = scalar._keep
+        rows = [k + (c,) for k, c in first.terms.items()]
+        for leg in legs[1:]:
             if leg.pres is not pres:
                 raise PresentationError("tensor legs in different presentations")
             trunc = merge_trunc(trunc, leg.trunc)
-        terms = {(): Scalar.one()}
-        for leg in legs:
-            terms = {
-                key + k: cc
-                for key, c in terms.items()
-                for k, cw in leg.by_legs().items()
-                for cc in (c * cw,) if cc
-            }
-        return cls(pres, sum(leg.rank for leg in legs), terms, trunc)
+            rows = [
+                (key + k, a + da, b + db, c * g)
+                for key, a, b, c in rows
+                for (k, da, db), g in leg.terms.items()
+                if trunc is None or keep((a + da, b + db), trunc)
+            ]
+        out = accumulate({}, rows, trunc)
+        return TensorElement._make(pres, sum(leg.rank for leg in legs), out,
+                                   trunc)
 
     # --- arithmetic -------------------------------------------------------
 
@@ -508,13 +533,17 @@ class TensorElement:
             return NotImplemented
         self._require_like(other)
         trunc = merge_trunc(self.trunc, other.trunc)
-        if self.trunc != other.trunc:
-            # the exact operand's coefficients are cut to the finite trunc
-            self, other = (
-                TensorElement(x.pres, x.rank, x.by_legs(), trunc)
-                for x in (self, other)
-            )
-        out = accumulate(dict(self.terms), other.terms.items())
+        if self.trunc == other.trunc:
+            out = accumulate(dict(self.terms), (
+                k + (c,) for k, c in other.terms.items()
+            ), trunc)
+        else:
+            # the exact operand's terms are cut to the finite trunc
+            keep = scalar._keep
+            out = accumulate({}, (
+                k + (c,) for x in (self, other) for k, c in x.terms.items()
+                if keep(k[1:], trunc)
+            ), trunc)
         return TensorElement._make(self.pres, self.rank, out, trunc)
 
     def __sub__(self, other):
@@ -544,7 +573,7 @@ class TensorElement:
                 for (da, db), g in other.terms.items()
                 if trunc is None or keep((a + da, b + db), trunc)
             ]
-            out = add_graded({}, kept, trunc)
+            out = accumulate({}, kept, trunc)
             return TensorElement._make(self.pres, self.rank, out, trunc)
         if not isinstance(other, TensorElement):
             return NotImplemented
@@ -568,7 +597,7 @@ class TensorElement:
                 # legwise products through the shared normalize cache
                 _spread(kept, [norm(k1[leg] + k2[leg]) for leg in legs],
                         a, b, c1 * c2, trunc)
-            add_graded(out, kept, trunc)
+            accumulate(out, kept, trunc)
         return TensorElement._make(self.pres, self.rank, out, trunc)
 
     def __rmul__(self, other):
@@ -637,7 +666,7 @@ class TensorElement:
         kept = []
         for (key, a, b), c in self.terms.items():
             _spread(kept, forms(key), a, b, coeff(c), self.trunc)
-        out = add_graded({}, kept, self.trunc)
+        out = accumulate({}, kept, self.trunc)
         return TensorElement._make(self.pres, rank, out, self.trunc)
 
     def merge_legs(self):

@@ -12,14 +12,16 @@ index tuple with the sorting sign absorbed, so the calculus does no Scalar
 arithmetic.  A wedge has one truncation, merged from its Scalar
 coefficients.  ``_graded`` alone cuts terms to it with ``scalar._keep``,
 read at each call, sorts keys, drops keys with a repeated index and sums
-through ``ncalg.add_graded``; ``schouten`` also tests each pair of terms
-before its product.  :meth:`WedgeTensor.by_key` reads Scalars back.
+through the one accumulator, ``ncalg.accumulate``; ``schouten`` also tests
+each pair of terms before its product.  :meth:`WedgeTensor.by_key` reads
+Scalars back.
 
 Conventions.  Brackets are taken in the real form: the presentations store
 [x, y] = i f(x, y) with rational f, and polyvector identities hold for f.
-``schouten`` and ``ad_action`` read the stored coefficients i f from
+``schouten`` and ``ad_action`` read f as graded rows from
 ``Presentation.structure_constants``, which lists both orientations of every
-commutator rule, and multiply them by -i once per call.
+commutator rule.  The presentation builds those rows once and keeps them
+until a rule is installed, so no call rebuilds them.
 The Schouten bracket is normalized as
 [[a^b, c^d]] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.  It is
 symmetric on bivectors, [[t, u]] = [[u, t]], so with r = sum_t r_t t over
@@ -34,12 +36,9 @@ from . import scalar
 from .errors import PresentationError
 from .metric import as_metric, as_tau
 from .model import _iso_data, _m_signed, build_iso
-from .ncalg import add_graded, scalar_view
+from .ncalg import accumulate, scalar_view
 from .report import Report
 from .scalar import GR_ONE, GaussianRational, Scalar, gr, merge_trunc
-
-# the stored brackets are i times the real ones
-_MINUS_I = gr(0, -1)
 
 
 def _as_scalar(x):
@@ -75,7 +74,7 @@ def _graded(pres, rank, terms, trunc):
 
     w = object.__new__(WedgeTensor)
     w.pres, w.rank, w.trunc = pres, rank, trunc
-    w.terms = add_graded({}, signed(), trunc)
+    w.terms = accumulate({}, signed(), trunc)
     return w
 
 
@@ -200,18 +199,11 @@ def build_omega(pres):
     ), None)
 
 
-def _real_brackets(pres):
-    """The stored brackets times -i, (i, j) -> [(k, deg_h, deg_xi, f)]."""
-    return {ij: [(k, a, b, g * _MINUS_I)
-                 for k, c in rhs for (a, b), g in c.terms.items()]
-            for ij, rhs in pres.structure_constants().items()}
-
-
 def schouten(r):
     """[[r, r]] as a rank-3 wedge (see the module docstring for signs)."""
     if r.rank != 2:
         raise PresentationError("schouten bracket needs a rank-2 wedge")
-    table = _real_brackets(r.pres)
+    table = r.pres.structure_constants()
     trunc = r.trunc
     keep = scalar._keep
     items = [k + (c,) for k, c in r.terms.items()]
@@ -269,7 +261,7 @@ def ad_action(pres, x, w):
         raise PresentationError(
             "ad_action needs a wedge over its own presentation %s" % pres.name
         )
-    table = _real_brackets(pres)
+    table = pres.structure_constants()
     return _graded(pres, w.rank, (
         (key[:slot] + (e,) + key[slot + 1:], a + da, b + db, c * f)
         for (key, a, b), c in w.terms.items()

@@ -31,13 +31,16 @@ truncation decision, since the other operand already satisfies its own
 truncation and the Laurent rule.  No ring operation mutates a scalar, so
 results may share their operands.
 
-``_keep`` is the one degree test of a truncation.  The graded kernels of
-:mod:`kdeform.ncalg`, :mod:`kdeform.hopf` and :mod:`kdeform.rmatrix`
-multiply GaussianRationals directly and read ``_keep`` from this module at
-each call, so they test every degree as a Scalar does.
+``Scalar`` is the API type only: rule coefficients go in as Scalars, and
+tensor and wedge coefficients, counits, specialization and the reports read
+back as Scalars.  Below that API every kernel -- rewriting, tensor products,
+the Hopf leg maps and the wedge calculus -- works on graded rows ``(key,
+deg_h, deg_xi, GaussianRational)`` and does no Scalar arithmetic.  ``_keep``
+is the one degree test of a truncation: those kernels read it from this
+module at each call, so they test every degree as a Scalar does.
 
-h and xi are real: conjugation acts on the coefficients only, as the one star
-structure of the package (:mod:`kdeform.ncalg`) needs.
+h and xi are real: conjugation acts on the GaussianRational coefficients
+only, as the one star structure of the package (:mod:`kdeform.ncalg`) needs.
 """
 
 from __future__ import annotations
@@ -447,9 +450,6 @@ class Scalar:
 
     # --- structure --------------------------------------------------------
 
-    def coeff(self, deg_h, deg_xi):
-        return self.terms.get((deg_h, deg_xi), GR_ZERO)
-
     def shift(self, deg_h, deg_xi=0):
         """Multiply by the monomial h^deg_h * xi^deg_xi."""
         if deg_xi < 0:
@@ -461,12 +461,6 @@ class Scalar:
                 out[key] = v
         _check_laurent(out, self.trunc)
         return Scalar._make(out, self.trunc)
-
-    def conjugate(self):
-        """Complex-conjugate the coefficients; h and xi are real."""
-        return Scalar._make(
-            {k: v.conjugate() for k, v in self.terms.items()}, self.trunc
-        )
 
     def retrunc(self, new_trunc):
         """Tighten the truncation.  Loosening (or removing) it is an error."""
@@ -499,11 +493,6 @@ class Scalar:
         if not self.terms:
             return 0
         return min(k[0] for k in self.terms)
-
-    def h_zero_part(self):
-        """Keep only deg_h == 0 terms (any xi-degree)."""
-        out = {k: v for k, v in self.terms.items() if k[0] == 0}
-        return Scalar._make(out, self.trunc)
 
     def has_negative_h(self):
         return any(k[0] < 0 for k in self.terms)

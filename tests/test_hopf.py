@@ -17,7 +17,7 @@ from kdeform.hopf import (
     verify_reality,
 )
 from kdeform.model import Model, ModelConfig
-from kdeform.ncalg import Presentation, TensorElement
+from kdeform.ncalg import Presentation, TensorElement, scalar_view
 from kdeform.scalar import GaussianRational, Scalar
 from kdeform.series import exp_nilpotent
 
@@ -249,10 +249,16 @@ def add_into(out, key, c):
         out.pop(key, None)
 
 
+def normal_form(pres, word):
+    """``normalize_word``'s rows read back as a dict from words to exact
+    Scalars."""
+    return scalar_view({r[:3]: r[3] for r in pres.normalize_word(word)}, None)
+
+
 def reference_product(a, b):
     """Every term pair multiplied, legwise, with no degree test; also counts
     the pairs whose coefficient product truncates to zero."""
-    norm = a.pres.normalize_word
+    pres = a.pres
     out = {}
     vanished = 0
     for k1, c1 in a.by_legs().items():
@@ -266,7 +272,7 @@ def reference_product(a, b):
                 partial = {
                     key + (w,): c * cw
                     for key, c in partial.items()
-                    for w, cw in norm(k1[leg] + k2[leg]).items()
+                    for w, cw in normal_form(pres, k1[leg] + k2[leg]).items()
                 }
             for key, c in partial.items():
                 add_into(out, key, c)
@@ -419,9 +425,8 @@ def test_pruned_leg_maps_match_all_pairs_reference(rank):
                      lambda w: hopf.antipode_word(w).by_legs().items()),
     }
     if rank > 1:
-        maps["counit"] = (hopf.apply_counit_leg, lambda w: [
-            ((), hopf.counit_word(w))
-        ])
+        maps["counit"] = (hopf.apply_counit_leg,
+                          lambda w: hopf.counit_word(w).by_legs().items())
     for _ in range(4):
         t = rand_element(pres, rng, rank)
         for leg in range(rank):
@@ -464,7 +469,8 @@ def reference_star(x):
             for letter in reversed(w):
                 img = img * TensorElement.gen(pres, letter)
             legs.append(img)
-        out = out + TensorElement.from_legs(*legs) * c.conjugate()
+        conj = Scalar({k: v.conjugate() for k, v in c.terms.items()}, c.trunc)
+        out = out + TensorElement.from_legs(*legs) * conj
     return out
 
 
@@ -486,7 +492,7 @@ def rand_normal_word(rng, pres):
     # a normal word from the normal form of a random word of length <= 3
     n = len(pres.generators)
     word = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
-    normal = sorted(pres.normalize_word(word))
+    normal = sorted({row[0] for row in pres.normalize_word(word)})
     return rng.choice(normal) if normal else ()
 
 
@@ -527,13 +533,14 @@ def test_star_matches_letter_by_letter_reference(tau, flavor, trunc):
 
 def stray_coefficients(hopf):
     """(table, word, key, tensor truncation) of every term of a coproduct
-    or antipode value, stored or memoized, that its tensor's truncation
-    does not keep: a degree beyond it, or a negative h-degree under it.  The
-    kernels build these values through the unchecked fast path, so the
-    constructor's cut does not cover them."""
+    or antipode value, stored or memoized, or of a memoized counit image,
+    that its tensor's truncation does not keep: a degree beyond it, or a
+    negative h-degree under it.  The kernels build these values through the
+    unchecked fast path, so the constructor's cut does not cover them."""
     tables = {
         "coproduct": hopf.coproduct, "antipode": hopf.antipode,
         "cop_word": hopf._cop_cache, "antipode_word": hopf._antipode_cache,
+        "counit_word": hopf._counit_cache,
     }
     return [
         (name, word, key, value.trunc)
@@ -584,3 +591,29 @@ def test_hopf_tables_at_two_truncations_are_refused():
     with pytest.raises(TruncationMismatch):
         HopfData(pres, {**low.coproduct, 0: high.coproduct[0]},
                  low.antipode, low.counit)
+
+
+# --- the Hopf and twist checks do no Scalar arithmetic ------------------------
+
+
+def test_hopf_and_twist_checks_do_no_scalar_arithmetic(monkeypatch):
+    # rules, normal forms and counit images are graded rows with
+    # GaussianRational coefficients, so the axiom sweep, the cocycle check
+    # and the twisting never sum or multiply Scalars
+    m = Model(ModelConfig(MINK4, (1, 0, 0, 0), "covariant_hadic", (2, 0)))
+    t1 = Model(ModelConfig(MINK4, (1, 0, 0, 0), "orthog_1_plus", (2, 1)))
+    f = twist.build_twist("T1", t1)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__"):
+        def counted(self, other, run=getattr(Scalar, name), name=name):
+            calls.append(name)
+            return run(self, other)
+        monkeypatch.setattr(Scalar, name, counted)
+    assert all(c.passed for c in verify_axioms(m.hopf))
+    assert twist.cocycle_check(f, t1.hopf).ok
+    twisted = twist.twist_hopf(t1.hopf, f)
+    assert twisted.coproduct != t1.hopf.coproduct
+    assert calls == []
+    # the counter sees Scalar arithmetic
+    assert (Scalar.h() * Scalar.xi() + Scalar.one()) and calls == [
+        "__mul__", "__add__"]

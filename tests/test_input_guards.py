@@ -75,6 +75,17 @@ def rank_two_map(name):
     )
 
 
+def hopf_with(table, key, make):
+    """The primitive structure on ``pair`` with the entry ``key`` of
+    ``table`` set to ``make(pres)``."""
+    pres = pair()[0]
+    full = twist.primitive_hopf(pres, None)
+    tables = {name: dict(getattr(full, name))
+              for name in ("coproduct", "antipode", "counit")}
+    tables[table][key] = make(pres)
+    return HopfData(pres, **tables)
+
+
 def foreign_legs():
     pres_a, pres_b = pair()[0], pair()[0]
     return TensorElement.from_legs(
@@ -183,6 +194,20 @@ GUARDS = [
           lambda: TensorElement.gen(pair()[0], -1)),
     guard("gen_past_last_generator", "no generator 5 in pair",
           lambda: TensorElement.gen(pair()[0], 5)),
+    guard("gen_float_index", "no generator 1.0 in pair",
+          lambda: TensorElement.gen(pair()[0], 1.0)),
+    guard("rule_rhs_letter_past_last_generator",
+          "letter 7 of rule rhs ((7,),) names no generator of pair",
+          lambda: pair()[0].set_commutator(1, 0, {(7,): Scalar.one()})),
+    guard("rule_rhs_negative_letter",
+          "letter -1 of rule rhs ((-1,),) names no generator of pair",
+          lambda: pair()[0].set_commutator(1, 0, {(-1,): Scalar.one()})),
+    guard("rule_rhs_string_word",
+          "letter 'a' of rule rhs (('a',),) names no generator of pair",
+          lambda: pair()[0].set_product(1, 0, {"a": Scalar.one()})),
+    guard("tensor_key_letter_past_last_generator",
+          "letter 9 of tensor key ((9,),) names no generator of pair",
+          lambda: TensorElement(pair()[0], 1, {((9,),): Scalar.one()})),
     guard("from_legs_without_legs", "needs at least one leg",
           TensorElement.from_legs),
     guard("scalar_key_not_a_pair", "scalar key (0,) is not a pair",
@@ -195,6 +220,19 @@ GUARDS = [
           lambda: TensorElement.one(pair()[0], 3).swap()),
     guard("hopf_missing_table_entry", "antipode missing",
           hopf_missing_antipode),
+    guard("hopf_entry_past_last_generator", "no generator 5 in pair",
+          lambda: hopf_with("counit", 5, lambda pres: Scalar.zero())),
+    guard("hopf_rank_1_coproduct",
+          "coproduct of a must be a rank-2 tensor over pair",
+          lambda: hopf_with("coproduct", 0,
+                            lambda pres: TensorElement.gen(pres, 0))),
+    guard("hopf_rank_2_antipode",
+          "antipode of a must be a rank-1 tensor over pair",
+          lambda: hopf_with("antipode", 0,
+                            lambda pres: TensorElement.one(pres, 2))),
+    guard("hopf_tensor_as_counit", "counit of a must be a Scalar",
+          lambda: hopf_with("counit", 0,
+                            lambda pres: TensorElement.one(pres, 1))),
     guard("cop_leg_negative", "no leg -1 in a rank-2 tensor",
           lambda: leg_map("apply_cop_leg", -1)),
     guard("cop_leg_past_rank", "no leg 2 in a rank-2 tensor",

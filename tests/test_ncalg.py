@@ -1,6 +1,7 @@
 """Tests for the PBW rewriting engine and the element algebra."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,20 @@ from kdeform.errors import (
     ScalarDomainError,
     TruncationMismatch,
 )
-from kdeform.ncalg import MAX_WORD_LEN, Presentation, TensorElement
+from kdeform.model import Model, ModelConfig, build_iso
+from kdeform.ncalg import (
+    MAX_WORD_LEN,
+    Presentation,
+    TensorElement,
+    scalar_view,
+)
 from kdeform.scalar import GR_ONE, Scalar, gr
+
+
+def normal_form(pres, word):
+    """``normalize_word``'s rows read back as a dict from words to exact
+    Scalars."""
+    return scalar_view({r[:3]: r[3] for r in pres.normalize_word(word)}, None)
 
 
 def weyl_pair():
@@ -41,7 +54,7 @@ def test_abelian_sorting():
     pres = Presentation("abelian")
     for lab in "pqr":
         pres.add_generator(lab)
-    assert pres.normalize_word((2, 1, 0)) == {(0, 1, 2): Scalar.one()}
+    assert normal_form(pres, (2, 1, 0)) == {(0, 1, 2): Scalar.one()}
     assert pres.is_normal_word((0, 1, 2))
     assert not pres.is_normal_word((1, 0))
 
@@ -49,11 +62,74 @@ def test_abelian_sorting():
 def test_weyl_straightening():
     pres, a, b = weyl_pair()
     # b a a = a a b + 2 a
-    got = pres.normalize_word((b, a, a))
+    got = normal_form(pres, (b, a, a))
     assert got == {(a, a, b): Scalar.one(), (a,): Scalar.rational(2)}
     # b b a = a b b + 2 b
-    got = pres.normalize_word((b, b, a))
+    got = normal_form(pres, (b, b, a))
     assert got == {(a, b, b): Scalar.one(), (b,): Scalar.rational(2)}
+
+
+# --- the rewriting against the old dict-of-Scalars rewriter ------------------
+
+
+def add_scalar(out, word, c):
+    c = out[word] + c if word in out else c
+    if c:
+        out[word] = c
+    else:
+        out.pop(word, None)
+
+
+def reference_normal_form(pres, word):
+    """A word's normal form as a dict from words to exact Scalars, by the
+    old rewriter: the leftmost violation of a word is rewritten through the
+    Scalar rule tables and the Scalars are summed by word, until every word
+    is normal."""
+    todo, done = {tuple(word): Scalar.one()}, {}
+    while todo:
+        w, c = todo.popitem()
+        k = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]
+                  or (w[k], w[k + 1]) in pres.product_rules), None)
+        if k is None:
+            add_scalar(done, w, c)
+            continue
+        pair, pre, post = w[k:k + 2], w[:k], w[k + 2:]
+        if pair in pres.product_rules:
+            rhs = pres.product_rules[pair]
+        else:
+            add_scalar(todo, pre + pair[::-1] + post, c)
+            rhs = pres.comm_rules.get(pair, {})
+        for u, cu in rhs.items():
+            add_scalar(todo, pre + u + post, c * cu)
+    return done
+
+
+def deformed_heisenberg():
+    """[y, x] = h*x - z with z central."""
+    pres = Presentation("heis_h")
+    x, y, z = (pres.add_generator(lab) for lab in "xyz")
+    pres.set_commutator(y, x, {(x,): Scalar.h(1), (z,): Scalar.rational(-1)})
+    return pres
+
+
+@pytest.mark.parametrize("build,laurent", [
+    (lambda: build_iso([[1, 0, 0], [0, -1, 0], [0, 0, -1]]), False),
+    (deformed_heisenberg, False),
+    (lambda: Model(ModelConfig([[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                               (1, 0, 0), "qanalog_timelike", None)).pres,
+     True),
+], ids=["iso3", "heisenberg_h", "q_timelike3"])
+def test_normalize_word_matches_the_scalar_rewriter(build, laurent):
+    pres = build()
+    coeffs = [c for rhs in pres.comm_rules.values() for c in rhs.values()]
+    assert coeffs
+    # the q-analog's rules carry kappa = h^-1, and it has product rules
+    assert any(c.has_negative_h() for c in coeffs) == laurent
+    rng = random.Random(len(pres.generators))
+    n = len(pres.generators)
+    for _ in range(40):
+        word = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
+        assert normal_form(pres, word) == reference_normal_form(pres, word)
 
 
 def test_associativity_check_consistent():
@@ -82,10 +158,10 @@ def test_product_rules_inverse_pair():
     m = pres.add_generator("m")
     pres.set_product(p, q, {(): Scalar.one()})
     pres.set_product(q, p, {(): Scalar.one()})
-    assert pres.normalize_word((p, q)) == {(): Scalar.one()}
-    assert pres.normalize_word((q, p, p, q)) == {(): Scalar.one()}
-    assert pres.normalize_word((p, p, q)) == {(p,): Scalar.one()}
-    assert pres.normalize_word((m, p)) == {(p, m): Scalar.one()}
+    assert normal_form(pres, (p, q)) == {(): Scalar.one()}
+    assert normal_form(pres, (q, p, p, q)) == {(): Scalar.one()}
+    assert normal_form(pres, (p, p, q)) == {(p,): Scalar.one()}
+    assert normal_form(pres, (m, p)) == {(p, m): Scalar.one()}
     assert pres.associativity_check() == []
 
 
@@ -95,7 +171,7 @@ def test_set_product_refuses_a_second_rule_for_the_pair():
     with pytest.raises(PresentationError):
         pres.set_product(b, a, {(): Scalar.one()})
     one = Scalar.one()
-    assert pres.normalize_word((b, a)) == {(a, b): one, (): one}
+    assert normal_form(pres, (b, a)) == {(a, b): one, (): one}
     pres.set_product(a, b, {(): Scalar.one()})
     with pytest.raises(PresentationError):
         pres.set_product(a, b, {(): Scalar.rational(2)})
@@ -103,15 +179,21 @@ def test_set_product_refuses_a_second_rule_for_the_pair():
 
 
 def test_structure_constants_follow_the_installed_rules():
+    # rows (k, deg_h, deg_xi, f) of the real brackets: a stored
+    # coefficient c is i f
     pres, x, y, z = heisenberg()
     one, i = Scalar.one(), Scalar.i()
     table = pres.structure_constants()
-    assert table == {(y, x): [(z, -one)], (x, y): [(z, one)]}
+    assert table == {
+        (y, x): [(z, 0, 0, gr(0, 1))], (x, y): [(z, 0, 0, gr(0, -1))],
+    }
     assert pres.structure_constants() is table
     # installing a rule drops the table, as it drops the normalize cache
-    pres.set_commutator(z, x, {(x,): i})
+    pres.set_commutator(z, x, {(x,): i + Scalar.h(2) * 3})
     assert pres.structure_constants() == {
-        **table, (z, x): [(x, i)], (x, z): [(x, -i)],
+        **table,
+        (z, x): [(x, 0, 0, gr(1)), (x, 2, 0, gr(0, -3))],
+        (x, z): [(x, 0, 0, gr(-1)), (x, 2, 0, gr(0, 3))],
     }
     pres.set_product(x, z, {(): one})
     with pytest.raises(PresentationError, match="not a Lie algebra"):
@@ -181,7 +263,7 @@ def test_word_length_cap():
     b = pres.add_generator("b")
     pres.set_commutator(b, a, {(): Scalar.one()})
     assert MAX_WORD_LEN == 12
-    assert pres.normalize_word((b,) * 12) == {(b,) * 12: Scalar.one()}
+    assert normal_form(pres, (b,) * 12) == {(b,) * 12: Scalar.one()}
     with pytest.raises(RewriteError):
         pres.normalize_word((b,) * 13)
 

@@ -8,7 +8,6 @@ import pytest
 from kdeform.errors import PresentationError, ScalarDomainError
 from kdeform.metric import Metric
 from kdeform.model import Model, ModelConfig, build_iso, change_basis, transform_tau
-from kdeform.ncalg import accumulate
 from kdeform.rmatrix import (
     WedgeTensor,
     ad_action,
@@ -223,6 +222,14 @@ def test_schouten_term_order_independent():
 # --- the bracket against a leg-insertion reference -----------------------------
 
 
+def scalar_sum(pairs):
+    """The ``(key, Scalar)`` pairs summed by key, cancelled keys dropped."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
 def reference_schouten(w):
     """[[w, w]] by leg insertion into the tensor square.
 
@@ -247,7 +254,7 @@ def reference_schouten(w):
 
     square = [term for (a, b), c in w.by_key().items()
               for term in (((a, b), c), ((b, a), -c))]
-    raw = accumulate({}, (
+    raw = scalar_sum((
         (key, cab * ccd * f)
         for (a, b), cab in square
         for (c, d), ccd in square

@@ -11,7 +11,9 @@ any other module that defines it, imports it by name or reads it at import,
 since each degree test must read it from ``scalar`` at call time.  The three
 display checks build no tensor by hand:
 a scan fails on a call to ``otimes`` or ``from_legs`` inside them, since
-their displays are printed lines that one reader reads.
+their displays are printed lines that one reader reads.  The rewriting
+kernels and the Hopf leg maps work on graded rows, so a scan fails on any
+name ``Scalar`` or ``ONE`` inside them.
 """
 
 import ast
@@ -254,6 +256,55 @@ def test_the_display_checks_build_no_tensor_by_hand():
     # each display is a printed line that the one reader reads (item 13)
     source = (SRC / "model.py").read_text()
     assert hand_built_tensors(source, DISPLAY_CHECKS) == []
+
+
+ROW_KERNELS = {
+    "ncalg": ("_spread", "Presentation.step_at", "Presentation.normalize_word",
+              "Presentation.normalize_terms"),
+    "hopf": ("HopfData._leg_map", "HopfData.counit_word"),
+}
+SCALAR_NAMES = {"Scalar", "ONE"}
+
+
+def scalar_names(source, functions):
+    """(function, name) of every ``Scalar`` or ``ONE`` that the named
+    ``functions`` of a source name; a method is named ``Class.method``."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defs["%s.%s" % (node.name, item.name)] = item
+    return sorted(
+        (function, name)
+        for function in functions
+        for name in named(ast.unparse(defs[function])) & SCALAR_NAMES
+    )
+
+
+def test_the_scan_sees_a_scalar_in_a_row_kernel():
+    source = (
+        "from .scalar import ONE, Scalar\n"
+        "def _spread(kept, forms):\n    return [f for f in forms if f is ONE]\n"
+        "class Presentation:\n"
+        "    def step_at(self, word, k):\n        return {word: Scalar.one()}\n"
+        "    def normalize_word(self, word):\n        return scalar.ONE\n"
+        "    def label(self, i):\n        return Scalar\n"
+    )
+    assert scalar_names(source, ("_spread", "Presentation.step_at",
+                                 "Presentation.normalize_word")) == [
+        ("Presentation.normalize_word", "ONE"),
+        ("Presentation.step_at", "Scalar"), ("_spread", "ONE"),
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(ROW_KERNELS))
+def test_the_row_kernels_name_no_scalar(module):
+    # rules, normal forms and counit images are graded rows (item 14)
+    source = (SRC / ("%s.py" % module)).read_text()
+    assert scalar_names(source, ROW_KERNELS[module]) == []
 
 
 def load_tracer():
