@@ -96,24 +96,28 @@ class HopfData:
         self._cop_cache = {EMPTY_WORD: TensorElement.one(pres, 2, trunc)}
         self._antipode_cache = {EMPTY_WORD: TensorElement.one(pres, 1, trunc)}
         self._counit_cache = {EMPTY_WORD: TensorElement.one(pres, 0, trunc)}
+        # each map's step from a word's head image and last letter, built once
+        cop, antip, eps = self.coproduct, self.antipode, self.counit
+        self._cop_step = lambda head, g: head * cop[g]
+        self._antipode_step = lambda head, g: antip[g] * head
+        self._counit_step = lambda head, g: head and head * eps[g]
 
     # --- word-level extensions ---------------------------------------------
 
     def cop_word(self, word):
         """Delta on a word, extended multiplicatively; memoized."""
-        return word_image(self._cop_cache, word, self.cop_word,
-                          lambda head, g: head * self.coproduct[g])
+        return word_image(self._cop_cache, word, self.cop_word, self._cop_step)
 
     def antipode_word(self, word):
         """S on a word, extended anti-multiplicatively; memoized."""
         return word_image(self._antipode_cache, word, self.antipode_word,
-                          lambda head, g: self.antipode[g] * head)
+                          self._antipode_step)
 
     def counit_word(self, word):
         """epsilon on a word, extended multiplicatively, as a rank-0
         tensor; memoized."""
         return word_image(self._counit_cache, word, self.counit_word,
-                          lambda head, g: head and head * self.counit[g])
+                          self._counit_step)
 
     # --- element-level maps -------------------------------------------------
 

@@ -767,12 +767,16 @@ def presentation_check(pres):
 # --- the printed displays, read from their transcribed text -------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<call>sum_[a-z]|[DS])\(|(?P<head>M_|P_|P\^|g_)(?P<sym>[τ+\-a-z]+)"
-    r"|(?P<name>Pi_inv|Pi|C_tau|C|t2|[hki])(?!\w)|(?P<num>\d+)"
-    r"|(?P<op>\(x\)|[-+/=,()\[\]]))"
+    r"\s*(?:(?P<call>sum_[a-z]|[DS]|ln|sqrt|inv)\("
+    r"|(?P<head>M_|P_|P\^|g_)(?P<sym>[τ+\-a-z\d]+)"
+    r"|(?P<name>Pi_inv|Pi|C_tau|C|t2|klog|xi|[hki])(?!\w)|(?P<num>\d+)"
+    r"|(?P<op>\(x\)|[-+/=,()\[\]^]))"
 )
 # what ends a product of factors; None is the end of the line
-_ENDS = {"+", "-", "(x)", ")", "]", ",", "=", None}
+_ENDS = {"+", "-", "(x)", "^", ")", "]", ",", "=", None}
+# why a model that has no value for a name refuses it
+_REFUSED = {"k": "k = 1/h needs an exact model",
+            "klog": "klog = kappa ln(Pi) needs an h-adic model"}
 
 
 class _DisplayReader:
@@ -784,15 +788,19 @@ class _DisplayReader:
     slots.  The notation:
 
     * factors side by side multiply in the written order; ``(x)`` separates
-      tensor legs, ``[a, b]`` is the commutator, and ``D(..)`` and ``S(..)``
-      are the model's coproduct and antipode;
+      tensor legs, and ``A ^ B`` at the same level is A (x) B - B (x) A;
+      ``[a, b]`` is the commutator, ``D(..)`` and ``S(..)`` are the model's
+      coproduct and antipode, and ``ln(..)``, ``sqrt(..)`` and ``inv(..)``
+      the unital series of ``kdeform.series``;
     * ``M_xy``, ``P_x``, ``P^x`` (raised by the metric) and ``g_xy`` take
       slot symbols: ``τ`` (slot 0) in the tau^2 != 0 flavors, ``+`` and
-      ``-`` (slots 0 and 1) in the light-cone ones, or a letter, which runs
-      over the slots after those; ``sum_a(..)`` sums over the slots of a;
-    * the named values are h, k = 1/h (exact models only), i, t2 = tau^2,
-      Pi, Pi_inv, C and C_tau; numbers are rationals, and ``/`` divides by
-      a nonzero number (a numeral or t2).
+      ``-`` (slots 0 and 1) in the light-cone ones, a letter, which runs
+      over the slots after those, or a digit, the slot whose label in a
+      check's name is that digit; ``sum_a(..)`` sums over the slots of a;
+    * the named values are h, k = 1/h (exact models only), xi, i, t2 =
+      tau^2, Pi, Pi_inv, C, C_tau and klog = kappa ln(Pi) (h-adic models
+      only); numbers are rationals, and ``/`` divides by a nonzero number
+      (a numeral or t2).
 
     A character that no token reads, or a token left over, raises
     ``PresentationError``.
@@ -804,12 +812,12 @@ class _DisplayReader:
         self.fixed = {"+": 0, "-": 1} if light else {"τ": 0}
         self.slots = range(len(self.fixed), model.metric.dim)
         self.named = {
-            "h": Scalar.h(1, self.trunc), "i": Scalar.i(self.trunc),
+            "h": Scalar.h(1, self.trunc), "xi": Scalar.xi(1, self.trunc),
+            "i": Scalar.i(self.trunc), "klog": model.klog,
+            "k": Scalar.h(-1) if self.trunc is None else None,
             "t2": Scalar.rational(model.tau2, self.trunc), "Pi": cas.Pi,
             "Pi_inv": cas.PiInv, "C": cas.C, "C_tau": cas.C_tau,
         }
-        if self.trunc is None:
-            self.named["k"] = Scalar.h(-1)
 
     def __call__(self, line, env):
         self.toks, self.at, self.env, pos = [], 0, env, 0
@@ -882,13 +890,15 @@ class _DisplayReader:
             )
 
     def _sum(self):
-        total, minus = Scalar.zero(self.trunc), self._take("-")
+        total, minus = None, self._take("-")
         while True:
             term = self._product()
-            while self._take("(x)"):
-                term = TensorElement.from_legs(
-                    self._lift(term, 1), self._lift(self._product(), 1)
-                )
+            while self._take("(x)") or self._take("^"):
+                wedge = self.toks[self.at - 1][0] == "^"
+                a, b = self._lift(term, 1), self._lift(self._product(), 1)
+                term = TensorElement.from_legs(a, b)
+                if wedge:
+                    term = term - TensorElement.from_legs(b, a)
             total = self._add(total, -term if minus else term)
             if not (self._take("+") or self._take("-")):
                 return total
@@ -907,8 +917,8 @@ class _DisplayReader:
         if key == "num":
             return Scalar.rational(int(text), self.trunc)
         if key == "name":
-            if text not in self.named:
-                raise PresentationError("k = 1/h needs an exact model")
+            if self.named[text] is None:
+                raise PresentationError(_REFUSED[text])
             return self.named[text]
         if key == "sym":
             return self._symbol(head, text)
@@ -926,28 +936,32 @@ class _DisplayReader:
             self._expect(",")
             value = self._lift(value, 1).commutator(self._lift(self._sum(), 1))
         self._expect("]" if key == "[" else ")")
-        if text in ("D", "S"):
-            hopf = self.model.hopf
-            return (hopf.cop if text == "D" else hopf.antipode_of)(
-                self._lift(value, 1)
-            )
-        return value
+        if key != "call":
+            return value
+        # the series are read from this module's names at call time, so a
+        # wrapper bound in their place is the one called
+        hopf = self.model.hopf
+        return {"D": hopf.cop, "S": hopf.antipode_of, "ln": unital_log,
+                "sqrt": unital_sqrt, "inv": unital_inverse}[text](
+            self._lift(value, 1)
+        )
 
     def _slot_sum(self, x):
-        start, env, total = self.at, self.env, Scalar.zero(self.trunc)
-        # over no slot, the body is still read once, at slot 0, and dropped
+        start, env, total = self.at, self.env, None
+        # over no slot, the body is still read once, at slot 0, and kept
+        # times 0, so that the empty sum has the rank of its body
         for s in self.slots or [0]:
             self.at, self.env = start, {**env, x: s}
             term = self._sum()
-            if s in self.slots:
-                total = self._add(total, term)
+            total = self._add(total, term if s in self.slots else term * 0)
         self.env = env
         self._expect(")")
         return total
 
     def _symbol(self, head, text):
-        # a bound letter reads its slot; the model refuses any other
-        slots = [self.fixed.get(s, self.env.get(s, s)) for s in text]
+        # a bound letter or a digit reads its slot; the model refuses any other
+        slots = [int(s) - 1 + len(self.fixed) if s.isdigit()
+                 else self.fixed.get(s, self.env.get(s, s)) for s in text]
         if len(slots) != (1 if head[0] == "P" else 2):
             raise PresentationError("cannot read %s%s" % (head, text))
         model = self.model
@@ -965,6 +979,8 @@ class _DisplayReader:
         return x
 
     def _add(self, a, b):
+        if a is None:  # before the first term of a sum
+            return b
         if isinstance(a, Scalar) and isinstance(b, Scalar):
             return a + b
         rank = (b if isinstance(a, Scalar) else a).rank

@@ -8,12 +8,14 @@ extensions labelled L1, L2 (light-like), S1, S2, S3 (space-like), T1, T3, T4
 (time-like).  T3 and T4 mix the transverse momenta and rotations with
 complex coefficients and carry no star structure.
 
-Conventions.  Wedge exponents A ^ B are expanded as A (x) B - B (x) A and
-every catalog row keeps the order printed in its own twist cell: M ^ ln Pi
-for L1 and L2, ln Pi ^ M_3 for T1, plain tensors for the S rows.  These
-orders are taken as printed; no twisted coproduct is compared with a printed
-display.  Which rows are 2-cocycles over the primitive and over the deformed
-structure is established by ``cocycle_check``, not assumed here.
+Each row is a table entry of printed cells, one per exponent, that the
+display reader of :mod:`kdeform.model` reads in the model's basis.  Wedge
+exponents A ^ B are expanded as A (x) B - B (x) A and every catalog row keeps
+the order printed in its own twist cell: M ^ ln Pi for L1 and L2, ln Pi ^ M_3
+for T1, plain tensors for the S rows.  These orders are taken as printed; no
+twisted coproduct is compared with a printed display.  Which rows are
+2-cocycles over the primitive and over the deformed structure is established
+by ``cocycle_check``, not assumed here.
 
 Twisted coproducts.  Delta_F(g) = F Delta(g) F^{-1} is computed as
 exp(ad X_1) ... exp(ad X_k) Delta(g), not as the triple product: each X has
@@ -36,18 +38,11 @@ from operator import mul
 
 from .errors import KdeformError, PresentationError
 from .hopf import HopfData, otimes
+from .model import _DisplayReader
 from .ncalg import TensorElement
 from .report import Report
-from .scalar import Scalar, gr
-from .series import exp_nilpotent, unital_inverse, unital_log, unital_sqrt
-
-TWIST_LABELS = ("LC", "L1", "L2", "S1", "S2", "S3", "T1", "T3", "T4")
-
-_HALF = Fraction(1, 2)
-
-
-def _wedge(a, b):
-    return otimes(a, b) - otimes(b, a)
+from .scalar import Scalar
+from .series import exp_nilpotent
 
 
 def primitive_hopf(pres, trunc):
@@ -75,14 +70,10 @@ class TwistElement:
         self.factors = list(factors)
         self.label = label
         one = TensorElement.one(self.pres, 2, self.trunc)
-        t = one
-        for x in self.factors:
-            t = t * exp_nilpotent(x)
-        self.tensor = t
-        inv = one
-        for x in reversed(self.factors):
-            inv = inv * exp_nilpotent(-x)
-        self.inverse = inv
+        self.tensor = reduce(mul, map(exp_nilpotent, self.factors), one)
+        self.inverse = reduce(
+            mul, (exp_nilpotent(-x) for x in reversed(self.factors)), one
+        )
 
     def swapped(self):
         """F_21."""
@@ -101,97 +92,58 @@ class TwistElement:
         return t
 
 
-def _require_flavor(model, label, flavors):
-    if model.flavor not in flavors:
-        raise PresentationError(
-            "twist %s needs a model of flavor %s, got %s"
-            % (label, " or ".join(flavors), model.flavor)
-        )
+_S_FRAME = [
+    (lambda m: m.metric.dim != 4, "S rows are cataloged in dimension 4"),
+    (lambda m: any(m.tau[mu] for mu in (0, 2, 3)) or not m.tau[1],
+     "S rows use tau along axis 1 (the space-like frame)"),
+]
+_T_FRAME = [(lambda m: m.metric.dim != 4, "T rows are cataloged in dimension 4")]
 
-
-def _transverse_slots(model):
-    return list(range(2, model.metric.dim))
+# label: (flavor, guards, exponents in factor order); a guard (test, message)
+# refuses a model for which test(model) holds.  M_12 is M_3, the rotation
+# about the third axis; M_23 rotates about axis 1 and M_03 boosts along axis
+# 3.  T3 and T4 take the + branch P_1 + i P_2, M_1 + i M_2 = M_23 - i M_13.
+_ROWS = {
+    # Jordanian, then its extension
+    "LC": ("null_plane", [],
+           ["-i M_+- (x) ln(Pi)", "-i h sum_a(M_+a (x) P^a Pi_inv)"]),
+    "L1": ("null_plane",
+           [(lambda m: m.metric.dim < 3, "L1 needs a transverse direction")],
+           ["i xi (M_+1 ^ klog)"]),
+    "L2": ("null_plane",
+           [(lambda m: m.metric.dim < 4, "L2 needs two transverse directions")],
+           ["i xi (M_12 ^ klog)"]),
+    "S1": ("covariant_hadic", _S_FRAME, ["i xi (P_1 (x) M_23)"]),
+    "S2": ("covariant_hadic", _S_FRAME, ["i xi (P_1 (x) (M_23 + M_03))"]),
+    "S3": ("covariant_hadic", _S_FRAME, ["i xi (P_1 (x) M_03)"]),
+    "T1": ("orthog_1_plus", _T_FRAME, ["i xi (klog ^ M_12)"]),
+    "T3": ("orthog_1_plus", _T_FRAME,
+           ["xi (P_1 + i P_2) sqrt(Pi) (x) (M_23 - i M_13)",
+            "i/2 ln(Pi) (x) M_12"]),
+    "T4": ("orthog_1_plus", _T_FRAME,
+           ["xi (M_23 - i M_13) inv(1 + xi (P_1 + i P_2)) Pi_inv (x) P_3",
+            "ln(1 + xi (P_1 + i P_2)) (x) M_12", "i ln(Pi) (x) M_12"]),
+}
+TWIST_LABELS = tuple(_ROWS)
+# the other displayed order of LC: extension, then Jordanian
+_LC_ALT = ["-i h sum_a(M_+a (x) P^a)", "-i M_+- (x) ln(Pi)"]
 
 
 def build_twist(label, model):
     """Catalog twist by row label over a compatible model."""
-    if label not in TWIST_LABELS:
+    if label not in _ROWS:
         raise PresentationError("unknown twist label %r" % (label,))
-    trunc = model.trunc
-    minus_i = Scalar.monomial(gr(0, -1), 0, 0, trunc)
-    i_xi = Scalar.monomial(gr(0, 1), 0, 1, trunc)
-
-    if label == "LC":
-        _require_flavor(model, label, ("null_plane",))
-        ln_pi = unital_log(model.cas.Pi)
-        piv = model.cas.PiInv
-        x1 = otimes(model.m(0, 1), ln_pi) * minus_i
-        x2 = TensorElement.zero(model.pres, 2, trunc)
-        for a in _transverse_slots(model):
-            x2 = x2 + otimes(model.m(0, a), model.p_up(a) * piv)
-        x2 = x2 * (minus_i * Scalar.h(1, trunc))
-        # factor order: Jordanian then extension
-        return TwistElement(model, [x1, x2], label=label)
-
-    if label in ("L1", "L2"):
-        _require_flavor(model, label, ("null_plane",))
-        k = model.klog
-        if label == "L1":
-            if model.metric.dim < 3:
-                raise PresentationError("L1 needs a transverse direction")
-            cell = model.m(0, 2)  # M_{+1}
-        else:
-            if model.metric.dim < 4:
-                raise PresentationError("L2 needs two transverse directions")
-            cell = model.m(2, 3)  # M_3, the transverse rotation
-        # wedge resolved as A(x)B - B(x)A
-        x = _wedge(cell, k) * i_xi
-        return TwistElement(model, [x], label=label)
-
-    if label in ("S1", "S2", "S3"):
-        _require_flavor(model, label, ("covariant_hadic",))
-        if model.metric.dim != 4:
-            raise PresentationError("S rows are cataloged in dimension 4")
-        if any(model.tau[mu] for mu in (0, 2, 3)) or not model.tau[1]:
-            raise PresentationError(
-                "S rows use tau along axis 1 (the space-like frame)"
-            )
-        m1 = model.m(2, 3)   # rotation about axis 1
-        n3 = model.m(0, 3)   # boost along axis 3
-        cell = {"S1": m1, "S2": m1 + n3, "S3": n3}[label]
-        # the table cell uses a plain tensor, kept as displayed
-        x = otimes(model.p(1), cell) * i_xi
-        return TwistElement(model, [x], label=label)
-
-    _require_flavor(model, label, ("orthog_1_plus",))
-    if model.metric.dim != 4:
-        raise PresentationError("T rows are cataloged in dimension 4")
-
-    if label == "T1":
-        m3 = model.m(1, 2)
-        # exponent i xi (B ^ M_3) with B = kappa ln Pi, in cell order
-        x = _wedge(model.klog, m3) * i_xi
-        return TwistElement(model, [x], label=label)
-
-    # complexified transverse combinations, + branch; complex, so T3 and T4
-    # have no star structure
-    i_s = Scalar.i(trunc)
-    p_t = model.p(1) + model.p(2) * i_s          # P~_+
-    m_t = model.m(2, 3) - model.m(1, 3) * i_s    # M~_+ = M_1 + i M_2
-    m3 = model.m(1, 2)
-    ln_pi = unital_log(model.cas.Pi)
-    if label == "T3":
-        x1 = otimes(p_t * unital_sqrt(model.cas.Pi), m_t) * Scalar.xi(1, trunc)
-        x2 = otimes(ln_pi, m3) * (i_s * _HALF)
-        return TwistElement(model, [x1, x2], label=label)
-    # T4
-    one = TensorElement.one(model.pres, 1, trunc)
-    sigma = unital_log(one + p_t * Scalar.xi(1, trunc))
-    damp = unital_inverse(one + p_t * Scalar.xi(1, trunc)) * model.cas.PiInv
-    x1 = otimes(m_t * damp, model.p(3)) * Scalar.xi(1, trunc)
-    x2 = otimes(sigma, m3)
-    x3 = otimes(ln_pi, m3) * i_s
-    return TwistElement(model, [x1, x2, x3], label=label)
+    flavor, guards, cells = _ROWS[label]
+    if model.flavor != flavor:
+        raise PresentationError(
+            "twist %s needs a model of flavor %s, got %s"
+            % (label, flavor, model.flavor)
+        )
+    for test, message in guards:
+        if test(model):
+            raise PresentationError(message)
+    read = _DisplayReader(model)
+    return TwistElement(model, [read(c, {}) for c in cells], label=label)
 
 
 # --- verification --------------------------------------------------------------
@@ -291,16 +243,9 @@ def factor_order_check(twist):
     if twist.label != "LC":
         raise PresentationError("factor order comparison is for the LC twist")
     model = twist.model
-    trunc = model.trunc
-    minus_i = Scalar.monomial(gr(0, -1), 0, 0, trunc)
-    ln_pi = unital_log(model.cas.Pi)
-    y1 = TensorElement.zero(model.pres, 2, trunc)
-    for a in _transverse_slots(model):
-        y1 = y1 + otimes(model.m(0, a), model.p_up(a))
-    y1 = y1 * (minus_i * Scalar.h(1, trunc))
-    y2 = otimes(model.m(0, 1), ln_pi) * minus_i
-    alt = TwistElement(model, [y1, y2], label="LC-alt")
-    rep = Report("extended Jordanian factorizations", {"trunc": str(trunc)})
+    read = _DisplayReader(model)
+    alt = TwistElement(model, [read(c, {}) for c in _LC_ALT], label="LC-alt")
+    rep = Report("extended Jordanian factorizations", {"trunc": str(model.trunc)})
     rep.zero("orders_agree", twist.tensor - alt.tensor)
     return rep
 

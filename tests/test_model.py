@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from kdeform import model as km
-from kdeform.errors import ClassicalLimitError, PresentationError
+from kdeform.errors import (
+    ClassicalLimitError, KdeformError, PresentationError,
+)
 from kdeform.metric import Metric
 from kdeform.model import (
     Model,
@@ -469,6 +471,15 @@ def test_the_display_reader_refuses_what_it_cannot_read():
         read("Pi = 1 + h P_+ ]", {})
     with pytest.raises(PresentationError, match="k = 1/h needs an exact model"):
         read("Pi = k", {})
+    # a q-analog has no klog; a digit past the last slot names no slot; ln
+    # takes a unital argument only
+    with pytest.raises(PresentationError,
+                       match=r"klog = kappa ln\(Pi\) needs an h-adic model"):
+        km._DisplayReader(display_model("qanalog_timelike"))("klog", {})
+    with pytest.raises(PresentationError, match="no slots"):
+        read("M_19", {})
+    with pytest.raises(KdeformError, match="unital series needs positive"):
+        read("ln(P_+)", {})
 
 
 def test_q_reality():

@@ -9,9 +9,10 @@ read of ``comm_rules`` or ``product_rules``.  The degree test that decides
 truncation, ``scalar._keep``, is bound in ``scalar`` alone: a scan fails on
 any other module that defines it, imports it by name or reads it at import,
 since each degree test must read it from ``scalar`` at call time.  The three
-display checks build no tensor by hand:
-a scan fails on a call to ``otimes`` or ``from_legs`` inside them, since
-their displays are printed lines that one reader reads.  The rewriting
+display checks, ``twist.build_twist`` and ``twist.factor_order_check`` build
+no tensor by hand: a scan fails on a call to ``otimes`` or ``from_legs``
+inside them, since their displays and twist cells are printed lines that one
+reader reads.  The rewriting
 kernels and the Hopf leg maps work on graded rows, so a scan fails on any
 name ``Scalar`` or ``ONE`` inside them.
 """
@@ -225,6 +226,11 @@ def test_only_scalar_binds_the_degree_test(path):
 
 DISPLAY_CHECKS = ("decomposition_display_check", "nullplane_display_check",
                   "q_display_check")
+# module: the functions whose tensors are printed cells read by the reader
+PRINTED_TABLES = {
+    "model": DISPLAY_CHECKS,
+    "twist": ("build_twist", "factor_order_check"),
+}
 HAND_BUILT = {"otimes", "from_legs"}
 
 
@@ -245,17 +251,24 @@ def test_the_scan_sees_a_hand_built_tensor():
     source = (
         "def q_display_check(m):\n"
         "    return otimes(m.p(1), one) + TensorElement.from_legs(one, one)\n\n"
-        "def _hopf_tables(m):\n    return otimes(one, one)\n"
+        "def _hopf_tables(m):\n    return otimes(one, one)\n\n"
+        "def build_twist(label, m):\n    return [otimes(m.p(1), one)]\n\n"
+        "def primitive_hopf(pres, trunc):\n    return otimes(one, one)\n"
     )
-    assert hand_built_tensors(source, DISPLAY_CHECKS) == [
+    assert hand_built_tensors(
+        source, DISPLAY_CHECKS + PRINTED_TABLES["twist"]
+    ) == [
         ("q_display_check", "otimes"), ("q_display_check", "from_legs"),
+        ("build_twist", "otimes"),
     ]
 
 
-def test_the_display_checks_build_no_tensor_by_hand():
-    # each display is a printed line that the one reader reads (item 13)
-    source = (SRC / "model.py").read_text()
-    assert hand_built_tensors(source, DISPLAY_CHECKS) == []
+@pytest.mark.parametrize("module", sorted(PRINTED_TABLES))
+def test_the_printed_tables_build_no_tensor_by_hand(module):
+    # each display line and each twist cell is printed text that the one
+    # reader reads (items 13 and 16)
+    source = (SRC / ("%s.py" % module)).read_text()
+    assert hand_built_tensors(source, PRINTED_TABLES[module]) == []
 
 
 ROW_KERNELS = {

@@ -5,8 +5,13 @@ cocycle residual through the exponents against Delta on the whole twist.
 Every row of the catalog is checked on d=4 Minkowski at truncation (2, 1),
 over the undeformed (primitive) structure and over the model's own deformed
 structure.  Rows that are not 2-cocycles are pinned as failing; see ROADMAP
-open item 3 for the deviations they record.
+open item 3 for the deviations they record.  The exponents of every row are
+pinned by digest: the cocycle matrix does not see a sign flip of any row but
+LC, since X -> -X keeps an abelian twist a cocycle and T3 and T4 fail either
+way.
 """
+
+import hashlib
 
 import pytest
 
@@ -75,10 +80,86 @@ def test_cocycle_matrix(models, label):
         }
 
 
+# sha256 of each row's exponents at TRUNC, one repr per line, and of the
+# report comparing LC's two factor orders; pinned from the hand-built catalog
+# that the printed cells replaced
+ROW_DIGESTS = {
+    "LC": "ee3262e4e842497ec69da76f62b181b7cf62c17091ac405ea69369d9d94c908c",
+    "L1": "da701f9b8161be5ceca05e442f95a6ff23c5f5e8e93a7e2974f80e66b4382fbe",
+    "L2": "fe047058ec8c3ca9aa03485c2ebcac17e9a279e717c9a6cec5b4484c16a5a70f",
+    "S1": "bf5bf6e25cf87ed1f1a8ce787557b1aebc7f6f178473cf4ad6bc30e79c5153e5",
+    "S2": "b05ac4e17173245e7077e0e25892171be941545d43d96767b504bdd62c312671",
+    "S3": "e504b3df4a0f9b638b43be6a6fe02c828601222fa7ec4ed15735353dcd2bc1f9",
+    "T1": "ed09504862e8449f8ebeb9edb6b3b0f2d8a85c44c45aae876920937406c5b2d5",
+    "T3": "a8afcde9e3ac62ede49a7defdc90a4b05f4b8c67b622ee0bc1b49f1202165e69",
+    "T4": "d324f47ba4565b8066864423cdf3881e9590b40f52ade9df5d016c47203a2a23",
+}
+LC_ALT_REPORT = (
+    "44794379b5bf046f51e8fb8af2c929a8e1a1ef30325b2bc24c44ad61d00fbb76"
+)
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def exponents_digest(f):
+    return digest("\n".join(repr(x) for x in f.factors))
+
+
+def lc_alt_report_digest(models):
+    f = twist.build_twist("LC", models["null_plane"])
+    return digest(twist.factor_order_check(f).to_json())
+
+
+@pytest.mark.parametrize("label", sorted(MATRIX))
+def test_row_exponents_are_pinned(models, label):
+    f = twist.build_twist(label, models[MATRIX[label][0]])
+    assert exponents_digest(f) == ROW_DIGESTS[label]
+
+
+def test_lc_factor_order_report_is_pinned(models):
+    assert lc_alt_report_digest(models) == LC_ALT_REPORT
+
+
+def flipped(cells, n):
+    """``cells`` with the sign of cell ``n`` flipped."""
+    return [("-(%s)" % c if k == n else c) for k, c in enumerate(cells)]
+
+
+@pytest.mark.parametrize("label, n", [
+    (label, n) for label, (_, _, cells) in twist._ROWS.items()
+    for n in range(len(cells))
+])
+def test_a_sign_flip_in_a_cell_changes_its_row_digest(
+        models, monkeypatch, label, n):
+    flavor, guards, cells = twist._ROWS[label]
+    monkeypatch.setitem(twist._ROWS, label,
+                        (flavor, guards, flipped(cells, n)))
+    f = twist.build_twist(label, models[flavor])
+    assert exponents_digest(f) != ROW_DIGESTS[label]
+
+
+@pytest.mark.parametrize("n", range(len(twist._LC_ALT)))
+def test_a_sign_flip_in_the_lc_alternative_changes_its_report(
+        models, monkeypatch, n):
+    monkeypatch.setattr(twist, "_LC_ALT", flipped(twist._LC_ALT, n))
+    assert lc_alt_report_digest(models) != LC_ALT_REPORT
+
+
 def test_extended_jordanian_factor_orders_agree(models):
     f = twist.build_twist("LC", models["null_plane"])
     rep = twist.factor_order_check(f)
     assert rep.ok, [c.to_dict() for c in rep.checks if not c.passed]
+
+
+def test_lc_in_dimension_2_has_an_empty_extension():
+    # sum_a runs over no transverse slot: the extension is the rank-2 zero
+    model = Model(ModelConfig([[-1, 0], [0, 1]], (1, 1), "null_plane", TRUNC))
+    f = twist.build_twist("LC", model)
+    assert [x.rank for x in f.factors] == [2, 2]
+    assert f.factors[1].is_zero() and not f.factors[0].is_zero()
+    assert twist.factor_order_check(f).ok
 
 
 def test_twist_hopf_refuses_a_non_cocycle(models):
