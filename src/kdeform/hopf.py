@@ -20,7 +20,8 @@ counit leg map down to rank 0, read back as a Scalar.  A leg map reads a
 word's image in rising h-degree, its memoized ``TensorElement.by_h``, tests
 each term pair's degrees with ``scalar._keep`` and stops the row at the
 first pair out of range in h, as the product kernel of :mod:`kdeform.ncalg`
-does; it sums through ``ncalg.accumulate`` and does no Scalar arithmetic.
+does; it sums through ``scalar.accumulate`` and does no Scalar arithmetic.
+Every map refuses a tensor over another presentation.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
@@ -36,9 +37,9 @@ from __future__ import annotations
 
 from . import scalar
 from .errors import KdeformError, PresentationError
-from .ncalg import EMPTY_WORD, TensorElement, accumulate, word_image
+from .ncalg import EMPTY_WORD, TensorElement, word_image
 from .report import Report
-from .scalar import Scalar, merge_trunc
+from .scalar import Scalar, accumulate, merge_trunc
 
 
 def otimes(a, b):
@@ -152,8 +153,14 @@ class HopfData:
 
         ``image(word)`` is the word's image, a tensor of rank 0, 1 or 2
         whose legs take the place of the one word; its terms are read in
-        rising h-degree.  A ``leg`` outside ``range(tensor.rank)`` raises.
+        rising h-degree.  A tensor over another presentation, or a ``leg``
+        outside ``range(tensor.rank)``, raises.
         """
+        if tensor.pres is not self.pres:
+            raise PresentationError(
+                "a Hopf map needs a tensor over its own presentation %s"
+                % self.pres.name
+            )
         if leg not in range(tensor.rank):
             raise PresentationError(
                 "no leg %r in a rank-%d tensor" % (leg, tensor.rank)

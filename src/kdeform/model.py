@@ -43,11 +43,9 @@ from functools import partial
 from .errors import ClassicalLimitError, PresentationError
 from .hopf import HopfData, otimes, verify_axioms, verify_reality
 from .metric import _fractions, adapted_basis, as_metric, as_tau, basis_metric
-from .ncalg import (
-    EMPTY_WORD, Presentation, TensorElement, accumulate, word_image,
-)
+from .ncalg import EMPTY_WORD, Presentation, TensorElement, word_image
 from .report import Report
-from .scalar import Scalar, gr
+from .scalar import Scalar, accumulate, gr
 from .series import unital_inverse, unital_log, unital_power, unital_sqrt
 
 FLAVORS = (
@@ -711,6 +709,8 @@ class Model:
 
     def pi_power(self, k):
         """Pi^k as an element, for any integer k."""
+        if type(k) is not int:
+            raise PresentationError("pi_power needs an int k, not %r" % (k,))
         if self.grouplike:
             pi, piv = self.grouplike
             idx = pi if k >= 0 else piv
@@ -725,8 +725,14 @@ class Model:
         """kappa -> infinity: group-likes become 1, h-terms drop.
 
         Raises ClassicalLimitError when a negative power of h survives the
-        substitution (nothing in the catalog does).
+        substitution (nothing in the catalog does), and PresentationError
+        for anything but a tensor over the model's presentation.
         """
+        if not (isinstance(obj, TensorElement) and obj.pres is self.pres):
+            raise PresentationError(
+                "classical_limit needs a tensor over its own presentation %s"
+                % self.pres.name
+            )
         strip = set(self.grouplike)
 
         def drop(word):

@@ -41,23 +41,21 @@ name; the package itself does not use it.
 The package has one star structure, with every generator self-adjoint and h
 real: :meth:`TensorElement.star` reverses words and conjugates coefficients.
 
-Sparse combinations are graded dicts from ``(key, deg_h, deg_xi)`` to
-nonzero GaussianRationals.  The one accumulator, :func:`accumulate`, sums
-``(key, deg_h, deg_xi, coeff)`` rows into such a dict and drops cancelled
-keys, for the normal forms, the tensors and the wedges of
-:mod:`kdeform.rmatrix`; :func:`scalar_view` reads graded terms back as
-Scalars.
+Sparse combinations are in the graded format of :mod:`kdeform.scalar`,
+which owns it: ``scalar.accumulate`` sums ``(key, deg_h, deg_xi, coeff)``
+rows and drops cancelled keys, ``scalar.graded_sum`` cuts rows to a
+truncation before it sums them, and ``scalar.scalar_view`` reads the terms
+back as Scalars.  ``shift`` and ``retrunc`` cut a tensor's own terms so.
 
 Truncation is a degree test on the key: a term pair's degrees are added and
 ``scalar._keep`` decides, read from :mod:`kdeform.scalar` at each call, at
-the merged truncation of the operands, which ``scalar.merge_trunc`` alone
-decides.  Only a kept pair pays for its coefficient product, and a row of a
-normal form that shifts the degrees is tested again.  A right operand sorts
-its terms by h-degree once, in :meth:`TensorElement.by_h`, so the product
-kernel and the leg maps of :mod:`kdeform.hopf` stop a row at the first term
-whose h-degree alone puts the pair out of range.  Under a finite truncation
-the accumulator refuses a negative h-degree with ``ScalarDomainError``, as
-``Scalar`` does.
+the merged truncation of the operands, which ``scalar.product_trunc``
+decides for a product.  Only a kept pair pays for its coefficient product,
+and a row of a normal form that shifts the degrees is tested again.  A
+right operand sorts its terms by h-degree once, in
+:meth:`TensorElement.by_h`, so the product kernel and the leg maps of
+:mod:`kdeform.hopf` stop a row at the first term whose h-degree alone puts
+the pair out of range.
 
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all
@@ -72,7 +70,11 @@ from types import MappingProxyType
 
 from . import scalar
 from .errors import PresentationError, RewriteError, TruncationMismatch
-from .scalar import GR_I, GR_ONE, GaussianRational, Scalar, merge_trunc
+from .scalar import (
+    GR_I, GR_ONE, GaussianRational, Scalar, accumulate, as_trunc,
+    check_degrees, graded_sum, merge_trunc, product_trunc, scalar_view,
+    tightened,
+)
 
 EMPTY_WORD = ()
 
@@ -81,28 +83,6 @@ MAX_WORD_LEN = 12
 
 # the stored brackets of self-adjoint generators are i times the real ones
 _MINUS_I = -GR_I
-
-
-def accumulate(out, rows, trunc):
-    """Add ``(key, deg_h, deg_xi, coeff)`` rows with nonzero coefficients
-    into the graded dict ``out`` in place, dropping cancelled keys.  Under a
-    finite ``trunc`` a negative h-degree raises ``ScalarDomainError``.
-    Returns ``out``."""
-    get = out.get
-    for key, a, b, c in rows:
-        if a < 0 and trunc is not None:
-            scalar._check_laurent(((a, b),), trunc)  # raises
-        k = (key, a, b)
-        acc = get(k)
-        if acc is None:
-            out[k] = c
-        else:
-            acc = acc + c
-            if acc:
-                out[k] = acc
-            else:
-                del out[k]
-    return out
 
 
 def word_image(cache, word, head_image, step):
@@ -115,14 +95,6 @@ def word_image(cache, word, head_image, step):
     if out is None:
         out = cache[word] = step(head_image(word[:-1]), word[-1])
     return out
-
-
-def scalar_view(terms, trunc):
-    """Graded terms read back as a dict from keys to Scalars at ``trunc``."""
-    out = {}
-    for (k, a, b), c in terms.items():
-        out.setdefault(k, {})[(a, b)] = c
-    return {k: Scalar._make(row, trunc) for k, row in out.items()}
 
 
 def _spread(kept, forms, a, b, c, trunc):
@@ -147,6 +119,15 @@ def _spread(kept, forms, a, b, c, trunc):
                                   c0 if cw is GR_ONE else c0 * cw))
         partial = grown
     kept += partial
+
+
+def _rank(rank):
+    # a tensor rank is a non-negative int
+    if type(rank) is not int or rank < 0:
+        raise PresentationError(
+            "tensor rank %r is not a non-negative int" % (rank,)
+        )
+    return rank
 
 
 class Generator:
@@ -411,22 +392,18 @@ class TensorElement:
 
     def __init__(self, pres, rank, terms=None, trunc=None):
         self.pres = pres
-        self.rank = rank
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                key = self._key(key)
-                if coeff.trunc != trunc:
-                    if coeff.trunc is not None:
-                        raise TruncationMismatch(
-                            "coefficient at truncation %r in a tensor at %r"
-                            % (coeff.trunc, trunc)
-                        )
-                    coeff = coeff.retrunc(trunc)
-                for (a, b), c in coeff.terms.items():
-                    clean[(key, a, b)] = c
-        self.terms = clean
-        self.trunc = trunc
+        self.rank = _rank(rank)
+        self.trunc = trunc = as_trunc(trunc)
+        rows = []
+        for key, coeff in (terms or {}).items():
+            key = self._key(key)
+            if coeff.trunc not in (None, trunc):
+                raise TruncationMismatch(
+                    "coefficient at truncation %r in a tensor at %r"
+                    % (coeff.trunc, trunc)
+                )
+            rows += [(key, a, b, c) for (a, b), c in coeff.terms.items()]
+        self.terms = graded_sum(rows, trunc)
         self._by_h = None
 
     def _key(self, key):
@@ -475,11 +452,11 @@ class TensorElement:
 
     @classmethod
     def zero(cls, pres, rank, trunc=None):
-        return cls._make(pres, rank, {}, trunc)
+        return cls._make(pres, _rank(rank), {}, as_trunc(trunc))
 
     @classmethod
     def one(cls, pres, rank, trunc=None):
-        return cls._unit(pres, rank, (EMPTY_WORD,) * rank, trunc)
+        return cls._unit(pres, rank, (EMPTY_WORD,) * _rank(rank), trunc)
 
     @classmethod
     def gen(cls, pres, i, trunc=None):
@@ -490,6 +467,7 @@ class TensorElement:
     @staticmethod
     def _unit(pres, rank, legs, trunc):
         # legs of known generators with coefficient 1, cut to ``trunc``
+        trunc = as_trunc(trunc)
         terms = {(legs, 0, 0): GR_ONE} if scalar._keep((0, 0), trunc) else {}
         return TensorElement._make(pres, rank, terms, trunc)
 
@@ -505,13 +483,12 @@ class TensorElement:
         if not legs:
             raise PresentationError("an outer product needs at least one leg")
         first = legs[0]
-        pres, trunc = first.pres, first.trunc
+        pres, trunc = first.pres, product_trunc(*legs)
         keep = scalar._keep
         rows = [k + (c,) for k, c in first.terms.items()]
         for leg in legs[1:]:
             if leg.pres is not pres:
                 raise PresentationError("tensor legs in different presentations")
-            trunc = merge_trunc(trunc, leg.trunc)
             rows = [
                 (key + k, a + da, b + db, c * g)
                 for key, a, b, c in rows
@@ -539,10 +516,8 @@ class TensorElement:
             ), trunc)
         else:
             # the exact operand's terms are cut to the finite trunc
-            keep = scalar._keep
-            out = accumulate({}, (
+            out = graded_sum((
                 k + (c,) for x in (self, other) for k, c in x.terms.items()
-                if keep(k[1:], trunc)
             ), trunc)
         return TensorElement._make(self.pres, self.rank, out, trunc)
 
@@ -565,7 +540,7 @@ class TensorElement:
             out = {k: c * other for k, c in self.terms.items()}
             return TensorElement._make(self.pres, self.rank, out, self.trunc)
         if isinstance(other, Scalar):
-            trunc = merge_trunc(self.trunc, other.trunc)
+            trunc = product_trunc(self, other)
             keep = scalar._keep
             kept = [
                 (k, a + da, b + db, c * g)
@@ -578,7 +553,7 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._require_like(other)
-        trunc = merge_trunc(self.trunc, other.trunc)
+        trunc = product_trunc(self, other)
         keep = scalar._keep
         norm = self.pres.normalize_word
         legs = range(self.rank)
@@ -635,14 +610,17 @@ class TensorElement:
 
     def shift(self, deg_h):
         """Multiply by h^deg_h, cut to the tensor's truncation."""
-        return TensorElement(self.pres, self.rank, {
-            k: c.shift(deg_h) for k, c in self.by_legs().items()
-        }, self.trunc)
+        check_degrees(deg_h, 0)
+        return TensorElement._make(self.pres, self.rank, graded_sum((
+            (k, a + deg_h, b, c) for (k, a, b), c in self.terms.items()
+        ), self.trunc), self.trunc)
 
     def retrunc(self, new_trunc):
-        return TensorElement(self.pres, self.rank, {
-            k: c.retrunc(new_trunc) for k, c in self.by_legs().items()
-        }, new_trunc)
+        """Tighten the truncation, as ``Scalar.retrunc`` does."""
+        trunc = tightened(self.trunc, new_trunc)
+        return TensorElement._make(self.pres, self.rank, graded_sum((
+            k + (c,) for k, c in self.terms.items()
+        ), trunc), trunc)
 
     def permute_legs(self, perm):
         """Reorder legs: new key[j] = old key[perm[j]]."""

@@ -10,11 +10,12 @@ Storage.  Wedge terms are graded as tensor terms are: ``(key, deg_h,
 deg_xi)`` to a nonzero GaussianRational, the key a strictly increasing
 index tuple with the sorting sign absorbed, so the calculus does no Scalar
 arithmetic.  A wedge has one truncation, merged from its Scalar
-coefficients.  ``_graded`` alone cuts terms to it with ``scalar._keep``,
-read at each call, sorts keys, drops keys with a repeated index and sums
-through the one accumulator, ``ncalg.accumulate``; ``schouten`` also tests
-each pair of terms before its product.  :meth:`WedgeTensor.by_key` reads
-Scalars back.
+coefficients.  ``_graded`` alone builds terms: it sorts keys, drops keys
+with a repeated index and hands the rows to ``scalar.graded_sum``, which
+cuts them with ``scalar._keep``, read at each call, and sums them through
+the one accumulator, ``scalar.accumulate``; ``schouten`` also tests each
+pair of terms before its product.  :meth:`WedgeTensor.by_key` reads
+Scalars back through ``scalar.scalar_view``.
 
 Conventions.  Brackets are taken in the real form: the presentations store
 [x, y] = i f(x, y) with rational f, and polyvector identities hold for f.
@@ -36,9 +37,11 @@ from . import scalar
 from .errors import PresentationError
 from .metric import as_metric, as_tau
 from .model import _iso_data, _m_signed, build_iso
-from .ncalg import accumulate, scalar_view
 from .report import Report
-from .scalar import GR_ONE, GaussianRational, Scalar, gr, merge_trunc
+from .scalar import (
+    GR_ONE, GaussianRational, Scalar, gr, graded_sum, merge_trunc,
+    product_trunc, scalar_view,
+)
 
 
 def _as_scalar(x):
@@ -60,21 +63,18 @@ def _canonical(key):
 
 def _graded(pres, rank, terms, trunc):
     """The wedge at ``trunc`` of ``(key, deg_h, deg_xi, coeff)`` terms with
-    nonzero GaussianRational coefficients; ``scalar._keep`` cuts each term."""
+    nonzero GaussianRational coefficients, cut by ``scalar.graded_sum``."""
     canon = {}  # each key is sorted once per call
-    keep = scalar._keep
 
     def signed():
         for key, a, b, c in terms:
-            if trunc is not None and not keep((a, b), trunc):
-                continue
             ks = canon.get(key) or canon.setdefault(key, _canonical(key))
             if ks[1]:
                 yield ks[0], a, b, (c if ks[1] > 0 else -c)
 
     w = object.__new__(WedgeTensor)
     w.pres, w.rank, w.trunc = pres, rank, trunc
-    w.terms = accumulate({}, signed(), trunc)
+    w.terms = graded_sum(signed(), trunc)
     return w
 
 
@@ -143,7 +143,7 @@ class WedgeTensor:
             (k, a + da, b + db, c * g)
             for (k, a, b), c in self.terms.items()
             for (da, db), g in s.terms.items()
-        ), merge_trunc(self.trunc, s.trunc))
+        ), product_trunc(self, s))
 
     __rmul__ = __mul__
 

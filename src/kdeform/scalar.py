@@ -17,13 +17,17 @@ bigrade (deg_h, deg_xi).
 A scalar either carries a finite truncation order ``trunc = (N_h, N_xi)``,
 meaning every bigrade with deg_h > N_h or deg_xi > N_xi has been dropped, or
 ``trunc = None`` for exact (untruncated) arithmetic.  Exact scalars combine
-freely with truncated ones; the result inherits the finite truncation.  Two
-different finite truncations never combine silently.
+with truncated ones; the result inherits the finite truncation.  Two
+different finite truncations never combine silently, and a finite one can
+only be tightened.
 
 Negative h-degrees are allowed only in exact mode.  Truncating a Laurent
 series is not a ring quotient (multiplying by h^(-1) re-enters the kept
-range), so finite-truncation scalars enforce deg_h >= 0; this keeps truncated
-multiplication associative.
+range), so finite-truncation scalars enforce deg_h >= 0, and a product
+refuses an exact factor with a negative h-degree when the other factor is
+truncated (:func:`product_trunc`).  Truncated multiplication is then the
+quotient of a polynomial ring by the monomials past the truncation, so it
+associates.
 
 The exact unit is one shared object, :data:`ONE`: ``Scalar.one()`` returns it,
 and a product by it returns the other operand itself.  That needs no
@@ -35,9 +39,13 @@ results may share their operands.
 tensor and wedge coefficients, counits, specialization and the reports read
 back as Scalars.  Below that API every kernel -- rewriting, tensor products,
 the Hopf leg maps and the wedge calculus -- works on graded rows ``(key,
-deg_h, deg_xi, GaussianRational)`` and does no Scalar arithmetic.  ``_keep``
-is the one degree test of a truncation: those kernels read it from this
-module at each call, so they test every degree as a Scalar does.
+deg_h, deg_xi, GaussianRational)`` and does no Scalar arithmetic.  This
+module owns that format: :func:`accumulate` sums rows into a dict from
+``(key, deg_h, deg_xi)``, :func:`graded_sum` first cuts them to a
+truncation, and :func:`scalar_view` reads the dict back as Scalars.  A
+Scalar's own operations feed rows with the empty key to the same sum.
+``_keep`` is the one degree test of a truncation: the kernels read it from
+this module at each call, so they test every degree as a Scalar does.
 
 h and xi are real: conjugation acts on the GaussianRational coefficients
 only, as the one star structure of the package (:mod:`kdeform.ncalg`) needs.
@@ -238,6 +246,31 @@ def gr(re, im=0):
     return GaussianRational(re, im)
 
 
+def as_trunc(trunc):
+    """``trunc`` when it is a truncation: None, or a pair ``(N_h, N_xi)`` of
+    non-negative ints.  Anything else raises ``ScalarDomainError``."""
+    if trunc is not None and not (
+        type(trunc) is tuple and len(trunc) == 2
+        and type(trunc[0]) is type(trunc[1]) is int
+        and trunc[0] >= 0 and trunc[1] >= 0
+    ):
+        raise ScalarDomainError(
+            "truncation %r is not None or a pair of non-negative ints"
+            % (trunc,)
+        )
+    return trunc
+
+
+def check_degrees(deg_h, deg_xi):
+    """Refuse the degrees of a monomial unless both are ints and deg_xi is
+    non-negative."""
+    for n in (deg_h, deg_xi):
+        if type(n) is not int:
+            raise ScalarDomainError("degree %r is not an int" % (n,))
+    if deg_xi < 0:
+        raise ScalarDomainError("negative xi-degree %r" % (deg_xi,))
+
+
 def merge_trunc(t1, t2):
     """Combine the truncations of two operands.
 
@@ -255,18 +288,94 @@ def merge_trunc(t1, t2):
     return t1
 
 
+def product_trunc(*factors):
+    """The merged truncation of a product of ``factors``, each with a
+    ``trunc`` and ``terms`` keyed with the h-degree second to last, as
+    Scalars and graded terms are.  Where the truncations differ, an exact
+    factor with a negative h-degree raises ``ScalarDomainError``: under the
+    finite one, multiplying by h^(-1) would bring cut terms back into the
+    kept range, and the product would not associate."""
+    trunc = None
+    for x in factors:
+        trunc = merge_trunc(trunc, x.trunc)
+    if trunc is not None:
+        for x in factors:
+            if x.trunc is None and any(k[-2] < 0 for k in x.terms):
+                raise ScalarDomainError(
+                    "an exact factor with a negative h-degree under the "
+                    "finite truncation %r; Laurent factors require exact "
+                    "mode" % (trunc,)
+                )
+    return trunc
+
+
+def tightened(old, new):
+    """The truncation ``new`` that replaces ``old``: a finite one can only be
+    tightened, so loosening or dropping it raises ``TruncationMismatch``."""
+    new = as_trunc(new)
+    if old is not None:
+        if new is None:
+            raise TruncationMismatch("cannot drop a finite truncation")
+        if new[0] > old[0] or new[1] > old[1]:
+            raise TruncationMismatch(
+                "cannot loosen truncation %r to %r" % (old, new)
+            )
+    return new
+
+
 def _keep(key, trunc):
     return trunc is None or (key[0] <= trunc[0] and key[1] <= trunc[1])
 
 
-def _check_laurent(terms, trunc):
+# --- the graded format --------------------------------------------------------
+
+
+def accumulate(out, rows, trunc):
+    """Add ``(key, deg_h, deg_xi, coeff)`` rows with nonzero coefficients
+    into the graded dict ``out`` in place, dropping cancelled keys.  Under a
+    finite ``trunc`` a negative h-degree raises ``ScalarDomainError``.
+    Returns ``out``."""
+    get = out.get
+    for key, a, b, c in rows:
+        if a < 0 and trunc is not None:
+            raise ScalarDomainError(
+                "negative h-degree %r under finite truncation %r; Laurent "
+                "coefficients require exact mode" % ((a, b), trunc)
+            )
+        k = (key, a, b)
+        acc = get(k)
+        if acc is None:
+            out[k] = c
+        else:
+            acc = acc + c
+            if acc:
+                out[k] = acc
+            else:
+                del out[k]
+    return out
+
+
+def graded_sum(rows, trunc):
+    """The graded dict of the rows whose degrees ``trunc`` keeps, summed by
+    :func:`accumulate`."""
     if trunc is not None:
-        for key in terms:
-            if key[0] < 0:
-                raise ScalarDomainError(
-                    "negative h-degree %r under finite truncation; "
-                    "Laurent coefficients require exact mode" % (key,)
-                )
+        rows = [r for r in rows if _keep(r[1:3], trunc)]
+    return accumulate({}, rows, trunc)
+
+
+def scalar_view(terms, trunc):
+    """Graded terms read back as a dict from keys to Scalars at ``trunc``."""
+    out = {}
+    for (k, a, b), c in terms.items():
+        out.setdefault(k, {})[(a, b)] = c
+    return {k: Scalar._make(row, trunc) for k, row in out.items()}
+
+
+def _scalar(rows, trunc):
+    # the Scalar at ``trunc`` of rank-0 rows ((), deg_h, deg_xi, coeff)
+    return Scalar._make(
+        {k[1:]: c for k, c in graded_sum(rows, trunc).items()}, trunc
+    )
 
 
 class Scalar:
@@ -279,22 +388,18 @@ class Scalar:
     __slots__ = ("terms", "trunc")
 
     def __init__(self, terms=None, trunc=None):
-        clean = {}
-        if terms:
-            for key, val in terms.items():
-                if type(key) is not tuple or len(key) != 2:
-                    raise ScalarDomainError(
-                        "scalar key %r is not a pair (deg_h, deg_xi)" % (key,))
-                if not isinstance(val, GaussianRational):
-                    val = GaussianRational(val)
-                if val and _keep(key, trunc):
-                    if key[1] < 0:
-                        raise ScalarDomainError(
-                            "negative xi-degree %r" % (key,)
-                        )
-                    clean[key] = val
-        _check_laurent(clean, trunc)
-        self.terms = clean
+        trunc = as_trunc(trunc)
+        rows = []
+        for key, val in (terms or {}).items():
+            if type(key) is not tuple or len(key) != 2:
+                raise ScalarDomainError(
+                    "scalar key %r is not a pair (deg_h, deg_xi)" % (key,))
+            check_degrees(*key)
+            if not isinstance(val, GaussianRational):
+                val = GaussianRational(val)
+            if val:
+                rows.append(((),) + key + (val,))
+        self.terms = _scalar(rows, trunc).terms
         self.trunc = trunc
 
     @staticmethod
@@ -305,11 +410,14 @@ class Scalar:
         s.trunc = trunc
         return s
 
+    def _rows(self):
+        return (((), a, b, c) for (a, b), c in self.terms.items())
+
     # --- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, trunc=None):
-        return cls._make({}, trunc)
+        return cls._make({}, as_trunc(trunc))
 
     @classmethod
     def one(cls, trunc=None):
@@ -341,42 +449,17 @@ class Scalar:
                 "monomial coefficient %r is not an int, Fraction or "
                 "GaussianRational" % (coeff,)
             )
-        coeff = c
-        if deg_xi < 0:
-            raise ScalarDomainError("negative xi-degree")
-        if not coeff or not _keep((deg_h, deg_xi), trunc):
-            return cls._make({}, trunc)
-        terms = {(deg_h, deg_xi): coeff}
-        _check_laurent(terms, trunc)
-        return cls._make(terms, trunc)
+        check_degrees(deg_h, deg_xi)
+        return _scalar([((), deg_h, deg_xi, c)] if c else [], as_trunc(trunc))
 
     # --- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not Scalar and not isinstance(other, Scalar):
+        if not isinstance(other, Scalar):
             return NotImplemented
-        t1 = self.trunc
-        t2 = other.trunc
-        trunc = t1 if t1 == t2 else merge_trunc(t1, t2)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = val
-            else:
-                acc = acc + val
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        if trunc is not None and (t1 is None or t2 is None):
-            # either operand may be the exact one
-            out = {k: v for k, v in out.items() if _keep(k, trunc)}
-            _check_laurent(out, trunc)
-        s = _new(Scalar)
-        s.terms = out
-        s.trunc = trunc
-        return s
+        trunc = merge_trunc(self.trunc, other.trunc)
+        # the exact operand's terms are cut to a finite trunc
+        return _scalar((*self._rows(), *other._rows()), trunc)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -404,34 +487,14 @@ class Scalar:
             return other
         if other is ONE:
             return self
-        t1 = self.trunc
-        t2 = other.trunc
-        trunc = t1 if t1 == t2 else merge_trunc(t1, t2)
-        out = {}
-        get = out.get
+        trunc = product_trunc(self, other)
         right = other.terms.items()
-        for (a1, b1), v1 in self.terms.items():
-            for (a2, b2), v2 in right:
-                key = (a1 + a2, b1 + b2)
-                if trunc is not None and not _keep(key, trunc):
-                    continue
-                acc = get(key)
-                prod = v1 * v2
-                # nonzero coefficients have a nonzero product
-                if acc is None:
-                    out[key] = prod
-                else:
-                    acc = acc + prod
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        if trunc is not None and (t1 is None or t2 is None):
-            _check_laurent(out, trunc)
-        s = _new(Scalar)
-        s.terms = out
-        s.trunc = trunc
-        return s
+        # only a kept pair pays for its coefficient product
+        return _scalar((
+            ((), a1 + a2, b1 + b2, v1 * v2)
+            for (a1, b1), v1 in self.terms.items() for (a2, b2), v2 in right
+            if trunc is None or _keep((a1 + a2, b1 + b2), trunc)
+        ), trunc)
 
     __rmul__ = __mul__
 
@@ -452,31 +515,15 @@ class Scalar:
 
     def shift(self, deg_h, deg_xi=0):
         """Multiply by the monomial h^deg_h * xi^deg_xi."""
-        if deg_xi < 0:
-            raise ScalarDomainError("negative xi-degree")
-        out = {}
-        for (a, b), v in self.terms.items():
-            key = (a + deg_h, b + deg_xi)
-            if _keep(key, self.trunc):
-                out[key] = v
-        _check_laurent(out, self.trunc)
-        return Scalar._make(out, self.trunc)
+        check_degrees(deg_h, deg_xi)
+        return _scalar((
+            ((), a + deg_h, b + deg_xi, c) for (a, b), c in self.terms.items()
+        ), self.trunc)
 
     def retrunc(self, new_trunc):
         """Tighten the truncation.  Loosening (or removing) it is an error."""
-        if new_trunc is None:
-            if self.trunc is None:
-                return self
-            raise TruncationMismatch("cannot drop a finite truncation")
-        if self.trunc is not None:
-            if new_trunc[0] > self.trunc[0] or new_trunc[1] > self.trunc[1]:
-                raise TruncationMismatch(
-                    "cannot loosen truncation %r to %r"
-                    % (self.trunc, new_trunc)
-                )
-        out = {k: v for k, v in self.terms.items() if _keep(k, new_trunc)}
-        _check_laurent(out, new_trunc)
-        return Scalar._make(out, new_trunc)
+        new_trunc = tightened(self.trunc, new_trunc)
+        return _scalar(self._rows(), new_trunc)
 
     def specialize(self, h_value, xi_value=0):
         """Evaluate at exact rational parameter values; h_value may not be 0

@@ -1,8 +1,8 @@
 """Bad input to the twist catalog and its checks, the model checks, the rule
 and tensor constructors, ``HopfData`` and the wedge calculus raises
-``PresentationError``, a malformed scalar key ``ScalarDomainError`` and a
-wedge at two truncations ``TruncationMismatch``: one table, one call per
-guard.
+``PresentationError``, a malformed scalar key, degree or truncation
+``ScalarDomainError`` and a wedge at two truncations ``TruncationMismatch``:
+one table, one call per guard.
 
 Each call builds its own small input, so no row depends on another."""
 
@@ -113,6 +113,16 @@ def wedge_at_two_truncations():
     return WedgeTensor(wedge_pres(), 2, {
         (0, 1): Scalar.h(1, (2, 0)), (0, 2): Scalar.h(1, (3, 0)),
     })
+
+
+def qanalog():
+    return model(MINK2, (1, 0), "qanalog_timelike", None)
+
+
+def d3_counit_leg():
+    """The d=2 covariant counit leg map on a rank-2 tensor over iso(3)."""
+    p = model(MINK3, (1, 0, 0), "covariant_hadic").p(1)
+    return covariant().hopf.apply_counit_leg(TensorElement.from_legs(p, p), 0)
 
 
 def guard(name, message, call, error=PresentationError):
@@ -247,6 +257,41 @@ GUARDS = [
           lambda: rank_two_map("antipode_of")),
     guard("counit_of_rank_2", "needs a rank-1 element, not rank 2",
           lambda: rank_two_map("counit_of")),
+    guard("cop_of_foreign_element",
+          "needs a tensor over its own presentation U_q(iso(2)) tau^2=1",
+          lambda: qanalog().hopf.cop(covariant().p(1))),
+    guard("counit_leg_of_foreign_tensor",
+          "needs a tensor over its own presentation iso(2)", d3_counit_leg),
+    guard("classical_limit_of_foreign_element",
+          "needs a tensor over its own presentation U_q(iso(2)) tau^2=1",
+          lambda: qanalog().classical_limit(covariant().p(1))),
+    guard("classical_limit_of_scalar",
+          "needs a tensor over its own presentation iso(2)",
+          lambda: covariant().classical_limit(Scalar.h(1, (1, 0)))),
+    guard("pi_power_float", "pi_power needs an int k, not 1.5",
+          lambda: covariant().pi_power(1.5)),
+    guard("pi_power_bool", "pi_power needs an int k, not True",
+          lambda: covariant().pi_power(True)),
+    # shapes of the ring API
+    guard("scalar_h_float_degree", "degree 0.5 is not an int",
+          lambda: Scalar.h(0.5), ScalarDomainError),
+    guard("tensor_shift_float_degree", "degree 0.5 is not an int",
+          lambda: TensorElement.one(pair()[0], 1).shift(0.5),
+          ScalarDomainError),
+    guard("scalar_one_short_truncation",
+          "truncation (1,) is not None or a pair of non-negative ints",
+          lambda: Scalar.one((1,)), ScalarDomainError),
+    guard("tensor_one_short_truncation",
+          "truncation (1,) is not None or a pair of non-negative ints",
+          lambda: TensorElement.one(pair()[0], 1, (1,)), ScalarDomainError),
+    guard("retrunc_short_truncation",
+          "truncation (1,) is not None or a pair of non-negative ints",
+          lambda: Scalar.h(1).retrunc((1,)), ScalarDomainError),
+    guard("scalar_negative_truncation",
+          "truncation (-1, 0) is not None or a pair of non-negative ints",
+          lambda: Scalar.h(1, (-1, 0)), ScalarDomainError),
+    guard("tensor_negative_rank", "tensor rank -1 is not a non-negative int",
+          lambda: TensorElement.one(pair()[0], -1)),
     # wedges
     guard("wedge_bad_coefficient", "bad wedge coefficient",
           lambda: WedgeTensor.from_labels(

@@ -16,13 +16,8 @@ from kdeform.errors import (
     TruncationMismatch,
 )
 from kdeform.model import Model, ModelConfig, build_iso
-from kdeform.ncalg import (
-    MAX_WORD_LEN,
-    Presentation,
-    TensorElement,
-    scalar_view,
-)
-from kdeform.scalar import GR_ONE, Scalar, gr
+from kdeform.ncalg import MAX_WORD_LEN, Presentation, TensorElement
+from kdeform.scalar import GR_ONE, Scalar, gr, scalar_view
 
 
 def normal_form(pres, word):

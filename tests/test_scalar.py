@@ -166,6 +166,40 @@ def test_ring_axioms_random():
             assert a + (-a) == Scalar.zero(trunc)
 
 
+def attempt(product):
+    # a product's value, or None when the ring refuses it
+    try:
+        return product()
+    except ScalarDomainError:
+        return None
+
+
+def test_mixed_truncation_products_associate_or_raise():
+    # exact, exact Laurent and truncated operands in every combination: a
+    # product of an exact factor with a negative h-degree and a truncated
+    # one raises, and where both sides are defined, the products associate,
+    # commute and distribute
+    rng = random.Random(24)
+    t = (2, 1)
+    refused = 0
+    for _ in range(300):
+        a, b, c = (rand_scalar(rng, trunc=rng.choice([None, t]), min_h=-2,
+                               max_xi=1, nterms=3) for _ in range(3))
+        for x, y in ((a, b), (b, c), (a, c)):
+            if x.trunc != y.trunc and any(
+                    s.trunc is None and s.has_negative_h() for s in (x, y)):
+                refused += 1
+                with pytest.raises(ScalarDomainError, match="Laurent"):
+                    x * y
+        sides = [(attempt(lambda: (a * b) * c), attempt(lambda: a * (b * c))),
+                 (attempt(lambda: a * b), attempt(lambda: b * a)),
+                 (attempt(lambda: a * (b + c)),
+                  attempt(lambda: a * b + a * c))]
+        for left, right in sides:
+            assert left is None or right is None or left == right
+    assert refused > 0
+
+
 def test_laurent_requires_exact_mode():
     # dropping bigrades from a Laurent series is not a ring quotient, so
     # negative h-degrees are rejected whenever a finite truncation is on
@@ -179,9 +213,11 @@ def test_laurent_requires_exact_mode():
         Scalar.one((3, 3)).shift(-1)
     with pytest.raises(ValueError):
         Scalar.h(-1).retrunc((3, 3))
-    # nonnegative results of mixed products are fine: kappa * h^2 = h
-    mixed = Scalar.h(-1) * Scalar.h(2, (3, 3))
-    assert mixed == Scalar.h(1, (3, 3))
+    # a Laurent factor under a finite truncation is refused even where the
+    # product would be h-polynomial: kappa * h^2 would drop h^(N_h + 1)
+    # terms before the kappa brings them back
+    with pytest.raises(ScalarDomainError, match="Laurent factors"):
+        Scalar.h(-1) * Scalar.h(2, (3, 3))
     # every scalar domain error is an engine error and still a ValueError
     for bad in (
         lambda: Scalar.h(-1, (3, 3)),

@@ -14,7 +14,9 @@ no tensor by hand: a scan fails on a call to ``otimes`` or ``from_legs``
 inside them, since their displays and twist cells are printed lines that one
 reader reads.  The rewriting
 kernels and the Hopf leg maps work on graded rows, so a scan fails on any
-name ``Scalar`` or ``ONE`` inside them.
+name ``Scalar`` or ``ONE`` inside them.  The graded format has one owner,
+``scalar``: a scan fails on any other module that defines ``accumulate`` or
+``scalar_view`` or reads ``Scalar._make``.
 """
 
 import ast
@@ -269,6 +271,50 @@ def test_the_printed_tables_build_no_tensor_by_hand(module):
     # reader reads (items 13 and 16)
     source = (SRC / ("%s.py" % module)).read_text()
     assert hand_built_tensors(source, PRINTED_TABLES[module]) == []
+
+
+RING_OWNED = {"accumulate", "scalar_view"}
+
+
+def ring_breaches(source):
+    """(line, name) of every definition or assignment of ``accumulate`` or
+    ``scalar_view`` in a source, and of every read of ``Scalar._make``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and node.name in RING_OWNED:
+            out.append((node.lineno, node.name))
+        elif isinstance(node, ast.Name) and node.id in RING_OWNED \
+                and isinstance(node.ctx, ast.Store):
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr == "_make" \
+                and ast.unparse(node.value).rpartition(".")[2] == "Scalar":
+            out.append((node.lineno, "Scalar._make"))
+    return sorted(out)
+
+
+def test_the_scan_sees_a_ring_breach():
+    source = (
+        "from .scalar import accumulate, scalar_view\n"
+        "def accumulate(out, rows, trunc):\n    return out\n"
+        "scalar_view = None\n"
+        "def view(terms):\n"
+        "    return scalar.Scalar._make(terms, None), Scalar._make({}, None)\n"
+        "def unit(pres):\n    return TensorElement._make(pres, 0, {}, None)\n"
+    )
+    assert ring_breaches(source) == [
+        (2, "accumulate"), (4, "scalar_view"),
+        (6, "Scalar._make"), (6, "Scalar._make"),
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "scalar.py"],
+                         ids=lambda p: p.name)
+def test_only_scalar_owns_the_graded_sum_and_its_view(path):
+    # the graded format's accumulator and its Scalar view live in
+    # ``scalar``, and only ``scalar`` builds Scalars past the checks
+    assert ring_breaches(path.read_text()) == []
 
 
 ROW_KERNELS = {
