@@ -13,8 +13,9 @@ class ScalarDomainError(KdeformError, ValueError):
     """Raised for a scalar outside its domain: a degree that is not an int,
     a negative xi-degree, a truncation that is not None or a pair of
     non-negative ints, a negative h-degree under a finite truncation or in
-    an exact factor of a truncated product, the constant value of a
-    non-constant scalar, or a float or unknown coefficient."""
+    an exact factor of a truncated product, a shift by h^-k past the h-order
+    of a truncation, the constant value of a non-constant scalar, or a float
+    or unknown coefficient."""
 
 
 class PresentationError(KdeformError):

@@ -73,7 +73,7 @@ from .errors import PresentationError, RewriteError, TruncationMismatch
 from .scalar import (
     GR_I, GR_ONE, GaussianRational, Scalar, accumulate, as_trunc,
     check_degrees, graded_sum, merge_trunc, product_trunc, scalar_view,
-    tightened,
+    shifted_trunc, tightened,
 )
 
 EMPTY_WORD = ()
@@ -609,11 +609,13 @@ class TensorElement:
         return self.by_legs().get(self._key(key), Scalar.zero(self.trunc))
 
     def shift(self, deg_h):
-        """Multiply by h^deg_h, cut to the tensor's truncation."""
+        """Multiply by h^deg_h, at the truncation ``scalar.shifted_trunc``
+        gives."""
         check_degrees(deg_h, 0)
+        trunc = shifted_trunc(self.trunc, deg_h)
         return TensorElement._make(self.pres, self.rank, graded_sum((
             (k, a + deg_h, b, c) for (k, a, b), c in self.terms.items()
-        ), self.trunc), self.trunc)
+        ), trunc), trunc)
 
     def retrunc(self, new_trunc):
         """Tighten the truncation, as ``Scalar.retrunc`` does."""

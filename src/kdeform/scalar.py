@@ -19,7 +19,8 @@ meaning every bigrade with deg_h > N_h or deg_xi > N_xi has been dropped, or
 ``trunc = None`` for exact (untruncated) arithmetic.  Exact scalars combine
 with truncated ones; the result inherits the finite truncation.  Two
 different finite truncations never combine silently, and a finite one can
-only be tightened.
+only be tightened, or lowered in h by a shift by h^-k
+(:func:`shifted_trunc`).
 
 Negative h-degrees are allowed only in exact mode.  Truncating a Laurent
 series is not a ring quotient (multiplying by h^(-1) re-enters the kept
@@ -323,6 +324,21 @@ def tightened(old, new):
     return new
 
 
+def shifted_trunc(trunc, deg_h):
+    """The truncation of a value at ``trunc`` times h^deg_h.  A negative
+    shift lowers N_h by as much: the terms it would bring down from past
+    N_h were cut, so the lower order is all that is known.  Below 0 it
+    raises ``ScalarDomainError``."""
+    if trunc is None or deg_h >= 0:
+        return trunc
+    if trunc[0] + deg_h < 0:
+        raise ScalarDomainError(
+            "a shift by h^%d leaves no order of the truncation %r"
+            % (deg_h, trunc)
+        )
+    return (trunc[0] + deg_h, trunc[1])
+
+
 def _keep(key, trunc):
     return trunc is None or (key[0] <= trunc[0] and key[1] <= trunc[1])
 
@@ -514,11 +530,12 @@ class Scalar:
     # --- structure --------------------------------------------------------
 
     def shift(self, deg_h, deg_xi=0):
-        """Multiply by the monomial h^deg_h * xi^deg_xi."""
+        """Multiply by the monomial h^deg_h * xi^deg_xi, at the truncation
+        :func:`shifted_trunc` gives."""
         check_degrees(deg_h, deg_xi)
         return _scalar((
             ((), a + deg_h, b + deg_xi, c) for (a, b), c in self.terms.items()
-        ), self.trunc)
+        ), shifted_trunc(self.trunc, deg_h))
 
     def retrunc(self, new_trunc):
         """Tighten the truncation.  Loosening (or removing) it is an error."""

@@ -21,8 +21,9 @@ from kdeform.hopf import (
     verify_axioms,
     verify_reality,
 )
-from kdeform.model import Model, ModelConfig
+from kdeform.model import Model, ModelConfig, hopf_axiom_check
 from kdeform.ncalg import Presentation, TensorElement
+from kdeform.report import Report
 from kdeform.scalar import GaussianRational, Scalar, scalar_view
 from kdeform.series import exp_nilpotent
 
@@ -631,3 +632,94 @@ def test_hopf_and_twist_checks_do_no_scalar_arithmetic(monkeypatch):
     # the counter sees Scalar arithmetic
     assert (Scalar.h() * Scalar.xi() + Scalar.one()) and calls == [
         "__mul__", "__add__"]
+
+
+# --- the degree-2 sweep against an all-pairs reference loop -------------------
+
+
+def reference_degree2_checks(hopf):
+    """The degree-2 sweep computed pair by pair: for every ordered pair, the
+    counit and antipode residuals of x = g_i g_j from x and its coproduct,
+    with no word memo."""
+    pres = hopf.pres
+    n = len(pres.generators)
+    one = TensorElement.one(pres, 1, hopf.trunc)
+    bad = ([], [])
+    for i in range(n):
+        for j in range(n):
+            x = (TensorElement.gen(pres, i, hopf.trunc)
+                 * TensorElement.gen(pres, j, hopf.trunc))
+            cop = hopf.cop(x)
+            eps_x = one * hopf.counit_of(x)
+            residuals = (
+                [hopf.apply_counit_leg(cop, leg) - x for leg in (0, 1)],
+                [hopf.apply_antipode_leg(cop, leg).merge_legs() - eps_x
+                 for leg in (0, 1)],
+            )
+            for pairs, rs in zip(bad, residuals):
+                if not all(r.is_zero() for r in rs):
+                    pairs.append((pres.label(i), pres.label(j)))
+    rep = Report("reference")
+    for axiom, pairs in zip(("counit", "antipode"), bad):
+        rep.add("%s_axiom_degree2_all_pairs" % axiom, not pairs,
+                "" if not pairs else repr(pairs[:4]))
+    return rep.checks
+
+
+def corrupted_antipode(hopf, i):
+    """``hopf`` with the antipode of generator ``i`` doubled."""
+    return HopfData(hopf.pres, hopf.coproduct,
+                    {**hopf.antipode, i: hopf.antipode[i] * 2}, hopf.counit)
+
+
+def model_hopf(g, tau, flavor, trunc):
+    return Model(ModelConfig(g, tau, flavor, trunc)).hopf
+
+
+def heisenberg_corrupted_center():
+    # y*x = x*y - z: the pair (y, x) fails through the rule's z alone, since
+    # the word x*y passes
+    pres, gens = heisenberg()
+    return corrupted_antipode(primitive_hopf(pres, gens), gens[2])
+
+
+MINK2 = [[1, 0], [0, -1]]
+
+
+@pytest.mark.parametrize("make,fails", [
+    pytest.param(lambda: model_hopf(MINK2, (1, 0), "covariant_hadic", (2, 0)),
+                 False, id="covariant_d2"),
+    pytest.param(lambda: model_hopf(MINK3, (1, 0, 0), "covariant_hadic",
+                                    (2, 0)), False, id="covariant_d3"),
+    pytest.param(lambda: model_hopf(MINK3, (1, 0, 0), "qanalog_timelike",
+                                    None), False, id="qanalog_d3"),
+    pytest.param(lambda: jordanian_toy(break_antipode=True)[1], True,
+                 id="jordanian_broken"),
+    pytest.param(heisenberg_corrupted_center, True,
+                 id="heisenberg_corrupted_center"),
+    pytest.param(lambda: corrupted_antipode(model_hopf(
+        MINK3, (1, 0, 0), "covariant_hadic", (2, 0)), 5), True,
+                 id="corrupted_d3_M_12"),
+])
+def test_degree2_sweep_matches_all_pairs_reference(make, fails):
+    # the sweep judges a pair by the residuals of its words; the reference
+    # computes every pair's residual from the pair's own product
+    hopf = make()
+    got = [c.to_dict() for c in verify_axioms(hopf, degree2=True)]
+    want = [c.to_dict() for c in (verify_axioms(hopf, degree2=False)
+                                  + reference_degree2_checks(hopf))]
+    assert got == want
+    swept = {c["name"]: c["passed"] for c in got[-2:]}
+    assert swept["antipode_axiom_degree2_all_pairs"] is not fails
+    assert swept["counit_axiom_degree2_all_pairs"]
+
+
+def test_axiom_check_rewrites_no_new_words():
+    # the sweep's word memo reads the same normal words and word images as
+    # the all-pairs loop did: the rewriting cache and the coproduct,
+    # antipode and counit memos keep their sizes
+    m = Model(ModelConfig(MINK4, (1, 0, 0, 0), "covariant_hadic", (2, 0)))
+    assert hopf_axiom_check(m).ok
+    assert (len(m.pres._norm_cache), len(m.hopf._cop_cache),
+            len(m.hopf._antipode_cache), len(m.hopf._counit_cache)) == (
+        3579, 66, 127, 127)

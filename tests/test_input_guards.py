@@ -257,6 +257,12 @@ GUARDS = [
           lambda: rank_two_map("antipode_of")),
     guard("counit_of_rank_2", "needs a rank-1 element, not rank 2",
           lambda: rank_two_map("counit_of")),
+    guard("cop_of_scalar", "needs a rank-1 element, not Scalar",
+          lambda: covariant().hopf.cop(Scalar.h(1, (1, 0)))),
+    guard("antipode_of_scalar", "needs a rank-1 element, not Scalar",
+          lambda: covariant().hopf.antipode_of(Scalar.h(1, (1, 0)))),
+    guard("counit_of_scalar", "needs a rank-1 element, not Scalar",
+          lambda: covariant().hopf.counit_of(Scalar.h(1, (1, 0)))),
     guard("cop_of_foreign_element",
           "needs a tensor over its own presentation U_q(iso(2)) tau^2=1",
           lambda: qanalog().hopf.cop(covariant().p(1))),

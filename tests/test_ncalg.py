@@ -331,6 +331,18 @@ def test_truncated_tensor_cuts_exact_coefficients():
         TensorElement(pres, 1, {((a,),): Scalar.h(1, (3, 0))}, (2, 0))
 
 
+def test_negative_shift_lowers_the_h_order_of_a_tensor():
+    # as Scalar.shift: the order known after dividing by h^k drops by k
+    pres, a, _ = weyl_pair()
+    y = TensorElement(pres, 1, {((a,),): Scalar.h(2) + Scalar.h(3)}, (2, 0))
+    down = y.shift(-1)
+    assert down.trunc == (1, 0)
+    assert down == TensorElement.gen(pres, a, (1, 0)) * Scalar.h(1, (1, 0))
+    assert y.shift(1).trunc == (2, 0)
+    with pytest.raises(ScalarDomainError, match="no order of the truncation"):
+        y.shift(-3)
+
+
 def test_star_antihomomorphism():
     pres, a, b = weyl_pair()
     ea = TensorElement.gen(pres, a)

@@ -247,6 +247,18 @@ def test_shift():
     assert shifted.shift(1).is_zero()  # pushed past the truncation
 
 
+def test_negative_shift_lowers_the_h_order():
+    # h^2 + h^3 cut to (2, 0) is h^2 + O(h^3); over h it is h + O(h^2), so
+    # the h^2 coefficient is unknown and the order drops with the shift
+    x = (Scalar.h(2) + Scalar.h(3)).retrunc((2, 0))
+    assert x.shift(-1) == Scalar.h(1, (1, 0))
+    assert x.shift(-2) == Scalar.one((0, 0))
+    assert x.shift(1, 1).trunc == (2, 0)
+    assert Scalar.h(2).shift(-3) == Scalar.h(-1)
+    with pytest.raises(ScalarDomainError, match="no order of the truncation"):
+        Scalar.zero((1, 0)).shift(-2)
+
+
 # --- the ring against a reference built from Fraction pairs --------------------
 
 
