@@ -45,7 +45,7 @@ from .hopf import HopfData, otimes, verify_axioms, verify_reality
 from .metric import _fractions, adapted_basis, as_metric, as_tau, basis_metric
 from .ncalg import EMPTY_WORD, Presentation, TensorElement, word_image
 from .report import Report
-from .scalar import Scalar, accumulate, gr
+from .scalar import GR_I, Scalar, accumulate, gr
 from .series import unital_inverse, unital_log, unital_power, unital_sqrt
 
 FLAVORS = (
@@ -224,7 +224,7 @@ def _iso_bracket(g, p, m, ab, y, zero):
     else:
         # [M_ab, P_c] = i(g_bc P_a - g_ac P_b)
         rhs = _lincomb(zero, [(a, g[b][y]), (b, -g[a][y])], p)
-    return rhs * Scalar.i()
+    return rhs * GR_I
 
 
 def _iso_pairs(slots, mpairs):
@@ -717,7 +717,7 @@ class Model:
             return TensorElement(
                 self.pres, 1, {((idx,) * abs(k),): Scalar.one()}, self.trunc
             )
-        return unital_power(self.cas.Pi, k)
+        return unital_power(self.cas.Pi if k >= 0 else self.cas.PiInv, abs(k))
 
     # --- classical limit ---------------------------------------------------
 

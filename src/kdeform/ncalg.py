@@ -52,10 +52,12 @@ Truncation is a degree test on the key: a term pair's degrees are added and
 the merged truncation of the operands, which ``scalar.product_trunc``
 decides for a product.  Only a kept pair pays for its coefficient product,
 and a row of a normal form that shifts the degrees is tested again.  A
-right operand sorts its terms by h-degree once, in
-:meth:`TensorElement.by_h`, so the product kernel and the leg maps of
-:mod:`kdeform.hopf` stop a row at the first term whose h-degree alone puts
-the pair out of range.
+tensor times a Scalar is the outer product with the Scalar's rank-0 tensor,
+through :meth:`TensorElement.from_legs`.  A unit needs no test, since every
+truncation keeps the degrees (0, 0).  A right operand sorts its terms by
+h-degree once, in :meth:`TensorElement.by_h`, so the product kernel and the
+leg maps of :mod:`kdeform.hopf` stop a row at the first term whose h-degree
+alone puts the pair out of range.
 
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all
@@ -466,10 +468,10 @@ class TensorElement:
 
     @staticmethod
     def _unit(pres, rank, legs, trunc):
-        # legs of known generators with coefficient 1, cut to ``trunc``
-        trunc = as_trunc(trunc)
-        terms = {(legs, 0, 0): GR_ONE} if scalar._keep((0, 0), trunc) else {}
-        return TensorElement._make(pres, rank, terms, trunc)
+        # legs of known generators with coefficient 1; every truncation
+        # keeps the degrees (0, 0)
+        return TensorElement._make(pres, rank, {(legs, 0, 0): GR_ONE},
+                                   as_trunc(trunc))
 
     @classmethod
     def from_words(cls, pres, terms):
@@ -540,16 +542,8 @@ class TensorElement:
             out = {k: c * other for k, c in self.terms.items()}
             return TensorElement._make(self.pres, self.rank, out, self.trunc)
         if isinstance(other, Scalar):
-            trunc = product_trunc(self, other)
-            keep = scalar._keep
-            kept = [
-                (k, a + da, b + db, c * g)
-                for (k, a, b), c in self.terms.items()
-                for (da, db), g in other.terms.items()
-                if trunc is None or keep((a + da, b + db), trunc)
-            ]
-            out = accumulate({}, kept, trunc)
-            return TensorElement._make(self.pres, self.rank, out, trunc)
+            return TensorElement.from_legs(
+                self, TensorElement(self.pres, 0, {(): other}, other.trunc))
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._require_like(other)

@@ -13,9 +13,8 @@ arithmetic.  A wedge has one truncation, merged from its Scalar
 coefficients.  ``_graded`` alone builds terms: it sorts keys, drops keys
 with a repeated index and hands the rows to ``scalar.graded_sum``, which
 cuts them with ``scalar._keep``, read at each call, and sums them through
-the one accumulator, ``scalar.accumulate``; ``schouten`` also tests each
-pair of terms before its product.  :meth:`WedgeTensor.by_key` reads
-Scalars back through ``scalar.scalar_view``.
+the one accumulator, ``scalar.accumulate``.  :meth:`WedgeTensor.by_key`
+reads Scalars back through ``scalar.scalar_view``.
 
 Conventions.  Brackets are taken in the real form: the presentations store
 [x, y] = i f(x, y) with rational f, and polyvector identities hold for f.
@@ -33,7 +32,6 @@ the pairs t < u by 2.
 
 from fractions import Fraction
 
-from . import scalar
 from .errors import PresentationError
 from .metric import as_metric, as_tau
 from .model import _iso_data, _m_signed, build_iso
@@ -204,8 +202,6 @@ def schouten(r):
     if r.rank != 2:
         raise PresentationError("schouten bracket needs a rank-2 wedge")
     table = r.pres.structure_constants()
-    trunc = r.trunc
-    keep = scalar._keep
     items = [k + (c,) for k, c in r.terms.items()]
 
     def expansion():
@@ -214,8 +210,6 @@ def schouten(r):
             twice = ct + ct
             for m, ((c, d), au, bu, cu) in enumerate(items[n:]):
                 a0, b0 = at + au, bt + bu
-                if trunc is not None and not keep((a0, b0), trunc):
-                    continue
                 coef = (twice if m else ct) * cu
                 neg = -coef
                 for e, da, db, f in table.get((a, c), ()):
@@ -227,7 +221,7 @@ def schouten(r):
                 for e, da, db, f in table.get((b, d), ()):
                     yield (e, a, c), a0 + da, b0 + db, coef * f
 
-    return _graded(r.pres, 3, expansion(), trunc)
+    return _graded(r.pres, 3, expansion(), r.trunc)
 
 
 def ybe_classify(r):

@@ -30,11 +30,11 @@ truncated (:func:`product_trunc`).  Truncated multiplication is then the
 quotient of a polynomial ring by the monomials past the truncation, so it
 associates.
 
-The exact unit is one shared object, :data:`ONE`: ``Scalar.one()`` returns it,
-and a product by it returns the other operand itself.  That needs no
-truncation decision, since the other operand already satisfies its own
-truncation and the Laurent rule.  No ring operation mutates a scalar, so
-results may share their operands.
+A Scalar product is the rank-0 graded product: every pair of terms goes to
+the one sum, which cuts it to the merged truncation, and a number factor is
+an exact constant Scalar first.  A tensor times a Scalar is the outer
+product with the Scalar's rank-0 tensor (:mod:`kdeform.ncalg`).  No ring
+operation mutates a scalar, so results may share their operands.
 
 ``Scalar`` is the API type only: rule coefficients go in as Scalars, and
 tensor and wedge coefficients, counits, specialization and the reports read
@@ -437,8 +437,6 @@ class Scalar:
 
     @classmethod
     def one(cls, trunc=None):
-        if trunc is None:
-            return ONE
         return cls.monomial(GR_ONE, 0, 0, trunc)
 
     @classmethod
@@ -486,31 +484,16 @@ class Scalar:
         return Scalar._make({k: -v for k, v in self.terms.items()}, self.trunc)
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
-            if type(other) is GaussianRational or isinstance(
-                    other, (int, Fraction)):
-                c = _as_gr(other)
-                if not c:
-                    return Scalar._make({}, self.trunc)
-                return Scalar._make(
-                    {k: v * c for k, v in self.terms.items()}, self.trunc
-                )
-            if not isinstance(other, Scalar):
+        if not isinstance(other, Scalar):
+            c = _as_gr(other)
+            if c is NotImplemented:
                 return NotImplemented
-        # the exact unit needs no truncation decision: the other operand
-        # already satisfies its own truncation and the Laurent rule
-        if self is ONE:
-            return other
-        if other is ONE:
-            return self
-        trunc = product_trunc(self, other)
+            other = Scalar.monomial(c)
         right = other.terms.items()
-        # only a kept pair pays for its coefficient product
         return _scalar((
             ((), a1 + a2, b1 + b2, v1 * v2)
             for (a1, b1), v1 in self.terms.items() for (a2, b2), v2 in right
-            if trunc is None or _keep((a1 + a2, b1 + b2), trunc)
-        ), trunc)
+        ), product_trunc(self, other))
 
     __rmul__ = __mul__
 
@@ -583,7 +566,3 @@ class Scalar:
             head = repr(v)
             bits.append("*".join([head] + mono) if mono else head)
         return "Scalar(%s)" % " + ".join(bits)
-
-
-# the one exact unit; it is shared, so no code may write to its terms
-ONE = Scalar._make({(0, 0): GR_ONE}, None)

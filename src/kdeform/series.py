@@ -26,13 +26,12 @@ def _nilpotency_bound(x):
 
 
 def _check_positive_bigrade(x, what):
-    for key, coeff in x.by_legs().items():
-        for (a, b) in coeff.terms:
-            if a + b < 1:
-                raise KdeformError(
-                    "%s needs positive total bigrade in every term; "
-                    "found h^%d xi^%d on %r" % (what, a, b, key)
-                )
+    for key, a, b in x.terms:
+        if a + b < 1:
+            raise KdeformError(
+                "%s needs positive total bigrade in every term; "
+                "found h^%d xi^%d on %r" % (what, a, b, key)
+            )
 
 
 def perturbation_part(u):

@@ -1,13 +1,15 @@
 """Tests for tensor calculus and Hopf-axiom verification on toy algebras,
 for the R-matrix intertwiner check on a small model, and for the pruned
 products and leg maps against all-pairs reference loops, which multiply
-Scalars and so do not share the graded kernels' degree test."""
+Scalars and so do not share the graded kernels' degree test.  Tensor x
+Scalar, an outer product, is checked against a graded pair loop of its
+own."""
 
 import random
 
 import pytest
 
-from kdeform import twist
+from kdeform import scalar, twist
 from kdeform.errors import (
     KdeformError,
     PresentationError,
@@ -24,7 +26,9 @@ from kdeform.hopf import (
 from kdeform.model import Model, ModelConfig, hopf_axiom_check
 from kdeform.ncalg import Presentation, TensorElement
 from kdeform.report import Report
-from kdeform.scalar import GaussianRational, Scalar, scalar_view
+from kdeform.scalar import (
+    GaussianRational, Scalar, accumulate, product_trunc, scalar_view,
+)
 from kdeform.series import exp_nilpotent
 
 
@@ -460,6 +464,71 @@ def test_pruned_product_still_raises_on_mismatched_truncations():
     one = TensorElement.one(pres, 1)
     with pytest.raises(TruncationMismatch):
         TensorElement.from_legs(a, one) * TensorElement.from_legs(one, b)
+
+
+def reference_scalar_product(t, s):
+    """``t * s`` by a pair loop of its own: every tensor term times every
+    Scalar term, kept by ``scalar._keep`` at the merged truncation, summed by
+    ``scalar.accumulate``.  Before Tensor x Scalar became an outer product,
+    the product ran this loop."""
+    trunc = product_trunc(t, s)
+    kept = [
+        (k, a + da, b + db, c * g)
+        for (k, a, b), c in t.terms.items()
+        for (da, db), g in s.terms.items()
+        if trunc is None or scalar._keep((a + da, b + db), trunc)
+    ]
+    return TensorElement._make(t.pres, t.rank, accumulate({}, kept, trunc),
+                               trunc)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_tensor_times_scalar_matches_the_pair_loop(rank):
+    pres = deformed_heisenberg()
+    pairs, laurent, truncated = seeded_operands(pres, rank)
+    rng = random.Random(4000 + rank)
+    exact = TensorElement(pres, rank, {
+        k: Scalar(c.terms) for k, c in rand_terms(rng, rank).items()})
+    tensors = [x for pair in pairs for x in pair] + [laurent, truncated, exact]
+    scalars = [rand_coeff(rng) for _ in range(8)] + [
+        Scalar({(-1, 0): 2, (1, 1): GaussianRational(0, 3)}),  # exact Laurent
+        Scalar.zero(), Scalar.zero(T), Scalar.one(), Scalar.one(T),
+        Scalar.h(1, (3, 0)),  # a second finite truncation
+    ]
+    refused = set()
+    for t in tensors:
+        for s in scalars:
+            try:
+                ref = reference_scalar_product(t, s)
+            except (ScalarDomainError, TruncationMismatch) as e:
+                refused.add(type(e))
+                for product in (lambda: t * s, lambda: s * t):
+                    with pytest.raises(type(e)):
+                        product()
+                continue
+            assert t * s == ref == s * t
+            assert_as_constructed(t * s, rank)
+    # an exact Laurent factor under a finite truncation, and two finite ones
+    assert refused == {ScalarDomainError, TruncationMismatch}
+    with pytest.raises(ScalarDomainError, match="Laurent factors"):
+        laurent * Scalar.one(T)
+    with pytest.raises(ScalarDomainError, match="Laurent factors"):
+        truncated * Scalar.h(-1)
+    with pytest.raises(TruncationMismatch):
+        truncated * Scalar.one((3, 0))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_the_unit_at_h_order_zero_is_the_unit(rank, k):
+    pres = deformed_heisenberg()
+    trunc = (0, k)
+    one = TensorElement.one(pres, rank, trunc)
+    assert one.by_legs() == {((),) * rank: Scalar.one(trunc)}
+    x = TensorElement(pres, rank, {
+        key: Scalar.xi(k, trunc) + Scalar.rational(3, trunc)
+        for key in [((0, 1),) * rank, ((2,),) * rank]}, trunc)
+    assert one * x == x == x * one
 
 
 def test_every_leg_map_merges_the_hopf_truncation():

@@ -35,6 +35,7 @@ from kdeform.model import (
 from kdeform.ncalg import Presentation, TensorElement
 from kdeform.rmatrix import build_r, schouten_identity_check
 from kdeform.scalar import Scalar, gr
+from kdeform.series import unital_power
 
 MINK2 = [[1, 0], [0, -1]]
 MINK3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
@@ -298,6 +299,22 @@ def test_hopf_covariance_random_d3():
             continue  # singular draw
         assert rep.ok, (rows, failed(rep))
         done += 1
+
+
+@pytest.mark.parametrize("g,tau,flavor", [
+    ([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+     (1, 0, 0, 0), "covariant_hadic"),
+    (MINK3, (1, 1, 0), "null_plane"),
+    (MINK3, (1, 0, 0), "orthog_1_plus"),
+], ids=["covariant_d4", "null_plane_d3", "orthog_d3"])
+@pytest.mark.parametrize("trunc", [(3, 0), (2, 1)])
+def test_negative_pi_powers_are_powers_of_the_stored_inverse(g, tau, flavor,
+                                                            trunc):
+    m = Model(ModelConfig(g, tau, flavor, trunc))
+    one = TensorElement.one(m.pres, 1, trunc)
+    for k in (1, 2, 3):
+        assert m.pi_power(-k) == unital_power(m.cas.Pi, -k)
+        assert m.pi_power(-k) * m.pi_power(k) == one
 
 
 def test_klog_starts_at_p_tau():

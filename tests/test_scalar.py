@@ -9,7 +9,7 @@ import pytest
 
 from kdeform.errors import KdeformError, ScalarDomainError, TruncationMismatch
 from kdeform.model import Model, ModelConfig, hopf_axiom_check
-from kdeform.scalar import GR_I, GR_ONE, ONE, GaussianRational, Scalar, gr
+from kdeform.scalar import GR_I, GR_ONE, GaussianRational, Scalar, gr
 
 
 def rand_gr(rng):
@@ -416,31 +416,42 @@ def test_truncated_plus_exact_drops_terms_past_the_truncation():
     assert exact + trunc == expected
 
 
-# --- the shared exact unit ----------------------------------------------------
+# --- the unit and number factors ---------------------------------------------
 
 
-def test_exact_unit_is_one_shared_object():
-    assert Scalar.one() is ONE
-    assert Scalar.one(None) is ONE
-    assert ONE.terms == {(0, 0): GR_ONE} and ONE.trunc is None
-    assert Scalar.one((2, 1)) is not ONE
-
-
-def test_product_by_the_exact_unit_returns_the_operand():
+def test_the_unit_times_a_scalar_is_the_scalar():
     exact = Scalar({(0, 0): 3, (2, 1): gr(1, -2)})
     truncated = Scalar({(1, 0): gr("1/3"), (2, 1): 5}, (2, 1))
     laurent = Scalar({(-2, 0): 1, (1, 3): gr(0, 7)})
-    for x in (exact, truncated, laurent, Scalar.zero((2, 1)), ONE):
-        assert x * ONE is x
-        assert ONE * x is x
+    one = Scalar.one()
+    assert one.terms == {(0, 0): GR_ONE} and one.trunc is None
+    for x in (exact, truncated, laurent, Scalar.zero(), Scalar.zero((2, 1)),
+              one):
+        assert x * one == x == one * x
 
 
-def test_truncated_unit_takes_the_general_path():
+def test_truncated_unit_cuts_the_product():
     t = (2, 1)
     with pytest.raises(ScalarDomainError):
         Scalar.one(t) * Scalar.h(-1)
     p = Scalar.one(t) * Scalar.h(5)
     assert p == Scalar.zero(t) and repr(p) == "Scalar(0)"
+
+
+@pytest.mark.parametrize("n", [0, 1, -3, Fraction(2, 3), gr(1, -2), GR_I],
+                         ids=["zero", "one", "int", "fraction", "gaussian", "i"])
+def test_a_number_factor_is_an_exact_constant(n):
+    rng = random.Random(55)
+    for trunc in (None, None, (2, 1), (3, 2)):
+        x = rand_scalar(rng, trunc, min_h=-2)
+        expected = x * Scalar.monomial(n)
+        assert expected.trunc == x.trunc
+        assert x * n == expected == n * x
+    for other in ("2", 0.5, None):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
 
 
 def snapshot(s):
@@ -451,7 +462,7 @@ def snapshot(s):
 
 def test_ring_operations_never_mutate_an_operand():
     rng = random.Random(77)
-    xs = [ONE]
+    xs = [Scalar.one()]
     while len(xs) < 200:
         trunc = rng.choice([None, None, (2, 1), (3, 2)])
         xs.append(rand_scalar(rng, trunc, min_h=-2))
@@ -477,9 +488,12 @@ def test_ring_operations_never_mutate_an_operand():
     assert [snapshot(x) for x in xs] == before
 
 
-def test_hopf_axiom_check_leaves_the_exact_unit_unchanged():
-    before = snapshot(ONE)
+def test_hopf_axiom_check_leaves_the_stored_scalars_unchanged():
     m = Model(ModelConfig([[1, 0], [0, -1]], (1, 0), "covariant_hadic", (2, 0)))
+    stored = list(m.hopf.counit.values()) + [
+        c for rules in (m.pres.comm_rules, m.pres.product_rules)
+        for rhs in rules.values() for c in rhs.values()
+    ]
+    before = [snapshot(x) for x in stored]
     assert hopf_axiom_check(m).ok
-    assert snapshot(ONE) == before
-    assert ONE.terms == {(0, 0): GR_ONE} and ONE.trunc is None
+    assert [snapshot(x) for x in stored] == before

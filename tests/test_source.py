@@ -14,9 +14,11 @@ no tensor by hand: a scan fails on a call to ``otimes`` or ``from_legs``
 inside them, since their displays and twist cells are printed lines that one
 reader reads.  The rewriting
 kernels and the Hopf leg maps work on graded rows, so a scan fails on any
-name ``Scalar`` or ``ONE`` inside them.  The graded format has one owner,
-``scalar``: a scan fails on any other module that defines ``accumulate`` or
-``scalar_view`` or reads ``Scalar._make``.
+name ``Scalar`` inside them.  The graded format has one owner, ``scalar``: a
+scan fails on any other module that defines ``accumulate`` or
+``scalar_view`` or reads ``Scalar._make``.  The wedge calculus cuts only
+through ``scalar.graded_sum``, so a scan fails on any name ``_keep`` in
+``rmatrix``.
 """
 
 import ast
@@ -322,12 +324,12 @@ ROW_KERNELS = {
               "Presentation.normalize_terms"),
     "hopf": ("HopfData._leg_map", "HopfData.counit_word"),
 }
-SCALAR_NAMES = {"Scalar", "ONE"}
+SCALAR_NAMES = {"Scalar"}
 
 
 def scalar_names(source, functions):
-    """(function, name) of every ``Scalar`` or ``ONE`` that the named
-    ``functions`` of a source name; a method is named ``Class.method``."""
+    """(function, name) of every ``Scalar`` that the named ``functions`` of
+    a source name; a method is named ``Class.method``."""
     defs = {}
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef):
@@ -345,17 +347,20 @@ def scalar_names(source, functions):
 
 def test_the_scan_sees_a_scalar_in_a_row_kernel():
     source = (
-        "from .scalar import ONE, Scalar\n"
-        "def _spread(kept, forms):\n    return [f for f in forms if f is ONE]\n"
+        "from .scalar import Scalar\n"
+        "def _spread(kept, forms):\n"
+        "    return [f for f in forms if isinstance(f, Scalar)]\n"
         "class Presentation:\n"
         "    def step_at(self, word, k):\n        return {word: Scalar.one()}\n"
-        "    def normalize_word(self, word):\n        return scalar.ONE\n"
+        "    def normalize_word(self, word):\n        return scalar.Scalar\n"
+        "    def normalize_terms(self, terms):\n        return terms\n"
         "    def label(self, i):\n        return Scalar\n"
     )
     assert scalar_names(source, ("_spread", "Presentation.step_at",
-                                 "Presentation.normalize_word")) == [
-        ("Presentation.normalize_word", "ONE"),
-        ("Presentation.step_at", "Scalar"), ("_spread", "ONE"),
+                                 "Presentation.normalize_word",
+                                 "Presentation.normalize_terms")) == [
+        ("Presentation.normalize_word", "Scalar"),
+        ("Presentation.step_at", "Scalar"), ("_spread", "Scalar"),
     ]
 
 
@@ -364,6 +369,22 @@ def test_the_row_kernels_name_no_scalar(module):
     # rules, normal forms and counit images are graded rows (item 14)
     source = (SRC / ("%s.py" % module)).read_text()
     assert scalar_names(source, ROW_KERNELS[module]) == []
+
+
+def test_the_scan_sees_a_degree_test_in_the_wedge_calculus():
+    for source in ("def schouten(r):\n    keep = scalar._keep\n",
+                   "from .scalar import _keep\n",
+                   "def schouten(r):\n    return _keep((0, 0), r.trunc)\n"):
+        assert "_keep" in named(source)
+    # the docstrings may name the test the sum uses
+    assert "_keep" not in named(
+        '"""cut by ``scalar._keep``"""\nw = graded_sum(rows, None)\n')
+
+
+def test_the_wedge_calculus_has_no_degree_test_of_its_own():
+    # ``_graded`` cuts every wedge term through ``scalar.graded_sum``; a
+    # second test of the same degrees would be duplicate machinery
+    assert "_keep" not in named((SRC / "rmatrix.py").read_text())
 
 
 def load_tracer():
