@@ -16,12 +16,11 @@ tensor: of rank 2 under the coproduct, rank 1 under the antipode and rank 0
 under the counit.  The three leg maps share one helper that replaces a
 single tensor leg by a word's image, and the coproduct and antipode of an
 element are those leg maps at rank 1, and the counit of an element is the
-counit leg map down to rank 0, read back as a Scalar.  A leg map reads a
-word's image in rising h-degree, its memoized ``TensorElement.by_h``, tests
-each term pair's degrees with ``scalar._keep`` and stops the row at the
-first pair out of range in h, as the product kernel of :mod:`kdeform.ncalg`
-does; it sums through ``scalar.accumulate`` and does no Scalar arithmetic.
-Every map refuses a tensor over another presentation.
+counit leg map down to rank 0, read back as a Scalar.  A truncation is a
+ring quotient, so a leg map reads each word's image at the order its term
+leaves, from this structure cut to that order; it sums through
+``scalar.accumulate`` and does no Scalar arithmetic.  Every map refuses a
+tensor over another presentation.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
@@ -39,7 +38,6 @@ self-adjoint generators, real h.
 
 from __future__ import annotations
 
-from . import scalar
 from .errors import KdeformError, PresentationError
 from .ncalg import EMPTY_WORD, TensorElement, word_image
 from .report import Report
@@ -101,11 +99,30 @@ class HopfData:
         self._cop_cache = {EMPTY_WORD: TensorElement.one(pres, 2, trunc)}
         self._antipode_cache = {EMPTY_WORD: TensorElement.one(pres, 1, trunc)}
         self._counit_cache = {EMPTY_WORD: TensorElement.one(pres, 0, trunc)}
+        self._lower = {}  # lower order -> this structure cut to it
         # each map's step from a word's head image and last letter, built once
         cop, antip, eps = self.coproduct, self.antipode, self.counit
         self._cop_step = lambda head, g: head * cop[g]
         self._antipode_step = lambda head, g: antip[g] * head
         self._counit_step = lambda head, g: head and head * eps[g]
+
+    def _at(self, trunc):
+        """This structure at the order ``trunc``: itself at its own
+        truncation, otherwise a structure whose coproduct and antipode
+        tables, and its truncated counits, are cut to ``trunc`` by
+        ``retrunc``, built at the first call and kept in ``_lower``."""
+        if trunc == self.trunc:
+            return self
+        low = self._lower.get(trunc)
+        if low is None:
+            low = self._lower[trunc] = HopfData(
+                self.pres,
+                {i: v.retrunc(trunc) for i, v in self.coproduct.items()},
+                {i: v.retrunc(trunc) for i, v in self.antipode.items()},
+                {i: v if v.trunc is None else v.retrunc(trunc)
+                 for i, v in self.counit.items()},
+            )
+        return low
 
     # --- word-level extensions ---------------------------------------------
 
@@ -150,7 +167,7 @@ class HopfData:
         """epsilon of a rank-1 element, a Scalar: the counit leg map down to
         rank 0."""
         return self._leg_map(
-            self._rank_one(elt), 0, 0, self.counit_word
+            self._rank_one(elt), 0, 0, HopfData.counit_word
         ).coeff(())
 
     # --- tensor-leg applications --------------------------------------------
@@ -159,10 +176,11 @@ class HopfData:
         """``tensor`` with leg ``leg`` replaced by its image, of rank ``rank``
         and at the truncation of both.
 
-        ``image(word)`` is the word's image, a tensor of rank 0, 1 or 2
-        whose legs take the place of the one word; its terms are read in
-        rising h-degree.  A tensor over another presentation, or a ``leg``
-        outside ``range(tensor.rank)``, raises.
+        ``image(hopf, word)`` is the word's image, a tensor of rank 0, 1 or
+        2 whose legs take the place of the one word.  A word in a term of
+        bigrade (a, b) is read at the order (N_h - a, N_xi - b) the term
+        leaves, so every image term lands in range.  A tensor over another
+        presentation, or a ``leg`` outside ``range(tensor.rank)``, raises.
         """
         if tensor.pres is not self.pres:
             raise PresentationError(
@@ -174,35 +192,30 @@ class HopfData:
                 "no leg %r in a rank-%d tensor" % (leg, tensor.rank)
             )
         trunc = merge_trunc(self.trunc, tensor.trunc)
-        keep = scalar._keep
         kept = []
         for (key, a, b), c in tensor.terms.items():
             pre, word, post = key[:leg], key[leg], key[leg + 1:]
-            for legs, ai, bi, ci in image(word).by_h():
-                ah = a + ai
-                bh = b + bi
-                if trunc is not None and not keep((ah, bh), trunc):
-                    if keep((ah, 0), trunc):
-                        continue
-                    # the image terms come in rising h-degree
-                    break
-                kept.append((pre + legs + post, ah, bh, c * ci))
+            hopf = (self if trunc is None
+                    else self._at((trunc[0] - a, trunc[1] - b)))
+            for (legs, ai, bi), ci in image(hopf, word).terms.items():
+                kept.append((pre + legs + post, a + ai, b + bi, c * ci))
         out = accumulate({}, kept, trunc)
         return TensorElement._make(self.pres, rank, out, trunc)
 
     def apply_cop_leg(self, tensor, leg):
         """(.. (x) Delta (x) ..): rank grows by one at position ``leg``."""
-        return self._leg_map(tensor, leg, tensor.rank + 1, self.cop_word)
+        return self._leg_map(tensor, leg, tensor.rank + 1, HopfData.cop_word)
 
     def apply_antipode_leg(self, tensor, leg):
-        return self._leg_map(tensor, leg, tensor.rank, self.antipode_word)
+        return self._leg_map(tensor, leg, tensor.rank, HopfData.antipode_word)
 
     def apply_counit_leg(self, tensor, leg):
         """Contract one leg of a tensor of rank >= 2 with epsilon; rank drops
         by one.  The counit of a rank-1 element is ``counit_of``."""
         if tensor.rank < 2:
             raise PresentationError("counit leg map needs rank >= 2")
-        return self._leg_map(tensor, leg, tensor.rank - 1, self.counit_word)
+        return self._leg_map(tensor, leg, tensor.rank - 1,
+                             HopfData.counit_word)
 
 
 def verify_axioms(hopf, degree2=True):

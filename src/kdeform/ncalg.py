@@ -55,9 +55,8 @@ and a row of a normal form that shifts the degrees is tested again.  A
 tensor times a Scalar is the outer product with the Scalar's rank-0 tensor,
 through :meth:`TensorElement.from_legs`.  A unit needs no test, since every
 truncation keeps the degrees (0, 0).  A right operand sorts its terms by
-h-degree once, in :meth:`TensorElement.by_h`, so the product kernel and the
-leg maps of :mod:`kdeform.hopf` stop a row at the first term whose h-degree
-alone puts the pair out of range.
+h-degree once, in :meth:`TensorElement.by_h`, so the product kernel stops a
+row at the first term whose h-degree alone puts the pair out of range.
 
 Associativity of the resulting product is equivalent to local confluence of
 the rules, which :meth:`Presentation.associativity_check` verifies on all

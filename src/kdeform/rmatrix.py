@@ -20,8 +20,9 @@ Conventions.  Brackets are taken in the real form: the presentations store
 [x, y] = i f(x, y) with rational f, and polyvector identities hold for f.
 ``schouten`` and ``ad_action`` read f as graded rows from
 ``Presentation.structure_constants``, which lists both orientations of every
-commutator rule.  The presentation builds those rows once and keeps them
-until a rule is installed, so no call rebuilds them.
+commutator rule, and refuse a Laurent bracket under a finite truncation.
+The presentation builds those rows once and keeps them until a rule is
+installed, so no call rebuilds them.
 The Schouten bracket is normalized as
 [[a^b, c^d]] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.  It is
 symmetric on bivectors, [[t, u]] = [[u, t]], so with r = sum_t r_t t over
@@ -32,7 +33,7 @@ the pairs t < u by 2.
 
 from fractions import Fraction
 
-from .errors import PresentationError
+from .errors import PresentationError, ScalarDomainError
 from .metric import as_metric, as_tau
 from .model import _iso_data, _m_signed, build_iso
 from .report import Report
@@ -197,11 +198,27 @@ def build_omega(pres):
     ), None)
 
 
+def _brackets(pres, trunc):
+    """The structure constants of ``pres`` for a wedge at ``trunc``.  Under
+    a finite truncation a bracket with a negative h-degree raises, as a
+    Laurent factor of a product does (``scalar.product_trunc``)."""
+    table = pres.structure_constants()
+    if trunc is not None and any(
+        da < 0 for rows in table.values() for _, da, _, _ in rows
+    ):
+        raise ScalarDomainError(
+            "a bracket of %s with a negative h-degree under the finite "
+            "truncation %r; Laurent brackets require exact mode"
+            % (pres.name, trunc)
+        )
+    return table
+
+
 def schouten(r):
     """[[r, r]] as a rank-3 wedge (see the module docstring for signs)."""
     if r.rank != 2:
         raise PresentationError("schouten bracket needs a rank-2 wedge")
-    table = r.pres.structure_constants()
+    table = _brackets(r.pres, r.trunc)
     items = [k + (c,) for k, c in r.terms.items()]
 
     def expansion():
@@ -255,7 +272,7 @@ def ad_action(pres, x, w):
         raise PresentationError(
             "ad_action needs a wedge over its own presentation %s" % pres.name
         )
-    table = pres.structure_constants()
+    table = _brackets(pres, w.trunc)
     return _graded(pres, w.rank, (
         (key[:slot] + (e,) + key[slot + 1:], a + da, b + db, c * f)
         for (key, a, b), c in w.terms.items()

@@ -618,17 +618,20 @@ def test_star_matches_letter_by_letter_reference(tau, flavor, trunc):
 def stray_coefficients(hopf):
     """(table, word, key, tensor truncation) of every term of a coproduct
     or antipode value, stored or memoized, or of a memoized counit image,
-    that its tensor's truncation does not keep: a degree beyond it, or a
-    negative h-degree under it.  The kernels build these values through the
-    unchecked fast path, so the constructor's cut does not cover them."""
-    tables = {
-        "coproduct": hopf.coproduct, "antipode": hopf.antipode,
-        "cop_word": hopf._cop_cache, "antipode_word": hopf._antipode_cache,
-        "counit_word": hopf._counit_cache,
-    }
+    at the working order or a lower one, that its tensor's truncation does
+    not keep: a degree beyond it, or a negative h-degree under it.  The
+    kernels build these values through the unchecked fast path, so the
+    constructor's cut does not cover them."""
+    tables = [
+        {"coproduct": h.coproduct, "antipode": h.antipode,
+         "cop_word": h._cop_cache, "antipode_word": h._antipode_cache,
+         "counit_word": h._counit_cache}
+        for h in (hopf, *hopf._lower.values())
+    ]
     return [
         (name, word, key, value.trunc)
-        for name, table in tables.items()
+        for order in tables
+        for name, table in order.items()
         for word, value in table.items()
         for key in value.terms
         if value.trunc is not None and not (
@@ -783,12 +786,66 @@ def test_degree2_sweep_matches_all_pairs_reference(make, fails):
     assert swept["counit_axiom_degree2_all_pairs"]
 
 
+def memo_sizes(hopf):
+    return (len(hopf._cop_cache), len(hopf._antipode_cache),
+            len(hopf._counit_cache))
+
+
 def test_axiom_check_rewrites_no_new_words():
-    # the sweep's word memo reads the same normal words and word images as
-    # the all-pairs loop did: the rewriting cache and the coproduct,
-    # antipode and counit memos keep their sizes
+    # the sweep's word memo reads each normal word once, and a leg word in a
+    # term of h-degree a is read at the order (N_h - a, 0) that its term
+    # leaves: the rewriting cache and the coproduct, antipode and counit
+    # memos, at the working order and at each lower one, keep these sizes
     m = Model(ModelConfig(MINK4, (1, 0, 0, 0), "covariant_hadic", (2, 0)))
     assert hopf_axiom_check(m).ok
-    assert (len(m.pres._norm_cache), len(m.hopf._cop_cache),
-            len(m.hopf._antipode_cache), len(m.hopf._counit_cache)) == (
-        3579, 66, 127, 127)
+    assert len(m.pres._norm_cache) == 2021
+    assert memo_sizes(m.hopf) == (66, 66, 66)
+    assert {t: memo_sizes(h) for t, h in m.hopf._lower.items()} == {
+        (1, 0): (11, 66, 66), (0, 0): (18, 127, 127)}
+    # only orders below the working one are kept beside it
+    for t, low in m.hopf._lower.items():
+        assert t != m.trunc and t[0] <= m.trunc[0] and t[1] <= m.trunc[1]
+        assert low.trunc == t and low._lower == {}
+
+
+def test_degree2_sweep_passes_at_a_high_order():
+    # read at the full order, the images of the sweep's words ran past the
+    # 12-letter rewriting cap
+    m = Model(ModelConfig(MINK2, (1, 0), "covariant_hadic", (8, 0)))
+    assert hopf_axiom_check(m, degree2=True).ok
+
+
+def twisted_t1_hopf():
+    m = Model(ModelConfig(MINK4, (1, 0, 0, 0), "orthog_1_plus", (2, 1)))
+    return twist.twist_hopf(m.hopf, twist.build_twist("T1", m))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: model_hopf(MINK3, (1, 0, 0), "covariant_hadic", (3, 0)),
+    twisted_t1_hopf,
+], ids=["covariant_d3", "twisted_T1"])
+def test_lower_order_images_are_the_cut_full_images(make):
+    # a truncation is a ring quotient, so a word's image from the tables cut
+    # to a lower order is its full-order image cut to that order
+    hopf = make()
+    n = len(hopf.pres.generators)
+    words = [(i,) for i in range(n)] + [(0, 1), (1, 0), (n - 1, 0),
+                                        (n - 1, n - 1)]
+    n_h, n_xi = hopf.trunc
+    lower = [(a, b) for a in range(n_h + 1) for b in range(n_xi + 1)
+             if (a, b) != hopf.trunc]
+    assert hopf._at(hopf.trunc) is hopf
+    for t in lower:
+        low = hopf._at(t)
+        assert low.trunc == t and hopf._at(t) is low
+        for w in words:
+            for image in (HopfData.cop_word, HopfData.antipode_word,
+                          HopfData.counit_word):
+                assert image(low, w) == image(hopf, w).retrunc(t), (t, w)
+    assert sorted(hopf._lower) == lower
+
+
+def test_exact_mode_reads_the_structure_itself():
+    hopf = model_hopf(MINK3, (1, 0, 0), "qanalog_timelike", None)
+    assert all(c.passed for c in verify_axioms(hopf))
+    assert hopf._at(None) is hopf and hopf._lower == {}

@@ -8,6 +8,7 @@ import pytest
 from kdeform.errors import PresentationError, ScalarDomainError
 from kdeform.metric import Metric
 from kdeform.model import Model, ModelConfig, build_iso, change_basis, transform_tau
+from kdeform.ncalg import Presentation
 from kdeform.rmatrix import (
     WedgeTensor,
     ad_action,
@@ -330,6 +331,25 @@ def test_schouten_matches_reference_when_pair_products_truncate():
     assert got.trunc == (2, 1)
     assert all(c.trunc == (2, 1) for c in got.by_key().values())
     assert got.terms == reference_schouten(w).terms
+
+
+def test_a_laurent_bracket_under_a_finite_truncation_raises():
+    # with [y, x] = i h^-1 z the bracket would bring terms past the
+    # truncation back into range, so both bracket readers refuse it, as a
+    # product refuses a Laurent factor; exact mode keeps the bracket
+    pres = Presentation("laurent bracket")
+    x, y, z = (pres.add_generator(s) for s in "xyz")
+    pres.set_commutator(y, x, {(z,): Scalar.monomial(gr(0, 1), -1)})
+    t = (1, 0)
+    r = WedgeTensor(pres, 2, {(x, y): Scalar.h(1, t), (y, z): Scalar.h(1, t)})
+    for bracket in (lambda: schouten(r), lambda: ad_action(pres, y, r)):
+        with pytest.raises(ScalarDomainError, match="Laurent brackets"):
+            bracket()
+    with pytest.raises(ScalarDomainError, match="Laurent factors"):
+        Scalar.h(-1) * Scalar.h(1, t)
+    exact = WedgeTensor(pres, 2, {(x, y): Scalar.h(1), (y, z): Scalar.h(1)})
+    assert schouten(exact).by_key() == {(x, y, z): Scalar.h(1) * -2}
+    assert ad_action(pres, y, exact).by_key() == {(y, z): Scalar.rational(-1)}
 
 
 def test_wedge_calculus_does_no_scalar_arithmetic(monkeypatch):
