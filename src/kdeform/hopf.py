@@ -24,14 +24,15 @@ tensor over another presentation.
 
 ``verify_axioms`` machine-checks the Hopf-algebra axioms: coassociativity,
 counit and antipode axioms on generators, well-definedness on every rewrite
-rule, and (optionally) counit/antipode axioms on all degree-2 words; one
-helper gives the counit and antipode residuals of an element from its
-coproduct for both sweeps.  The degree-2 sweep computes each normal word's
-residuals once, the generators' in the generator sweep, and judges a pair
-g_i g_j by linearity: it passes when all its normal words do, and only a
-pair with a failing word is computed again from g_i g_j itself.  All
-residuals are exact; a check passes only when the residual is identically
-zero at the working truncation.
+rule through the product g_i g_j that the rule rewrites, and (optionally)
+counit/antipode axioms on all degree-2 words; one helper gives the counit
+and antipode residuals of an element from its coproduct for both sweeps.
+The degree-2 sweep computes each normal word's residuals once, the
+generators' in the generator sweep, and judges a pair g_i g_j by linearity:
+it passes when all its normal words do, and only a pair with a failing word
+is computed again from g_i g_j itself.  All residuals are exact; a check
+passes only when the residual is identically zero at the working
+truncation.
 ``verify_reality`` checks the one star structure of :mod:`kdeform.ncalg`:
 self-adjoint generators, real h.
 """
@@ -223,10 +224,13 @@ def verify_axioms(hopf, degree2=True):
 
     Generators: coassociativity, both counit axioms, both antipode axioms.
     Rules: Delta, S and epsilon respect every commutator and product rule
-    (well-definedness on the quotient).  With ``degree2`` the counit and
-    antipode axioms also run on all ordered degree-2 words.  Coassociativity
-    needs no such sweep: Delta respects every rule, so (Delta (x) id)Delta
-    and (id (x) Delta)Delta are algebra maps, and they agree on generators.
+    (well-definedness on the quotient), checked through x = g_i g_j, which
+    the product rewrites by the rule: Delta(g_i) Delta(g_j), S(g_j) S(g_i)
+    and epsilon(g_i) epsilon(g_j) equal Delta(x), S(x) and epsilon(x).
+    With ``degree2`` the counit and antipode axioms also run on all ordered
+    degree-2 words.  Coassociativity needs no such sweep: Delta respects
+    every rule, so (Delta (x) id)Delta and (id (x) Delta)Delta are algebra
+    maps, and they agree on generators.
 
     The sweep computes each normal word's residuals once: the generator
     checks give the generators', the empty word's are zero, and any other
@@ -283,29 +287,20 @@ def verify_axioms(hopf, degree2=True):
             for side, r in zip(("left", "right"), rs):
                 rep.zero("%s_%s[%s]" % (axiom, side, lab), r)
 
-    rules = [(ij, rhs, True) for ij, rhs in pres.comm_rules.items()] + [
-        (ij, rhs, False) for ij, rhs in pres.product_rules.items()
-    ]
-    for (i, j), rhs, is_comm in rules:
-        li, lj = pres.label(i), pres.label(j)
-        gi, gj = gen(i), gen(j)
-        rhs_elt = TensorElement.from_words(pres, rhs) * Scalar.one(hopf.trunc)
-        ci, cj = hopf.cop(gi), hopf.cop(gj)
-        si, sj = hopf.antipode_of(gi), hopf.antipode_of(gj)
-        if is_comm:
-            tag = "[%s,%s]" % (li, lj)
-            drec = ci * cj - cj * ci - hopf.cop(rhs_elt)
-            srec = sj * si - si * sj - hopf.antipode_of(rhs_elt)
-            erec = one * hopf.counit_of(rhs_elt)
-        else:
-            tag = "%s*%s" % (li, lj)
-            drec = ci * cj - hopf.cop(rhs_elt)
-            srec = sj * si - hopf.antipode_of(rhs_elt)
-            erec = (one * hopf.counit_of(gi) * hopf.counit_of(gj)
-                    - one * hopf.counit_of(rhs_elt))
-        rep.zero("cop_respects_%s" % tag, drec)
-        rep.zero("antipode_respects_%s" % tag, srec)
-        rep.zero("counit_respects_%s" % tag, erec)
+    for form, rules in (("[%s,%s]", pres.comm_rules),
+                        ("%s*%s", pres.product_rules)):
+        for i, j in rules:
+            tag = form % (pres.label(i), pres.label(j))
+            gi, gj = gen(i), gen(j)
+            x = gi * gj
+            rep.zero("cop_respects_%s" % tag,
+                     hopf.cop(gi) * hopf.cop(gj) - hopf.cop(x))
+            rep.zero("antipode_respects_%s" % tag,
+                     hopf.antipode_of(gj) * hopf.antipode_of(gi)
+                     - hopf.antipode_of(x))
+            rep.zero("counit_respects_%s" % tag,
+                     one * hopf.counit_of(x)
+                     - one * hopf.counit_of(gi) * hopf.counit_of(gj))
 
     if degree2:
         bad = ([], [])

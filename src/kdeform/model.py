@@ -572,19 +572,22 @@ def _pi_rules(model, ab):
     )
 
 
+def _grouplike_forms(pi, piv, pp, t2):
+    """P_tau = (kappa/2)(Pi - Pi_inv(1 + pp)) and
+    C_tau = (kappa^2/tau^2)(Pi + Pi_inv - 2 + pp Pi_inv) from the group-like
+    pair, with pp = tau^2 P^m P_m/kappa^2 over the slots orthogonal to tau
+    and t2 = tau^2."""
+    one = TensorElement.one(pi.pres, 1, pi.trunc)
+    return ((pi - piv * (one + pp)).shift(-1) * _HALF,
+            (pi + piv - one * 2 + pp * piv).shift(-2) * (Fraction(1) / t2))
+
+
 def _build_q_timelike(model):
     _q_skeleton(model, _orthog_labels, "Pi", 0)
     pres, dim, t2 = model.pres, model.metric.dim, model.tau2
     pi, piv = (TensorElement.gen(pres, i) for i in model.grouplike)
     pp = _momentum_square(model, 1) * Scalar.monomial(gr(t2), 2, 0)
-    # P_tau = (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2)) and
-    # C_tau = (kappa^2/tau^2)(Pi + Pi_inv - 2 + tau^2 Pi_inv P^m P_m/kappa^2)
-    model.p_tau_expr = (pi - piv - piv * pp) * Scalar.monomial(
-        gr(_HALF), -1, 0
-    )
-    c_tau = (pi + piv - TensorElement.one(pres, 1) * 2 + piv * pp) * (
-        Scalar.monomial(gr(Fraction(1) / t2), -2, 0)
-    )
+    model.p_tau_expr, c_tau = _grouplike_forms(pi, piv, pp, t2)
     model.cas = CasimirSet(_momentum_square(model, 0), c_tau, pi, piv)
 
     # [M_tau_i, M_cd] = i(g_ic M_tau_d - g_id M_tau_c), then
@@ -1124,20 +1127,15 @@ def decomposition_display_check(model):
         lambda m: TensorElement.gen(pres, model.p_index[m], bump),
         range(1, model.metric.dim),
     ) * Scalar.monomial(gr(model.tau2), 2, 0, bump)
+    p_form, c_form = _grouplike_forms(pi, piv, pp, model.tau2)
     for name, got, want in (
         # Pi_inv = (sqrt - P_tau/kappa) / (1 + tau^2 P^m P_m/kappa^2), where
         # sqrt = Pi - P_tau/kappa
         ("pi_inv_closed_form",
          (pi - p_tau * Scalar.h(1, bump) * 2) * unital_inverse(one + pp),
          model.cas.PiInv),
-        # C_tau = (kappa^2/tau^2)(Pi + Pi_inv - 2 + tau^2 P^m P_m Pi_inv/kappa^2)
-        ("casimir_ctau_grouplike_form",
-         (pi + piv - one * 2 + pp * piv).shift(-2) * (1 / model.tau2),
-         model.cas.C_tau),
-        # P_tau = (kappa/2)(Pi - Pi_inv(1 + tau^2 P^m P_m/kappa^2))
-        ("p_tau_reconstruction",
-         (pi - piv * (one + pp)).shift(-1) * _HALF,
-         p_tau),
+        ("casimir_ctau_grouplike_form", c_form, model.cas.C_tau),
+        ("p_tau_reconstruction", p_form, p_tau),
     ):
         rep.zero(name, got.retrunc(model.trunc) - want.retrunc(model.trunc))
 

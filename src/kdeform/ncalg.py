@@ -473,12 +473,6 @@ class TensorElement:
                                    as_trunc(trunc))
 
     @classmethod
-    def from_words(cls, pres, terms):
-        """The exact rank-1 element of a dict from words to Scalars, the
-        format of the rule tables."""
-        return cls(pres, 1, {(w,): c for w, c in terms.items()})
-
-    @classmethod
     def from_legs(cls, *legs):
         """Outer product: the legs of each factor, in order, side by side."""
         if not legs:

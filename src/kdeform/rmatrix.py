@@ -241,26 +241,30 @@ def schouten(r):
     return _graded(r.pres, 3, expansion(), r.trunc)
 
 
-def ybe_classify(r):
-    """Decompose [[r, r]] against Omega.
-
-    Returns {"type": "CYBE" | "MYBE" | "other", "lam": Scalar or None,
-    "residual": WedgeTensor}; for MYBE, [[r, r]] = lam * Omega exactly.
-    """
-    s = schouten(r)
+def _decompose(s, omega):
+    """The verdict of ``ybe_classify`` for the bracket ``s`` = [[r, r]]
+    against ``omega``, which is nonzero with constant coefficients."""
     if s.is_zero():
         return {
             "type": "CYBE",
             "lam": Scalar.zero(),
-            "residual": WedgeTensor.zero(r.pres, 3),
+            "residual": WedgeTensor.zero(s.pres, 3),
         }
-    omega = build_omega(r.pres)  # nonzero, with constant coefficients
     (key, _, _), val = next(iter(omega.terms.items()))
     lam = s.coeff(key) * (GR_ONE / val)
     residual = s - omega * lam
     if residual.is_zero():
         return {"type": "MYBE", "lam": lam, "residual": residual}
     return {"type": "other", "lam": None, "residual": residual}
+
+
+def ybe_classify(r):
+    """Decompose [[r, r]] against Omega.
+
+    Returns {"type": "CYBE" | "MYBE" | "other", "lam": Scalar or None,
+    "residual": WedgeTensor}; for MYBE, [[r, r]] = lam * Omega exactly.
+    """
+    return _decompose(schouten(r), build_omega(r.pres))
 
 
 def ad_action(pres, x, w):
@@ -298,12 +302,12 @@ def schouten_identity_check(metric, tau, pres=None):
     """[[r, r]] = -tau^2 * Omega for this metric and tau."""
     metric = as_metric(metric)
     r = build_r(metric, tau, pres)  # validates tau
-    s = schouten(r)
+    s, omega = schouten(r), build_omega(r.pres)
     t2 = metric.square(tau)
-    want = build_omega(r.pres) * Scalar.rational(-t2)
     rep = Report("schouten identity", {"tau2": str(t2)})
-    rep.zero("schouten_equals_minus_tau2_omega", s - want)
-    verdict = ybe_classify(r)
+    rep.zero("schouten_equals_minus_tau2_omega",
+             s - omega * Scalar.rational(-t2))
+    verdict = _decompose(s, omega)
     if t2 == 0:
         rep.add("null_tau_cybe", verdict["type"] == "CYBE", verdict["type"])
     else:

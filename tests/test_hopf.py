@@ -3,7 +3,8 @@ for the R-matrix intertwiner check on a small model, and for the pruned
 products and leg maps against all-pairs reference loops, which multiply
 Scalars and so do not share the graded kernels' degree test.  Tensor x
 Scalar, an outer product, is checked against a graded pair loop of its
-own."""
+own, and the rule checks, made through the product g_i g_j, against a loop
+that reads each rule's right-hand side."""
 
 import random
 
@@ -108,15 +109,19 @@ def test_primitive_hopf_on_heisenberg_passes():
     assert bad == []
 
 
-def test_primitive_coproduct_rejected_on_weyl():
-    # [b, a] = 1 admits no primitive bialgebra structure; the rule-respect
-    # check must catch it
+def weyl_primitive():
+    # [b, a] = 1 admits no primitive bialgebra structure
     pres = Presentation("weyl")
     a = pres.add_generator("a")
     b = pres.add_generator("b")
     pres.set_commutator(b, a, {(): Scalar.one()})
-    hopf = primitive_hopf(pres, (a, b))
-    checks = {c.name: c for c in verify_axioms(hopf, degree2=False)}
+    return primitive_hopf(pres, (a, b))
+
+
+def test_primitive_coproduct_rejected_on_weyl():
+    # the rule-respect check must catch it
+    checks = {c.name: c for c in verify_axioms(weyl_primitive(),
+                                               degree2=False)}
     assert not checks["cop_respects_[b,a]"].passed
 
 
@@ -738,10 +743,16 @@ def reference_degree2_checks(hopf):
     return rep.checks
 
 
+def replaced(hopf, coproduct=(), antipode=(), counit=()):
+    """``hopf`` with the given entries of its tables replaced."""
+    return HopfData(hopf.pres, {**hopf.coproduct, **dict(coproduct)},
+                    {**hopf.antipode, **dict(antipode)},
+                    {**hopf.counit, **dict(counit)})
+
+
 def corrupted_antipode(hopf, i):
     """``hopf`` with the antipode of generator ``i`` doubled."""
-    return HopfData(hopf.pres, hopf.coproduct,
-                    {**hopf.antipode, i: hopf.antipode[i] * 2}, hopf.counit)
+    return replaced(hopf, antipode={i: hopf.antipode[i] * 2})
 
 
 def model_hopf(g, tau, flavor, trunc):
@@ -784,6 +795,101 @@ def test_degree2_sweep_matches_all_pairs_reference(make, fails):
     swept = {c["name"]: c["passed"] for c in got[-2:]}
     assert swept["antipode_axiom_degree2_all_pairs"] is not fails
     assert swept["counit_axiom_degree2_all_pairs"]
+
+
+# --- the rule checks against the rule right-hand sides ------------------------
+
+
+def reference_rule_residuals(hopf):
+    """The rule checks computed from each rule's right-hand side, as
+    (name, residual, product rule) triples: Delta, S and epsilon of g_i g_j
+    by multiplicativity against their values on the rhs."""
+    pres = hopf.pres
+    one = TensorElement.one(pres, 1, hopf.trunc)
+    rules = [(ij, rhs, True) for ij, rhs in pres.comm_rules.items()] + [
+        (ij, rhs, False) for ij, rhs in pres.product_rules.items()
+    ]
+    out = []
+    for (i, j), rhs, is_comm in rules:
+        li, lj = pres.label(i), pres.label(j)
+        gi = TensorElement.gen(pres, i, hopf.trunc)
+        gj = TensorElement.gen(pres, j, hopf.trunc)
+        rhs_elt = (TensorElement(pres, 1, {(w,): c for w, c in rhs.items()})
+                   * Scalar.one(hopf.trunc))
+        ci, cj = hopf.cop(gi), hopf.cop(gj)
+        si, sj = hopf.antipode_of(gi), hopf.antipode_of(gj)
+        if is_comm:
+            tag = "[%s,%s]" % (li, lj)
+            drec = ci * cj - cj * ci - hopf.cop(rhs_elt)
+            srec = sj * si - si * sj - hopf.antipode_of(rhs_elt)
+            erec = one * hopf.counit_of(rhs_elt)
+        else:
+            tag = "%s*%s" % (li, lj)
+            drec = ci * cj - hopf.cop(rhs_elt)
+            srec = sj * si - hopf.antipode_of(rhs_elt)
+            erec = (one * hopf.counit_of(gi) * hopf.counit_of(gj)
+                    - one * hopf.counit_of(rhs_elt))
+        out += [("cop_respects_%s" % tag, drec, not is_comm),
+                ("antipode_respects_%s" % tag, srec, not is_comm),
+                ("counit_respects_%s" % tag, erec, not is_comm)]
+    return out
+
+
+def doubled_coproduct(hopf, i):
+    return replaced(hopf, coproduct={i: hopf.coproduct[i] * 2})
+
+
+# the rules of d=3 covariant that M_12 enters
+D3_M12_PAIRS = ["M_12,P_1", "M_12,P_2", "M_02,M_01", "M_12,M_01", "M_12,M_02"]
+
+
+def covariant_d3_hopf():
+    return model_hopf(MINK3, (1, 0, 0), "covariant_hadic", (2, 0))
+
+
+def qanalog_d3_hopf():
+    return model_hopf(MINK3, (1, 0, 0), "qanalog_timelike", None)
+
+
+@pytest.mark.parametrize("make,failing", [
+    pytest.param(weyl_primitive, {"cop_respects_[b,a]",
+                                  "antipode_respects_[b,a]",
+                                  "counit_respects_[b,a]"},
+                 id="weyl_primitive"),
+    pytest.param(lambda: jordanian_toy(break_antipode=True)[1], set(),
+                 id="jordanian_broken"),
+    pytest.param(heisenberg_corrupted_center, {"antipode_respects_[y,x]"},
+                 id="heisenberg_corrupted_center"),
+    pytest.param(lambda: corrupted_antipode(covariant_d3_hopf(), 5),
+                 {"antipode_respects_[%s]" % p for p in D3_M12_PAIRS},
+                 id="d3_doubled_antipode"),
+    pytest.param(lambda: doubled_coproduct(covariant_d3_hopf(), 5),
+                 {"cop_respects_[%s]" % p for p in D3_M12_PAIRS},
+                 id="d3_doubled_coproduct"),
+    pytest.param(lambda: replaced(covariant_d3_hopf(),
+                                  counit={0: Scalar.one()}),
+                 {"counit_respects_[M_01,P_1]", "counit_respects_[M_02,P_2]"},
+                 id="d3_counit_of_p0"),
+    pytest.param(lambda: replaced(qanalog_d3_hopf(),
+                                  counit={0: Scalar.rational(2)}),
+                 {"counit_respects_[M_tau_1,P_1]",
+                  "counit_respects_[M_tau_2,P_2]",
+                  "counit_respects_Pi*Pi_inv", "counit_respects_Pi_inv*Pi"},
+                 id="qanalog_doubled_counit"),
+])
+def test_rule_checks_match_the_rule_rhs_reference(make, failing):
+    # verify_axioms checks each rule through the product g_i g_j; the
+    # reference reads the rule's rhs.  A product rule's counit residual
+    # changes sign: eps(rhs) - eps(g_i) eps(g_j), not its negative
+    hopf = make()
+    got = [c.to_dict() for c in verify_axioms(hopf, degree2=False)
+           if "_respects_" in c.name]
+    rep = Report("reference")
+    for name, residual, product in reference_rule_residuals(hopf):
+        flip = product and name.startswith("counit_")
+        rep.zero(name, -residual if flip else residual)
+    assert got == [c.to_dict() for c in rep.checks]
+    assert {c["name"] for c in got if not c["passed"]} == failing
 
 
 def memo_sizes(hopf):

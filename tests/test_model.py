@@ -10,6 +10,7 @@ from kdeform import model as km
 from kdeform.errors import (
     ClassicalLimitError, KdeformError, PresentationError,
 )
+from kdeform.hopf import HopfData
 from kdeform.metric import Metric
 from kdeform.model import (
     Model,
@@ -406,6 +407,16 @@ def test_q_timelike_general_tau2():
     assert rep.ok, failed(rep)
 
 
+def test_a_laurent_coproduct_is_not_h_polynomial():
+    # the rules of the q-analog already carry h^-1; a coproduct entry that
+    # does too fails the coalgebra check alone
+    m = Model(ModelConfig(MINK3, (1, 0, 0), "qanalog_timelike", None))
+    h = m.hopf
+    m.hopf = HopfData(h.pres, {**h.coproduct, 2: h.coproduct[2] * Scalar.h(-1)},
+                      h.antipode, h.counit)
+    assert failed(h_polynomial_check(m)) == ["coalgebra_maps_h_polynomial"]
+
+
 def test_q_timelike_antipode_polynomial_collapse():
     # the stored antipode of the boosts is polynomial: no Pi_inv letters
     m = Model(ModelConfig(MINK3, (1, 0, 0), "qanalog_timelike", None))
@@ -497,6 +508,14 @@ def test_the_display_reader_refuses_what_it_cannot_read():
         read("M_19", {})
     with pytest.raises(KdeformError, match="unital series needs positive"):
         read("ln(P_+)", {})
+    # brackets hold a comma pair, a divisor is a nonzero number, a ')' closes
+    # an open one, and a name with too few slot digits names no atom
+    for text, message in (("[P_+]", "expected ','"),
+                          ("P_+ / 0", "/ needs a nonzero number"),
+                          (") P_+", "unexpected '\\)'"),
+                          ("M_1", "cannot read M_1")):
+        with pytest.raises(PresentationError, match=message):
+            read(text, {})
 
 
 def test_q_reality():

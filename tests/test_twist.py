@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from kdeform import twist
-from kdeform.errors import PresentationError
+from kdeform.errors import KdeformError, PresentationError
 from kdeform.hopf import HopfData, check_rmatrix_intertwiner, verify_axioms
 from kdeform.model import Model, ModelConfig
 from kdeform.ncalg import Presentation, TensorElement
@@ -167,6 +167,20 @@ def test_twist_hopf_refuses_a_non_cocycle(models):
     f = twist.build_twist("T3", model)
     with pytest.raises(PresentationError):
         twist.twist_hopf(model.hopf, f)
+
+
+def test_twist_hopf_refuses_a_gauge_element_without_inverse(models):
+    # S1 is no 2-cocycle over the deformed structure: the check names the
+    # failing condition, and unchecked the gauge element u = m(id (x) S)F
+    # is not inverted by m(S (x) id)F^-1
+    model = models["covariant_hadic"]
+    f = twist.build_twist("S1", model)
+    with pytest.raises(PresentationError, match="two_cocycle"):
+        twist.twist_hopf(model.hopf, f)
+    with pytest.raises(KdeformError,
+                       match="twist gauge element u is not invertible") as exc:
+        twist.twist_hopf(model.hopf, f, check=False)
+    assert exc.type is KdeformError
 
 
 def test_twisted_t1_is_a_hopf_algebra(models):
